@@ -1,7 +1,8 @@
 """Batch front-end: flags or scenario files in, tables or JSON reports out.
 
 Exit codes: 0 success, 1 usage or IO error (including CapExceeded), 2 when a
-structurally guaranteed expectation fails to hold.
+structurally guaranteed expectation or an internal divisibility invariant
+fails to hold.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class RunConfig:
             raise UsageError("--cap must be >= 1")
         if self.format not in ("table", "json"):
             raise UsageError("--format must be table or json")
+        if not 1 <= self.threads <= 64:
+            raise UsageError("--threads must be between 1 and 64")
         for ell in self.ell_list:
             if not is_prime(ell):
                 raise UsageError(f"--ell entries must be prime, got {ell}")
@@ -133,11 +136,13 @@ def _build_custom(data: dict, cap: int):
     return G, H
 
 
-def _scenario_instance(name: str, ell: int, config: RunConfig):
+def _scenario_instance(name: str, ell: int, data: dict, cap: int):
+    if name == "custom":
+        return _build_custom(dict(data, ell=ell), cap)
     if name == "cm":
-        return gm.scenario_cm(config.g, ell, config.level, config.cap)
+        return gm.scenario_cm(data["g"], ell, data["level"], cap)
     if name == "selfproduct":
-        return gm.scenario_selfproduct(ell, config.level, config.cap)
+        return gm.scenario_selfproduct(ell, data["level"], cap)
     raise UsageError(f"scenario {name!r} has no group model")
 
 
@@ -158,6 +163,8 @@ def _resolve(config: RunConfig) -> tuple[str, dict]:
     merged = dict(data)
     merged.setdefault("level", config.level)
     merged.setdefault("g", config.g)
+    if name == "mumford" and merged["level"] != 1:
+        raise UsageError("the mumford scenario runs at level 1")
     return name, {"ells": ells, "data": merged}
 
 
@@ -165,25 +172,11 @@ def _degree_reports(name: str, ells, config: RunConfig, data: dict) -> list[gm.D
     reports: list[gm.DegreeReport] = []
     for ell in ells:
         if name == "mumford":
-            if data.get("level", 1) != 1:
-                raise UsageError("the mumford scenario runs at level 1")
             reports.extend(
                 mf.verify_mu_s_failure([ell], cap=config.cap, threads=config.threads)
             )
-        elif name == "custom":
-            d = dict(data)
-            d["ell"] = ell
-            G, H = _build_custom(d, config.cap)
-            reports.append(gm.build_degree_report(G, H))
         else:
-            cfg = RunConfig(
-                command=config.command,
-                level=data.get("level", config.level),
-                g=data.get("g", config.g),
-                cap=config.cap,
-                threads=config.threads,
-            )
-            G, H = _scenario_instance(name, ell, cfg)
+            G, H = _scenario_instance(name, ell, data, config.cap)
             reports.append(gm.build_degree_report(G, H))
     return reports
 
@@ -280,29 +273,24 @@ def _cmd_sweep(config: RunConfig) -> tuple[dict, list[str]]:
 
 def _cmd_stabilizer(config: RunConfig) -> tuple[dict, list[str]]:
     name, resolved = _resolve(config)
+    data = resolved["data"]
     out = []
     for ell in resolved["ells"]:
         if name == "mumford":
             stab = mf.pointwise_stabilizer_in_image(ell, cap=config.cap, threads=config.threads)
-            level = 1
+            elements = [list(M.flat()) for M in stab]
         else:
-            if name == "custom":
-                d = dict(resolved["data"])
-                d["ell"] = ell
-                G, H = _build_custom(d, config.cap)
-            else:
-                G, H = _scenario_instance(name, ell, config)
+            G, H = _scenario_instance(name, ell, data, config.cap)
             if config.h_rows:
                 rows = parse_generator_rows(config.h_rows)
                 H = subgroup_from_generators(rows, G.ring, ambient_dim=G.dim)
-            stab = list(gm.stabilizer(G, H))
-            level = config.level
+            elements = gm.stabilizer(G, H).array.tolist()
         out.append(
             {
                 "ell": ell,
-                "level": level,
-                "stabilizer_size": len(stab),
-                "stabilizer_elements": [list(M.flat()) for M in stab],
+                "level": data["level"],
+                "stabilizer_size": len(elements),
+                "stabilizer_elements": elements,
             }
         )
     lines = [_table_line(d) for d in out]
@@ -337,7 +325,8 @@ def run(config: RunConfig) -> int:
         doc, lines = _HANDLERS[config.command](config)
         _emit(config, doc, lines)
         return EXIT_OK
-    except mf.ExpectationFailed as exc:
+    except (mf.ExpectationFailed, AssertionError) as exc:
+        # AssertionError: a divisibility invariant of the degree bookkeeping
         print(f"expectation failed: {exc}", file=sys.stderr)
         return EXIT_EXPECTATION
     except (UsageError, gm.CapExceeded, gm.ChainNotIncreasing, ValueError, OSError) as exc:

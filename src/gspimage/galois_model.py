@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -50,43 +49,75 @@ def _np_batch_ok(mod: int, dim: int) -> bool:
     return dim * mod * mod < (1 << 62)
 
 
-def _mul_flat(x: tuple, y: tuple, n: int, m: int) -> tuple:
-    out = []
-    for i in range(n):
-        row = x[i * n : (i + 1) * n]
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s += row[k] * y[k * n + j]
-            out.append(s % m)
-    return tuple(out)
+# rows per batch in the array kernels; bounds their temporaries
+_BATCH = 1 << 12
+
+
+def _batched(kernel, rows: np.ndarray) -> np.ndarray:
+    """``kernel`` applied to consecutive blocks of ``rows``, results joined."""
+    parts = [kernel(rows[i : i + _BATCH]) for i in range(0, len(rows), _BATCH)]
+    return np.concatenate(parts) if parts else kernel(rows)
+
+
+def _dtype(mod: int, dim: int):
+    """int64 where the batch kernels cannot overflow, Python ints otherwise."""
+    return np.int64 if _np_batch_ok(mod, dim) else object
+
+
+def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
+    """Base-mod key of each row of ``flat``, first entry most significant.
+
+    Digits are packed into int64 words of as many entries as stay below 2^63;
+    rows that need more than one word get Python-int keys.  So the keys are
+    int64 exactly when mod ** width < 2 ** 63.
+    """
+    width = flat.shape[1]
+    step = 1
+    while step < width and mod ** (step + 1) < (1 << 63):
+        step += 1
+    keys = None
+    for start in range(0, width, step):
+        block = flat[:, start : start + step]
+        word = block[:, 0]
+        for k in range(1, block.shape[1]):
+            word = word * mod + block[:, k]
+        if keys is None:
+            keys = word
+        else:
+            keys = keys.astype(object) * mod ** block.shape[1] + word
+    return keys
 
 
 class MatrixGroup:
-    """A finite group of similitudes, materialized as an ordered element set.
+    """A finite group of similitudes, materialized in a deterministic order.
 
-    Elements are stored row-major as flat integer tuples in a deterministic
-    insertion order; numpy views are cached for the batch kernels.
+    ``array`` holds the elements, one row-major matrix per row, as a
+    read-only (order, d*d) array: int64 when ``_np_batch_ok`` holds for the
+    modulus, object dtype (Python ints) otherwise.  Every kernel runs on it.
+    The constructor takes distinct reduced elements, as every builder here
+    produces them; ``from_elements`` checks a listed set for duplicates.
     """
 
-    __slots__ = ("space", "generators", "_flats", "_index", "_arr", "_mults")
+    __slots__ = ("space", "generators", "array", "_mults")
 
-    def __init__(self, space: SymplecticSpace, generators, flats):
+    def __init__(self, space: SymplecticSpace, generators, elements):
         self.space = space
         self.generators = tuple(generators)
         for g in self.generators:
             multiplier(g, space)  # raises NotSimilitude on a bad generator
-        self._flats = list(flats)
-        self._index = frozenset(self._flats)
-        if len(self._index) != len(self._flats):
-            raise ValueError("duplicate elements")
-        self._arr = None
+        d = space.dim
+        arr = np.asarray(elements, dtype=_dtype(space.ring.modulus, d)).reshape(-1, d * d).view()
+        arr.flags.writeable = False
+        self.array = arr
         self._mults = None
 
     @classmethod
     def from_elements(cls, space, elements, generators=()) -> "MatrixGroup":
         flats = [e.flat() if isinstance(e, MatrixMod) else tuple(e) for e in elements]
-        return cls(space, generators, flats)
+        G = cls(space, generators, flats)
+        if len(set(_pack(G.array, space.ring.modulus).tolist())) != G.order:
+            raise ValueError("duplicate elements")
+        return G
 
     @property
     def ring(self) -> ResidueRing:
@@ -98,98 +129,97 @@ class MatrixGroup:
 
     @property
     def order(self) -> int:
-        return len(self._flats)
+        return len(self.array)
+
+    def _matrices(self) -> np.ndarray:
+        return self.array.reshape(-1, self.dim, self.dim)
 
     def element(self, i: int) -> MatrixMod:
-        return MatrixMod.from_flat(self.ring, self.dim, self._flats[i])
+        return MatrixMod.from_flat(self.ring, self.dim, self.array[i].tolist())
 
     def __iter__(self) -> Iterator[MatrixMod]:
-        for f in self._flats:
-            yield MatrixMod.from_flat(self.ring, self.dim, f)
+        for row in self.array:
+            yield MatrixMod.from_flat(self.ring, self.dim, row.tolist())
 
     def __contains__(self, M: MatrixMod) -> bool:
-        return M.flat() in self._index
+        row = np.array(M.flat(), dtype=self.array.dtype)
+        return bool((self.array == row).all(axis=1).any())
 
     def contains_group(self, other: "MatrixGroup") -> bool:
-        return other._index <= self._index
-
-    def as_array(self) -> np.ndarray:
-        if self._arr is None:
-            d = self.dim
-            self._arr = np.array(self._flats, dtype=np.int64).reshape(-1, d, d)
-        return self._arr
+        mod = self.ring.modulus
+        return set(_pack(other.array, mod).tolist()) <= set(_pack(self.array, mod).tolist())
 
     def multipliers(self) -> tuple[int, ...]:
         """Multiplier of every element, in element order."""
         if self._mults is None:
             mod = self.ring.modulus
-            form = self.space.form
-            if _np_batch_ok(mod, self.dim):
-                arr = self.as_array()
-                psi = np.array(form.rows, dtype=np.int64) % mod
-                pos = next(
-                    (i, j)
-                    for i, row in enumerate(form.rows)
-                    for j, x in enumerate(row)
-                    if self.ring.is_unit(x)
-                )
-                i, j = pos
+            rows = self.space.form.rows
+            i, j = next(
+                (i, j)
+                for i, row in enumerate(rows)
+                for j, x in enumerate(row)
+                if self.ring.is_unit(x)
+            )
+            psi = np.array(rows, dtype=self.array.dtype) % mod
+            inv = self.ring.inverse(rows[i][j])
+
+            def kernel(M):
                 # (M^T psi M)[i,j] = col_i(M)^T psi col_j(M)
-                left = (arr[:, :, i] @ psi) % mod
-                lam = np.einsum("nb,nb->n", left, arr[:, :, j]) % mod
-                lam = lam * self.ring.inverse(form.rows[i][j]) % mod
-                self._mults = tuple(int(x) for x in lam)
-            else:
-                self._mults = tuple(multiplier(M, self.space).value for M in self)
+                left = M[:, :, i] @ psi % mod
+                return (left * M[:, :, j]).sum(axis=1) % mod * inv % mod
+
+            self._mults = tuple(_batched(kernel, self._matrices()).tolist())
         return self._mults
 
     def reduce_level(self, level: int) -> "MatrixGroup":
-        """Image under reduction mod l^level, insertion order preserved."""
+        """Image under reduction mod l^level, first occurrences in element order."""
         if level > self.ring.level:
             raise ValueError("can only reduce to a lower level")
         p = self.ring.ell ** level
-        seen = set()
-        flats = []
-        for f in self._flats:
-            r = tuple(x % p for x in f)
-            if r not in seen:
-                seen.add(r)
-                flats.append(r)
+        reduced = np.asarray(self.array % p, dtype=_dtype(p, self.dim))
+        _, first = np.unique(_pack(reduced, p), return_index=True)
         ring = self.ring.at_level(level)
         space = SymplecticSpace(self.space.g, self.space.form.reduce_level(level), ring)
         gens = tuple(g.reduce_level(level) for g in self.generators)
-        return MatrixGroup(space, gens, flats)
+        return MatrixGroup(space, gens, reduced[np.sort(first)])
 
 
 def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DEFAULT_CAP) -> MatrixGroup:
     """Breadth-first closure of a generating set under multiplication.
 
     The generated semigroup equals the generated group because every element
-    of a finite matrix group has finite order.  Raises CapExceeded when the
-    element count would pass the cap.
+    of a finite matrix group has finite order.  Each frontier is multiplied
+    by every generator in one batch; products are taken in (frontier index,
+    generator index) order and kept at their first occurrence, so the element
+    order is that of the one-product-at-a-time search.  Raises CapExceeded
+    when the element count would pass the cap.
     """
     for g in generators:
         multiplier(g, space)
-    n = space.dim
-    m = space.ring.modulus
-    gen_flats = [g.flat() for g in generators]
-    ident = MatrixMod.identity(space.ring, n).flat()
-    seen = {ident}
-    ordered = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gf in gen_flats:
-                y = _mul_flat(x, gf, n, m)
-                if y not in seen:
+    d, mod = space.dim, space.ring.modulus
+    dtype = _dtype(mod, d)
+    gens = np.array([g.rows for g in generators], dtype=dtype).reshape(-1, d, d)
+    step = max(1, _BATCH // max(1, len(gens)))  # frontier rows per batch
+    frontier = np.eye(d, dtype=dtype).reshape(1, d * d)
+    seen = set(_pack(frontier, mod).tolist())
+    levels = [frontier]
+    while len(frontier):
+        found = []
+        for start in range(0, len(frontier), step):
+            chunk = frontier[start : start + step].reshape(-1, 1, d, d)
+            prods = (chunk @ gens % mod).reshape(-1, d * d)
+            fresh = []
+            for i, key in enumerate(_pack(prods, mod).tolist()):
+                if key not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(f"closure exceeds cap={cap}")
-                    seen.add(y)
-                    ordered.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return MatrixGroup(space, generators, ordered)
+                    seen.add(key)
+                    fresh.append(i)
+            found.append(prods[fresh])
+        frontier = np.concatenate(found)
+        levels.append(frontier)
+    del seen  # freed before the final copy of the elements
+    return MatrixGroup(space, generators, np.concatenate(levels))
 
 
 def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
@@ -206,18 +236,9 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     if H.is_trivial():
         return G
     mod = G.ring.modulus
-    if _np_batch_ok(mod, G.dim):
-        B = np.array(H.basis, dtype=np.int64).T  # d x r
-        arr = G.as_array()
-        prod = np.einsum("nij,jr->nir", arr, B) % mod
-        mask = (prod == B[None, :, :]).all(axis=(1, 2))
-        flats = [G._flats[i] for i in np.nonzero(mask)[0]]
-    else:
-        flats = []
-        for f, M in zip(G._flats, G):
-            if all(M.apply(v) == v for v in H.basis):
-                flats.append(f)
-    return MatrixGroup(G.space, (), flats)
+    B = np.array(H.basis, dtype=G.array.dtype).T  # d x r
+    mask = _batched(lambda M: (M @ B % mod == B).all(axis=(1, 2)), G._matrices())
+    return MatrixGroup(G.space, (), G.array[mask])
 
 
 class FullGL2Group:
@@ -377,25 +398,16 @@ def filtered_subgroup(
     for Hf, cut in zip(fixers, cutoffs):
         if not Hf.is_trivial():
             conditions.append((Gfull.ring.ell ** min(level, cut), Hf.basis))
-    if _np_batch_ok(Gfull.ring.modulus, Gfull.dim):
-        arr = Gfull.as_array()
-        mask = np.ones(len(arr), dtype=bool)
-        for p, basis in conditions:
-            B = np.array(basis, dtype=np.int64).T % p
-            prod = np.einsum("nij,jr->nir", arr, B) % p
-            mask &= (prod == B[None, :, :]).all(axis=(1, 2))
-        flats = [Gfull._flats[i] for i in np.nonzero(mask)[0]]
-    else:
-        flats = [
-            f
-            for f, M in zip(Gfull._flats, Gfull)
-            if all(
-                all(x % p == v % p for x, v in zip(M.apply(vec), vec))
-                for p, basis in conditions
-                for vec in basis
-            )
-        ]
-    return MatrixGroup(Gfull.space, (), flats)
+    dtype = Gfull.array.dtype
+    fixed = [(p, np.array(basis, dtype=dtype).T % p) for p, basis in conditions]
+
+    def kernel(M):
+        mask = np.ones(len(M), dtype=bool)
+        for p, B in fixed:
+            mask &= (M @ B % p == B).all(axis=(1, 2))
+        return mask
+
+    return MatrixGroup(Gfull.space, (), Gfull.array[_batched(kernel, Gfull._matrices())])
 
 
 # -- scenario builders ------------------------------------------------------
@@ -414,17 +426,19 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     if count > cap:
         raise CapExceeded(f"diagonal torus has {count} elements, cap={cap}")
     space = standard_form(g, ring)
-    units = list(ring.units())
-    inv = {u: ring.inverse(u) for u in units}
-    n2 = 2 * g
-    flats = []
-    for lam in units:
-        for d in product(units, repeat=g):
-            diag = list(d) + [lam * inv[d[n2 - 1 - j]] % ring.modulus for j in range(g, n2)]
-            flat = [0] * (n2 * n2)
-            for j in range(n2):
-                flat[j * n2 + j] = diag[j]
-            flats.append(tuple(flat))
+    n2, mod = 2 * g, ring.modulus
+    dtype = _dtype(mod, n2)
+    units = np.array(list(ring.units()), dtype=dtype)
+    inv = np.array([ring.inverse(u) for u in ring.units()], dtype=dtype)
+    # rows in lexicographic order of (lambda, d_1, ..., d_g); d_{2g+1-i} is
+    # lambda / d_i
+    idx = np.indices((len(units),) * (g + 1)).reshape(g + 1, -1)
+    lam = units[idx[0]]
+    diag = [units[idx[1 + j]] for j in range(g)]
+    diag += [lam * inv[idx[n2 - j]] % mod for j in range(g, n2)]
+    flats = np.zeros((count, n2 * n2), dtype=dtype)
+    for j in range(n2):
+        flats[:, j * n2 + j] = diag[j]
     G = MatrixGroup(space, (), flats)
     H = subgroup_from_generators([(1,) * n2], ring)
     return G, H
@@ -466,7 +480,7 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
     mask = (a * d - b * c) % mod % ell != 0
     flats = np.stack([a[mask], b[mask], c[mask], d[mask]], axis=1)
     gens = gl2_standard_generators(ring) if ell != 2 else ()
-    return MatrixGroup(space, gens, [tuple(map(int, row)) for row in flats])
+    return MatrixGroup(space, gens, flats)
 
 
 def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
@@ -484,10 +498,10 @@ def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         [0, 0, -1 % m, 0],
     ]
     space = SymplecticSpace(2, MatrixMod(ring, rows), ring)
-    flats = [
-        (a, b, 0, 0, c, d, 0, 0, 0, 0, a, b, 0, 0, c, d)
-        for (a, b, c, d) in gl2._flats
-    ]
+    # diag-block(g, g), row-major: (a, b, 0, 0, c, d, 0, 0, 0, 0, a, b, 0, 0, c, d)
+    flats = np.zeros((gl2.order, 16), dtype=_dtype(m, 4))
+    flats[:, [0, 1, 4, 5]] = gl2.array
+    flats[:, [10, 11, 14, 15]] = gl2.array
     G = MatrixGroup(space, (), flats)
     H = subgroup_from_generators([(1, 0, 0, 1)], ring)
     return G, H
@@ -570,8 +584,8 @@ _SCENARIO_NAMES = ("cm", "selfproduct", "mumford", "custom")
 def parse_scenario_text(text: str) -> dict:
     """Parse the key-value scenario format.
 
-    Recognized keys: scenario, ell, level, g, generators, H.  Lines starting
-    with '#' (or trailing comments) are ignored.
+    Recognized keys: scenario, ell, level, g, generators, H, each at most
+    once.  Lines starting with '#' (or trailing comments) are ignored.
     """
     import json
 
@@ -583,6 +597,8 @@ def parse_scenario_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"malformed scenario line: {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"duplicate scenario key {key!r}")
         if key == "scenario":
             if val not in _SCENARIO_NAMES:
                 raise ValueError(f"unknown scenario {val!r}")

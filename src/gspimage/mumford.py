@@ -133,7 +133,7 @@ def block_dependence(M: MatrixMod) -> bool:
 
 
 def _gl2_array(ell: int) -> np.ndarray:
-    return gl2_group(_ring(ell)).as_array()
+    return gl2_group(_ring(ell)).array.reshape(-1, 2, 2)
 
 
 def canonical_gl2_array(ell: int) -> np.ndarray:

@@ -97,6 +97,52 @@ def test_cap_exceeded_exit_one(capsys):
 def test_mumford_level_must_be_one(capsys):
     code, _, _ = run_cli(capsys, "scenario", "mumford", "--ell", "3", "--level", "2")
     assert code == 1
+    code, out, err = run_cli(capsys, "stabilizer", "mumford", "--ell", "3", "--level", "2")
+    assert code == 1
+    assert out == ""
+    assert "level 1" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "65", "100000"])
+def test_threads_out_of_range_exit_one(capsys, threads):
+    code, out, err = run_cli(
+        capsys, "scenario", "cm", "--ell", "5", "--g", "2", "--threads", threads
+    )
+    assert code == 1
+    assert out == ""
+    assert "--threads" in err
+
+
+def test_stabilizer_reports_scenario_file_level(tmp_path, capsys):
+    custom = tmp_path / "custom.txt"
+    custom.write_text(
+        "scenario = custom\nell = 3\nlevel = 2\ng = 1\n"
+        "generators = [[[1,1],[0,1]],[[1,0],[1,1]],[[2,0],[0,1]]]\n"
+        "H = [[1,0]]\n"
+    )
+    code, out, _ = run_cli(
+        capsys, "stabilizer", "--scenario-file", str(custom), "--format", "json"
+    )
+    assert code == 0
+    (rep,) = json.loads(out)["reports"]
+    assert rep["level"] == 2
+    # matrices of GL2(Z/9) with first column (1, 0): 9 choices of b, 6 units d
+    assert rep["stabilizer_size"] == 54
+    assert all(e[0] == 1 and e[2] == 0 for e in rep["stabilizer_elements"])
+    named = tmp_path / "cm.txt"
+    named.write_text("scenario = cm\nell = 5\nlevel = 2\ng = 2\n")
+    code, out, _ = run_cli(capsys, "stabilizer", "--scenario-file", str(named))
+    assert code == 0
+    assert out == "ell=5 level=2 stabilizer_size=1\n"
+
+
+def test_duplicate_scenario_key_exit_one(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text("scenario = cm\nell = 5\nell = 7\ng = 2\n")
+    code, out, err = run_cli(capsys, "degrees", "--scenario-file", str(path))
+    assert code == 1
+    assert out == ""
+    assert "duplicate scenario key 'ell'" in err
 
 
 def test_scenario_file_custom(tmp_path, capsys):
@@ -159,3 +205,14 @@ def test_expectation_failure_exits_two(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "verify-mumford", "--ell", "3")
     assert code == 2
     assert "expectation failed" in err
+
+
+def test_divisibility_invariant_failure_exits_two(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("stabilizer order must divide the group order")
+
+    monkeypatch.setattr(cli.gm, "build_degree_report", broken)
+    code, out, err = run_cli(capsys, "scenario", "cm", "--ell", "5", "--g", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "expectation failed: stabilizer order must divide the group order\n"

@@ -1,0 +1,162 @@
+"""The frontier-batched closure against the one-product-at-a-time search.
+
+``reference_close`` is the tuple breadth-first search the array closure
+replaced; it is kept here as the oracle for element order and cap behaviour.
+"""
+
+import numpy as np
+import pytest
+
+from gspimage import galois_model as gm
+from gspimage.galois_model import CapExceeded, close, gl2_standard_generators
+from gspimage.modring import MatrixMod, ResidueRing
+from gspimage.symplectic import multiplier, standard_form, symplectic_transvection
+from gspimage.torsion import subgroup_from_generators
+
+
+def _mul_flat(x: tuple, y: tuple, n: int, m: int) -> tuple:
+    out = []
+    for i in range(n):
+        row = x[i * n : (i + 1) * n]
+        for j in range(n):
+            s = 0
+            for k in range(n):
+                s += row[k] * y[k * n + j]
+            out.append(s % m)
+    return tuple(out)
+
+
+def reference_close(space, generators, cap=gm.DEFAULT_CAP) -> list:
+    """Flat element tuples in breadth-first discovery order."""
+    n = space.dim
+    m = space.ring.modulus
+    gen_flats = [g.flat() for g in generators]
+    ident = MatrixMod.identity(space.ring, n).flat()
+    seen = {ident}
+    ordered = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gf in gen_flats:
+                y = _mul_flat(x, gf, n, m)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"closure exceeds cap={cap}")
+                    seen.add(y)
+                    ordered.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return ordered
+
+
+def _gl2_mod9():
+    ring = ResidueRing(3, 2)
+    return standard_form(1, ring), gl2_standard_generators(ring)
+
+
+def _gsp4_f3_subgroup():
+    ring = ResidueRing(3, 1)
+    S = standard_form(2, ring)
+    gens = [
+        symplectic_transvection(S, (0, 1, 1, 0)),
+        symplectic_transvection(S, (1, 0, 0, 1)),
+        MatrixMod.diagonal(ring, [2, 2, 1, 1]),
+    ]
+    return S, gens
+
+
+def _gsp4_z27_subgroup():
+    # entries fit int64, but 27^16 > 2^63, so the packed keys are Python ints
+    ring = ResidueRing(3, 3)
+    S = standard_form(2, ring)
+    gens = [
+        symplectic_transvection(S, (3, 0, 0, 0)),
+        symplectic_transvection(S, (0, 0, 0, 3)),
+        symplectic_transvection(S, (0, 1, 0, 0)),
+        MatrixMod.diagonal(ring, [-1, 1, -1, 1]),
+    ]
+    return S, gens
+
+
+def _three_adic_level20():
+    # past the int64 guard: object-dtype arrays
+    ring = ResidueRing(3, 20)
+    m, t = ring.modulus, 3**17
+    gens = [
+        MatrixMod(ring, [[1, t], [0, 1]]),
+        MatrixMod(ring, [[1, 0], [t, 1]]),
+        MatrixMod(ring, [[m - 1, 0], [0, 1]]),
+        MatrixMod(ring, [[0, 1], [m - 1, 0]]),
+    ]
+    return standard_form(1, ring), gens
+
+
+CASES = {
+    "gl2_mod9": (_gl2_mod9, np.int64, np.int64, 3888),
+    "gsp4_f3": (_gsp4_f3_subgroup, np.int64, np.int64, 1152),
+    "gsp4_z27": (_gsp4_z27_subgroup, np.int64, object, 486),
+    "level20": (_three_adic_level20, object, object, 5832),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_close_matches_reference_order(case, chunk, monkeypatch):
+    build, arr_dtype, key_dtype, order = CASES[case]
+    if chunk is not None:  # frontiers then span several batches
+        monkeypatch.setattr(gm, "_BATCH", chunk)
+    S, gens = build()
+    G = close(S, gens)
+    assert G.array.dtype == arr_dtype
+    assert gm._pack(G.array, S.ring.modulus).dtype == key_dtype
+    assert G.order == order
+    assert [tuple(row) for row in G.array.tolist()] == reference_close(S, gens)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_close_cap_fires_at_reference_count(case):
+    build, _, _, order = CASES[case]
+    S, gens = build()
+    assert close(S, gens, cap=order).order == order
+    with pytest.raises(CapExceeded):
+        close(S, gens, cap=order - 1)
+    with pytest.raises(CapExceeded):
+        reference_close(S, gens, cap=order - 1)
+
+
+def test_group_array_is_read_only():
+    S, gens = _gl2_mod9()
+    G = close(S, gens)
+    with pytest.raises(ValueError):
+        G.array[0, 0] = 5
+
+
+def test_object_path_multipliers_match_elementwise():
+    S, gens = _three_adic_level20()
+    G = close(S, gens)
+    assert G.multipliers() == tuple(multiplier(M, S).value for M in G)
+
+
+def test_object_path_stabilizer_and_reduction_match_scans():
+    S, gens = _three_adic_level20()
+    G = close(S, gens)
+    ring = S.ring
+    H = subgroup_from_generators([(1, 0), (0, 3**12)], ring)
+    T = gm.stabilizer(G, H)
+    assert list(T) == [M for M in G if all(M.apply(v) == v for v in H.basis)]
+    fix = subgroup_from_generators([(1, 0)], ring)
+    F = gm.filtered_subgroup(G, [fix], [18])
+    p = 3**18
+    assert list(F) == [
+        M for M in G if all(x % p == v % p for x, v in zip(M.apply((1, 0)), (1, 0)))
+    ]
+    R = G.reduce_level(19)
+    seen, expected = set(), []
+    for M in G:
+        f = M.reduce_level(19).flat()
+        if f not in seen:
+            seen.add(f)
+            expected.append(f)
+    assert R.array.dtype == np.int64  # 3^19 is inside the int64 guard
+    assert [M.flat() for M in R] == expected

@@ -357,6 +357,8 @@ def test_parse_scenario_text():
         gm.parse_scenario_text("scenario = nope")
     with pytest.raises(ValueError):
         gm.parse_scenario_text("ell = 5")
+    with pytest.raises(ValueError, match="duplicate scenario key 'ell'"):
+        gm.parse_scenario_text("scenario = cm\nell = 5\nell = 7")
     custom = gm.parse_scenario_text(
         'scenario = custom\nell = 3\ng = 1\ngenerators = [[[1,1],[0,1]]]\nH = [[1,0]]'
     )
