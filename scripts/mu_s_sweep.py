@@ -13,7 +13,7 @@ from gspimage import cli
 FAMILIES = [
     ("cm", "5,13,17,29", ["--g", "2"]),
     ("selfproduct", "3,5,7,11", []),
-    ("mumford", "3,5,7,11", []),
+    ("mumford", "3,5,7,11,101", []),
 ]
 
 

@@ -43,7 +43,6 @@ class RunConfig:
     output_path: Optional[str] = None
     format: str = "table"
     cap: int = gm.DEFAULT_CAP
-    threads: int = 1
     scenario: Optional[str] = None
     h_rows: Optional[str] = None
 
@@ -52,8 +51,6 @@ class RunConfig:
             raise UsageError("--cap must be >= 1")
         if self.format not in ("table", "json"):
             raise UsageError("--format must be table or json")
-        if not 1 <= self.threads <= 64:
-            raise UsageError("--threads must be between 1 and 64")
         for ell in self.ell_list:
             if not is_prime(ell):
                 raise UsageError(f"--ell entries must be prime, got {ell}")
@@ -78,7 +75,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="table", choices=("table", "json"))
     p.add_argument("--out", dest="output_path")
     p.add_argument("--cap", type=int, default=gm.DEFAULT_CAP)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> _Parser:
@@ -108,7 +104,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         output_path=ns.output_path,
         format=ns.format,
         cap=ns.cap,
-        threads=ns.threads,
         scenario=getattr(ns, "name", None),
         h_rows=ns.h_rows,
     )
@@ -136,14 +131,20 @@ def _build_custom(data: dict, cap: int):
     return G, H
 
 
-def _scenario_instance(name: str, ell: int, data: dict, cap: int):
+def _scenario_instance(name: str, ell: int, data: dict, config: RunConfig):
+    """The scenario's group G and subgroup H; ``--H`` replaces H."""
     if name == "custom":
-        return _build_custom(dict(data, ell=ell), cap)
-    if name == "cm":
-        return gm.scenario_cm(data["g"], ell, data["level"], cap)
-    if name == "selfproduct":
-        return gm.scenario_selfproduct(ell, data["level"], cap)
-    raise UsageError(f"scenario {name!r} has no group model")
+        G, H = _build_custom(dict(data, ell=ell), config.cap)
+    elif name == "cm":
+        G, H = gm.scenario_cm(data["g"], ell, data["level"], config.cap)
+    elif name == "selfproduct":
+        G, H = gm.scenario_selfproduct(ell, data["level"], config.cap)
+    else:
+        raise UsageError(f"scenario {name!r} has no group model")
+    if config.h_rows:
+        rows = parse_generator_rows(config.h_rows)
+        H = subgroup_from_generators(rows, G.ring, ambient_dim=G.dim)
+    return G, H
 
 
 def _resolve(config: RunConfig) -> tuple[str, dict]:
@@ -163,20 +164,25 @@ def _resolve(config: RunConfig) -> tuple[str, dict]:
     merged = dict(data)
     merged.setdefault("level", config.level)
     merged.setdefault("g", config.g)
-    if name == "mumford" and merged["level"] != 1:
-        raise UsageError("the mumford scenario runs at level 1")
+    if name == "mumford":
+        _check_mumford_flags(config, merged["level"])
     return name, {"ells": ells, "data": merged}
+
+
+def _check_mumford_flags(config: RunConfig, level: int) -> None:
+    if level != 1:
+        raise UsageError("the mumford scenario runs at level 1")
+    if config.h_rows:
+        raise UsageError("the mumford scenario fixes H to its Lagrangian; --H is not accepted")
 
 
 def _degree_reports(name: str, ells, config: RunConfig, data: dict) -> list[gm.DegreeReport]:
     reports: list[gm.DegreeReport] = []
     for ell in ells:
         if name == "mumford":
-            reports.extend(
-                mf.verify_mu_s_failure([ell], cap=config.cap, threads=config.threads)
-            )
+            reports.extend(mf.verify_mu_s_failure([ell], cap=config.cap))
         else:
-            G, H = _scenario_instance(name, ell, data, config.cap)
+            G, H = _scenario_instance(name, ell, data, config)
             reports.append(gm.build_degree_report(G, H))
     return reports
 
@@ -277,13 +283,10 @@ def _cmd_stabilizer(config: RunConfig) -> tuple[dict, list[str]]:
     out = []
     for ell in resolved["ells"]:
         if name == "mumford":
-            stab = mf.pointwise_stabilizer_in_image(ell, cap=config.cap, threads=config.threads)
+            stab = mf.pointwise_stabilizer_in_image(ell, cap=config.cap)
             elements = [list(M.flat()) for M in stab]
         else:
-            G, H = _scenario_instance(name, ell, data, config.cap)
-            if config.h_rows:
-                rows = parse_generator_rows(config.h_rows)
-                H = subgroup_from_generators(rows, G.ring, ambient_dim=G.dim)
+            G, H = _scenario_instance(name, ell, data, config)
             elements = gm.stabilizer(G, H).array.tolist()
         out.append(
             {
@@ -302,9 +305,8 @@ def _cmd_stabilizer(config: RunConfig) -> tuple[dict, list[str]]:
 def _cmd_verify_mumford(config: RunConfig) -> tuple[dict, list[str]]:
     if not config.ell_list:
         raise UsageError("verify-mumford needs --ell")
-    reports = mf.verify_mu_s_failure(
-        config.ell_list, cap=config.cap, threads=config.threads
-    )
+    _check_mumford_flags(config, config.level)
+    reports = mf.verify_mu_s_failure(config.ell_list, cap=config.cap)
     dicts = [r.to_json_dict() for r in reports]
     return {"reports": dicts}, _report_lines("mumford", reports)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class MatrixGroup:
     produces them; ``from_elements`` checks a listed set for duplicates.
     """
 
-    __slots__ = ("space", "generators", "array", "_mults")
+    __slots__ = ("space", "generators", "array", "_image")
 
     def __init__(self, space: SymplecticSpace, generators, elements):
         self.space = space
@@ -109,7 +109,7 @@ class MatrixGroup:
         arr = np.asarray(elements, dtype=_dtype(space.ring.modulus, d)).reshape(-1, d * d).view()
         arr.flags.writeable = False
         self.array = arr
-        self._mults = None
+        self._image = None
 
     @classmethod
     def from_elements(cls, space, elements, generators=()) -> "MatrixGroup":
@@ -151,25 +151,35 @@ class MatrixGroup:
 
     def multipliers(self) -> tuple[int, ...]:
         """Multiplier of every element, in element order."""
-        if self._mults is None:
-            mod = self.ring.modulus
-            rows = self.space.form.rows
-            i, j = next(
-                (i, j)
-                for i, row in enumerate(rows)
-                for j, x in enumerate(row)
-                if self.ring.is_unit(x)
-            )
-            psi = np.array(rows, dtype=self.array.dtype) % mod
-            inv = self.ring.inverse(rows[i][j])
+        return tuple(self._multiplier_values().tolist())
 
-            def kernel(M):
-                # (M^T psi M)[i,j] = col_i(M)^T psi col_j(M)
-                left = M[:, :, i] @ psi % mod
-                return (left * M[:, :, j]).sum(axis=1) % mod * inv % mod
+    def _multiplier_values(self) -> np.ndarray:
+        mod = self.ring.modulus
+        rows = self.space.form.rows
+        i, j = next(
+            (i, j)
+            for i, row in enumerate(rows)
+            for j, x in enumerate(row)
+            if self.ring.is_unit(x)
+        )
+        psi = np.array(rows, dtype=self.array.dtype) % mod
+        inv = self.ring.inverse(rows[i][j])
 
-            self._mults = tuple(_batched(kernel, self._matrices()).tolist())
-        return self._mults
+        def kernel(M):
+            # (M^T psi M)[i,j] = col_i(M)^T psi col_j(M)
+            left = M[:, :, i] @ psi % mod
+            return (left * M[:, :, j]).sum(axis=1) % mod * inv % mod
+
+        return _batched(kernel, self._matrices())
+
+    def multiplier_image(self) -> np.ndarray:
+        """The distinct multipliers, ascending, as a read-only int64 or
+        object array; computed once per group."""
+        if self._image is None:
+            image = np.unique(self._multiplier_values())
+            image.flags.writeable = False
+            self._image = image
+        return self._image
 
     def reduce_level(self, level: int) -> "MatrixGroup":
         """Image under reduction mod l^level, first occurrences in element order."""
@@ -326,19 +336,22 @@ def cyclo_degree(G, m: int) -> int:
     if isinstance(G, FullGL2Group):
         # det is onto the units: diag(u, 1) realizes every unit u
         return unit_group_order(G.ring.ell, m)
-    p = G.ring.ell ** m
-    return len({x % p for x in G.multipliers()})
+    return _image_size(G, G.ring.ell**m)
+
+
+def _image_size(G: MatrixGroup, p: int) -> int:
+    """Number of distinct multipliers of G mod p."""
+    return np.unique(G.multiplier_image() % p).size
 
 
 def _cyclo_intersection(G: MatrixGroup, T: MatrixGroup, m: int) -> int:
     if m == 0:
         return 1
     p = G.ring.ell ** m
-    g_im = {x % p for x in G.multipliers()}
-    t_im = {x % p for x in T.multipliers()}
-    if len(g_im) % len(t_im) != 0:
+    g_im, t_im = _image_size(G, p), _image_size(T, p)
+    if g_im % t_im != 0:
         raise AssertionError("multiplier image of a subgroup must divide")
-    return len(g_im) // len(t_im)
+    return g_im // t_im
 
 
 def cyclo_intersection_degree(G: MatrixGroup, H: TorsionSubgroup, m: int) -> int:
@@ -360,8 +373,14 @@ def mu_w_witness(G: MatrixGroup, H: TorsionSubgroup, C) -> Optional[int]:
     if C < 1:
         raise ValueError("C must be >= 1")
     inter = cyclo_intersection_degree(G, H, G.ring.level)
-    for n in range(G.ring.level + 1):
-        c_n = cyclo_degree(G, n)
+    return _mu_w_witness(inter, (cyclo_degree(G, n) for n in range(G.ring.level + 1)), C)
+
+
+def _mu_w_witness(inter: int, degrees: Iterable[int], C: Fraction) -> Optional[int]:
+    """Index of the first degree c_n in ``degrees`` (c_0, c_1, ...) with
+    c_n <= C * inter and inter <= C * c_n, or None.  Stops at the witness,
+    so a generator of degrees is evaluated no further."""
+    for n, c_n in enumerate(degrees):
         if c_n <= C * inter and inter <= C * c_n:
             return n
     return None
@@ -558,13 +577,9 @@ def build_degree_report(G: MatrixGroup, H: TorsionSubgroup, mu_c=Fraction(1)) ->
     m1v = m1(H, G.space)
     inter = _cyclo_intersection(G, T, level)
     at_m1 = cyclo_degree(G, m1v)
-    C = Fraction(mu_c)
-    witness = None
-    for n in range(level + 1):
-        c_n = cyclo_degree(G, n)
-        if c_n <= C * inter and inter <= C * c_n:
-            witness = n
-            break
+    witness = _mu_w_witness(
+        inter, (cyclo_degree(G, n) for n in range(level + 1)), Fraction(mu_c)
+    )
     return DegreeReport(
         ell=G.ring.ell,
         level=level,

@@ -10,14 +10,13 @@ Everything runs at level 1: the construction lives over the prime field.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .galois_model import CapExceeded, DegreeReport, DEFAULT_CAP, gl2_group
+from .galois_model import CapExceeded, DegreeReport, DEFAULT_CAP, _mu_w_witness, gl2_group
 from .modring import MatrixMod, NotInvertible, ResidueRing
 from .symplectic import SymplecticSpace, m1, multiplier, tensor_form
 from .torsion import TorsionSubgroup, subgroup_from_generators
@@ -136,98 +135,30 @@ def _gl2_array(ell: int) -> np.ndarray:
     return gl2_group(_ring(ell)).array.reshape(-1, 2, 2)
 
 
-def canonical_gl2_array(ell: int) -> np.ndarray:
-    """Invertible 2x2 matrices whose first nonzero entry (row-major) is 1."""
-    arr = _gl2_array(ell)
-    a, b = arr[:, 0, 0], arr[:, 0, 1]
-    mask = (a == 1) | ((a == 0) & (b == 1))
-    return arr[mask]
-
-
-def _solve_c_column(a: np.ndarray, B: np.ndarray, conds, ell: int, inv_table: np.ndarray):
-    """Solve the fixing conditions for one column of c, batched over B.
-
-    For fixed (a, b) each condition (i, j, k) is linear in the entries of c:
-    coordinate (p, q, r) of the fixed tensor reads a[p,i] b[q,j] w[r] with w
-    the k-th column of c.  Returns a feasibility mask and the solved columns.
-    """
-    nb = len(B)
-    ok = np.ones(nb, dtype=bool)
-    w = np.full((nb, 2), -1, dtype=np.int64)
-    for (i, j, k) in conds:
-        u = a[:, i]
-        v = B[:, :, j]
-        for p in range(2):
-            for q in range(2):
-                coef = (int(u[p]) * v[:, q]) % ell
-                nz = coef != 0
-                cand = inv_table[coef]  # coef^{-1}, junk where coef == 0
-                for r in range(2):
-                    t = 1 if (p == i and q == j and r == k) else 0
-                    if t == 0:
-                        # coef * w_r = 0 forces w_r = 0 wherever coef != 0
-                        sol = np.zeros(nb, dtype=np.int64)
-                    else:
-                        ok &= nz  # 0 * w_r = 1 is infeasible
-                        sol = cand
-                    unset = nz & (w[:, r] < 0)
-                    w[unset, r] = sol[unset]
-                    ok &= ~nz | (w[:, r] == sol)
-    ok &= (w >= 0).all(axis=1)
-    return ok, w
-
-
-def pointwise_stabilizer_in_image(
-    ell: int, cap: int = DEFAULT_CAP, threads: int = 1
-) -> list[MatrixMod]:
+def pointwise_stabilizer_in_image(ell: int, cap: int = DEFAULT_CAP) -> list[MatrixMod]:
     """All image elements rho(a,b,c) fixing e111, e122, e212, e221 pointwise.
 
-    Enumerates canonical (a, b) pairs only; the fixing conditions are linear
-    in c once (a, b) are fixed, so c is solved for directly instead of
-    scanning GL2 a third time.  Found elements are re-verified against the
-    fixed vectors and returned sorted by entries.
+    Over a field a pure tensor a e_i (x) b e_j (x) c e_k equals
+    e_i (x) e_j (x) e_k only when each factor fixes its basis line, and the
+    four targets meet both columns of a, of b and of c.  So a, b and c are
+    diagonal, and canonically a = diag(1, alpha), b = diag(1, beta),
+    c = diag(g0, g1).  The targets read g0 = 1, beta g1 = 1, alpha g1 = 1
+    and alpha beta g0 = 1; the scan solves the first two and keeps the
+    (alpha, beta) pairs meeting the last two.  Found elements are
+    re-verified against the fixed vectors and returned sorted by entries.
     """
-    if not 1 <= threads <= 64:
-        raise ValueError("threads out of range")
     ring = _ring(ell)
-    A = canonical_gl2_array(ell)
-    na = len(A)
-    if na * na > cap:
-        raise CapExceeded(f"{na * na} canonical pairs exceed cap={cap}")
-    inv_table = np.zeros(ell, dtype=np.int64)
-    for x in range(1, ell):
-        inv_table[x] = pow(x, -1, ell)
-    conds_col0 = [t for t in _FIX_TARGETS if t[2] == 0]
-    conds_col1 = [t for t in _FIX_TARGETS if t[2] == 1]
-
-    def scan(idx_range) -> list[tuple[int, ...]]:
-        hits = []
-        for ia in idx_range:
-            a = A[ia]
-            ok0, w0 = _solve_c_column(a, A, conds_col0, ell, inv_table)
-            ok1, w1 = _solve_c_column(a, A, conds_col1, ell, inv_table)
-            ok = ok0 & ok1
-            if not ok.any():
-                continue
-            det = (w0[:, 0] * w1[:, 1] - w0[:, 1] * w1[:, 0]) % ell
-            ok &= det != 0
-            for ib in np.nonzero(ok)[0]:
-                c = MatrixMod(ring, [[w0[ib, 0], w1[ib, 0]], [w0[ib, 1], w1[ib, 1]]])
-                R = rho(MatrixMod(ring, A[ia].tolist()), MatrixMod(ring, A[ib].tolist()), c)
-                hits.append(R.flat())
-        return hits
-
-    if threads == 1:
-        found = scan(range(na))
-    else:
-        chunks = np.array_split(np.arange(na), threads * 4)
-        found = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(scan, [list(c) for c in chunks]):
-                found.extend(part)
-
+    if (ell - 1) ** 2 > cap:
+        raise CapExceeded(f"{(ell - 1) ** 2} diagonal triples exceed cap={cap}")
+    found = set()
+    for beta in range(1, ell):
+        g1 = pow(beta, -1, ell)  # g0 = 1 and beta g1 = 1
+        for alpha in range(1, ell):
+            if alpha * g1 % ell == 1 and alpha * beta % ell == 1:
+                a, b, c = (MatrixMod.diagonal(ring, [1, x]) for x in (alpha, beta, g1))
+                found.add(rho(a, b, c).flat())
     out = []
-    for flat in sorted(set(found)):
+    for flat in sorted(found):
         M = MatrixMod.from_flat(ring, 8, flat)
         for idx in _LAGRANGIAN_INDICES:
             e = tuple(1 if t == idx else 0 for t in range(8))
@@ -240,8 +171,9 @@ def pointwise_stabilizer_in_image(
 def stabilizer_brute_force(ell: int, cap: int = 200_000_000) -> list[MatrixMod]:
     """Reference search: scan every canonical triple for the fixing property."""
     ring = _ring(ell)
-    A = canonical_gl2_array(ell)
     C = _gl2_array(ell)
+    # canonical a and b: first nonzero entry (row-major) is 1
+    A = C[(C[:, 0, 0] == 1) | ((C[:, 0, 0] == 0) & (C[:, 0, 1] == 1))]
     if len(A) * len(A) * len(C) > cap:
         raise CapExceeded("brute-force scan too large")
     targets = []
@@ -331,14 +263,14 @@ def verify_kernel_law(ell: int, cap: int = 1_000_000) -> None:
 
 
 def multiplier_image(ell: int) -> frozenset[int]:
-    """Multipliers attained on the image: products of three GL2 determinants."""
-    arr = _gl2_array(ell)
-    dets = {int(x) for x in (arr[:, 0, 0] * arr[:, 1, 1] - arr[:, 0, 1] * arr[:, 1, 0]) % ell}
-    out = set()
-    for d1 in dets:
-        for d2 in dets:
-            for d3 in dets:
-                out.add(d1 * d2 * d3 % ell)
+    """Multipliers attained on the image: products of three GL2 determinants.
+
+    The torus diag(1, x) already has every unit x as a determinant.
+    """
+    dets = range(1, ell)
+    out = {1}
+    for _ in range(3):
+        out = {x * d % ell for x in out for d in dets}
     return frozenset(out)
 
 
@@ -367,7 +299,6 @@ def verify_mu_s_failure(
     ells: Sequence[int],
     *,
     cap: int = DEFAULT_CAP,
-    threads: int = 1,
     mu_c=Fraction(1),
 ) -> list[MumfordReport]:
     """Run the full counterexample battery for each odd prime in ells.
@@ -387,7 +318,7 @@ def verify_mu_s_failure(
         H = lagrangian_H(ell)
         m1v = m1(H, S)
         _expect(m1v == 0, f"m1 of the Lagrangian is {m1v}, expected 0 (ell={ell})")
-        stab = pointwise_stabilizer_in_image(ell, cap=cap, threads=threads)
+        stab = pointwise_stabilizer_in_image(ell, cap=cap)
         ident = MatrixMod.identity(ring, 8)
         flip = MatrixMod.diagonal(ring, [1, -1, -1, 1, -1, 1, 1, -1])
         _expect(
@@ -401,13 +332,6 @@ def verify_mu_s_failure(
         _expect(rem == 0, "multiplier image of the stabilizer must divide")
         _expect(inter == (ell - 1) // 2, f"intersection degree {inter} != (l-1)/2")
         img = image_order(ell)
-        C = Fraction(mu_c)
-        witness = None
-        for nn in range(2):
-            c_n = 1 if nn == 0 else len(lam_G)
-            if c_n <= C * inter and inter <= C * c_n:
-                witness = nn
-                break
         reports.append(
             MumfordReport(
                 ell=ell,
@@ -417,7 +341,7 @@ def verify_mu_s_failure(
                 deg_cyclo_intersection=inter,
                 deg_cyclo_at_m1=1,
                 ratio=Fraction(inter, 1),
-                mu_w_witness_n=witness,
+                mu_w_witness_n=_mu_w_witness(inter, (1, len(lam_G)), Fraction(mu_c)),
                 stabilizer_size=len(stab),
                 stabilizer_elements=tuple(M.flat() for M in stab),
                 image_order=img,

@@ -61,11 +61,16 @@ def test_sweep_summary(capsys):
     assert doc["summary"]["max_ratio"] == "4"
 
 
-def test_threads_do_not_change_reports(capsys):
-    args = ["verify-mumford", "--ell", "3,5", "--format", "json"]
-    _, out1, _ = run_cli(capsys, *args, "--threads", "1")
-    _, out2, _ = run_cli(capsys, *args, "--threads", "4")
-    assert out1 == out2
+def test_verify_mumford_large_primes(capsys):
+    code, out, _ = run_cli(capsys, "verify-mumford", "--ell", "101,199", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["stabilizer_size"] for r in reports] == [2, 2]
+    assert [r["deg_cyclo_intersection"] for r in reports] == [50, 99]
+    for r in reports:
+        ell = r["ell"]
+        gl2 = (ell * ell - 1) * (ell * ell - ell)
+        assert r["image_order"] == (gl2 // (ell - 1)) ** 2 * gl2
 
 
 def test_stabilizer_command_mumford(capsys):
@@ -101,16 +106,52 @@ def test_mumford_level_must_be_one(capsys):
     assert code == 1
     assert out == ""
     assert "level 1" in err
-
-
-@pytest.mark.parametrize("threads", ["0", "65", "100000"])
-def test_threads_out_of_range_exit_one(capsys, threads):
-    code, out, err = run_cli(
-        capsys, "scenario", "cm", "--ell", "5", "--g", "2", "--threads", threads
-    )
+    code, out, err = run_cli(capsys, "verify-mumford", "--ell", "3", "--level", "2")
     assert code == 1
     assert out == ""
-    assert "--threads" in err
+    assert "level 1" in err
+
+
+def test_threads_flag_is_gone(capsys):
+    code, out, err = run_cli(capsys, "verify-mumford", "--ell", "3", "--threads", "4")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --threads 4" in err
+
+
+@pytest.mark.parametrize("command", ["degrees", "scenario", "sweep"])
+def test_H_overrides_scenario_subgroup(capsys, command):
+    args = [command, "cm", "--ell", "5", "--g", "2", "--format", "json"]
+    _, plain, _ = run_cli(capsys, *args)
+    code, out, _ = run_cli(capsys, *args, "--H", "[[1,0,0,0]]")
+    assert code == 0
+    assert out != plain
+    (rep,) = json.loads(out)["reports"]
+    # diagonal similitudes with d_1 = 1: 4^3 elements over 4^2, so [K(H):K] = 4
+    assert rep["deg_KH"] == 4
+    assert rep["m1"] == 0
+
+
+def test_H_overrides_stabilizer_subgroup(capsys):
+    code, out, _ = run_cli(capsys, "stabilizer", "cm", "--ell", "5", "--g", "2", "--H", "[[1,0,0,0]]")
+    assert code == 0
+    assert out == "ell=5 level=1 stabilizer_size=16\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degrees", "mumford", "--ell", "3"],
+        ["sweep", "mumford", "--ell", "3,5"],
+        ["stabilizer", "mumford", "--ell", "3"],
+        ["verify-mumford", "--ell", "3"],
+    ],
+)
+def test_H_rejected_for_mumford(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--H", "[[1,0,0,0,0,0,0,0]]")
+    assert code == 1
+    assert out == ""
+    assert "--H" in err
 
 
 def test_stabilizer_reports_scenario_file_level(tmp_path, capsys):

@@ -143,10 +143,6 @@ def test_stabilizer_elements_fix_H_and_multipliers():
     assert mults == {1, ell - 1}
 
 
-def test_stabilizer_threads_deterministic():
-    assert pointwise_stabilizer_in_image(5, threads=3) == pointwise_stabilizer_in_image(5)
-
-
 def test_image_order_formula_and_enumeration():
     assert image_order(2) == 216
     assert image_order(3) == 27648
@@ -167,7 +163,26 @@ def test_kernel_law_exhaustive_l2():
 
 def test_multiplier_image_is_all_units():
     for ell in (3, 5, 7):
-        assert mf.multiplier_image(ell) == frozenset(range(1, ell))
+        arr = mf.gl2_group(ResidueRing(ell, 1)).array
+        dets = {int(x) for x in (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2]) % ell}
+        triples = {d1 * d2 * d3 % ell for d1 in dets for d2 in dets for d3 in dets}
+        assert mf.multiplier_image(ell) == frozenset(triples) == frozenset(range(1, ell))
+
+
+def test_verify_mu_s_failure_never_builds_gl2(monkeypatch):
+    expected = verify_mu_s_failure([3, 5, 7])
+
+    def boom(*args, **kwargs):
+        raise AssertionError("gl2_group called on the mumford path")
+
+    monkeypatch.setattr(mf, "gl2_group", boom)
+    assert verify_mu_s_failure([3, 5, 7]) == expected
+
+
+def test_stabilizer_cap_counts_diagonal_triples():
+    assert len(pointwise_stabilizer_in_image(11, cap=100)) == 2
+    with pytest.raises(mf.CapExceeded):
+        pointwise_stabilizer_in_image(11, cap=99)
 
 
 def test_verify_mu_s_failure_values():
