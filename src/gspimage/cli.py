@@ -38,7 +38,7 @@ class RunConfig:
     command: str
     ell_list: tuple[int, ...] = ()
     level: int = 1
-    g: int = 1
+    g: Optional[int] = None  # None: the scenario's own g (1 where it has none)
     input_path: Optional[str] = None
     output_path: Optional[str] = None
     format: str = "table"
@@ -66,30 +66,34 @@ def _parse_ells(text: Optional[str]) -> tuple[int, ...]:
         raise UsageError(f"bad --ell list: {text!r}") from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_flags(p: argparse.ArgumentParser, *extra: str) -> None:
+    """The flags every command reads, plus the named ``extra`` ones; argparse
+    rejects any other flag."""
     p.add_argument("--ell", help="comma-separated primes")
     p.add_argument("--level", type=int, default=1)
-    p.add_argument("--g", type=int, default=1)
+    if "g" in extra:
+        p.add_argument("--g", type=int)
     p.add_argument("--H", dest="h_rows", help="generator rows, e.g. [[1,0],[0,1]]")
-    p.add_argument("--scenario-file", dest="input_path")
+    if "scenario-file" in extra:
+        p.add_argument("--scenario-file", dest="input_path")
     p.add_argument("--format", default="table", choices=("table", "json"))
     p.add_argument("--out", dest="output_path")
-    p.add_argument("--cap", type=int, default=gm.DEFAULT_CAP)
+    if "cap" in extra:
+        p.add_argument("--cap", type=int, default=gm.DEFAULT_CAP)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gspimage", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("m1", "verify-mumford"):
-        _add_common(sub.add_parser(name))
-    for name in ("stabilizer", "degrees"):
+    _add_flags(sub.add_parser("m1"), "g")
+    _add_flags(sub.add_parser("verify-mumford"), "cap")
+    for name in ("stabilizer", "degrees", "scenario", "sweep"):
         p = sub.add_parser(name)
-        p.add_argument("name", nargs="?", choices=("cm", "selfproduct", "mumford"))
-        _add_common(p)
-    for name in ("scenario", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("name", choices=("cm", "selfproduct", "mumford"))
-        _add_common(p)
+        optional = name in ("stabilizer", "degrees")  # a scenario file may name it
+        p.add_argument(
+            "name", nargs="?" if optional else None, choices=("cm", "selfproduct", "mumford")
+        )
+        _add_flags(p, "g", "scenario-file", "cap")
     return parser
 
 
@@ -97,13 +101,13 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     ns = build_parser().parse_args(argv)
     return RunConfig(
         command=ns.command,
-        ell_list=_parse_ells(getattr(ns, "ell", None)),
+        ell_list=_parse_ells(ns.ell),
         level=ns.level,
-        g=ns.g,
-        input_path=ns.input_path,
+        g=getattr(ns, "g", None),
+        input_path=getattr(ns, "input_path", None),
         output_path=ns.output_path,
         format=ns.format,
-        cap=ns.cap,
+        cap=getattr(ns, "cap", gm.DEFAULT_CAP),
         scenario=getattr(ns, "name", None),
         h_rows=ns.h_rows,
     )
@@ -147,6 +151,10 @@ def _scenario_instance(name: str, ell: int, data: dict, config: RunConfig):
     return G, H
 
 
+# scenarios whose group has one fixed dimension 2g
+_FIXED_G = {"selfproduct": 2, "mumford": 4}
+
+
 def _resolve(config: RunConfig) -> tuple[str, dict]:
     """Figure out the scenario name and parameters from flags plus file."""
     data: dict = {}
@@ -163,7 +171,12 @@ def _resolve(config: RunConfig) -> tuple[str, dict]:
             raise UsageError(f"ell must be prime, got {ell}")
     merged = dict(data)
     merged.setdefault("level", config.level)
-    merged.setdefault("g", config.g)
+    if config.g is not None:
+        merged.setdefault("g", config.g)
+    fixed_g = _FIXED_G.get(name)
+    if fixed_g is not None and merged.get("g", fixed_g) != fixed_g:
+        raise UsageError(f"the {name} scenario lives in GSp_{2 * fixed_g}; g must be {fixed_g}")
+    merged.setdefault("g", fixed_g or 1)
     if name == "mumford":
         _check_mumford_flags(config, merged["level"])
     return name, {"ells": ells, "data": merged}
@@ -225,13 +238,14 @@ def _cmd_m1(config: RunConfig) -> tuple[dict, list[str]]:
     if not config.h_rows:
         raise UsageError("m1 needs --H")
     rows = parse_generator_rows(config.h_rows)
+    g = 1 if config.g is None else config.g
     reports = []
     for ell in config.ell_list:
         ring = ResidueRing(ell, config.level)
-        space = standard_form(config.g, ring)
-        if any(len(r) != 2 * config.g for r in rows):
+        space = standard_form(g, ring)
+        if any(len(r) != 2 * g for r in rows):
             raise UsageError("--H rows must have length 2g")
-        H = subgroup_from_generators(rows, ring, ambient_dim=2 * config.g)
+        H = subgroup_from_generators(rows, ring, ambient_dim=2 * g)
         reports.append({"ell": ell, "level": config.level, "m1": m1(H, space)})
     doc = {"reports": reports}
     if len(reports) == 1:

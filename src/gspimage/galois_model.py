@@ -65,27 +65,36 @@ def _dtype(mod: int, dim: int):
 
 
 def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
-    """Base-mod key of each row of ``flat``, first entry most significant.
+    """Key of each row of ``flat``: two keys are equal exactly when the rows are.
 
-    Digits are packed into int64 words of as many entries as stay below 2^63;
-    rows that need more than one word get Python-int keys.  So the keys are
-    int64 exactly when mod ** width < 2 ** 63.
+    Entries are packed base ``mod``, first entry most significant, into int64
+    words of as many entries as stay below 2^63.  A row that fits one word gets
+    an int64 key; a row of ``w`` words gets one ``np.void`` scalar of ``8*w``
+    bytes.  Void keys sort bytewise: a consistent total order, not the numeric
+    one, which is all that ``np.unique``, ``np.searchsorted`` and ``np.isin``
+    need.
     """
     width = flat.shape[1]
     step = 1
     while step < width and mod ** (step + 1) < (1 << 63):
         step += 1
-    keys = None
-    for start in range(0, width, step):
-        block = flat[:, start : start + step]
-        word = block[:, 0]
-        for k in range(1, block.shape[1]):
-            word = word * mod + block[:, k]
-        if keys is None:
-            keys = word
-        else:
-            keys = keys.astype(object) * mod ** block.shape[1] + word
-    return keys
+    nwords = -(-width // step)
+    weights = np.zeros((width, nwords), dtype=np.int64)  # word j = block j . weights
+    for i in range(width):
+        last = min(width, (i // step + 1) * step) - 1
+        weights[i, i // step] = mod ** (last - i)
+    words = flat.astype(np.int64, copy=False) @ weights  # ResidueRing keeps mod < 2^63
+    return words.ravel() if nwords == 1 else words.view(f"V{8 * nwords}").ravel()
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the index of each one's first occurrence."""
+    order = np.argsort(keys)  # not stable: reduceat takes each run's minimum index
+    ordered = keys[order]
+    run_start = np.ones(len(keys), dtype=bool)
+    run_start[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(run_start)
+    return ordered[starts], np.minimum.reduceat(order, starts)
 
 
 class MatrixGroup:
@@ -115,7 +124,7 @@ class MatrixGroup:
     def from_elements(cls, space, elements, generators=()) -> "MatrixGroup":
         flats = [e.flat() if isinstance(e, MatrixMod) else tuple(e) for e in elements]
         G = cls(space, generators, flats)
-        if len(set(_pack(G.array, space.ring.modulus).tolist())) != G.order:
+        if np.unique(_pack(G.array, space.ring.modulus)).size != G.order:
             raise ValueError("duplicate elements")
         return G
 
@@ -147,7 +156,7 @@ class MatrixGroup:
 
     def contains_group(self, other: "MatrixGroup") -> bool:
         mod = self.ring.modulus
-        return set(_pack(other.array, mod).tolist()) <= set(_pack(self.array, mod).tolist())
+        return bool(np.isin(_pack(other.array, mod), _pack(self.array, mod)).all())
 
     def multipliers(self) -> tuple[int, ...]:
         """Multiplier of every element, in element order."""
@@ -187,7 +196,7 @@ class MatrixGroup:
             raise ValueError("can only reduce to a lower level")
         p = self.ring.ell ** level
         reduced = np.asarray(self.array % p, dtype=_dtype(p, self.dim))
-        _, first = np.unique(_pack(reduced, p), return_index=True)
+        _, first = _first_occurrences(_pack(reduced, p))
         ring = self.ring.at_level(level)
         space = SymplecticSpace(self.space.g, self.space.form.reduce_level(level), ring)
         gens = tuple(g.reduce_level(level) for g in self.generators)
@@ -201,32 +210,35 @@ def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DE
     of a finite matrix group has finite order.  Each frontier is multiplied
     by every generator in one batch; products are taken in (frontier index,
     generator index) order and kept at their first occurrence, so the element
-    order is that of the one-product-at-a-time search.  Raises CapExceeded
-    when the element count would pass the cap.
+    order is that of the one-product-at-a-time search.  Newness is tested once
+    per level against the sorted array of the keys seen so far.  Raises
+    CapExceeded when the element count would pass the cap.
     """
     for g in generators:
         multiplier(g, space)
     d, mod = space.dim, space.ring.modulus
     dtype = _dtype(mod, d)
     gens = np.array([g.rows for g in generators], dtype=dtype).reshape(-1, d, d)
-    step = max(1, _BATCH // max(1, len(gens)))  # frontier rows per batch
+
+    def products(rows):
+        return (rows.reshape(-1, 1, d, d) @ gens % mod).reshape(-1, d * d)
+
     frontier = np.eye(d, dtype=dtype).reshape(1, d * d)
-    seen = set(_pack(frontier, mod).tolist())
+    seen = _pack(frontier, mod)  # sorted, never empty
     levels = [frontier]
     while len(frontier):
-        found = []
-        for start in range(0, len(frontier), step):
-            chunk = frontier[start : start + step].reshape(-1, 1, d, d)
-            prods = (chunk @ gens % mod).reshape(-1, d * d)
-            fresh = []
-            for i, key in enumerate(_pack(prods, mod).tolist()):
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"closure exceeds cap={cap}")
-                    seen.add(key)
-                    fresh.append(i)
-            found.append(prods[fresh])
-        frontier = np.concatenate(found)
+        prods = _batched(products, frontier)
+        keys, first = _first_occurrences(_pack(prods, mod))
+        pos = np.searchsorted(seen, keys)
+        new = seen[np.minimum(pos, len(seen) - 1)] != keys
+        # raise only on finding a new element, as the one-at-a-time search does
+        if new.any() and len(seen) + np.count_nonzero(new) > cap:
+            raise CapExceeded(
+                f"closure exceeds cap={cap}: {len(seen)} elements"
+                f" through BFS depth {len(levels) - 1}"
+            )
+        seen = np.insert(seen, pos[new], keys[new])
+        frontier = prods[np.sort(first[new])]
         levels.append(frontier)
     del seen  # freed before the final copy of the elements
     return MatrixGroup(space, generators, np.concatenate(levels))

@@ -119,6 +119,51 @@ def test_threads_flag_is_gone(capsys):
     assert "unrecognized arguments: --threads 4" in err
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (
+            ["verify-mumford", "--ell", "3", "--g", "5", "--scenario-file", "/nonexistent"],
+            "--g 5 --scenario-file /nonexistent",
+        ),
+        (
+            ["m1", "--ell", "5", "--g", "1", "--H", "[[1,0],[0,1]]",
+             "--scenario-file", "/nonexistent", "--cap", "1"],
+            "--scenario-file /nonexistent --cap 1",
+        ),
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv, unread):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {unread}" in err
+
+
+def test_selfproduct_g_must_be_two(tmp_path, capsys):
+    code, default, _ = run_cli(capsys, "scenario", "selfproduct", "--ell", "3")
+    assert code == 0
+    assert run_cli(capsys, "scenario", "selfproduct", "--ell", "3", "--g", "2")[1] == default
+    code, out, err = run_cli(capsys, "scenario", "selfproduct", "--ell", "3", "--g", "7")
+    assert code == 1
+    assert out == ""
+    assert "g must be 2" in err
+    path = tmp_path / "selfproduct.txt"
+    path.write_text("scenario = selfproduct\nell = 3\ng = 3\n")
+    code, out, err = run_cli(capsys, "degrees", "--scenario-file", str(path))
+    assert code == 1
+    assert out == ""
+    assert "g must be 2" in err
+
+
+def test_mumford_g_must_be_four(capsys):
+    code, out, err = run_cli(capsys, "degrees", "mumford", "--ell", "3", "--g", "2")
+    assert code == 1
+    assert out == ""
+    assert "g must be 4" in err
+    assert run_cli(capsys, "degrees", "mumford", "--ell", "3", "--g", "4")[0] == 0
+
+
 @pytest.mark.parametrize("command", ["degrees", "scenario", "sweep"])
 def test_H_overrides_scenario_subgroup(capsys, command):
     args = [command, "cm", "--ell", "5", "--g", "2", "--format", "json"]

@@ -4,8 +4,11 @@
 replaced; it is kept here as the oracle for element order and cap behaviour.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gspimage import galois_model as gm
 from gspimage.galois_model import CapExceeded, close, gl2_standard_generators
@@ -67,7 +70,7 @@ def _gsp4_f3_subgroup():
 
 
 def _gsp4_z27_subgroup():
-    # entries fit int64, but 27^16 > 2^63, so the packed keys are Python ints
+    # entries fit int64, but 27^16 > 2^63, so the packed keys are multi-word voids
     ring = ResidueRing(3, 3)
     S = standard_form(2, ring)
     gens = [
@@ -95,21 +98,21 @@ def _three_adic_level20():
 CASES = {
     "gl2_mod9": (_gl2_mod9, np.int64, np.int64, 3888),
     "gsp4_f3": (_gsp4_f3_subgroup, np.int64, np.int64, 1152),
-    "gsp4_z27": (_gsp4_z27_subgroup, np.int64, object, 486),
-    "level20": (_three_adic_level20, object, object, 5832),
+    "gsp4_z27": (_gsp4_z27_subgroup, np.int64, np.void, 486),
+    "level20": (_three_adic_level20, object, np.void, 5832),
 }
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_close_matches_reference_order(case, chunk, monkeypatch):
-    build, arr_dtype, key_dtype, order = CASES[case]
+    build, arr_dtype, key_type, order = CASES[case]
     if chunk is not None:  # frontiers then span several batches
         monkeypatch.setattr(gm, "_BATCH", chunk)
     S, gens = build()
     G = close(S, gens)
     assert G.array.dtype == arr_dtype
-    assert gm._pack(G.array, S.ring.modulus).dtype == key_dtype
+    assert gm._pack(G.array, S.ring.modulus).dtype.type is key_type
     assert G.order == order
     assert [tuple(row) for row in G.array.tolist()] == reference_close(S, gens)
 
@@ -119,10 +122,71 @@ def test_close_cap_fires_at_reference_count(case):
     build, _, _, order = CASES[case]
     S, gens = build()
     assert close(S, gens, cap=order).order == order
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as info:
         close(S, gens, cap=order - 1)
     with pytest.raises(CapExceeded):
         reference_close(S, gens, cap=order - 1)
+    found = re.fullmatch(
+        rf"closure exceeds cap={order - 1}: (\d+) elements through BFS depth (\d+)",
+        str(info.value),
+    )
+    assert found
+    elements, depth = int(found[1]), int(found[2])
+    assert 1 <= elements <= order - 1
+    assert depth < elements  # each completed level added at least one element
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_close_without_generators_is_trivial(case):
+    build, arr_dtype, _, _ = CASES[case]
+    S, _ = build()
+    G = close(S, [])
+    assert G.array.dtype == arr_dtype
+    assert G.order == 1
+    assert list(G) == [MatrixMod.identity(S.ring, S.dim)]
+
+
+@pytest.mark.parametrize(
+    "mod, width, key_type",
+    [
+        (27, 4, np.int64),
+        (27, 16, np.void),
+        (3**20, 4, np.void),
+        (3**39, 1, np.int64),
+        (3**39, 4, np.void),  # 3^39 is the largest power of 3 below 2^63
+    ],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pack_keys_equal_exactly_when_rows_equal(mod, width, key_type, data):
+    entry = st.sampled_from([0, 1, mod // 3, mod - 1]) | st.integers(0, mod - 1)
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=12)
+    )
+    for dtype in (np.int64, object):
+        keys = gm._pack(np.array(rows, dtype=dtype), mod)
+        assert keys.dtype.type is key_type
+        assert keys.shape == (len(rows),)
+        for i, row in enumerate(rows):
+            assert (keys == keys[i]).tolist() == [other == row for other in rows]
+
+
+@pytest.mark.parametrize("case", ["gsp4_z27", "level20"])
+def test_multiword_keys_in_group_checks(case):
+    S, gens = CASES[case][0]()
+    G = close(S, gens)
+    assert gm._pack(G.array, S.ring.modulus).dtype.type is np.void
+    elements = list(G)[:40]
+    assert gm.MatrixGroup.from_elements(S, elements).order == 40
+    with pytest.raises(ValueError, match="duplicate"):
+        gm.MatrixGroup.from_elements(S, elements + [elements[17]])
+    sub = close(S, gens[:2])
+    assert 1 < sub.order < G.order
+    assert G.contains_group(sub)
+    assert not sub.contains_group(G)
+    assert not gm.MatrixGroup.from_elements(S, [elements[0]]).contains_group(
+        gm.MatrixGroup.from_elements(S, elements[1:3])
+    )
 
 
 def test_group_array_is_read_only():
