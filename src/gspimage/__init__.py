@@ -8,7 +8,6 @@ from .modring import (
     is_prime,
     mat_invert,
     smith_normal_form,
-    valuation,
 )
 from .symplectic import (
     NotAlternating,
@@ -25,9 +24,7 @@ from .symplectic import (
 )
 from .torsion import (
     TorsionSubgroup,
-    contains,
     full_subgroup,
-    slice_subgroup,
     subgroup_from_generators,
     trivial_subgroup,
 )

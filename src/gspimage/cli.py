@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     command: str
     ell_list: tuple[int, ...] = ()
-    level: int = 1
+    level: Optional[int] = None  # None: the scenario file's level, else 1
     g: Optional[int] = None  # None: the scenario's own g (1 where it has none)
     input_path: Optional[str] = None
     output_path: Optional[str] = None
@@ -70,7 +70,7 @@ def _add_flags(p: argparse.ArgumentParser, *extra: str) -> None:
     """The flags every command reads, plus the named ``extra`` ones; argparse
     rejects any other flag."""
     p.add_argument("--ell", help="comma-separated primes")
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", type=int)
     if "g" in extra:
         p.add_argument("--g", type=int)
     p.add_argument("--H", dest="h_rows", help="generator rows, e.g. [[1,0],[0,1]]")
@@ -170,9 +170,14 @@ def _resolve(config: RunConfig) -> tuple[str, dict]:
         if not is_prime(ell):
             raise UsageError(f"ell must be prime, got {ell}")
     merged = dict(data)
-    merged.setdefault("level", config.level)
-    if config.g is not None:
-        merged.setdefault("g", config.g)
+    for key, flag in (("level", config.level), ("g", config.g)):
+        if flag is None:
+            continue
+        if merged.setdefault(key, flag) != flag:
+            raise UsageError(
+                f"--{key} {flag} conflicts with {key} = {merged[key]} in the scenario file"
+            )
+    merged.setdefault("level", 1)
     fixed_g = _FIXED_G.get(name)
     if fixed_g is not None and merged.get("g", fixed_g) != fixed_g:
         raise UsageError(f"the {name} scenario lives in GSp_{2 * fixed_g}; g must be {fixed_g}")
@@ -239,14 +244,15 @@ def _cmd_m1(config: RunConfig) -> tuple[dict, list[str]]:
         raise UsageError("m1 needs --H")
     rows = parse_generator_rows(config.h_rows)
     g = 1 if config.g is None else config.g
+    level = 1 if config.level is None else config.level
     reports = []
     for ell in config.ell_list:
-        ring = ResidueRing(ell, config.level)
+        ring = ResidueRing(ell, level)
         space = standard_form(g, ring)
         if any(len(r) != 2 * g for r in rows):
             raise UsageError("--H rows must have length 2g")
         H = subgroup_from_generators(rows, ring, ambient_dim=2 * g)
-        reports.append({"ell": ell, "level": config.level, "m1": m1(H, space)})
+        reports.append({"ell": ell, "level": level, "m1": m1(H, space)})
     doc = {"reports": reports}
     if len(reports) == 1:
         lines = [f"m1 = {reports[0]['m1']}"]
@@ -319,7 +325,7 @@ def _cmd_stabilizer(config: RunConfig) -> tuple[dict, list[str]]:
 def _cmd_verify_mumford(config: RunConfig) -> tuple[dict, list[str]]:
     if not config.ell_list:
         raise UsageError("verify-mumford needs --ell")
-    _check_mumford_flags(config, config.level)
+    _check_mumford_flags(config, 1 if config.level is None else config.level)
     reports = mf.verify_mu_s_failure(config.ell_list, cap=config.cap)
     dicts = [r.to_json_dict() for r in reports]
     return {"reports": dicts}, _report_lines("mumford", reports)

@@ -54,14 +54,30 @@ _BATCH = 1 << 12
 
 
 def _batched(kernel, rows: np.ndarray) -> np.ndarray:
-    """``kernel`` applied to consecutive blocks of ``rows``, results joined."""
-    parts = [kernel(rows[i : i + _BATCH]) for i in range(0, len(rows), _BATCH)]
-    return np.concatenate(parts) if parts else kernel(rows)
+    """``kernel`` applied to consecutive blocks of ``rows``, results joined.
+
+    The one place stored rows widen: each block reaches the kernel as int64,
+    or as it is when stored as object dtype (no copy).
+    """
+    wide = object if rows.dtype == object else np.int64
+    parts = [
+        kernel(rows[i : i + _BATCH].astype(wide, copy=False))
+        for i in range(0, len(rows), _BATCH)
+    ]
+    return np.concatenate(parts) if parts else kernel(rows.astype(wide, copy=False))
 
 
-def _dtype(mod: int, dim: int):
+def _kernel_dtype(mod: int, dim: int):
     """int64 where the batch kernels cannot overflow, Python ints otherwise."""
     return np.int64 if _np_batch_ok(mod, dim) else object
+
+
+def _storage_dtype(mod: int, dim: int):
+    """The smallest unsigned dtype holding a residue mod ``mod`` inside the
+    kernel guard (``mod < 2^31`` there), object dtype past it."""
+    if not _np_batch_ok(mod, dim):
+        return object
+    return next(t for t in (np.uint8, np.uint16, np.uint32) if mod - 1 <= np.iinfo(t).max)
 
 
 def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
@@ -101,10 +117,15 @@ class MatrixGroup:
     """A finite group of similitudes, materialized in a deterministic order.
 
     ``array`` holds the elements, one row-major matrix per row, as a
-    read-only (order, d*d) array: int64 when ``_np_batch_ok`` holds for the
-    modulus, object dtype (Python ints) otherwise.  Every kernel runs on it.
-    The constructor takes distinct reduced elements, as every builder here
-    produces them; ``from_elements`` checks a listed set for duplicates.
+    read-only (order, d*d) array.  Storage is narrow: inside the kernel
+    guard (``_np_batch_ok``) it is the smallest unsigned dtype holding a
+    residue mod l^n (uint8 up to 256, uint16 up to 65536, uint32 above),
+    past it object dtype (Python ints).  The kernels compute wide, in int64
+    or object dtype: ``_batched`` widens one block of rows at a time.
+    Unsigned subtraction wraps, so widen ``array`` before doing arithmetic
+    on it; ``tolist()`` gives Python ints.  The constructor takes distinct
+    reduced elements, as every builder here produces them;
+    ``from_elements`` reduces a listed set and checks it for duplicates.
     """
 
     __slots__ = ("space", "generators", "array", "_image")
@@ -115,16 +136,21 @@ class MatrixGroup:
         for g in self.generators:
             multiplier(g, space)  # raises NotSimilitude on a bad generator
         d = space.dim
-        arr = np.asarray(elements, dtype=_dtype(space.ring.modulus, d)).reshape(-1, d * d).view()
+        dtype = _storage_dtype(space.ring.modulus, d)
+        arr = np.asarray(elements, dtype=dtype).reshape(-1, d * d).view()
         arr.flags.writeable = False
         self.array = arr
         self._image = None
 
     @classmethod
     def from_elements(cls, space, elements, generators=()) -> "MatrixGroup":
-        flats = [e.flat() if isinstance(e, MatrixMod) else tuple(e) for e in elements]
+        mod = space.ring.modulus
+        flats = [
+            tuple(int(x) % mod for x in (e.flat() if isinstance(e, MatrixMod) else e))
+            for e in elements
+        ]
         G = cls(space, generators, flats)
-        if np.unique(_pack(G.array, space.ring.modulus)).size != G.order:
+        if np.unique(_pack(G.array, mod)).size != G.order:
             raise ValueError("duplicate elements")
         return G
 
@@ -171,7 +197,7 @@ class MatrixGroup:
             for j, x in enumerate(row)
             if self.ring.is_unit(x)
         )
-        psi = np.array(rows, dtype=self.array.dtype) % mod
+        psi = np.array(rows, dtype=_kernel_dtype(mod, self.dim)) % mod
         inv = self.ring.inverse(rows[i][j])
 
         def kernel(M):
@@ -182,8 +208,10 @@ class MatrixGroup:
         return _batched(kernel, self._matrices())
 
     def multiplier_image(self) -> np.ndarray:
-        """The distinct multipliers, ascending, as a read-only int64 or
-        object array; computed once per group."""
+        """The distinct multipliers, ascending, as a read-only array in the
+        kernel dtype (int64, or object past the guard), not the storage
+        dtype, so reducing it mod l^m needs no widening; computed once per
+        group."""
         if self._image is None:
             image = np.unique(self._multiplier_values())
             image.flags.writeable = False
@@ -195,7 +223,8 @@ class MatrixGroup:
         if level > self.ring.level:
             raise ValueError("can only reduce to a lower level")
         p = self.ring.ell ** level
-        reduced = np.asarray(self.array % p, dtype=_dtype(p, self.dim))
+        narrow = _storage_dtype(p, self.dim)
+        reduced = _batched(lambda M: (M % p).astype(narrow, copy=False), self.array)
         _, first = _first_occurrences(_pack(reduced, p))
         ring = self.ring.at_level(level)
         space = SymplecticSpace(self.space.g, self.space.form.reduce_level(level), ring)
@@ -217,13 +246,13 @@ def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DE
     for g in generators:
         multiplier(g, space)
     d, mod = space.dim, space.ring.modulus
-    dtype = _dtype(mod, d)
-    gens = np.array([g.rows for g in generators], dtype=dtype).reshape(-1, d, d)
+    narrow = _storage_dtype(mod, d)
+    gens = np.array([g.rows for g in generators], dtype=_kernel_dtype(mod, d)).reshape(-1, d, d)
 
     def products(rows):
         return (rows.reshape(-1, 1, d, d) @ gens % mod).reshape(-1, d * d)
 
-    frontier = np.eye(d, dtype=dtype).reshape(1, d * d)
+    frontier = np.eye(d, dtype=narrow).reshape(1, d * d)
     seen = _pack(frontier, mod)  # sorted, never empty
     levels = [frontier]
     while len(frontier):
@@ -238,7 +267,7 @@ def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DE
                 f" through BFS depth {len(levels) - 1}"
             )
         seen = np.insert(seen, pos[new], keys[new])
-        frontier = prods[np.sort(first[new])]
+        frontier = prods[np.sort(first[new])].astype(narrow, copy=False)
         levels.append(frontier)
     del seen  # freed before the final copy of the elements
     return MatrixGroup(space, generators, np.concatenate(levels))
@@ -258,7 +287,7 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     if H.is_trivial():
         return G
     mod = G.ring.modulus
-    B = np.array(H.basis, dtype=G.array.dtype).T  # d x r
+    B = np.array(H.basis, dtype=_kernel_dtype(mod, G.dim)).T  # d x r
     mask = _batched(lambda M: (M @ B % mod == B).all(axis=(1, 2)), G._matrices())
     return MatrixGroup(G.space, (), G.array[mask])
 
@@ -429,7 +458,7 @@ def filtered_subgroup(
     for Hf, cut in zip(fixers, cutoffs):
         if not Hf.is_trivial():
             conditions.append((Gfull.ring.ell ** min(level, cut), Hf.basis))
-    dtype = Gfull.array.dtype
+    dtype = _kernel_dtype(Gfull.ring.modulus, Gfull.dim)
     fixed = [(p, np.array(basis, dtype=dtype).T % p) for p, basis in conditions]
 
     def kernel(M):
@@ -458,18 +487,21 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         raise CapExceeded(f"diagonal torus has {count} elements, cap={cap}")
     space = standard_form(g, ring)
     n2, mod = 2 * g, ring.modulus
-    dtype = _dtype(mod, n2)
-    units = np.array(list(ring.units()), dtype=dtype)
-    inv = np.array([ring.inverse(u) for u in ring.units()], dtype=dtype)
+    narrow = _storage_dtype(mod, n2)
+    units = list(ring.units())
+    inv = np.array([ring.inverse(u) for u in units], dtype=_kernel_dtype(mod, n2))
+    unit_row = np.array(units, dtype=narrow)
+    # ratio[a, b] = units[a] / units[b], a phi x phi table
+    ratio = _batched(lambda u: (u[:, None] * inv % mod).astype(narrow, copy=False), unit_row)
     # rows in lexicographic order of (lambda, d_1, ..., d_g); d_{2g+1-i} is
     # lambda / d_i
-    idx = np.indices((len(units),) * (g + 1)).reshape(g + 1, -1)
-    lam = units[idx[0]]
-    diag = [units[idx[1 + j]] for j in range(g)]
-    diag += [lam * inv[idx[n2 - j]] % mod for j in range(g, n2)]
-    flats = np.zeros((count, n2 * n2), dtype=dtype)
-    for j in range(n2):
-        flats[:, j * n2 + j] = diag[j]
+    idx = np.indices((len(units),) * (g + 1), dtype=np.min_scalar_type(len(units) - 1))
+    idx = idx.reshape(g + 1, -1)
+    flats = np.zeros((count, n2 * n2), dtype=narrow)
+    for j in range(g):
+        flats[:, j * (n2 + 1)] = unit_row[idx[1 + j]]
+    for j in range(g, n2):
+        flats[:, j * (n2 + 1)] = ratio[idx[0], idx[n2 - j]]
     G = MatrixGroup(space, (), flats)
     H = subgroup_from_generators([(1,) * n2], ring)
     return G, H
@@ -503,13 +535,19 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
     if count > cap:
         raise CapExceeded(f"GL2(Z/{ell}^{n}) has {count} elements, cap={cap}")
     space = standard_form(1, ring)
-    idx = np.arange(mod**4, dtype=np.int64)
-    a = idx // mod**3 % mod
-    b = idx // mod**2 % mod
-    c = idx // mod % mod
-    d = idx % mod
-    mask = (a * d - b * c) % mod % ell != 0
-    flats = np.stack([a[mask], b[mask], c[mask], d[mask]], axis=1)
+    # one block of rows (a, b, c, d) per first entry a; every temporary is
+    # mod^3-sized, and only the group array itself is mod^4-sized
+    rest = np.indices((mod,) * 3, dtype=np.min_scalar_type(mod - 1)).reshape(3, -1)
+    b, c, d = (x.astype(np.int64) % ell for x in rest)
+    bc = b * c % ell
+    flats = np.empty((count, 4), dtype=_storage_dtype(mod, 2))
+    pos = 0
+    for a in range(mod):
+        kept = rest[:, (a % ell * d - bc) % ell != 0]
+        end = pos + kept.shape[1]
+        flats[pos:end, 0] = a
+        flats[pos:end, 1:] = kept.T
+        pos = end
     gens = gl2_standard_generators(ring) if ell != 2 else ()
     return MatrixGroup(space, gens, flats)
 
@@ -530,7 +568,7 @@ def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     ]
     space = SymplecticSpace(2, MatrixMod(ring, rows), ring)
     # diag-block(g, g), row-major: (a, b, 0, 0, c, d, 0, 0, 0, 0, a, b, 0, 0, c, d)
-    flats = np.zeros((gl2.order, 16), dtype=_dtype(m, 4))
+    flats = np.zeros((gl2.order, 16), dtype=_storage_dtype(m, 4))
     flats[:, [0, 1, 4, 5]] = gl2.array
     flats[:, [10, 11, 14, 15]] = gl2.array
     G = MatrixGroup(space, (), flats)

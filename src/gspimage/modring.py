@@ -154,11 +154,6 @@ class ResidueElem:
         return ResidueElem(-self.value, self.ring)
 
 
-def valuation(x: ResidueElem) -> int:
-    """l-adic valuation of a residue, with valuation(0) = level."""
-    return x.valuation
-
-
 class MatrixMod:
     """A square matrix over a ResidueRing, stored canonically reduced.
 

@@ -132,7 +132,8 @@ def block_dependence(M: MatrixMod) -> bool:
 
 
 def _gl2_array(ell: int) -> np.ndarray:
-    return gl2_group(_ring(ell)).array.reshape(-1, 2, 2)
+    # widened: the oracles subtract and multiply entries, and unsigned storage wraps
+    return gl2_group(_ring(ell)).array.astype(np.int64).reshape(-1, 2, 2)
 
 
 def pointwise_stabilizer_in_image(ell: int, cap: int = DEFAULT_CAP) -> list[MatrixMod]:

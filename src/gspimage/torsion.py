@@ -173,16 +173,6 @@ def full_subgroup(ring: ResidueRing, ambient_dim: int) -> TorsionSubgroup:
     return subgroup_from_generators(gens, ring, ambient_dim=ambient_dim)
 
 
-def contains(H: TorsionSubgroup, v: Sequence[int]) -> bool:
-    """Membership test via the Smith transform."""
-    return H.contains(v)
-
-
-def slice_subgroup(H: TorsionSubgroup, m: int) -> TorsionSubgroup:
-    """The l^m-torsion slice H[l^m]."""
-    return H.slice(m)
-
-
 def parse_generator_rows(text: str) -> list[tuple[int, ...]]:
     """Parse the row-per-generator text format `[[c11,..,c1d],..]`."""
     import json

@@ -257,6 +257,53 @@ def test_scenario_file_named(tmp_path, capsys):
     assert "deg_KH=64" in out
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--g", "3"], ["--g 3", "g = 2"]),
+        (["--level", "2"], ["--level 2", "level = 1"]),
+        # the level is checked first; --ell alone would override the file
+        (["--g", "3", "--level", "2", "--ell", "13"], ["--level 2", "level = 1"]),
+    ],
+)
+def test_scenario_file_conflicting_flag_exits_one(tmp_path, capsys, flags, named):
+    path = tmp_path / "cm.txt"
+    path.write_text("scenario = cm\nell = 5\nlevel = 1\ng = 2\n")
+    code, out, err = run_cli(capsys, "degrees", "--scenario-file", str(path), *flags)
+    assert code == 1
+    assert out == ""
+    assert "conflicts with" in err
+    assert all(text in err for text in named)
+
+
+def test_scenario_file_agreeing_flags_and_ell_override(tmp_path, capsys):
+    path = tmp_path / "cm.txt"
+    path.write_text("scenario = cm\nell = 5\nlevel = 1\ng = 2\n")
+    code, out, _ = run_cli(capsys, "degrees", "--scenario-file", str(path))
+    assert code == 0
+    code, same, _ = run_cli(
+        capsys, "degrees", "--scenario-file", str(path), "--g", "2", "--level", "1"
+    )
+    assert code == 0
+    assert same == out
+    # --ell overrides the file's ell
+    code, out13, _ = run_cli(capsys, "degrees", "--scenario-file", str(path), "--ell", "13")
+    assert code == 0
+    assert out13.startswith("ell=13 level=1 ")
+    assert "deg_KH=1728" in out13  # phi(13)^3 / 1
+
+
+def test_scenario_file_level_used_without_flag(tmp_path, capsys):
+    path = tmp_path / "cm.txt"
+    path.write_text("scenario = cm\nell = 5\nlevel = 2\ng = 1\n")
+    code, out, _ = run_cli(capsys, "degrees", "--scenario-file", str(path))
+    assert code == 0
+    assert out.startswith("ell=5 level=2 ")
+    code, flagged, _ = run_cli(capsys, "degrees", "--scenario-file", str(path), "--level", "2")
+    assert code == 0
+    assert flagged == out
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -70,7 +70,7 @@ def _gsp4_f3_subgroup():
 
 
 def _gsp4_z27_subgroup():
-    # entries fit int64, but 27^16 > 2^63, so the packed keys are multi-word voids
+    # entries fit uint8, but 27^16 > 2^63, so the packed keys are multi-word voids
     ring = ResidueRing(3, 3)
     S = standard_form(2, ring)
     gens = [
@@ -96,9 +96,9 @@ def _three_adic_level20():
 
 
 CASES = {
-    "gl2_mod9": (_gl2_mod9, np.int64, np.int64, 3888),
-    "gsp4_f3": (_gsp4_f3_subgroup, np.int64, np.int64, 1152),
-    "gsp4_z27": (_gsp4_z27_subgroup, np.int64, np.void, 486),
+    "gl2_mod9": (_gl2_mod9, np.uint8, np.int64, 3888),
+    "gsp4_f3": (_gsp4_f3_subgroup, np.uint8, np.int64, 1152),
+    "gsp4_z27": (_gsp4_z27_subgroup, np.uint8, np.void, 486),
     "level20": (_three_adic_level20, object, np.void, 5832),
 }
 
@@ -222,5 +222,5 @@ def test_object_path_stabilizer_and_reduction_match_scans():
         if f not in seen:
             seen.add(f)
             expected.append(f)
-    assert R.array.dtype == np.int64  # 3^19 is inside the int64 guard
+    assert R.array.dtype == np.uint32  # 3^19 is inside the int64 guard
     assert [M.flat() for M in R] == expected

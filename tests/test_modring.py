@@ -10,7 +10,6 @@ from gspimage.modring import (
     is_prime,
     mat_invert,
     smith_normal_form,
-    valuation,
 )
 
 from conftest import random_invertible, random_matrix
@@ -39,7 +38,7 @@ def test_valuation_examples():
     assert ResidueRing(3, 3).valuation(0) == 3
     assert ResidueRing(3, 3).valuation(6) == 1
     assert ResidueRing(5, 2).valuation(10) == 1
-    assert valuation(ResidueRing(3, 3).elem(0)) == 3
+    assert ResidueRing(3, 3).elem(0).valuation == 3
 
 
 @given(

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gspimage.modring import MatrixMod, NotInvertible, ResidueRing
@@ -163,7 +164,7 @@ def test_kernel_law_exhaustive_l2():
 
 def test_multiplier_image_is_all_units():
     for ell in (3, 5, 7):
-        arr = mf.gl2_group(ResidueRing(ell, 1)).array
+        arr = mf.gl2_group(ResidueRing(ell, 1)).array.astype(np.int64)  # widen: uint8 wraps
         dets = {int(x) for x in (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2]) % ell}
         triples = {d1 * d2 * d3 % ell for d1 in dets for d2 in dets for d3 in dets}
         assert mf.multiplier_image(ell) == frozenset(triples) == frozenset(range(1, ell))

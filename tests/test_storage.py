@@ -1,0 +1,118 @@
+"""The storage contract of ``MatrixGroup.array``: narrow unsigned storage,
+wide kernels.
+
+Each group keeps its residues in the smallest unsigned dtype that holds a
+residue mod l^n inside the int64 kernel guard, object dtype past it.  The
+kernels widen one batch at a time, so their results must equal scans over
+``MatrixMod`` elements even where entries near ``mod - 1`` would overflow
+narrow arithmetic.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gspimage import galois_model as gm
+from gspimage.galois_model import MatrixGroup, close, filtered_subgroup, stabilizer
+from gspimage.modring import MatrixMod, ResidueRing
+from gspimage.symplectic import multiplier, standard_form
+from gspimage.torsion import subgroup_from_generators
+
+# (ell, level) -> storage dtype of a group of 2x2 matrices
+BOUNDARIES = [
+    (251, 1, np.uint8),
+    (2, 8, np.uint8),  # 256
+    (257, 1, np.uint16),
+    (2, 16, np.uint16),  # 65536
+    (65537, 1, np.uint32),
+    (3, 19, np.uint32),
+    (3, 20, object),  # past the int64 guard
+]
+
+
+def _signed_permutations(ring):
+    """The eight signed 2x2 permutation matrices: entries 0, 1 and mod - 1."""
+    S = standard_form(1, ring)
+    m = ring.modulus
+    gens = [MatrixMod(ring, [[m - 1, 0], [0, 1]]), MatrixMod(ring, [[0, 1], [1, 0]])]
+    return S, close(S, gens)
+
+
+@pytest.mark.parametrize("ell, level, dtype", BOUNDARIES)
+def test_storage_dtype_and_tolist_at_boundary_moduli(ell, level, dtype):
+    ring = ResidueRing(ell, level)
+    S, G = _signed_permutations(ring)
+    assert G.array.dtype == dtype
+    assert G.order == 8
+    assert stabilizer(G, subgroup_from_generators([(1, 1)], ring)).array.dtype == dtype
+    assert MatrixGroup.from_elements(S, list(G)).array.dtype == dtype
+    rows = G.array.tolist()
+    assert max(max(row) for row in rows) == ring.modulus - 1
+    assert all(type(x) is int for row in rows for x in row)
+    assert json.loads(json.dumps(rows)) == [list(M.flat()) for M in G]
+
+
+@pytest.mark.parametrize("ell, level, dtype", BOUNDARIES)
+def test_narrow_kernels_match_matrixmod_scans(ell, level, dtype):
+    ring = ResidueRing(ell, level)
+    S, G = _signed_permutations(ring)
+    m = ring.modulus
+    assert G.multipliers() == tuple(multiplier(M, S).value for M in G)
+    assert G.multiplier_image().tolist() == sorted({1, m - 1})
+    v = (1, m - 1)
+    H = subgroup_from_generators([v], ring)
+    assert list(stabilizer(G, H)) == [M for M in G if M.apply(v) == v]
+    p = ring.ell
+    F = filtered_subgroup(G, [H], [1])
+    assert list(F) == [M for M in G if all(x % p == y % p for x, y in zip(M.apply(v), v))]
+    R = G.reduce_level(1)
+    expected = list(dict.fromkeys(M.reduce_level(1).flat() for M in G))
+    assert [M.flat() for M in R] == expected
+
+
+def test_narrow_kernels_on_gl2_mod_17():
+    # uint8 storage; 16 * 16 = 256 already wraps uint8 arithmetic
+    ring = ResidueRing(17, 1)
+    G = gm.gl2_group(ring)
+    assert G.array.dtype == np.uint8
+    rows = G.array.tolist()
+    assert G.multipliers() == tuple((a * d - b * c) % 17 for a, b, c, d in rows)
+    v = (16, 16)
+    T = stabilizer(G, subgroup_from_generators([v], ring))
+    assert T.array.tolist() == [
+        [a, b, c, d] for a, b, c, d in rows if ((a + b) % 17, (c + d) % 17) == (1, 1)
+    ]
+    assert T.multiplier_image().tolist() == list(range(1, 17))
+
+
+def test_from_elements_reduces_entries():
+    S = standard_form(1, ResidueRing(3, 1))
+    with pytest.raises(ValueError, match="duplicate"):
+        MatrixGroup.from_elements(S, [(1, 0, 0, 1), (4, 0, 0, 1)])
+    S5 = standard_form(1, ResidueRing(5, 1))
+    G = MatrixGroup.from_elements(S5, [(1, 0, 0, 1), (-2, 0, 0, 1)])
+    assert G.array.tolist() == [[1, 0, 0, 1], [3, 0, 0, 1]]
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_builders_allocate_no_group_sized_int64_array():
+    (G, _), peak = _peak_bytes(lambda: gm.scenario_cm(2, 5, 3))
+    assert G.order == 10**6 and G.array.dtype == np.uint8
+    int64_bytes = G.order * 16 * 8  # the (10^6, 16) int64 array alone: 122 MiB
+    assert peak < int64_bytes // 2
+    gl2, peak = _peak_bytes(lambda: gm.gl2_group(ResidueRing(3, 3)))
+    assert gl2.array.dtype == np.uint8
+    assert peak < gl2.order * 4 * 8  # below the group as int64
+    (sp, _), peak = _peak_bytes(lambda: gm.scenario_selfproduct(3, 3))
+    assert sp.array.dtype == np.uint8
+    assert peak < sp.order * 16 * 8

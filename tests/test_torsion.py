@@ -4,10 +4,8 @@ import pytest
 
 from gspimage.modring import ResidueRing
 from gspimage.torsion import (
-    contains,
     full_subgroup,
     parse_generator_rows,
-    slice_subgroup,
     subgroup_from_generators,
     trivial_subgroup,
 )
@@ -48,12 +46,12 @@ def test_redundant_generators_are_normalized():
 def test_slice_examples():
     ring9 = ResidueRing(3, 2)
     full = full_subgroup(ring9, 2)
-    S1 = slice_subgroup(full, 1)
+    S1 = full.slice(1)
     assert S1.order == 9
     assert S1.orders == (1, 1)
     assert all(S1.contains((3 * a, 3 * b)) for a in range(3) for b in range(3))
 
-    assert slice_subgroup(full, 0).is_trivial()
+    assert full.slice(0).is_trivial()
 
     ring27 = ResidueRing(3, 3)
     C = subgroup_from_generators([(1, 4)], ring27)
@@ -82,9 +80,9 @@ def test_slice_size_formula(rng):
 def test_contains_basics():
     ring = ResidueRing(5, 1)
     H = subgroup_from_generators([(1, 1)], ring)
-    assert contains(H, (0, 0))
-    assert contains(H, (2, 2))
-    assert not contains(H, (1, 2))
+    assert H.contains((0, 0))
+    assert H.contains((2, 2))
+    assert not H.contains((1, 2))
     T = trivial_subgroup(ring, 2)
     assert T.contains((0, 0))
     assert not T.contains((1, 0))
