@@ -36,13 +36,8 @@ from .galois_model import (
     MatrixGroup,
     build_degree_report,
     close,
-    cyclo_degree,
-    cyclo_intersection_degree,
-    degree_KH,
     filtered_subgroup,
     gl2_group,
-    mu_s_ratio,
-    mu_w_witness,
     scenario_cm,
     scenario_selfproduct,
     stabilizer,

@@ -8,14 +8,15 @@ scenario builders.
 Degrees are modeled exactly: [K(H):K] is the index of the pointwise
 stabilizer, the cyclotomic degree at level m is the size of the multiplier
 image mod l^m, and the degree of the cyclotomic intersection is
-|lambda(G)| / |lambda(T)| for T the stabilizer.
+|lambda(G)| / |lambda(T)| for T the stabilizer.  ``degree_report`` computes
+all of them from |G|, |T|, lambda(G), lambda(T) and m1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -99,7 +100,9 @@ def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
     for i in range(width):
         last = min(width, (i // step + 1) * step) - 1
         weights[i, i // step] = mod ** (last - i)
-    words = flat.astype(np.int64, copy=False) @ weights  # ResidueRing keeps mod < 2^63
+    # one block widened at a time; object blocks fit int64 (ResidueRing keeps
+    # mod < 2^63) and must be cast, or the words would come out as objects
+    words = _batched(lambda block: block.astype(np.int64, copy=False) @ weights, flat)
     return words.ravel() if nwords == 1 else words.view(f"V{8 * nwords}").ravel()
 
 
@@ -168,9 +171,6 @@ class MatrixGroup:
 
     def _matrices(self) -> np.ndarray:
         return self.array.reshape(-1, self.dim, self.dim)
-
-    def element(self, i: int) -> MatrixMod:
-        return MatrixMod.from_flat(self.ring, self.dim, self.array[i].tolist())
 
     def __iter__(self) -> Iterator[MatrixMod]:
         for row in self.array:
@@ -286,32 +286,44 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
         raise ValueError("ambient dimension mismatch")
     if H.is_trivial():
         return G
-    mod = G.ring.modulus
-    B = np.array(H.basis, dtype=_kernel_dtype(mod, G.dim)).T  # d x r
-    mask = _batched(lambda M: (M @ B % mod == B).all(axis=(1, 2)), G._matrices())
-    return MatrixGroup(G.space, (), G.array[mask])
+    return MatrixGroup(G.space, (), G.array[_fixing_mask(G, [(G.ring.modulus, H.basis)])])
+
+
+def _fixing_mask(G: MatrixGroup, conditions) -> np.ndarray:
+    """Mask of the elements M of G with M v = v mod p for every vector v of
+    every (p, vectors) pair in ``conditions``."""
+    dtype = _kernel_dtype(G.ring.modulus, G.dim)
+    fixed = [(p, np.array(vectors, dtype=dtype).T % p) for p, vectors in conditions]  # d x r
+
+    def kernel(M):
+        mask = np.ones(len(M), dtype=bool)
+        for p, B in fixed:
+            mask &= (M @ B % p == B).all(axis=(1, 2))
+        return mask
+
+    return _batched(kernel, G._matrices())
+
+
+def gl2_order(ell: int, level: int = 1) -> int:
+    """|GL2(Z/l^level)| = l^(4(level-1)) (l^2 - 1)(l^2 - l)."""
+    return ell ** (4 * (level - 1)) * (ell * ell - 1) * (ell * ell - ell)
 
 
 class FullGL2Group:
     """GL2(Z/l^m) as a structured group, never materialized.
 
     Groups past the closure cap are handled by structure instead of
-    enumeration; this one supplies the closed-form order and a stabilizer
-    counter based on solving the fixing conditions row by row.
+    enumeration; this one answers only the closed-form order and a
+    stabilizer counter based on solving the fixing conditions row by row,
+    so [K(H):K] in the full image is ``order // stabilizer_order(H)``.
     """
 
     def __init__(self, ring: ResidueRing):
         self.ring = ring
-        self.space = standard_form(1, ring)
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     @property
     def order(self) -> int:
-        ell, n = self.ring.ell, self.ring.level
-        return ell ** (4 * (n - 1)) * (ell * ell - 1) * (ell * ell - ell)
+        return gl2_order(self.ring.ell, self.ring.level)
 
     def stabilizer_order(self, H: TorsionSubgroup) -> int:
         """|{M : Mv = v for all v in H}| by counting solutions of (M-I)v = 0.
@@ -354,79 +366,6 @@ class FullGL2Group:
         return valid * per_class * per_class
 
 
-def stabilizer_order(G, H: TorsionSubgroup) -> int:
-    if isinstance(G, FullGL2Group):
-        return G.stabilizer_order(H)
-    return stabilizer(G, H).order
-
-
-def degree_KH(G, H: TorsionSubgroup) -> int:
-    """Model of [K(H):K]: the index of the pointwise stabilizer in G."""
-    s = stabilizer_order(G, H)
-    if G.order % s != 0:
-        raise AssertionError("stabilizer order must divide the group order")
-    return G.order // s
-
-
-def cyclo_degree(G, m: int) -> int:
-    """Model of [K(mu_{l^m}):K]: the size of the multiplier image mod l^m."""
-    if m < 0 or m > G.ring.level:
-        raise ValueError("m out of range")
-    if m == 0:
-        return 1
-    if isinstance(G, FullGL2Group):
-        # det is onto the units: diag(u, 1) realizes every unit u
-        return unit_group_order(G.ring.ell, m)
-    return _image_size(G, G.ring.ell**m)
-
-
-def _image_size(G: MatrixGroup, p: int) -> int:
-    """Number of distinct multipliers of G mod p."""
-    return np.unique(G.multiplier_image() % p).size
-
-
-def _cyclo_intersection(G: MatrixGroup, T: MatrixGroup, m: int) -> int:
-    if m == 0:
-        return 1
-    p = G.ring.ell ** m
-    g_im, t_im = _image_size(G, p), _image_size(T, p)
-    if g_im % t_im != 0:
-        raise AssertionError("multiplier image of a subgroup must divide")
-    return g_im // t_im
-
-
-def cyclo_intersection_degree(G: MatrixGroup, H: TorsionSubgroup, m: int) -> int:
-    """Model of [K(H) cap K(mu_{l^m}) : K], namely |lambda(G)| / |lambda(T)|
-    with multipliers reduced mod l^m."""
-    return _cyclo_intersection(G, stabilizer(G, H), m)
-
-
-def mu_s_ratio(G: MatrixGroup, H: TorsionSubgroup) -> Fraction:
-    """Intersection degree at full level over the cyclotomic degree at m1(H)."""
-    inter = cyclo_intersection_degree(G, H, G.ring.level)
-    return Fraction(inter, cyclo_degree(G, m1(H, G.space)))
-
-
-def mu_w_witness(G: MatrixGroup, H: TorsionSubgroup, C) -> Optional[int]:
-    """Smallest n in [0, level] with deg(mu_{l^n}) within a factor C of the
-    intersection degree (both inequalities non-strict), or None."""
-    C = Fraction(C)
-    if C < 1:
-        raise ValueError("C must be >= 1")
-    inter = cyclo_intersection_degree(G, H, G.ring.level)
-    return _mu_w_witness(inter, (cyclo_degree(G, n) for n in range(G.ring.level + 1)), C)
-
-
-def _mu_w_witness(inter: int, degrees: Iterable[int], C: Fraction) -> Optional[int]:
-    """Index of the first degree c_n in ``degrees`` (c_0, c_1, ...) with
-    c_n <= C * inter and inter <= C * c_n, or None.  Stops at the witness,
-    so a generator of degrees is evaluated no further."""
-    for n, c_n in enumerate(degrees):
-        if c_n <= C * inter and inter <= C * c_n:
-            return n
-    return None
-
-
 def filtered_subgroup(
     Gfull: MatrixGroup,
     fixers: Sequence[TorsionSubgroup],
@@ -454,20 +393,12 @@ def filtered_subgroup(
     for Hf in fixers:
         if Hf.ring != Gfull.ring or Hf.ambient_dim != Gfull.dim:
             raise ValueError("fixer does not live in the group's ambient space")
-    conditions = []
-    for Hf, cut in zip(fixers, cutoffs):
-        if not Hf.is_trivial():
-            conditions.append((Gfull.ring.ell ** min(level, cut), Hf.basis))
-    dtype = _kernel_dtype(Gfull.ring.modulus, Gfull.dim)
-    fixed = [(p, np.array(basis, dtype=dtype).T % p) for p, basis in conditions]
-
-    def kernel(M):
-        mask = np.ones(len(M), dtype=bool)
-        for p, B in fixed:
-            mask &= (M @ B % p == B).all(axis=(1, 2))
-        return mask
-
-    return MatrixGroup(Gfull.space, (), Gfull.array[_batched(kernel, Gfull._matrices())])
+    conditions = [
+        (Gfull.ring.ell ** min(level, cut), Hf.basis)
+        for Hf, cut in zip(fixers, cutoffs)
+        if not Hf.is_trivial()
+    ]
+    return MatrixGroup(Gfull.space, (), Gfull.array[_fixing_mask(Gfull, conditions)])
 
 
 # -- scenario builders ------------------------------------------------------
@@ -531,7 +462,7 @@ def _mult_order(u: int, ring: ResidueRing) -> int:
 def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
     """All of GL2(Z/l^n), enumerated by direct scan in lexicographic order."""
     ell, n, mod = ring.ell, ring.level, ring.modulus
-    count = ell ** (4 * (n - 1)) * (ell * ell - 1) * (ell * ell - ell)
+    count = gl2_order(ell, n)
     if count > cap:
         raise CapExceeded(f"GL2(Z/{ell}^{n}) has {count} elements, cap={cap}")
     space = standard_form(1, ring)
@@ -618,29 +549,56 @@ class DegreeReport:
         return d
 
 
+def degree_report(
+    ring: ResidueRing, m1v: int, order_G: int, order_T: int, lam_G, lam_T, mu_c=Fraction(1)
+) -> DegreeReport:
+    """The degree report of a group G and the pointwise stabilizer T of H,
+    from |G|, |T|, the multiplier images lambda(G) and lambda(T) (collections
+    of residues mod l^level, as Python ints) and m1 = m1(H).
+
+    The cyclotomic degree at level n is c_n = |lambda(G) mod l^n|, so c_0 = 1.
+    The mu_w witness is the smallest n with c_n <= C * I and I <= C * c_n,
+    both non-strict, for C = ``mu_c`` and I the intersection degree; C < 1
+    raises ValueError.
+
+    For odd l a witness exists at C = l - 1.  (Z/l^level)^* is cyclic, so
+    lambda(G) is cyclic of order a * l^j with a | l - 1, and reduction mod l^n
+    leaves c_n = a * l^max(0, n - k) with k = level - j.  I divides
+    |lambda(G)|, so I = a' * l^j' with a' | a and j' <= j; at n = k + j',
+    c_n = a * l^j', so I <= c_n = (a / a') * I <= (l - 1) * I.
+
+    Raises AssertionError when |T| does not divide |G| or |lambda(T)| does
+    not divide |lambda(G)|: both are subgroup orders.
+    """
+    C = Fraction(mu_c)
+    if C < 1:
+        raise ValueError("C must be >= 1")
+    if order_G % order_T != 0:
+        raise AssertionError("stabilizer order must divide the group order")
+    cyclo = [len({x % ring.ell**n for x in lam_G}) for n in range(ring.level + 1)]
+    lam_T_size = len(set(lam_T))
+    if cyclo[-1] % lam_T_size != 0:
+        raise AssertionError("multiplier image of a subgroup must divide")
+    inter = cyclo[-1] // lam_T_size
+    witness = next((n for n, c in enumerate(cyclo) if c <= C * inter and inter <= C * c), None)
+    return DegreeReport(
+        ell=ring.ell,
+        level=ring.level,
+        m1=m1v,
+        deg_KH=order_G // order_T,
+        deg_cyclo_intersection=inter,
+        deg_cyclo_at_m1=cyclo[m1v],
+        ratio=Fraction(inter, cyclo[m1v]),
+        mu_w_witness_n=witness,
+        ramified_type=cyclo[-1] < unit_group_order(ring.ell, ring.level),
+    )
+
+
 def build_degree_report(G: MatrixGroup, H: TorsionSubgroup, mu_c=Fraction(1)) -> DegreeReport:
     """Run the full degree battery for one scenario instance."""
-    level = G.ring.level
     T = stabilizer(G, H)
-    if G.order % T.order != 0:
-        raise AssertionError("stabilizer order must divide the group order")
-    m1v = m1(H, G.space)
-    inter = _cyclo_intersection(G, T, level)
-    at_m1 = cyclo_degree(G, m1v)
-    witness = _mu_w_witness(
-        inter, (cyclo_degree(G, n) for n in range(level + 1)), Fraction(mu_c)
-    )
-    return DegreeReport(
-        ell=G.ring.ell,
-        level=level,
-        m1=m1v,
-        deg_KH=G.order // T.order,
-        deg_cyclo_intersection=inter,
-        deg_cyclo_at_m1=at_m1,
-        ratio=Fraction(inter, at_m1),
-        mu_w_witness_n=witness,
-        ramified_type=cyclo_degree(G, level) < unit_group_order(G.ring.ell, level),
-    )
+    lam_G, lam_T = G.multiplier_image().tolist(), T.multiplier_image().tolist()
+    return degree_report(G.ring, m1(H, G.space), G.order, T.order, lam_G, lam_T, mu_c)
 
 
 _SCENARIO_NAMES = ("cm", "selfproduct", "mumford", "custom")

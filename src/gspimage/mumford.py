@@ -16,7 +16,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .galois_model import CapExceeded, DegreeReport, DEFAULT_CAP, _mu_w_witness, gl2_group
+from .galois_model import (
+    CapExceeded,
+    DegreeReport,
+    DEFAULT_CAP,
+    degree_report,
+    gl2_group,
+    gl2_order,
+)
 from .modring import MatrixMod, NotInvertible, ResidueRing
 from .symplectic import SymplecticSpace, m1, multiplier, tensor_form
 from .torsion import TorsionSubgroup, subgroup_from_generators
@@ -38,10 +45,6 @@ def _ring(ell: int) -> ResidueRing:
 
 def tensor_space(ell: int) -> SymplecticSpace:
     return tensor_form(3, _ring(ell))
-
-
-def gl2_order(ell: int) -> int:
-    return (ell * ell - 1) * (ell * ell - ell)
 
 
 def rho(a: MatrixMod, b: MatrixMod, c: MatrixMod) -> MatrixMod:
@@ -328,21 +331,13 @@ def verify_mu_s_failure(
         )
         lam_T = {multiplier(M, S).value for M in stab}
         _expect(lam_T == {1, ell - 1}, f"stabilizer multipliers {lam_T} != {{1,-1}}")
-        lam_G = multiplier_image(ell)
-        inter, rem = divmod(len(lam_G), len(lam_T))
-        _expect(rem == 0, "multiplier image of the stabilizer must divide")
-        _expect(inter == (ell - 1) // 2, f"intersection degree {inter} != (l-1)/2")
         img = image_order(ell)
+        rep = degree_report(ring, m1v, img, len(stab), multiplier_image(ell), lam_T, mu_c)
+        inter = rep.deg_cyclo_intersection
+        _expect(inter == (ell - 1) // 2, f"intersection degree {inter} != (l-1)/2")
         reports.append(
             MumfordReport(
-                ell=ell,
-                level=1,
-                m1=m1v,
-                deg_KH=img // len(stab),
-                deg_cyclo_intersection=inter,
-                deg_cyclo_at_m1=1,
-                ratio=Fraction(inter, 1),
-                mu_w_witness_n=_mu_w_witness(inter, (1, len(lam_G)), Fraction(mu_c)),
+                **vars(rep),
                 stabilizer_size=len(stab),
                 stabilizer_elements=tuple(M.flat() for M in stab),
                 image_order=img,

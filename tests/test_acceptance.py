@@ -102,12 +102,13 @@ def test_criterion_5_cm_and_selfproduct():
         G, H = gm.scenario_cm(2, ell, 1)
         assert gm.stabilizer(G, H).order == 1
         assert m1(H, G.space) == 0
-        assert gm.cyclo_intersection_degree(G, H, 1) == ell - 1
-        assert gm.mu_s_ratio(G, H) == Fraction(ratio)
+        rep = gm.build_degree_report(G, H)
+        assert rep.deg_cyclo_intersection == ell - 1
+        assert rep.ratio == Fraction(ratio)
     for ell in (3, 5):
         G, H = gm.scenario_selfproduct(ell, 1)
         assert m1(H, G.space) == 0
-        assert gm.cyclo_intersection_degree(G, H, 1) == ell - 1
+        assert gm.build_degree_report(G, H).deg_cyclo_intersection == ell - 1
     _report(5, "cm ratios 4 and 12; self-product intersection degree l-1 at l=3,5")
 
 
@@ -174,6 +175,13 @@ def _power_of(x: int, ell: int) -> bool:
     return x == 1
 
 
+def _full_degree_KH(full, H) -> int:
+    """[K(H):K] in the full GL2 image: the stabilizer index, which must divide."""
+    s = full.stabilizer_order(H)
+    assert full.order % s == 0
+    return full.order // s
+
+
 def test_criterion_8_congruence_filtration_shadow():
     t0 = time.monotonic()
     # degree ratios for every cyclic H in the full GL2 model
@@ -186,8 +194,8 @@ def test_criterion_8_congruence_filtration_shadow():
             assert len(gens) == expected
             for v in gens:
                 H = subgroup_from_generators([v], ring, ambient_dim=2)
-                dh = gm.degree_KH(G, H)
-                dl = gm.degree_KH(G, H.slice(1))
+                dh = _full_degree_KH(G, H)
+                dl = _full_degree_KH(G, H.slice(1))
                 assert dh % dl == 0
                 assert _power_of(dh // dl, ell), (ell, m, v, dh, dl)
     # filtered-subgroup index ratios across levels 2 -> 1
@@ -243,7 +251,8 @@ def test_criterion_9_index_shadow_and_tower_identities():
         ring = G.ring
         H = random_subgroup(ring, G.dim, rng, max_order=3000)
         T = gm.stabilizer(G, H)
-        assert gm.degree_KH(G, H) * T.order == G.order
+        deg = gm.build_degree_report(G, H).deg_KH
+        assert deg * T.order == G.order
         bigger = subgroup_from_generators(
             list(H.basis) + [tuple(rng.randrange(ring.modulus) for _ in range(G.dim))],
             ring,
@@ -251,7 +260,7 @@ def test_criterion_9_index_shadow_and_tower_identities():
         )
         T2 = gm.stabilizer(G, bigger)
         assert T.contains_group(T2)
-        assert gm.degree_KH(G, bigger) % gm.degree_KH(G, H) == 0
+        assert gm.build_degree_report(G, bigger).deg_KH % deg == 0
         if ring.level == 2:
             piC = G.reduce_level(1)
             piB = T.reduce_level(1)

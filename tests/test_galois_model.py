@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from gspimage.modring import MatrixMod, ResidueRing, unit_group_order
 from gspimage.symplectic import NotSimilitude, m1, standard_form
@@ -17,20 +18,15 @@ from gspimage.galois_model import (
     FullGL2Group,
     build_degree_report,
     close,
-    cyclo_degree,
-    cyclo_intersection_degree,
-    degree_KH,
     filtered_subgroup,
     gl2_group,
     gl2_standard_generators,
-    mu_s_ratio,
-    mu_w_witness,
     scenario_cm,
     scenario_selfproduct,
     stabilizer,
 )
 
-from conftest import random_subgroup
+from conftest import random_similitude, random_subgroup
 
 
 def test_close_identity_only():
@@ -80,17 +76,18 @@ def test_cm_scenario_order_and_degrees():
     assert G.order == 64  # (l-1)^(g+1) diagonal similitudes
     T = stabilizer(G, H)
     assert T.order == 1
-    assert degree_KH(G, H) == 64
+    rep = build_degree_report(G, H)
+    assert rep.deg_KH == 64
     assert m1(H, G.space) == 0
-    assert cyclo_degree(G, 1) == 4
-    assert cyclo_intersection_degree(G, H, 1) == 4
-    assert mu_s_ratio(G, H) == Fraction(4)
+    assert len(G.multiplier_image()) == 4
+    assert rep.deg_cyclo_intersection == 4
+    assert rep.ratio == Fraction(4)
 
 
 def test_cm_scenario_ell13():
     G, H = scenario_cm(2, 13, 1)
     assert stabilizer(G, H).order == 1
-    assert mu_s_ratio(G, H) == Fraction(12)
+    assert build_degree_report(G, H).ratio == Fraction(12)
 
 
 def test_cm_torus_equals_closure_of_generators():
@@ -120,7 +117,7 @@ def test_selfproduct_scenario():
     # fixing (1,0,0,1) forces g(1,0)=(1,0) and g(0,1)=(0,1), so g = I
     assert stabilizer(G, H).order == 1
     assert m1(H, G.space) == 0
-    assert cyclo_intersection_degree(G, H, 1) == 2
+    assert build_degree_report(G, H).deg_cyclo_intersection == 2
 
 
 def test_stabilizer_of_trivial_subgroup_is_whole_group():
@@ -145,43 +142,81 @@ def test_degree_gl2_f3_line_stabilizer():
     G = gl2_group(ring)
     H = subgroup_from_generators([(1, 0)], ring)
     assert stabilizer(G, H).order == 6
-    assert degree_KH(G, H) == 8
+    assert build_degree_report(G, H).deg_KH == 8
 
 
 def test_degree_trivial_subgroup():
     G, _ = scenario_cm(2, 5, 1)
-    assert degree_KH(G, trivial_subgroup(G.ring, 4)) == 1
+    assert build_degree_report(G, trivial_subgroup(G.ring, 4)).deg_KH == 1
 
 
 def test_cyclo_degree_examples():
     ring5 = ResidueRing(5, 1)
     G = gl2_group(ring5)
-    assert cyclo_degree(G, 0) == 1
-    assert cyclo_degree(G, 1) == 4
+    # m1 of the trivial subgroup is 0, so deg_cyclo_at_m1 is c_0
+    assert build_degree_report(G, trivial_subgroup(ring5, 2)).deg_cyclo_at_m1 == 1
+    assert len(G.multiplier_image()) == 4
     Gcm, _ = scenario_cm(2, 5, 1)
-    assert cyclo_degree(Gcm, 1) == 4
+    assert len(Gcm.multiplier_image()) == 4
 
 
 def test_cyclo_intersection_trivial_H():
     G, _ = scenario_cm(2, 5, 1)
-    assert cyclo_intersection_degree(G, trivial_subgroup(G.ring, 4), 1) == 1
+    assert build_degree_report(G, trivial_subgroup(G.ring, 4)).deg_cyclo_intersection == 1
 
 
 def test_mu_s_ratio_full_torsion_is_one():
     ring = ResidueRing(5, 1)
     G = gl2_group(ring)
     H = full_subgroup(ring, 2)
-    assert mu_s_ratio(G, H) == Fraction(1)
+    assert build_degree_report(G, H).ratio == Fraction(1)
 
 
 def test_mu_w_witness_examples():
     G, H = scenario_cm(2, 5, 2)
-    assert mu_w_witness(G, trivial_subgroup(G.ring, 4), 1) == 0
+    assert build_degree_report(G, trivial_subgroup(G.ring, 4), mu_c=1).mu_w_witness_n == 0
     # H of order 25: the stabilizer is trivial, the intersection degree is 20
-    assert cyclo_intersection_degree(G, H, 2) == 20
-    assert mu_w_witness(G, H, 1) == 2
-    with pytest.raises(ValueError):
-        mu_w_witness(G, H, Fraction(1, 2))
+    rep = build_degree_report(G, H, mu_c=1)
+    assert rep.deg_cyclo_intersection == 20
+    assert rep.mu_w_witness_n == 2
+    with pytest.raises(ValueError, match="C must be >= 1"):
+        build_degree_report(G, H, mu_c=Fraction(1, 2))
+
+
+def test_degree_report_checks_subgroup_divisibility():
+    ring = ResidueRing(5, 1)
+    assert gm.degree_report(ring, 0, 8, 2, [1, 2, 3, 4], [1, 4]).deg_KH == 4
+    with pytest.raises(AssertionError, match="stabilizer order"):
+        gm.degree_report(ring, 0, 8, 3, [1, 2, 3, 4], [1, 4])
+    with pytest.raises(AssertionError, match="multiplier image"):
+        gm.degree_report(ring, 0, 8, 2, [1, 4], [1, 2, 4])
+
+
+# (ell, level, g) with GSp_2g(Z/l^level) generated by random similitudes
+_WITNESS_CASES = [(ell, level, 1) for ell in (3, 5, 7) for level in (1, 2, 3)] + [(3, 1, 2)]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(
+    case=st.sampled_from(_WITNESS_CASES),
+    ngens=st.integers(1, 2),
+    rng=st.randoms(use_true_random=False),
+)
+def test_mu_w_witness_exists_at_c_l_minus_1(case, ngens, rng):
+    # lambda(G) is cyclic for odd l, so C = l - 1 always admits a witness
+    ell, level, g = case
+    space = standard_form(g, ResidueRing(ell, level))
+    gens = [random_similitude(space, rng) for _ in range(ngens)]
+    try:
+        G = close(space, gens, cap=60_000)
+    except CapExceeded:
+        assume(False)
+    H = random_subgroup(space.ring, space.dim, rng)
+    assert build_degree_report(G, H, mu_c=ell - 1).mu_w_witness_n is not None
 
 
 def test_filtered_subgroup_empty_chain_returns_group():
@@ -235,7 +270,8 @@ def test_full_gl2_matches_materialized(rng):
         full = FullGL2Group(ring)
         mat = gl2_group(ring)
         assert full.order == mat.order
-        assert cyclo_degree(full, lvl) == cyclo_degree(mat, lvl)
+        # det is onto the units: diag(u, 1) realizes every unit u
+        assert len(mat.multiplier_image()) == unit_group_order(ell, lvl)
         for _ in range(10):
             k = rng.randrange(1, 3)
             gens = [
@@ -243,7 +279,7 @@ def test_full_gl2_matches_materialized(rng):
             ]
             H = subgroup_from_generators(gens, ring, ambient_dim=2)
             assert full.stabilizer_order(H) == stabilizer(mat, H).order
-            assert degree_KH(full, H) == degree_KH(mat, H)
+            assert full.order // full.stabilizer_order(H) == build_degree_report(mat, H).deg_KH
 
 
 def test_full_gl2_trivial_subgroup():
@@ -295,7 +331,8 @@ def test_tower_and_monotonicity(rng):
     for _ in range(20):
         H = random_subgroup(G.ring, 4, rng, max_order=10_000)
         T = stabilizer(G, H)
-        assert degree_KH(G, H) * T.order == G.order
+        deg = build_degree_report(G, H).deg_KH
+        assert deg * T.order == G.order
         bigger = subgroup_from_generators(
             list(H.basis) + [tuple(rng.randrange(G.ring.modulus) for _ in range(4))],
             G.ring,
@@ -303,7 +340,7 @@ def test_tower_and_monotonicity(rng):
         )
         T2 = stabilizer(G, bigger)
         assert T.contains_group(T2)
-        assert degree_KH(G, bigger) % degree_KH(G, H) == 0
+        assert build_degree_report(G, bigger).deg_KH % deg == 0
 
 
 def test_multiplier_quotient_shadow(rng):

@@ -205,7 +205,13 @@ def test_verify_mu_s_failure_witness_semantics():
     rep = verify_mu_s_failure([5], mu_c=2)[0]
     assert rep.mu_w_witness_n == 0
     assert verify_mu_s_failure([3])[0].mu_w_witness_n == 0
-    assert verify_mu_s_failure([5])[0].mu_w_witness_n is None
+    # the intersection degree (l-1)/2 is neither c_0 = 1 nor c_1 = l - 1, so
+    # only a constant C > 1 finds a witness; C = l - 1 finds it at n = 0
+    for ell in (5, 7, 11):
+        assert verify_mu_s_failure([ell])[0].mu_w_witness_n is None
+        assert verify_mu_s_failure([ell], mu_c=ell - 1)[0].mu_w_witness_n == 0
+    with pytest.raises(ValueError, match="C must be >= 1"):
+        verify_mu_s_failure([5], mu_c=0)
 
 
 def test_verify_mu_s_failure_rejects_two():

@@ -116,3 +116,14 @@ def test_builders_allocate_no_group_sized_int64_array():
     (sp, _), peak = _peak_bytes(lambda: gm.scenario_selfproduct(3, 3))
     assert sp.array.dtype == np.uint8
     assert peak < sp.order * 16 * 8
+
+
+def test_keys_and_reduction_allocate_no_group_sized_int64_array():
+    gl2 = gm.gl2_group(ResidueRing(3, 3))
+    int64_bytes = gl2.order * 4 * 8  # 9.6 MiB
+    keys, peak = _peak_bytes(lambda: gm._pack(gl2.array, 27))
+    assert keys.dtype == np.int64 and len(keys) == gl2.order
+    assert peak < int64_bytes
+    G2, peak = _peak_bytes(lambda: gl2.reduce_level(2))
+    assert G2.order == 3888
+    assert peak < int64_bytes
