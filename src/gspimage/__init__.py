@@ -38,6 +38,7 @@ from .galois_model import (
     close,
     filtered_subgroup,
     gl2_group,
+    orbit_degree_report,
     scenario_cm,
     scenario_selfproduct,
     stabilizer,

@@ -89,10 +89,8 @@ def build_parser() -> _Parser:
     _add_flags(sub.add_parser("verify-mumford"), "cap")
     for name in ("stabilizer", "degrees", "scenario", "sweep"):
         p = sub.add_parser(name)
-        optional = name in ("stabilizer", "degrees")  # a scenario file may name it
-        p.add_argument(
-            "name", nargs="?" if optional else None, choices=("cm", "selfproduct", "mumford")
-        )
+        # optional: a scenario file may name the scenario
+        p.add_argument("name", nargs="?", choices=("cm", "selfproduct", "mumford"))
         _add_flags(p, "g", "scenario-file", "cap")
     return parser
 
@@ -121,25 +119,24 @@ def _load_scenario_file(path: str) -> dict:
         return gm.parse_scenario_text(fh.read())
 
 
-def _build_custom(data: dict, cap: int):
-    for key in ("ell", "g", "generators", "H"):
+def _custom_scenario(ell: int, data: dict, config: RunConfig):
+    """A custom scenario's space, generators and subgroup H; ``--H`` replaces H."""
+    for key in ("g", "generators", "H"):
         if key not in data:
             raise UsageError(f"custom scenario needs {key!r}")
-    ring = ResidueRing(data["ell"], data.get("level", 1))
+    ring = ResidueRing(ell, data.get("level", 1))
     space = standard_form(data["g"], ring)
     gens = [MatrixMod(ring, rows) for rows in data["generators"]]
-    G = gm.close(space, gens, cap)
-    H = subgroup_from_generators(
-        [tuple(r) for r in data["H"]], ring, ambient_dim=2 * data["g"]
-    )
-    return G, H
+    rows = parse_generator_rows(config.h_rows) if config.h_rows else [tuple(r) for r in data["H"]]
+    return space, gens, subgroup_from_generators(rows, ring, ambient_dim=space.dim)
 
 
 def _scenario_instance(name: str, ell: int, data: dict, config: RunConfig):
     """The scenario's group G and subgroup H; ``--H`` replaces H."""
     if name == "custom":
-        G, H = _build_custom(dict(data, ell=ell), config.cap)
-    elif name == "cm":
+        space, gens, H = _custom_scenario(ell, data, config)
+        return gm.close(space, gens, config.cap), H
+    if name == "cm":
         G, H = gm.scenario_cm(data["g"], ell, data["level"], config.cap)
     elif name == "selfproduct":
         G, H = gm.scenario_selfproduct(ell, data["level"], config.cap)
@@ -199,6 +196,9 @@ def _degree_reports(name: str, ells, config: RunConfig, data: dict) -> list[gm.D
     for ell in ells:
         if name == "mumford":
             reports.extend(mf.verify_mu_s_failure([ell], cap=config.cap))
+        elif name == "custom":  # from the generators; G is never closed
+            space, gens, H = _custom_scenario(ell, data, config)
+            reports.append(gm.orbit_degree_report(space, gens, H, config.cap))
         else:
             G, H = _scenario_instance(name, ell, data, config)
             reports.append(gm.build_degree_report(G, H))

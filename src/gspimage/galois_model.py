@@ -9,7 +9,10 @@ Degrees are modeled exactly: [K(H):K] is the index of the pointwise
 stabilizer, the cyclotomic degree at level m is the size of the multiplier
 image mod l^m, and the degree of the cyclotomic intersection is
 |lambda(G)| / |lambda(T)| for T the stabilizer.  ``degree_report`` computes
-all of them from |G|, |T|, lambda(G), lambda(T) and m1.
+all of them from |G|, |T|, generators of lambda(G) and lambda(T), and m1.
+``build_degree_report`` takes them from a materialized group;
+``orbit_degree_report`` takes them from the orbit of H's basis and its
+Schreier multipliers, without closing G.
 """
 
 from __future__ import annotations
@@ -88,8 +91,7 @@ def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
     words of as many entries as stay below 2^63.  A row that fits one word gets
     an int64 key; a row of ``w`` words gets one ``np.void`` scalar of ``8*w``
     bytes.  Void keys sort bytewise: a consistent total order, not the numeric
-    one, which is all that ``np.unique``, ``np.searchsorted`` and ``np.isin``
-    need.
+    one, which is all that sorting, ``np.searchsorted`` and ``np.isin`` need.
     """
     width = flat.shape[1]
     step = 1
@@ -114,6 +116,15 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     run_start[1:] = ordered[1:] != ordered[:-1]
     starts = np.flatnonzero(run_start)
     return ordered[starts], np.minimum.reduceat(order, starts)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending.  Sorts ``values`` in
+    place, so its memory holds the sort: no argsort and no sorted copy."""
+    values.sort()
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 class MatrixGroup:
@@ -153,7 +164,7 @@ class MatrixGroup:
             for e in elements
         ]
         G = cls(space, generators, flats)
-        if np.unique(_pack(G.array, mod)).size != G.order:
+        if len(_distinct(_pack(G.array, mod))) != G.order:
             raise ValueError("duplicate elements")
         return G
 
@@ -213,7 +224,7 @@ class MatrixGroup:
         dtype, so reducing it mod l^m needs no widening; computed once per
         group."""
         if self._image is None:
-            image = np.unique(self._multiplier_values())
+            image = _distinct(self._multiplier_values())
             image.flags.writeable = False
             self._image = image
         return self._image
@@ -232,44 +243,89 @@ class MatrixGroup:
         return MatrixGroup(space, gens, reduced[np.sort(first)])
 
 
-def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DEFAULT_CAP) -> MatrixGroup:
-    """Breadth-first closure of a generating set under multiplication.
+def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, units=None):
+    """Breadth-first orbit of one k x d matrix under x -> x @ m mod ``mod``.
 
-    The generated semigroup equals the generated group because every element
-    of a finite matrix group has finite order.  Each frontier is multiplied
-    by every generator in one batch; products are taken in (frontier index,
-    generator index) order and kept at their first occurrence, so the element
-    order is that of the one-product-at-a-time search.  Newness is tested once
-    per level against the sorted array of the keys seen so far.  Raises
-    CapExceeded when the element count would pass the cap.
+    ``start`` is the matrix as one flattened row in storage dtype, ``mats``
+    the (n, d, d) action matrices in kernel dtype.  Each frontier is
+    multiplied by every matrix in one batch; products are taken in (frontier
+    index, matrix index) order and kept at their first occurrence, so the
+    point order is that of the one-product-at-a-time search.  Newness is
+    tested once per level against the sorted array of the keys seen so far.
+    Raises CapExceeded, naming ``stage``, when the point count would pass
+    the cap.
+
+    ``units``, when given, is ``(lam, inv)``: one unit mod ``mod`` per
+    matrix and its inverse, as arrays of a dtype in which a product of two
+    units is exact.  Each point x then carries lambda_x, the product of
+    the units along its BFS tree path, and every product y = x @ m_i gives
+    the Schreier scalar lam_i * lambda_x / lambda_y.
+
+    Returns the list of BFS levels (new rows of each depth, in point order)
+    and the distinct Schreier scalars other than 1 (an empty list without
+    ``units``).
     """
-    for g in generators:
-        multiplier(g, space)
-    d, mod = space.dim, space.ring.modulus
-    narrow = _storage_dtype(mod, d)
-    gens = np.array([g.rows for g in generators], dtype=_kernel_dtype(mod, d)).reshape(-1, d, d)
+    noun = "elements" if stage == "closure" else "points"
+    narrow, ngens, k_d = start.dtype, len(mats), start.shape[1]
+    d = mats.shape[-1]
 
     def products(rows):
-        return (rows.reshape(-1, 1, d, d) @ gens % mod).reshape(-1, d * d)
+        return (rows.reshape(-1, 1, k_d // d, d) @ mats % mod).reshape(-1, k_d)
 
-    frontier = np.eye(d, dtype=narrow).reshape(1, d * d)
+    frontier = start
     seen = _pack(frontier, mod)  # sorted, never empty
-    levels = [frontier]
+    levels, scalars = [frontier], []
+    if units is not None:
+        lam, inv = units
+        one = np.ones(1, dtype=lam.dtype)
+        lam_front, inv_front, inv_seen = one, one, one  # inv_seen is aligned with seen
     while len(frontier):
         prods = _batched(products, frontier)
         keys, first = _first_occurrences(_pack(prods, mod))
         pos = np.searchsorted(seen, keys)
         new = seen[np.minimum(pos, len(seen) - 1)] != keys
-        # raise only on finding a new element, as the one-at-a-time search does
+        # raise only on finding a new point, as the one-at-a-time search does
         if new.any() and len(seen) + np.count_nonzero(new) > cap:
             raise CapExceeded(
-                f"closure exceeds cap={cap}: {len(seen)} elements"
+                f"{stage} exceeds cap={cap}: {len(seen)} {noun}"
                 f" through BFS depth {len(levels) - 1}"
             )
         seen = np.insert(seen, pos[new], keys[new])
+        if units is not None:
+            # a new point's path is that of its first occurrence
+            parent, i = np.divmod(first[new], ngens)
+            inv_seen = np.insert(inv_seen, pos[new], inv_front[parent] * inv[i] % mod)
+            step = (lam_front[:, None] * lam % mod).ravel()  # lam_i * lambda_x, product order
+            # packed again rather than kept, so close holds no extra keys
+            s = step * inv_seen[np.searchsorted(seen, _pack(prods, mod))] % mod
+            s = s[s != 1]
+            if len(s):
+                scalars.append(_distinct(s))
+            parent, i = np.divmod(np.sort(first[new]), ngens)  # the next frontier's
+            lam_front = lam_front[parent] * lam[i] % mod
+            inv_front = inv_front[parent] * inv[i] % mod
         frontier = prods[np.sort(first[new])].astype(narrow, copy=False)
         levels.append(frontier)
-    del seen  # freed before the final copy of the elements
+    if scalars:
+        scalars = _distinct(np.concatenate(scalars)).tolist()
+    return levels, scalars
+
+
+def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DEFAULT_CAP) -> MatrixGroup:
+    """Breadth-first closure of a generating set under multiplication: the
+    orbit of the identity under right multiplication by the generators.
+
+    The generated semigroup equals the generated group because every element
+    of a finite matrix group has finite order.  The element order is that of
+    the one-product-at-a-time search (see ``_bfs``).  Raises CapExceeded when
+    the element count would pass the cap.
+    """
+    for g in generators:
+        multiplier(g, space)
+    d, mod = space.dim, space.ring.modulus
+    gens = np.array([g.rows for g in generators], dtype=_kernel_dtype(mod, d)).reshape(-1, d, d)
+    start = np.eye(d, dtype=_storage_dtype(mod, d)).reshape(1, d * d)
+    levels, _ = _bfs(start, gens, mod, cap, "closure")  # the seen keys are freed on return
     return MatrixGroup(space, generators, np.concatenate(levels))
 
 
@@ -553,10 +609,13 @@ def degree_report(
     ring: ResidueRing, m1v: int, order_G: int, order_T: int, lam_G, lam_T, mu_c=Fraction(1)
 ) -> DegreeReport:
     """The degree report of a group G and the pointwise stabilizer T of H,
-    from |G|, |T|, the multiplier images lambda(G) and lambda(T) (collections
-    of residues mod l^level, as Python ints) and m1 = m1(H).
+    from |G|, |T|, generating sets of the multiplier images lambda(G) and
+    lambda(T) (residues mod l^level, as Python ints; a whole image generates
+    itself) and m1 = m1(H).  Only |G|/|T| is used, so the orbit length over 1
+    serves as well.
 
-    The cyclotomic degree at level n is c_n = |lambda(G) mod l^n|, so c_0 = 1.
+    The cyclotomic degree at level n is c_n = |lambda(G) mod l^n|, so c_0 = 1;
+    ``ResidueRing.unit_subgroup_orders`` computes it from the generators.
     The mu_w witness is the smallest n with c_n <= C * I and I <= C * c_n,
     both non-strict, for C = ``mu_c`` and I the intersection degree; C < 1
     raises ValueError.
@@ -575,8 +634,8 @@ def degree_report(
         raise ValueError("C must be >= 1")
     if order_G % order_T != 0:
         raise AssertionError("stabilizer order must divide the group order")
-    cyclo = [len({x % ring.ell**n for x in lam_G}) for n in range(ring.level + 1)]
-    lam_T_size = len(set(lam_T))
+    cyclo = ring.unit_subgroup_orders(lam_G)
+    lam_T_size = ring.unit_subgroup_orders(lam_T)[-1]
     if cyclo[-1] % lam_T_size != 0:
         raise AssertionError("multiplier image of a subgroup must divide")
     inter = cyclo[-1] // lam_T_size
@@ -599,6 +658,43 @@ def build_degree_report(G: MatrixGroup, H: TorsionSubgroup, mu_c=Fraction(1)) ->
     T = stabilizer(G, H)
     lam_G, lam_T = G.multiplier_image().tolist(), T.multiplier_image().tolist()
     return degree_report(G.ring, m1(H, G.space), G.order, T.order, lam_G, lam_T, mu_c)
+
+
+def orbit_degree_report(
+    space: SymplecticSpace,
+    generators: Sequence[MatrixMod],
+    H: TorsionSubgroup,
+    cap: int = DEFAULT_CAP,
+    mu_c=Fraction(1),
+) -> DegreeReport:
+    """The degree report of G = <generators> and H without closing G.
+
+    A breadth-first search runs over the G-orbit of the tuple of H's
+    Smith-basis vectors, each point stored as the r x d matrix B^T so that g
+    acts as x -> x @ g^T.  By orbit-stabilizer the orbit length is [G:T] for
+    T the pointwise stabilizer of H.  lambda(G) is generated by the
+    generators' multipliers, and lambda(T) by the multipliers of Schreier's
+    generators s_y^-1 g s_x of T, where s_x is the BFS-tree word reaching x
+    and y = g x.  lambda lands in an abelian group, so these are the scalars
+    lambda(g) lambda(s_x) / lambda(s_y), and no transversal matrix is built.
+    ``cap`` bounds the orbit length; past it CapExceeded names the orbit.
+    """
+    ring = space.ring
+    if H.ring != ring or H.ambient_dim != space.dim:
+        raise ValueError("subgroup does not live in the group's space")
+    lam = [multiplier(g, space).value for g in generators]  # raises NotSimilitude
+    if H.is_trivial():  # an empty basis: G fixes it, so T = G
+        length, lam_T = 1, lam
+    else:
+        d, mod = space.dim, ring.modulus
+        mats = np.array([g.rows for g in generators], dtype=_kernel_dtype(mod, d))
+        mats = mats.reshape(-1, d, d).transpose(0, 2, 1)
+        start = np.array(H.basis, dtype=_storage_dtype(mod, d)).reshape(1, -1)
+        udt = _kernel_dtype(mod, 1)  # a product of two residues stays exact
+        units = (np.array(lam, dtype=udt), np.array([ring.inverse(x) for x in lam], dtype=udt))
+        levels, lam_T = _bfs(start, mats, mod, cap, "orbit", units)
+        length = sum(len(rows) for rows in levels)
+    return degree_report(ring, m1(H, space), length, 1, lam, lam_T, mu_c)
 
 
 _SCENARIO_NAMES = ("cm", "selfproduct", "mumford", "custom")

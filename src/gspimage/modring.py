@@ -8,6 +8,7 @@ layers rely on this to dedupe matrices by value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -44,6 +45,18 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 def unit_group_order(ell: int, level: int) -> int:
@@ -93,6 +106,45 @@ class ResidueRing:
             return pow(x, -1, self.modulus)
         except ValueError:
             raise NotInvertible(f"{x} is not a unit mod {self.ell}^{self.level}") from None
+
+    def unit_subgroup_orders(self, gens) -> list[int]:
+        """|<gens> mod l^n| for n = 0..level, for units ``gens`` of this ring.
+
+        Let U_1 be the units that are 1 mod l (mod 4 when l = 2).  It is
+        cyclic, and 1 + l^v u (u a unit, v >= 1, v >= 2 when l = 2) has order
+        l^max(0, n - v) mod l^n.  So once n reaches the level of U/U_1 (1, or
+        2 for l = 2), |<gens> mod l^n| = A * l^max(0, n - v): A is the order
+        of the image of <gens> in U/U_1, and v the least valuation of y - 1
+        over elements y generating the part of <gens> in U_1.
+
+        * Odd l: (Z/l^level)^* is cyclic, so the order of <gens> is the lcm
+          of the generators' orders.  x has order a * ord(x^a), a its order
+          mod l; so A is the lcm of the a, and the y are the x^a.
+        * l = 2: A is 2 when some generator s0 is 3 mod 4.  The y are the
+          generators that are 1 mod 4 and s * s0 for the others: Schreier
+          generators of the kernel of <gens> -> (Z/4)^*.
+        """
+        ell, mod = self.ell, self.modulus
+        xs = [x % mod for x in gens]
+        if any(x % ell == 0 for x in xs):
+            raise NotInvertible("unit subgroup generators must be units")
+        if ell == 2:
+            start = 2
+            s0 = next((x for x in xs if x % 4 == 3), None)
+            top = 1 if s0 is None else 2
+            ys = [x if x % 4 == 1 else x * s0 % mod for x in xs]
+        else:
+            start, top, ys = 1, 1, []
+            primes = _prime_factors(ell - 1)
+            for x in xs:
+                a = ell - 1
+                for p in primes:
+                    while a % p == 0 and pow(x, a // p, ell) == 1:
+                        a //= p
+                top = math.lcm(top, a)
+                ys.append(pow(x, a, mod))
+        v = min((self.valuation(y - 1) for y in ys), default=self.level)
+        return [top * ell ** max(0, n - v) if n >= start else 1 for n in range(self.level + 1)]
 
     def units(self) -> Iterator[int]:
         """Units in ascending canonical order."""

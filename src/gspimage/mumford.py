@@ -214,9 +214,19 @@ def image_order(ell: int, cap: Optional[int] = None) -> int:
     return value
 
 
+# bytes one int64 temporary of _all_triple_products may take
+_TRIPLE_BYTES = 1 << 28
+
+
 def _all_triple_products(ell: int) -> tuple[np.ndarray, int]:
+    n = gl2_order(ell)
+    need = n**3 * 64 * 8  # the (n^3, 8, 8) int64 einsum result, and again for its % ell
+    if need > _TRIPLE_BYTES:
+        raise CapExceeded(
+            f"triple products: {n**3} triples need {need} bytes per int64 temporary,"
+            f" budget={_TRIPLE_BYTES}"
+        )
     G = _gl2_array(ell)
-    n = len(G)
     AB = np.einsum("aij,bkl->abikjl", G, G).reshape(n * n, 4, 4) % ell
     ABC = np.einsum("xij,ckl->xcikjl", AB, G).reshape(n * n * n, 8, 8) % ell
     return ABC.astype(np.uint8).reshape(n * n * n, 64), n

@@ -1,8 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gspimage import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -349,3 +356,73 @@ def test_divisibility_invariant_failure_exits_two(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "expectation failed: stabilizer order must divide the group order\n"
+
+
+GL2_125 = (
+    "scenario = custom\nell = 5\nlevel = 3\ng = 1\n"
+    "generators = [[[1,1],[0,1]],[[1,0],[1,1]],[[2,0],[0,1]]]\n"
+    "H = [[1,0]]\n"
+)
+
+
+def test_custom_report_past_the_closure_cap(tmp_path, capsys):
+    # |GL2(Z/125)| = 1.875 * 10^8 is past the default cap; the orbit of e1 is
+    # the 15000 vectors of order 125
+    path = tmp_path / "gl2_125.txt"
+    path.write_text(GL2_125)
+    code, out, _ = run_cli(capsys, "degrees", "--scenario-file", str(path), "--format", "json")
+    assert code == 0
+    (rep,) = json.loads(out)["reports"]
+    assert rep["deg_KH"] == 15000
+    # stabilizer still closes G, which --cap bounds
+    code, out, err = run_cli(capsys, "stabilizer", "--scenario-file", str(path), "--cap", "10000")
+    assert code == 1
+    assert out == ""
+    assert "closure exceeds cap=10000" in err
+
+
+def test_cap_bounds_the_orbit_on_custom_reports(tmp_path, capsys):
+    path = tmp_path / "gl2_125.txt"
+    path.write_text(GL2_125)
+    assert run_cli(capsys, "degrees", "--scenario-file", str(path), "--cap", "15000")[0] == 0
+    code, out, err = run_cli(capsys, "degrees", "--scenario-file", str(path), "--cap", "14999")
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(
+        r"error: orbit exceeds cap=14999: \d+ points through BFS depth \d+\n", err
+    )
+
+
+@pytest.mark.parametrize("command", ["degrees", "scenario", "sweep"])
+def test_H_overrides_custom_subgroup(tmp_path, capsys, command):
+    path = tmp_path / "custom.txt"
+    path.write_text(
+        "scenario = custom\nell = 3\nlevel = 2\ng = 1\n"
+        "generators = [[[1,1],[0,1]],[[1,0],[1,1]],[[2,0],[0,1]]]\n"
+        "H = [[1,0]]\n"
+    )
+    args = [command, "--scenario-file", str(path), "--format", "json"]
+    code, plain, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert [r["deg_KH"] for r in json.loads(plain)["reports"]] == [72]  # order-9 vectors
+    code, out, _ = run_cli(capsys, *args, "--H", "[[3,0],[0,3]]")
+    assert code == 0
+    (rep,) = json.loads(out)["reports"]
+    # GL2(Z/9) acting on the 3-torsion: |GL2(F_3)| = 48
+    assert rep["deg_KH"] == 48
+    assert rep["m1"] == 1
+
+
+def test_sweep_cm_does_not_import_numpy_ma():
+    code = (
+        "import sys\n"
+        "from gspimage import cli\n"
+        "assert cli.main(['sweep', 'cm', '--g', '2', '--ell', '5']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ratio=4" in proc.stdout

@@ -236,3 +236,15 @@ def test_mumford_report_json_keys():
         "image_order",
     ]
     assert d["stabilizer_size"] == 2
+
+
+def test_triple_products_check_their_byte_budget(monkeypatch):
+    # at l = 3 each int64 temporary is 48^3 * 64 * 8 bytes (54 MiB)
+    need = 48**3 * 64 * 8
+    monkeypatch.setattr(mf, "_TRIPLE_BYTES", need - 1)
+    for oracle in (mf.image_order_enumerated, mf.verify_kernel_law):
+        with pytest.raises(mf.CapExceeded, match=f"triple products: 110592 triples need {need}"):
+            oracle(3)
+    monkeypatch.setattr(mf, "_TRIPLE_BYTES", need)
+    assert mf.image_order_enumerated(3) == image_order(3)
+    mf.verify_kernel_law(3)
