@@ -10,9 +10,10 @@ stabilizer, the cyclotomic degree at level m is the size of the multiplier
 image mod l^m, and the degree of the cyclotomic intersection is
 |lambda(G)| / |lambda(T)| for T the stabilizer.  ``degree_report`` computes
 all of them from |G|, |T|, generators of lambda(G) and lambda(T), and m1.
-``build_degree_report`` takes them from a materialized group;
-``orbit_degree_report`` takes them from the orbit of H's basis and its
-Schreier multipliers, without closing G.
+``build_degree_report`` takes them from a materialized group, lambda(G)
+from the multipliers of its recorded generators; ``orbit_degree_report``
+takes them from the orbit of H's basis and its Schreier multipliers,
+without closing G.
 """
 
 from __future__ import annotations
@@ -140,9 +141,16 @@ class MatrixGroup:
     on it; ``tolist()`` gives Python ints.  The constructor takes distinct
     reduced elements, as every builder here produces them;
     ``from_elements`` reduces a listed set and checks it for duplicates.
+
+    ``generators``, when not empty, generates the group in ``array``.  Only
+    the builders record them (``close``, ``gl2_group``, ``scenario_cm``,
+    ``scenario_selfproduct``, and ``reduce_level`` from its source's), each
+    for the group it builds; subgroups cut out by a mask and
+    ``from_elements`` record none.  ``build_degree_report`` relies on this:
+    it reads lambda(G) from the generators' multipliers.
     """
 
-    __slots__ = ("space", "generators", "array", "_image")
+    __slots__ = ("space", "generators", "array")
 
     def __init__(self, space: SymplecticSpace, generators, elements):
         self.space = space
@@ -154,16 +162,15 @@ class MatrixGroup:
         arr = np.asarray(elements, dtype=dtype).reshape(-1, d * d).view()
         arr.flags.writeable = False
         self.array = arr
-        self._image = None
 
     @classmethod
-    def from_elements(cls, space, elements, generators=()) -> "MatrixGroup":
+    def from_elements(cls, space, elements) -> "MatrixGroup":
         mod = space.ring.modulus
         flats = [
             tuple(int(x) % mod for x in (e.flat() if isinstance(e, MatrixMod) else e))
             for e in elements
         ]
-        G = cls(space, generators, flats)
+        G = cls(space, (), flats)
         if len(_distinct(_pack(G.array, mod))) != G.order:
             raise ValueError("duplicate elements")
         return G
@@ -221,13 +228,11 @@ class MatrixGroup:
     def multiplier_image(self) -> np.ndarray:
         """The distinct multipliers, ascending, as a read-only array in the
         kernel dtype (int64, or object past the guard), not the storage
-        dtype, so reducing it mod l^m needs no widening; computed once per
-        group."""
-        if self._image is None:
-            image = _distinct(self._multiplier_values())
-            image.flags.writeable = False
-            self._image = image
-        return self._image
+        dtype, so reducing it mod l^m needs no widening.  Scans every
+        element on each call."""
+        image = _distinct(self._multiplier_values())
+        image.flags.writeable = False
+        return image
 
     def reduce_level(self, level: int) -> "MatrixGroup":
         """Image under reduction mod l^level, first occurrences in element order."""
@@ -465,6 +470,9 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
 
     G is the group of all diagonal similitudes diag(d_1..d_2g) of the
     standard form, i.e. d_i d_{2g+1-i} all equal; its order is phi(l^n)^(g+1).
+    With r a primitive root mod l^n, G is generated by the g + 1 matrices
+    with r at i and 1/r at 2g+1-i (multiplier 1), for i = 1..g, and
+    diag(1, ..., 1, r, ..., r) (multiplier r).
     """
     if ell == 2:
         raise ValueError("ell must be odd")
@@ -489,7 +497,14 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         flats[:, j * (n2 + 1)] = unit_row[idx[1 + j]]
     for j in range(g, n2):
         flats[:, j * (n2 + 1)] = ratio[idx[0], idx[n2 - j]]
-    G = MatrixGroup(space, (), flats)
+    r = _primitive_root(ring)
+    gens = []
+    for j in range(g):
+        d = [1] * n2
+        d[j], d[n2 - 1 - j] = r, ring.inverse(r)
+        gens.append(MatrixMod.diagonal(ring, d))
+    gens.append(MatrixMod.diagonal(ring, [1] * g + [r] * g))
+    G = MatrixGroup(space, gens, flats)
     H = subgroup_from_generators([(1,) * n2], ring)
     return G, H
 
@@ -498,8 +513,7 @@ def gl2_standard_generators(ring: ResidueRing) -> list[MatrixMod]:
     """Elementary transvections plus diag(r,1) for a primitive root r (odd l)."""
     if ring.ell == 2:
         raise ValueError("primitive-root generator needs odd ell")
-    target = ring.unit_count
-    r = next(u for u in ring.units() if _mult_order(u, ring) == target)
+    r = _primitive_root(ring)
     return [
         MatrixMod(ring, [[1, 1], [0, 1]]),
         MatrixMod(ring, [[1, 0], [1, 1]]),
@@ -507,12 +521,9 @@ def gl2_standard_generators(ring: ResidueRing) -> list[MatrixMod]:
     ]
 
 
-def _mult_order(u: int, ring: ResidueRing) -> int:
-    k, x = 1, u
-    while x != 1:
-        x = x * u % ring.modulus
-        k += 1
-    return k
+def _primitive_root(ring: ResidueRing) -> int:
+    """The least generator of the cyclic unit group mod l^n, for odd l."""
+    return next(u for u in ring.units() if ring.unit_subgroup_orders([u])[-1] == ring.unit_count)
 
 
 def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
@@ -541,7 +552,8 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
 
 def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     """Self-product image {diag-block(g, g)} inside GSp4 with form psi + psi,
-    and H generated by (P, Q) = (1,0,0,1), whose pairing value is primitive."""
+    and H generated by (P, Q) = (1,0,0,1), whose pairing value is primitive.
+    G is generated by diag-block(x, x) for x in ``gl2_standard_generators``."""
     if ell == 2:
         raise ValueError("ell must be odd")
     ring = ResidueRing(ell, level)
@@ -558,7 +570,11 @@ def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     flats = np.zeros((gl2.order, 16), dtype=_storage_dtype(m, 4))
     flats[:, [0, 1, 4, 5]] = gl2.array
     flats[:, [10, 11, 14, 15]] = gl2.array
-    G = MatrixGroup(space, (), flats)
+    gens = [
+        MatrixMod(ring, [[*row, 0, 0] for row in x.rows] + [[0, 0, *row] for row in x.rows])
+        for x in gl2.generators
+    ]
+    G = MatrixGroup(space, gens, flats)
     H = subgroup_from_generators([(1, 0, 0, 1)], ring)
     return G, H
 
@@ -653,10 +669,23 @@ def degree_report(
     )
 
 
+def _multiplier_generators(X: MatrixGroup) -> list[int]:
+    """A generating set of lambda(X): lambda is a homomorphism, so the
+    multipliers of ``X.generators`` when X records any, else those of all
+    its elements."""
+    if X.generators:
+        return [multiplier(g, X.space).value for g in X.generators]
+    return X.multiplier_image().tolist()
+
+
 def build_degree_report(G: MatrixGroup, H: TorsionSubgroup, mu_c=Fraction(1)) -> DegreeReport:
-    """Run the full degree battery for one scenario instance."""
+    """Run the full degree battery for one scenario instance.
+
+    lambda(G) and lambda(T) come from ``_multiplier_generators``.  T, the
+    pointwise stabilizer of H, records no generators unless H is trivial
+    (then T is G), so T is scanned; G is scanned only when it records none."""
     T = stabilizer(G, H)
-    lam_G, lam_T = G.multiplier_image().tolist(), T.multiplier_image().tolist()
+    lam_G, lam_T = _multiplier_generators(G), _multiplier_generators(T)
     return degree_report(G.ring, m1(H, G.space), G.order, T.order, lam_G, lam_T, mu_c)
 
 

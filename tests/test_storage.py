@@ -127,3 +127,13 @@ def test_keys_and_reduction_allocate_no_group_sized_int64_array():
     G2, peak = _peak_bytes(lambda: gl2.reduce_level(2))
     assert G2.order == 3888
     assert peak < int64_bytes
+
+
+def test_report_on_cm_torus_scans_no_group_sized_array():
+    # lambda(G) comes from the g + 1 recorded generators; only the
+    # stabilizer mask is group-sized (10^6 bools); a scan of every
+    # element's multiplier peaked at 15.3 MiB
+    G, H = gm.scenario_cm(2, 5, 3)
+    rep, peak = _peak_bytes(lambda: gm.build_degree_report(G, H))
+    assert rep.deg_KH == G.order
+    assert peak < 4 * 2**20
