@@ -119,6 +119,24 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], np.minimum.reduceat(order, starts)
 
 
+# entries of a key-indexed seen table: 16 MiB of int32 point indices
+_DENSE_KEYS = 1 << 22
+
+
+def _first_unseen(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence in ``keys`` of each key
+    whose ``table`` entry is -1 (unseen).  Each such entry is left holding
+    its key's index; the caller may overwrite it."""
+    cand = np.flatnonzero(table[keys] < 0)
+    cand_keys = keys[cand]
+    table[cand_keys] = np.iinfo(table.dtype).max
+    # a repeated index in a fancy assignment keeps an unspecified value;
+    # minimum.at keeps the least, and takes its fast path only when the
+    # values are of the table's dtype
+    np.minimum.at(table, cand_keys, cand.astype(table.dtype))
+    return cand[table[cand_keys] == cand]
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct entries of ``values``, ascending.  Sorts ``values`` in
     place, so its memory holds the sort: no argsort and no sorted copy."""
@@ -241,11 +259,67 @@ class MatrixGroup:
         p = self.ring.ell ** level
         narrow = _storage_dtype(p, self.dim)
         reduced = _batched(lambda M: (M % p).astype(narrow, copy=False), self.array)
-        _, first = _first_occurrences(_pack(reduced, p))
+        keep = np.zeros(len(reduced), dtype=bool)
+        size = p ** (self.dim * self.dim)
+        if size <= _DENSE_KEYS:  # one block of keys at a time against a key-indexed table
+            table = np.full(size, -1, dtype=np.int32)
+            for i in range(0, len(reduced), _BATCH):
+                keep[i + _first_unseen(table, _pack(reduced[i : i + _BATCH], p))] = True
+        else:
+            keep[_first_occurrences(_pack(reduced, p))[1]] = True
         ring = self.ring.at_level(level)
         space = SymplecticSpace(self.space.g, self.space.form.reduce_level(level), ring)
         gens = tuple(g.reduce_level(level) for g in self.generators)
-        return MatrixGroup(space, gens, reduced[np.sort(first)])
+        return MatrixGroup(space, gens, reduced[keep])
+
+
+class _SeenTable:
+    """A BFS seen set over a small key space: an int32 table indexed by the
+    packed key, -1 for an unseen key and the key's point index otherwise."""
+
+    def __init__(self, size: int, start_key: np.ndarray):
+        self.table = np.full(size, -1, dtype=np.int32)
+        self.table[start_key] = 0
+
+    def add(self, keys: np.ndarray, count: int) -> np.ndarray:
+        """Ascending indices of the first occurrence of each unseen key in
+        ``keys``; those keys become points ``count``, ``count + 1``, ... in
+        that order."""
+        first = _first_unseen(self.table, keys)
+        self.table[keys[first]] = np.arange(count, count + len(first))
+        return first
+
+    def points(self, keys: np.ndarray) -> np.ndarray:
+        """The point index of each seen key."""
+        return self.table[keys]
+
+
+class _SeenSorted:
+    """A BFS seen set as the sorted array of the keys seen so far, for key
+    spaces too large for a table, multi-word keys among them.  With
+    ``indexed`` it also keeps the point index of each key, aligned with it."""
+
+    def __init__(self, start_key: np.ndarray, indexed: bool):
+        self.keys = start_key
+        self.index = np.zeros(1, dtype=np.int64) if indexed else None
+
+    def add(self, keys: np.ndarray, count: int) -> np.ndarray:
+        """As ``_SeenTable.add``."""
+        uniq, first = _first_occurrences(keys)
+        pos = np.searchsorted(self.keys, uniq)
+        new = self.keys[np.minimum(pos, len(self.keys) - 1)] != uniq
+        pos, uniq, first = pos[new], uniq[new], first[new]
+        self.keys = np.insert(self.keys, pos, uniq)
+        order = np.argsort(first)
+        if self.index is not None:
+            index = np.empty(len(first), dtype=np.int64)
+            index[order] = np.arange(count, count + len(first))
+            self.index = np.insert(self.index, pos, index)
+        return first[order]
+
+    def points(self, keys: np.ndarray) -> np.ndarray:
+        """As ``_SeenTable.points``; needs ``indexed``."""
+        return self.index[np.searchsorted(self.keys, keys)]
 
 
 def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, units=None):
@@ -254,11 +328,19 @@ def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, un
     ``start`` is the matrix as one flattened row in storage dtype, ``mats``
     the (n, d, d) action matrices in kernel dtype.  Each frontier is
     multiplied by every matrix in one batch; products are taken in (frontier
-    index, matrix index) order and kept at their first occurrence, so the
-    point order is that of the one-product-at-a-time search.  Newness is
-    tested once per level against the sorted array of the keys seen so far.
-    Raises CapExceeded, naming ``stage``, when the point count would pass
-    the cap.
+    index, matrix index) order and each new point is kept at its first
+    occurrence, so the point order is that of the one-product-at-a-time
+    search.  Raises CapExceeded, naming ``stage``, when the point count
+    would pass the cap.
+
+    Newness is tested once per level against a seen set chosen by the size
+    mod^(k*d) of the key space.  Up to ``_DENSE_KEYS`` keys it is a
+    ``_SeenTable``: a level gathers its products' table entries, takes each
+    unseen key's first product with ``np.minimum.at`` and writes the new
+    point indices, with no sort.  Past it, multi-word and object keys
+    included, it is a ``_SeenSorted``: a level sorts its products' keys,
+    searches them in the seen keys and inserts the new ones, a copy of the
+    whole seen array.
 
     ``units``, when given, is ``(lam, inv)``: one unit mod ``mod`` per
     matrix and its inverse, as arrays of a dtype in which a product of two
@@ -277,39 +359,40 @@ def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, un
     def products(rows):
         return (rows.reshape(-1, 1, k_d // d, d) @ mats % mod).reshape(-1, k_d)
 
-    frontier = start
-    seen = _pack(frontier, mod)  # sorted, never empty
+    size = mod**k_d
+    if size <= _DENSE_KEYS:  # checked before the table is allocated
+        seen = _SeenTable(size, _pack(start, mod))
+    else:
+        seen = _SeenSorted(_pack(start, mod), indexed=units is not None)
+    frontier, count = start, 1
     levels, scalars = [frontier], []
     if units is not None:
         lam, inv = units
         one = np.ones(1, dtype=lam.dtype)
-        lam_front, inv_front, inv_seen = one, one, one  # inv_seen is aligned with seen
+        lam_front, inv_points = one, one  # inv_points: lambda_x^-1 by point index
     while len(frontier):
         prods = _batched(products, frontier)
-        keys, first = _first_occurrences(_pack(prods, mod))
-        pos = np.searchsorted(seen, keys)
-        new = seen[np.minimum(pos, len(seen) - 1)] != keys
+        keys = _pack(prods, mod)
+        first = seen.add(keys, count)
         # raise only on finding a new point, as the one-at-a-time search does
-        if new.any() and len(seen) + np.count_nonzero(new) > cap:
+        if len(first) and count + len(first) > cap:
             raise CapExceeded(
-                f"{stage} exceeds cap={cap}: {len(seen)} {noun}"
+                f"{stage} exceeds cap={cap}: {count} {noun}"
                 f" through BFS depth {len(levels) - 1}"
             )
-        seen = np.insert(seen, pos[new], keys[new])
         if units is not None:
             # a new point's path is that of its first occurrence
-            parent, i = np.divmod(first[new], ngens)
-            inv_seen = np.insert(inv_seen, pos[new], inv_front[parent] * inv[i] % mod)
+            parent, i = np.divmod(first, ngens)
+            inv_front = inv_points[count - len(frontier) : count]
+            inv_points = np.concatenate([inv_points, inv_front[parent] * inv[i] % mod])
             step = (lam_front[:, None] * lam % mod).ravel()  # lam_i * lambda_x, product order
-            # packed again rather than kept, so close holds no extra keys
-            s = step * inv_seen[np.searchsorted(seen, _pack(prods, mod))] % mod
+            s = step * inv_points[seen.points(keys)] % mod
             s = s[s != 1]
             if len(s):
                 scalars.append(_distinct(s))
-            parent, i = np.divmod(np.sort(first[new]), ngens)  # the next frontier's
             lam_front = lam_front[parent] * lam[i] % mod
-            inv_front = inv_front[parent] * inv[i] % mod
-        frontier = prods[np.sort(first[new])].astype(narrow, copy=False)
+        count += len(first)
+        frontier = prods[first].astype(narrow, copy=False)
         levels.append(frontier)
     if scalars:
         scalars = _distinct(np.concatenate(scalars)).tolist()

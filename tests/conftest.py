@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gspimage import galois_model as gm
 from gspimage.modring import MatrixMod
 from gspimage.symplectic import diagonal_similitude, symplectic_transvection
 from gspimage.torsion import subgroup_from_generators
@@ -43,6 +44,16 @@ def random_subgroup(ring, dim, rng, max_order=5000):
         H = subgroup_from_generators(gens, ring, ambient_dim=dim)
         if H.order <= max_order:
             return H
+
+
+def seen_set_strategies(monkeypatch):
+    """Run the loop body once per BFS seen set: a budget of 0 keys sends
+    every search through the sorted seen set, one of 3^16 keys sends every
+    single-word case of ``test_closure.CASES`` through the key-indexed
+    table (GSp4(F_3) closures included)."""
+    for budget in (0, 3**16):
+        monkeypatch.setattr(gm, "_DENSE_KEYS", budget)
+        yield budget
 
 
 @pytest.fixture

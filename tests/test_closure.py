@@ -16,6 +16,8 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import multiplier, standard_form, symplectic_transvection
 from gspimage.torsion import subgroup_from_generators
 
+from conftest import seen_set_strategies
+
 
 def _mul_flat(x: tuple, y: tuple, n: int, m: int) -> tuple:
     out = []
@@ -110,30 +112,52 @@ def test_close_matches_reference_order(case, chunk, monkeypatch):
     if chunk is not None:  # frontiers then span several batches
         monkeypatch.setattr(gm, "_BATCH", chunk)
     S, gens = build()
-    G = close(S, gens)
-    assert G.array.dtype == arr_dtype
-    assert gm._pack(G.array, S.ring.modulus).dtype.type is key_type
-    assert G.order == order
-    assert [tuple(row) for row in G.array.tolist()] == reference_close(S, gens)
+    expected = reference_close(S, gens)
+    for _ in seen_set_strategies(monkeypatch):
+        G = close(S, gens)
+        assert G.array.dtype == arr_dtype
+        assert gm._pack(G.array, S.ring.modulus).dtype.type is key_type
+        assert G.order == order
+        assert [tuple(row) for row in G.array.tolist()] == expected
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_close_cap_fires_at_reference_count(case):
+def test_close_cap_fires_at_reference_count(case, monkeypatch):
     build, _, _, order = CASES[case]
     S, gens = build()
-    assert close(S, gens, cap=order).order == order
-    with pytest.raises(CapExceeded) as info:
-        close(S, gens, cap=order - 1)
     with pytest.raises(CapExceeded):
         reference_close(S, gens, cap=order - 1)
-    found = re.fullmatch(
-        rf"closure exceeds cap={order - 1}: (\d+) elements through BFS depth (\d+)",
-        str(info.value),
-    )
-    assert found
-    elements, depth = int(found[1]), int(found[2])
-    assert 1 <= elements <= order - 1
-    assert depth < elements  # each completed level added at least one element
+    messages = set()
+    for _ in seen_set_strategies(monkeypatch):
+        assert close(S, gens, cap=order).order == order
+        with pytest.raises(CapExceeded) as info:
+            close(S, gens, cap=order - 1)
+        found = re.fullmatch(
+            rf"closure exceeds cap={order - 1}: (\d+) elements through BFS depth (\d+)",
+            str(info.value),
+        )
+        assert found
+        elements, depth = int(found[1]), int(found[2])
+        assert 1 <= elements <= order - 1
+        assert depth < elements  # each completed level added at least one element
+        messages.add(str(info.value))
+    assert len(messages) == 1  # both seen sets stop at the same point
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_first_occurrences_match_sorted(data):
+    size = data.draw(st.integers(1, 1 << 16))
+    pool = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=12))
+    keys = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=200)), dtype=np.int64)
+    seen = sorted(data.draw(st.sets(st.sampled_from(pool))))  # keys already points
+    table = np.full(size, -1, dtype=np.int32)
+    table[seen] = np.arange(len(seen))
+    distinct, first = gm._first_occurrences(keys)
+    expected = np.sort(first[~np.isin(distinct, seen)])
+    found = gm._first_unseen(table, keys)
+    assert found.tolist() == expected.tolist()
+    assert table[seen].tolist() == list(range(len(seen)))  # seen entries untouched
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

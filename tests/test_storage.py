@@ -20,6 +20,8 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
+from test_closure import _gsp4_f3_subgroup
+
 # (ell, level) -> storage dtype of a group of 2x2 matrices
 BOUNDARIES = [
     (251, 1, np.uint8),
@@ -126,7 +128,23 @@ def test_keys_and_reduction_allocate_no_group_sized_int64_array():
     assert peak < int64_bytes
     G2, peak = _peak_bytes(lambda: gl2.reduce_level(2))
     assert G2.order == 3888
-    assert peak < int64_bytes
+    assert peak < 0.75 * int64_bytes
+
+
+def test_closure_allocates_a_seen_table_only_inside_its_budget(monkeypatch):
+    ring = ResidueRing(3, 3)
+    G, peak = _peak_bytes(lambda: close(standard_form(1, ring), gm.gl2_standard_generators(ring)))
+    assert G.order == gm.gl2_order(3, 3)
+    assert peak < 16 * 2**20  # the 27^4-entry table (2 MiB) included
+    S, gens = _gsp4_f3_subgroup()
+    table_bytes = 3**16 * 4  # keys of 16 entries mod 3: past the default budget
+    G, peak = _peak_bytes(lambda: close(S, gens))
+    assert G.order == 1152
+    assert peak < table_bytes
+    monkeypatch.setattr(gm, "_DENSE_KEYS", 3**16)
+    G, peak = _peak_bytes(lambda: close(S, gens))
+    assert G.order == 1152
+    assert peak >= table_bytes
 
 
 def test_report_on_cm_torus_scans_no_group_sized_array():
