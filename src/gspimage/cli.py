@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import galois_model as gm
 from . import mumford as mf
 from .modring import MatrixMod, ResidueRing, is_prime
 from .symplectic import m1, standard_form
-from .torsion import parse_generator_rows, subgroup_from_generators
+from .torsion import TorsionSubgroup, parse_generator_rows, subgroup_from_generators
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,43 +32,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    ell_list: tuple[int, ...] = ()
-    level: Optional[int] = None  # None: the scenario file's level, else 1
-    g: Optional[int] = None  # None: the scenario's own g (1 where it has none)
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    format: str = "table"
-    cap: int = gm.DEFAULT_CAP
-    scenario: Optional[str] = None
-    h_rows: Optional[str] = None
-
-    def __post_init__(self):
-        if self.cap < 1:
-            raise UsageError("--cap must be >= 1")
-        if self.format not in ("table", "json"):
-            raise UsageError("--format must be table or json")
-        for ell in self.ell_list:
-            if not is_prime(ell):
-                raise UsageError(f"--ell entries must be prime, got {ell}")
-
-
-def _parse_ells(text: Optional[str]) -> tuple[int, ...]:
-    # report order is deterministic by (scenario, ell): sorted, deduped
-    if not text:
-        return ()
+def _ells(text: str) -> tuple[int, ...]:
+    """``--ell``: comma-separated primes, sorted and deduplicated so that
+    reports come in a deterministic (scenario, ell) order."""
     try:
-        return tuple(sorted({int(t) for t in text.split(",") if t.strip()}))
+        ells = tuple(sorted({int(t) for t in text.split(",") if t.strip()}))
     except ValueError:
-        raise UsageError(f"bad --ell list: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad list: {text!r}") from None
+    for ell in ells:
+        if not is_prime(ell):
+            raise argparse.ArgumentTypeError(f"entries must be prime, got {ell}")
+    return ells
+
+
+def _cap(text: str) -> int:
+    """``--cap``: an integer >= 1."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return cap
 
 
 def _add_flags(p: argparse.ArgumentParser, *extra: str) -> None:
     """The flags every command reads, plus the named ``extra`` ones; argparse
     rejects any other flag."""
-    p.add_argument("--ell", help="comma-separated primes")
+    p.add_argument("--ell", type=_ells, default=(), help="comma-separated primes")
     p.add_argument("--level", type=int)
     if "g" in extra:
         p.add_argument("--g", type=int)
@@ -79,14 +69,17 @@ def _add_flags(p: argparse.ArgumentParser, *extra: str) -> None:
     p.add_argument("--format", default="table", choices=("table", "json"))
     p.add_argument("--out", dest="output_path")
     if "cap" in extra:
-        p.add_argument("--cap", type=int, default=gm.DEFAULT_CAP)
+        p.add_argument("--cap", type=_cap, default=gm.DEFAULT_CAP)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gspimage", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     _add_flags(sub.add_parser("m1"), "g")
-    _add_flags(sub.add_parser("verify-mumford"), "cap")
+    p = sub.add_parser("verify-mumford")
+    _add_flags(p, "cap")
+    # the mumford scenario without a scenario file; its g is fixed
+    p.set_defaults(name="mumford", g=None, input_path=None)
     for name in ("stabilizer", "degrees", "scenario", "sweep"):
         p = sub.add_parser(name)
         # optional: a scenario file may name the scenario
@@ -95,20 +88,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        ell_list=_parse_ells(ns.ell),
-        level=ns.level,
-        g=getattr(ns, "g", None),
-        input_path=getattr(ns, "input_path", None),
-        output_path=ns.output_path,
-        format=ns.format,
-        cap=getattr(ns, "cap", gm.DEFAULT_CAP),
-        scenario=getattr(ns, "name", None),
-        h_rows=ns.h_rows,
-    )
+def parse_config(argv: Sequence[str]) -> argparse.Namespace:
+    return build_parser().parse_args(argv)
 
 
 # -- scenario resolution -----------------------------------------------------
@@ -119,90 +100,71 @@ def _load_scenario_file(path: str) -> dict:
         return gm.parse_scenario_text(fh.read())
 
 
-def _custom_scenario(ell: int, data: dict, config: RunConfig):
+def _subgroup_H(ns, ring: ResidueRing, dim: int, rows=None) -> Optional[TorsionSubgroup]:
+    """The subgroup generated by the ``--H`` rows when given, else by
+    ``rows``; None when neither is."""
+    if ns.h_rows is not None:
+        rows = parse_generator_rows(ns.h_rows)
+    return None if rows is None else subgroup_from_generators(rows, ring, ambient_dim=dim)
+
+
+def _custom_scenario(ell: int, data: dict, ns):
     """A custom scenario's space, generators and subgroup H; ``--H`` replaces H."""
     for key in ("g", "generators", "H"):
         if key not in data:
             raise UsageError(f"custom scenario needs {key!r}")
-    ring = ResidueRing(ell, data.get("level", 1))
+    ring = ResidueRing(ell, data["level"])
     space = standard_form(data["g"], ring)
     gens = [MatrixMod(ring, rows) for rows in data["generators"]]
-    rows = parse_generator_rows(config.h_rows) if config.h_rows else [tuple(r) for r in data["H"]]
-    return space, gens, subgroup_from_generators(rows, ring, ambient_dim=space.dim)
+    return space, gens, _subgroup_H(ns, ring, space.dim, data["H"])
 
 
-def _scenario_instance(name: str, ell: int, data: dict, config: RunConfig):
+def _scenario_instance(name: str, ell: int, data: dict, ns):
     """The scenario's group G and subgroup H; ``--H`` replaces H."""
     if name == "custom":
-        space, gens, H = _custom_scenario(ell, data, config)
-        return gm.close(space, gens, config.cap), H
+        space, gens, H = _custom_scenario(ell, data, ns)
+        return gm.close(space, gens, ns.cap), H
     if name == "cm":
-        G, H = gm.scenario_cm(data["g"], ell, data["level"], config.cap)
+        G, H = gm.scenario_cm(data["g"], ell, data["level"], ns.cap)
     elif name == "selfproduct":
-        G, H = gm.scenario_selfproduct(ell, data["level"], config.cap)
+        G, H = gm.scenario_selfproduct(ell, data["level"], ns.cap)
     else:
         raise UsageError(f"scenario {name!r} has no group model")
-    if config.h_rows:
-        rows = parse_generator_rows(config.h_rows)
-        H = subgroup_from_generators(rows, G.ring, ambient_dim=G.dim)
-    return G, H
+    return G, _subgroup_H(ns, G.ring, G.dim) or H
 
 
 # scenarios whose group has one fixed dimension 2g
 _FIXED_G = {"selfproduct": 2, "mumford": 4}
 
 
-def _resolve(config: RunConfig) -> tuple[str, dict]:
-    """Figure out the scenario name and parameters from flags plus file."""
-    data: dict = {}
-    if config.input_path:
-        data = _load_scenario_file(config.input_path)
-    name = config.scenario or data.get("scenario")
+def _resolve(ns) -> tuple[str, tuple[int, ...], dict]:
+    """The scenario name, primes and parameters, from flags plus file."""
+    data = _load_scenario_file(ns.input_path) if ns.input_path else {}
+    name = ns.name or data.get("scenario")
     if name is None:
         raise UsageError("no scenario given (positional name or --scenario-file)")
-    ells = config.ell_list or ((data["ell"],) if "ell" in data else ())
+    ells = ns.ell  # checked when parsed; it overrides the file's ell
+    if not ells and "ell" in data:
+        ells = (data["ell"],)
+        if not is_prime(data["ell"]):
+            raise UsageError(f"ell must be prime, got {data['ell']}")
     if not ells:
         raise UsageError("no --ell given")
-    for ell in ells:
-        if not is_prime(ell):
-            raise UsageError(f"ell must be prime, got {ell}")
-    merged = dict(data)
-    for key, flag in (("level", config.level), ("g", config.g)):
-        if flag is None:
-            continue
-        if merged.setdefault(key, flag) != flag:
+    for key, flag in (("level", ns.level), ("g", ns.g)):
+        if flag is not None and data.setdefault(key, flag) != flag:
             raise UsageError(
-                f"--{key} {flag} conflicts with {key} = {merged[key]} in the scenario file"
+                f"--{key} {flag} conflicts with {key} = {data[key]} in the scenario file"
             )
-    merged.setdefault("level", 1)
+    data.setdefault("level", 1)
     fixed_g = _FIXED_G.get(name)
-    if fixed_g is not None and merged.get("g", fixed_g) != fixed_g:
+    if fixed_g is not None and data.get("g", fixed_g) != fixed_g:
         raise UsageError(f"the {name} scenario lives in GSp_{2 * fixed_g}; g must be {fixed_g}")
-    merged.setdefault("g", fixed_g or 1)
-    if name == "mumford":
-        _check_mumford_flags(config, merged["level"])
-    return name, {"ells": ells, "data": merged}
-
-
-def _check_mumford_flags(config: RunConfig, level: int) -> None:
-    if level != 1:
+    data.setdefault("g", fixed_g or 1)
+    if name == "mumford" and data["level"] != 1:
         raise UsageError("the mumford scenario runs at level 1")
-    if config.h_rows:
+    if name == "mumford" and ns.h_rows is not None:
         raise UsageError("the mumford scenario fixes H to its Lagrangian; --H is not accepted")
-
-
-def _degree_reports(name: str, ells, config: RunConfig, data: dict) -> list[gm.DegreeReport]:
-    reports: list[gm.DegreeReport] = []
-    for ell in ells:
-        if name == "mumford":
-            reports.extend(mf.verify_mu_s_failure([ell], cap=config.cap))
-        elif name == "custom":  # from the generators; G is never closed
-            space, gens, H = _custom_scenario(ell, data, config)
-            reports.append(gm.orbit_degree_report(space, gens, H, config.cap))
-        else:
-            G, H = _scenario_instance(name, ell, data, config)
-            reports.append(gm.build_degree_report(G, H))
-    return reports
+    return name, ells, data
 
 
 # -- output ------------------------------------------------------------------
@@ -212,13 +174,13 @@ def _table_line(d: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in d.items() if k != "stabilizer_elements")
 
 
-def _emit(config: RunConfig, doc: dict, table_lines: list[str]) -> None:
-    if config.format == "json":
+def _emit(ns, doc: dict, table_lines: list[str]) -> None:
+    if ns.format == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
         text = "\n".join(table_lines) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+    if ns.output_path:
+        with open(ns.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -237,16 +199,16 @@ def _summary(reports: Sequence[gm.DegreeReport]) -> dict:
 # -- command handlers ---------------------------------------------------------
 
 
-def _cmd_m1(config: RunConfig) -> tuple[dict, list[str]]:
-    if not config.ell_list:
+def _cmd_m1(ns) -> tuple[dict, list[str]]:
+    if not ns.ell:
         raise UsageError("m1 needs --ell")
-    if not config.h_rows:
+    if ns.h_rows is None:
         raise UsageError("m1 needs --H")
-    rows = parse_generator_rows(config.h_rows)
-    g = 1 if config.g is None else config.g
-    level = 1 if config.level is None else config.level
+    rows = parse_generator_rows(ns.h_rows)
+    g = 1 if ns.g is None else ns.g
+    level = 1 if ns.level is None else ns.level
     reports = []
-    for ell in config.ell_list:
+    for ell in ns.ell:
         ring = ResidueRing(ell, level)
         space = standard_form(g, ring)
         if any(len(r) != 2 * g for r in rows):
@@ -264,49 +226,42 @@ def _cmd_m1(config: RunConfig) -> tuple[dict, list[str]]:
 _MUMFORD_NOTE = "note: stabilizer within the enumerated image"
 
 
-def _report_lines(name: str, reports) -> list[str]:
-    lines = []
-    for r in reports:
-        line = _table_line(r.to_json_dict())
-        if getattr(r, "ramified_type", False):
-            line += " ramified-type"
-        lines.append(line)
+def _cmd_reports(ns) -> tuple[dict, list[str]]:
+    """The degree reports of ``degrees``, ``scenario``, ``verify-mumford``
+    and ``sweep``; ``sweep`` adds a summary."""
+    name, ells, data = _resolve(ns)
+    if name == "mumford":
+        reports = mf.verify_mu_s_failure(ells, cap=ns.cap)
+    elif name == "custom":  # from the generators; G is never closed
+        reports = [gm.orbit_degree_report(*_custom_scenario(ell, data, ns), ns.cap) for ell in ells]
+    else:
+        reports = [gm.build_degree_report(*_scenario_instance(name, ell, data, ns)) for ell in ells]
+    doc = {"reports": [r.to_json_dict() for r in reports]}
+    lines = [
+        _table_line(d) + (" ramified-type" if r.ramified_type else "")
+        for r, d in zip(reports, doc["reports"])
+    ]
     if name == "mumford":
         lines.append(_MUMFORD_NOTE)
-    return lines
-
-
-def _cmd_degrees(config: RunConfig) -> tuple[dict, list[str]]:
-    name, resolved = _resolve(config)
-    reports = _degree_reports(name, resolved["ells"], config, resolved["data"])
-    dicts = [r.to_json_dict() for r in reports]
-    return {"reports": dicts}, _report_lines(name, reports)
-
-
-def _cmd_sweep(config: RunConfig) -> tuple[dict, list[str]]:
-    name, resolved = _resolve(config)
-    reports = _degree_reports(name, resolved["ells"], config, resolved["data"])
-    dicts = [r.to_json_dict() for r in reports]
-    summary = _summary(reports)
-    lines = _report_lines(name, reports)
-    lines.append(
-        "summary: max_ratio={max_ratio} min_ratio={min_ratio} monotone={monotone}".format(
-            **summary
+    if ns.command == "sweep":
+        summary = doc["summary"] = _summary(reports)
+        lines.append(
+            "summary: max_ratio={max_ratio} min_ratio={min_ratio} monotone={monotone}".format(
+                **summary
+            )
         )
-    )
-    return {"reports": dicts, "summary": summary}, lines
+    return doc, lines
 
 
-def _cmd_stabilizer(config: RunConfig) -> tuple[dict, list[str]]:
-    name, resolved = _resolve(config)
-    data = resolved["data"]
+def _cmd_stabilizer(ns) -> tuple[dict, list[str]]:
+    name, ells, data = _resolve(ns)
     out = []
-    for ell in resolved["ells"]:
+    for ell in ells:
         if name == "mumford":
-            stab = mf.pointwise_stabilizer_in_image(ell, cap=config.cap)
+            stab = mf.pointwise_stabilizer_in_image(ell, cap=ns.cap)
             elements = [list(M.flat()) for M in stab]
         else:
-            G, H = _scenario_instance(name, ell, data, config)
+            G, H = _scenario_instance(name, ell, data, ns)
             elements = gm.stabilizer(G, H).array.tolist()
         out.append(
             {
@@ -322,30 +277,18 @@ def _cmd_stabilizer(config: RunConfig) -> tuple[dict, list[str]]:
     return {"reports": out}, lines
 
 
-def _cmd_verify_mumford(config: RunConfig) -> tuple[dict, list[str]]:
-    if not config.ell_list:
-        raise UsageError("verify-mumford needs --ell")
-    _check_mumford_flags(config, 1 if config.level is None else config.level)
-    reports = mf.verify_mu_s_failure(config.ell_list, cap=config.cap)
-    dicts = [r.to_json_dict() for r in reports]
-    return {"reports": dicts}, _report_lines("mumford", reports)
-
-
 _HANDLERS = {
     "m1": _cmd_m1,
-    "degrees": _cmd_degrees,
-    "scenario": _cmd_degrees,
-    "sweep": _cmd_sweep,
     "stabilizer": _cmd_stabilizer,
-    "verify-mumford": _cmd_verify_mumford,
+    **dict.fromkeys(("degrees", "scenario", "sweep", "verify-mumford"), _cmd_reports),
 }
 
 
-def run(config: RunConfig) -> int:
+def run(ns: argparse.Namespace) -> int:
     """Execute one command; returns the process exit status."""
     try:
-        doc, lines = _HANDLERS[config.command](config)
-        _emit(config, doc, lines)
+        doc, lines = _HANDLERS[ns.command](ns)
+        _emit(ns, doc, lines)
         return EXIT_OK
     except (mf.ExpectationFailed, AssertionError) as exc:
         # AssertionError: a divisibility invariant of the degree bookkeeping
@@ -358,11 +301,11 @@ def run(config: RunConfig) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        config = parse_config(list(sys.argv[1:] if argv is None else argv))
+        ns = parse_config(list(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return run(config)
+    return run(ns)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,7 +36,7 @@ from .symplectic import (
     multiplier,
     standard_form,
 )
-from .torsion import TorsionSubgroup, subgroup_from_generators
+from .torsion import TorsionSubgroup, integer_rows, subgroup_from_generators
 
 DEFAULT_CAP = 10_000_000
 
@@ -254,19 +254,18 @@ class MatrixGroup:
 
     def reduce_level(self, level: int) -> "MatrixGroup":
         """Image under reduction mod l^level, first occurrences in element order."""
-        if level > self.ring.level:
-            raise ValueError("can only reduce to a lower level")
+        if not 1 <= level <= self.ring.level:
+            raise ValueError(f"can only reduce to a level in 1..{self.ring.level}, got {level}")
         p = self.ring.ell ** level
         narrow = _storage_dtype(p, self.dim)
         reduced = _batched(lambda M: (M % p).astype(narrow, copy=False), self.array)
         keep = np.zeros(len(reduced), dtype=bool)
-        size = p ** (self.dim * self.dim)
-        if size <= _DENSE_KEYS:  # one block of keys at a time against a key-indexed table
-            table = np.full(size, -1, dtype=np.int32)
-            for i in range(0, len(reduced), _BATCH):
-                keep[i + _first_unseen(table, _pack(reduced[i : i + _BATCH], p))] = True
-        else:
-            keep[_first_occurrences(_pack(reduced, p))[1]] = True
+        keep[:1] = True  # the first element is a first occurrence
+        seen, count = _seen_set(p ** (self.dim * self.dim), _pack(reduced[:1], p)), 1
+        for i in range(0, len(reduced), _BATCH):  # one block of keys at a time
+            first = seen.add(_pack(reduced[i : i + _BATCH], p), count)
+            keep[i + first] = True
+            count += len(first)
         ring = self.ring.at_level(level)
         space = SymplecticSpace(self.space.g, self.space.form.reduce_level(level), ring)
         gens = tuple(g.reduce_level(level) for g in self.generators)
@@ -274,7 +273,7 @@ class MatrixGroup:
 
 
 class _SeenTable:
-    """A BFS seen set over a small key space: an int32 table indexed by the
+    """A seen set over a small key space: an int32 table indexed by the
     packed key, -1 for an unseen key and the key's point index otherwise."""
 
     def __init__(self, size: int, start_key: np.ndarray):
@@ -295,13 +294,13 @@ class _SeenTable:
 
 
 class _SeenSorted:
-    """A BFS seen set as the sorted array of the keys seen so far, for key
-    spaces too large for a table, multi-word keys among them.  With
-    ``indexed`` it also keeps the point index of each key, aligned with it."""
+    """A seen set as the sorted array of the keys seen so far and, aligned
+    with it, the point index of each, for key spaces too large for a table,
+    multi-word keys among them."""
 
-    def __init__(self, start_key: np.ndarray, indexed: bool):
+    def __init__(self, start_key: np.ndarray):
         self.keys = start_key
-        self.index = np.zeros(1, dtype=np.int64) if indexed else None
+        self.index = np.zeros(len(start_key), dtype=np.int64)
 
     def add(self, keys: np.ndarray, count: int) -> np.ndarray:
         """As ``_SeenTable.add``."""
@@ -311,15 +310,23 @@ class _SeenSorted:
         pos, uniq, first = pos[new], uniq[new], first[new]
         self.keys = np.insert(self.keys, pos, uniq)
         order = np.argsort(first)
-        if self.index is not None:
-            index = np.empty(len(first), dtype=np.int64)
-            index[order] = np.arange(count, count + len(first))
-            self.index = np.insert(self.index, pos, index)
+        index = np.empty(len(first), dtype=np.int64)
+        index[order] = np.arange(count, count + len(first))
+        self.index = np.insert(self.index, pos, index)
         return first[order]
 
     def points(self, keys: np.ndarray) -> np.ndarray:
-        """As ``_SeenTable.points``; needs ``indexed``."""
+        """As ``_SeenTable.points``."""
         return self.index[np.searchsorted(self.keys, keys)]
+
+
+def _seen_set(size: int, start_key: np.ndarray):
+    """A seen set over a space of ``size`` keys holding ``start_key`` (one
+    key, or none) as point 0: a ``_SeenTable`` up to ``_DENSE_KEYS`` keys,
+    checked before the table is allocated, a ``_SeenSorted`` past it."""
+    if size <= _DENSE_KEYS:
+        return _SeenTable(size, start_key)
+    return _SeenSorted(start_key)
 
 
 def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, units=None):
@@ -333,11 +340,11 @@ def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, un
     search.  Raises CapExceeded, naming ``stage``, when the point count
     would pass the cap.
 
-    Newness is tested once per level against a seen set chosen by the size
-    mod^(k*d) of the key space.  Up to ``_DENSE_KEYS`` keys it is a
-    ``_SeenTable``: a level gathers its products' table entries, takes each
-    unseen key's first product with ``np.minimum.at`` and writes the new
-    point indices, with no sort.  Past it, multi-word and object keys
+    Newness is tested once per level against the seen set ``_seen_set``
+    picks by the size mod^(k*d) of the key space.  Up to ``_DENSE_KEYS``
+    keys it is a ``_SeenTable``: a level gathers its products' table
+    entries, takes each unseen key's first product with ``np.minimum.at``
+    and writes the new point indices, with no sort.  Past it, multi-word and object keys
     included, it is a ``_SeenSorted``: a level sorts its products' keys,
     searches them in the seen keys and inserts the new ones, a copy of the
     whole seen array.
@@ -359,11 +366,7 @@ def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, un
     def products(rows):
         return (rows.reshape(-1, 1, k_d // d, d) @ mats % mod).reshape(-1, k_d)
 
-    size = mod**k_d
-    if size <= _DENSE_KEYS:  # checked before the table is allocated
-        seen = _SeenTable(size, _pack(start, mod))
-    else:
-        seen = _SeenSorted(_pack(start, mod), indexed=units is not None)
+    seen = _seen_set(mod**k_d, _pack(start, mod))
     frontier, count = start, 1
     levels, scalars = [frontier], []
     if units is not None:
@@ -836,8 +839,13 @@ def parse_scenario_text(text: str) -> dict:
             out[key] = val
         elif key in ("ell", "level", "g"):
             out[key] = int(val)
-        elif key in ("generators", "H"):
-            out[key] = json.loads(val)
+        elif key == "H":
+            out[key] = integer_rows(json.loads(val), "H")
+        elif key == "generators":
+            mats = json.loads(val)
+            if not isinstance(mats, list):
+                raise ValueError("generators must be a list of square integer matrices")
+            out[key] = [integer_rows(m, "each generator", square=True) for m in mats]
         else:
             raise ValueError(f"unknown scenario key {key!r}")
     if "scenario" not in out:

@@ -173,11 +173,22 @@ def full_subgroup(ring: ResidueRing, ambient_dim: int) -> TorsionSubgroup:
     return subgroup_from_generators(gens, ring, ambient_dim=ambient_dim)
 
 
+def integer_rows(data, what: str, *, square: bool = False) -> list[list[int]]:
+    """``data``, as parsed from JSON, checked to be a list of rows of integers
+    (with ``square``, as many rows as each row is long).  Anything else
+    raises ValueError naming ``what``: bool, float and string entries are
+    rejected, not converted."""
+    if not (
+        isinstance(data, list)
+        and all(isinstance(row, list) and all(type(x) is int for x in row) for row in data)
+        and not (square and any(len(row) != len(data) for row in data))
+    ):
+        raise ValueError(f"{what} must be a {'square matrix' if square else 'list'} of integer rows")
+    return data
+
+
 def parse_generator_rows(text: str) -> list[tuple[int, ...]]:
     """Parse the row-per-generator text format `[[c11,..,c1d],..]`."""
     import json
 
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise ValueError("expected a list of generator rows")
-    return [tuple(int(x) for x in row) for row in data]
+    return [tuple(row) for row in integer_rows(json.loads(text), "H")]

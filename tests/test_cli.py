@@ -206,6 +206,22 @@ def test_H_rejected_for_mumford(capsys, argv):
     assert "--H" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degrees", "cm", "--ell", "5", "--g", "2"],
+        ["stabilizer", "cm", "--ell", "5", "--g", "2"],
+        ["degrees", "mumford", "--ell", "3"],
+        ["m1", "--ell", "5"],
+    ],
+)
+def test_empty_H_is_not_ignored(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--H", "")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_stabilizer_reports_scenario_file_level(tmp_path, capsys):
     custom = tmp_path / "custom.txt"
     custom.write_text(
@@ -426,3 +442,113 @@ def test_sweep_cm_does_not_import_numpy_ma():
     )
     assert proc.returncode == 0, proc.stderr
     assert "ratio=4" in proc.stdout
+
+
+def _custom_text(**keys):
+    """A custom GL2(Z/9) scenario file, with ``keys`` replacing its lines."""
+    lines = {
+        "generators": "[[[1,1],[0,1]],[[1,0],[1,1]],[[2,0],[0,1]]]",
+        "H": "[[1,0]]",
+        **keys,
+    }
+    return "scenario = custom\nell = 3\nlevel = 2\ng = 1\n" + "".join(
+        f"{key} = {val}\n" for key, val in lines.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "command, text, flags",
+    [
+        pytest.param("degrees", _custom_text(generators="7"), [], id="generators-not-a-list"),
+        pytest.param("stabilizer", _custom_text(generators="7"), [], id="stabilizer-generators"),
+        pytest.param("degrees", _custom_text(H="[[1.5,0]]"), [], id="H-float"),
+        pytest.param("stabilizer", _custom_text(H="[[1.5,0]]"), [], id="stabilizer-H-float"),
+        pytest.param(
+            "degrees", _custom_text(generators="[[[2.9,1],[0,1]],[[1,0],[1,1]]]"), [],
+            id="generators-float",
+        ),
+        pytest.param("degrees", _custom_text(generators="[[[true,1],[0,1]]]"), [], id="generators-true"),
+        pytest.param("degrees", _custom_text(H="[[true,0]]"), [], id="H-true"),
+        pytest.param("degrees", _custom_text(H='[["1",0]]'), [], id="H-string"),
+        pytest.param("degrees", _custom_text(generators="[[[1,1]]]"), [], id="generator-not-square"),
+        pytest.param("degrees", _custom_text(), ["--H", "[[1.7,0],[0,1]]"], id="flag-H-float"),
+        pytest.param("degrees", None, ["cm", "--ell", "5", "--g", "2", "--H", "[[1.5,0,0,0]]"], id="cm-flag-H-float"),
+        pytest.param("m1", None, ["--ell", "5", "--g", "1", "--H", "[[1.7,0],[0,1]]"], id="m1-H-float"),
+        pytest.param("m1", None, ["--ell", "5", "--g", "1", "--H", '[["1",0]]'], id="m1-H-string"),
+        pytest.param("m1", None, ["--ell", "5", "--g", "1", "--H", "[[true,0]]"], id="m1-H-true"),
+        pytest.param("m1", None, ["--ell", "5", "--g", "1", "--H", "5"], id="m1-H-not-a-list"),
+    ],
+)
+def test_malformed_generators_and_H_exit_one(tmp_path, capsys, command, text, flags):
+    argv = [command, *flags]
+    if text is not None:
+        path = tmp_path / "scenario.txt"
+        path.write_text(text)
+        argv += ["--scenario-file", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "integer" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--ell", "3,x"], "argument --ell: bad list", id="ell-not-int"),
+        pytest.param(
+            ["--ell", "3,6"], "argument --ell: entries must be prime, got 6", id="ell-not-prime"
+        ),
+        pytest.param(["--ell", "5", "--cap", "0"], "argument --cap: must be", id="cap-zero"),
+        pytest.param(["--ell", "5", "--cap", "many"], "argument --cap: must be", id="cap-not-int"),
+    ],
+)
+@pytest.mark.parametrize("command", [["degrees", "cm"], ["verify-mumford"]], ids=lambda c: c[0])
+def test_ell_and_cap_are_checked_when_parsed(capsys, command, flags, message):
+    code, out, err = run_cli(capsys, *command, *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and message in err
+
+
+def test_scenario_file_ell_must_be_prime(tmp_path, capsys):
+    path = tmp_path / "cm.txt"
+    path.write_text("scenario = cm\nell = 4\ng = 2\n")
+    code, out, err = run_cli(capsys, "degrees", "--scenario-file", str(path))
+    assert (code, out, err) == (1, "", "error: ell must be prime, got 4\n")
+    # --ell overrides the file's ell, so the file's is not checked
+    assert run_cli(capsys, "degrees", "--scenario-file", str(path), "--ell", "5")[0] == 0
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_scenario_and_degrees_print_the_same_bytes(tmp_path, capsys, fmt):
+    path = tmp_path / "custom.txt"
+    path.write_text(_custom_text())
+    for args in (["cm", "--ell", "5,13", "--g", "2"], ["--scenario-file", str(path)]):
+        code, degrees, _ = run_cli(capsys, "degrees", *args, "--format", fmt)
+        assert code == 0 and degrees
+        assert run_cli(capsys, "scenario", *args, "--format", fmt) == (0, degrees, "")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_mumford_prints_the_degrees_mumford_reports(capsys, fmt):
+    code, verify, _ = run_cli(capsys, "verify-mumford", "--ell", "3,5", "--format", fmt)
+    assert code == 0
+    assert run_cli(capsys, "degrees", "mumford", "--ell", "3,5", "--format", fmt) == (0, verify, "")
+    if fmt == "table":
+        assert verify.splitlines()[-1] == "note: stabilizer within the enumerated image"
+
+
+@pytest.mark.parametrize("name", ["cm", "selfproduct", "mumford"])
+def test_sweep_is_degrees_plus_one_summary(capsys, name):
+    args = [name, "--ell", "3,5"]
+    _, degrees, _ = run_cli(capsys, "degrees", *args)
+    code, sweep, _ = run_cli(capsys, "sweep", *args)
+    assert code == 0
+    assert sweep.startswith(degrees)
+    (summary,) = sweep[len(degrees) :].splitlines()
+    assert summary.startswith("summary: max_ratio=")
+    _, degrees, _ = run_cli(capsys, "degrees", *args, "--format", "json")
+    _, sweep, _ = run_cli(capsys, "sweep", *args, "--format", "json")
+    doc = json.loads(sweep)
+    assert list(doc) == ["reports", "summary"]
+    assert doc["reports"] == json.loads(degrees)["reports"]

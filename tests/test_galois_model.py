@@ -312,6 +312,18 @@ def test_reduce_level_is_group_quotient():
         assert M.reduce_level(1).flat() in flats
 
 
+@pytest.mark.parametrize("level", [0, -1])
+def test_reduce_level_rejects_levels_below_one_before_any_work(monkeypatch, level):
+    G = gl2_group(ResidueRing(3, 2))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reduce_level reduced the group before checking the level")
+
+    monkeypatch.setattr(gm, "_batched", no_work)
+    with pytest.raises(ValueError, match=f"got {level}"):
+        G.reduce_level(level)
+
+
 def test_index_divisibility_under_reduction(rng):
     # a quotient map sends a subgroup-of-bounded-index to one of dividing index
     ring = ResidueRing(3, 2)

@@ -20,6 +20,7 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
+from conftest import seen_set_strategies
 from test_closure import _gsp4_f3_subgroup
 
 # (ell, level) -> storage dtype of a group of 2x2 matrices
@@ -57,7 +58,7 @@ def test_storage_dtype_and_tolist_at_boundary_moduli(ell, level, dtype):
 
 
 @pytest.mark.parametrize("ell, level, dtype", BOUNDARIES)
-def test_narrow_kernels_match_matrixmod_scans(ell, level, dtype):
+def test_narrow_kernels_match_matrixmod_scans(ell, level, dtype, monkeypatch):
     ring = ResidueRing(ell, level)
     S, G = _signed_permutations(ring)
     m = ring.modulus
@@ -69,9 +70,20 @@ def test_narrow_kernels_match_matrixmod_scans(ell, level, dtype):
     p = ring.ell
     F = filtered_subgroup(G, [H], [1])
     assert list(F) == [M for M in G if all(x % p == y % p for x, y in zip(M.apply(v), v))]
-    R = G.reduce_level(1)
     expected = list(dict.fromkeys(M.reduce_level(1).flat() for M in G))
-    assert [M.flat() for M in R] == expected
+    for _ in seen_set_strategies(monkeypatch):
+        R = G.reduce_level(1)
+        assert [M.flat() for M in R] == expected
+
+
+def test_reduction_keeps_first_occurrences_across_key_blocks(monkeypatch):
+    # 3888 elements reduce to the 48 of GL2(F_3), their first occurrences
+    # spread over many blocks of 7 keys
+    G = gm.gl2_group(ResidueRing(3, 2))
+    expected = list(dict.fromkeys(M.reduce_level(1).flat() for M in G))
+    monkeypatch.setattr(gm, "_BATCH", 7)
+    for _ in seen_set_strategies(monkeypatch):
+        assert [M.flat() for M in G.reduce_level(1)] == expected
 
 
 def test_narrow_kernels_on_gl2_mod_17():
