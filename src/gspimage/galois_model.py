@@ -61,8 +61,11 @@ _BATCH = 1 << 12
 def _batched(kernel, rows: np.ndarray) -> np.ndarray:
     """``kernel`` applied to consecutive blocks of ``rows``, results joined.
 
-    The one place stored rows widen: each block reaches the kernel as int64,
-    or as it is when stored as object dtype (no copy).
+    Each block reaches the kernel widened to int64, or as it is when stored
+    as object dtype (no copy), for kernels that multiply whole rows: matrix
+    products, multipliers and packed keys.  The fixing test and level
+    reduction never widen a block (see ``_fixing_indices`` and
+    ``MatrixGroup.reduce_level``).
     """
     wide = object if rows.dtype == object else np.int64
     parts = [
@@ -77,12 +80,19 @@ def _kernel_dtype(mod: int, dim: int):
     return np.int64 if _np_batch_ok(mod, dim) else object
 
 
+def _unsigned_dtype(bound: int):
+    """The smallest unsigned dtype holding every integer in 0..``bound``,
+    object dtype (Python ints) past uint64."""
+    return next(
+        (t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if bound <= np.iinfo(t).max),
+        object,
+    )
+
+
 def _storage_dtype(mod: int, dim: int):
     """The smallest unsigned dtype holding a residue mod ``mod`` inside the
     kernel guard (``mod < 2^31`` there), object dtype past it."""
-    if not _np_batch_ok(mod, dim):
-        return object
-    return next(t for t in (np.uint8, np.uint16, np.uint32) if mod - 1 <= np.iinfo(t).max)
+    return _unsigned_dtype(mod - 1) if _np_batch_ok(mod, dim) else object
 
 
 def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
@@ -153,12 +163,15 @@ class MatrixGroup:
     read-only (order, d*d) array.  Storage is narrow: inside the kernel
     guard (``_np_batch_ok``) it is the smallest unsigned dtype holding a
     residue mod l^n (uint8 up to 256, uint16 up to 65536, uint32 above),
-    past it object dtype (Python ints).  The kernels compute wide, in int64
-    or object dtype: ``_batched`` widens one block of rows at a time.
-    Unsigned subtraction wraps, so widen ``array`` before doing arithmetic
-    on it; ``tolist()`` gives Python ints.  The constructor takes distinct
-    reduced elements, as every builder here produces them;
-    ``from_elements`` reduces a listed set and checks it for duplicates.
+    past it object dtype (Python ints).  The product kernels compute wide,
+    in int64 or object dtype: ``_batched`` widens one block of rows at a
+    time.  The fixing test sums only the columns it reads, in the narrowest
+    unsigned dtype holding its bound, and ``reduce_level`` takes remainders
+    in the storage dtype.  Unsigned subtraction wraps, so widen ``array``
+    before doing other arithmetic on it; ``tolist()`` gives Python ints.
+    The constructor takes distinct reduced elements, as every builder here
+    produces them; ``from_elements`` reduces a listed set and checks it for
+    duplicates.
 
     ``generators``, when not empty, generates the group in ``array``.  Only
     the builders record them (``close``, ``gl2_group``, ``scenario_cm``,
@@ -257,8 +270,10 @@ class MatrixGroup:
         if not 1 <= level <= self.ring.level:
             raise ValueError(f"can only reduce to a level in 1..{self.ring.level}, got {level}")
         p = self.ring.ell ** level
-        narrow = _storage_dtype(p, self.dim)
-        reduced = _batched(lambda M: (M % p).astype(narrow, copy=False), self.array)
+        # the remainder is taken in the storage dtype, which holds p below
+        # the top level; at the top level the entries are already reduced
+        reduced = self.array if level == self.ring.level else self.array % p
+        reduced = reduced.astype(_storage_dtype(p, self.dim), copy=False)
         keep = np.zeros(len(reduced), dtype=bool)
         keep[:1] = True  # the first element is a first occurrence
         seen, count = _seen_set(p ** (self.dim * self.dim), _pack(reduced[:1], p)), 1
@@ -316,8 +331,12 @@ class _SeenSorted:
         return first[order]
 
     def points(self, keys: np.ndarray) -> np.ndarray:
-        """As ``_SeenTable.points``."""
-        return self.index[np.searchsorted(self.keys, keys)]
+        """As ``_SeenTable.points``.  The keys are looked up in sorted order,
+        which keeps ``searchsorted`` on a forward sweep of the seen keys."""
+        order = np.argsort(keys)
+        points = np.empty(len(keys), dtype=self.index.dtype)
+        points[order] = self.index[np.searchsorted(self.keys, keys[order])]
+        return points
 
 
 def _seen_set(size: int, start_key: np.ndarray):
@@ -433,22 +452,46 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
         raise ValueError("ambient dimension mismatch")
     if H.is_trivial():
         return G
-    return MatrixGroup(G.space, (), G.array[_fixing_mask(G, [(G.ring.modulus, H.basis)])])
+    return MatrixGroup(G.space, (), G.array[_fixing_indices(G, [(G.ring.modulus, H.basis)])])
 
 
-def _fixing_mask(G: MatrixGroup, conditions) -> np.ndarray:
-    """Mask of the elements M of G with M v = v mod p for every vector v of
-    every (p, vectors) pair in ``conditions``."""
-    dtype = _kernel_dtype(G.ring.modulus, G.dim)
-    fixed = [(p, np.array(vectors, dtype=dtype).T % p) for p, vectors in conditions]  # d x r
+def _fixing_indices(G: MatrixGroup, conditions) -> np.ndarray:
+    """Ascending indices of the elements M of G with M v = v mod p for every
+    vector v of every (p, vectors) pair in ``conditions``.
 
-    def kernel(M):
-        mask = np.ones(len(M), dtype=bool)
-        for p, B in fixed:
-            mask &= (M @ B % p == B).all(axis=(1, 2))
-        return mask
-
-    return _batched(kernel, G._matrices())
+    Each vector v, reduced mod p and skipped when it is 0, gives one test per
+    row i: sum_j M[i, j] v_j = v_i mod p over the nonzero v_j.  A test reads
+    only its columns i*d + j of the stored rows and sums them in the
+    narrowest unsigned dtype holding both the bound sum_j v_j (mod - 1) and p
+    (``%`` needs p in the dtype), or in object dtype when the rows are stored
+    so; no block is widened.  The tests of the largest p, the most selective,
+    run first; each block keeps its surviving rows and their indices after
+    each test, and stops once none survives.
+    """
+    d, top, stored = G.dim, G.ring.modulus - 1, G.array.dtype
+    tests = []
+    for p, vectors in sorted(conditions, key=lambda c: -c[0]):
+        for v in vectors:
+            v = [int(x) % p for x in v]
+            terms = [(j, x) for j, x in enumerate(v) if x]
+            if terms:
+                bound = max(sum(x for _, x in terms) * top, p)
+                acc = object if stored == object else _unsigned_dtype(bound)
+                tests += [([(i * d + j, x) for j, x in terms], v[i], p, acc) for i in range(d)]
+    hits = []
+    for start in range(0, G.order, _BATCH):
+        block = G.array[start : start + _BATCH]
+        index = np.arange(start, start + len(block))
+        for terms, target, p, acc in tests:
+            total = np.zeros(len(block), dtype=acc)
+            for col, x in terms:
+                total += block[:, col] if x == 1 else np.multiply(block[:, col], x, dtype=acc)
+            kept = total % p == target
+            block, index = block[kept], index[kept]
+            if not len(index):
+                break
+        hits.append(index)
+    return np.concatenate(hits) if hits else np.arange(0)
 
 
 def gl2_order(ell: int, level: int = 1) -> int:
@@ -545,7 +588,7 @@ def filtered_subgroup(
         for Hf, cut in zip(fixers, cutoffs)
         if not Hf.is_trivial()
     ]
-    return MatrixGroup(Gfull.space, (), Gfull.array[_fixing_mask(Gfull, conditions)])
+    return MatrixGroup(Gfull.space, (), Gfull.array[_fixing_indices(Gfull, conditions)])
 
 
 # -- scenario builders ------------------------------------------------------

@@ -188,7 +188,13 @@ def integer_rows(data, what: str, *, square: bool = False) -> list[list[int]]:
 
 
 def parse_generator_rows(text: str) -> list[tuple[int, ...]]:
-    """Parse the row-per-generator text format `[[c11,..,c1d],..]`."""
+    """Parse the row-per-generator text format `[[c11,..,c1d],..]` of the
+    ``--H`` flag.  Text that is not JSON raises ValueError naming the flag
+    and echoing the text."""
     import json
 
-    return [tuple(row) for row in integer_rows(json.loads(text), "H")]
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--H {text!r} is not JSON integer rows: {exc}") from None
+    return [tuple(row) for row in integer_rows(data, "H")]

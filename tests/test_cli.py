@@ -222,6 +222,17 @@ def test_empty_H_is_not_ignored(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text", ["", "nope"])
+@pytest.mark.parametrize(
+    "argv", [["m1", "--ell", "5"], ["degrees", "cm", "--ell", "5", "--g", "2"]]
+)
+def test_unparsable_H_names_the_flag_and_the_text(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv, "--H", text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: --H {text!r} ")
+
+
 def test_stabilizer_reports_scenario_file_level(tmp_path, capsys):
     custom = tmp_path / "custom.txt"
     custom.write_text(

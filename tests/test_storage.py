@@ -1,18 +1,23 @@
 """The storage contract of ``MatrixGroup.array``: narrow unsigned storage,
-wide kernels.
+kernels that never overflow.
 
 Each group keeps its residues in the smallest unsigned dtype that holds a
 residue mod l^n inside the int64 kernel guard, object dtype past it.  The
-kernels widen one batch at a time, so their results must equal scans over
-``MatrixMod`` elements even where entries near ``mod - 1`` would overflow
-narrow arithmetic.
+product kernels (multipliers, packed keys) widen one batch at a time; the
+fixing test sums the columns it reads in the narrowest unsigned dtype that
+holds its bound and its modulus, and level reduction takes remainders in
+the storage dtype.  Their results must equal scans over ``MatrixMod``
+elements even where entries near ``mod - 1`` would overflow narrow
+arithmetic, or where the modulus itself does not fit the storage dtype.
 """
 
+import functools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gspimage import galois_model as gm
 from gspimage.galois_model import MatrixGroup, close, filtered_subgroup, stabilizer
@@ -74,6 +79,77 @@ def test_narrow_kernels_match_matrixmod_scans(ell, level, dtype, monkeypatch):
     for _ in seen_set_strategies(monkeypatch):
         R = G.reduce_level(1)
         assert [M.flat() for M in R] == expected
+
+
+@pytest.mark.parametrize("vector", ["e1", "e2", "1,m-1"])
+@pytest.mark.parametrize("ell, level, dtype", BOUNDARIES)
+def test_fixing_test_matches_matrixmod_scans_at_boundary_moduli(ell, level, dtype, vector):
+    # for e1 at 2^8 and 2^16 the sum bound fits the storage dtype but the
+    # modulus does not, so the remainder must be taken in a wider dtype
+    ring = ResidueRing(ell, level)
+    S, G = _signed_permutations(ring)
+    m = ring.modulus
+    v = {"e1": (1, 0), "e2": (0, 1), "1,m-1": (1, m - 1)}[vector]
+    H = subgroup_from_generators([v], ring)
+    T = stabilizer(G, H)
+    assert T.array.dtype == dtype
+    assert list(T) == [M for M in G if M.apply(v) == v]
+    for cut in range(1, level + 1):
+        p = ell**cut
+        F = filtered_subgroup(G, [H], [cut])
+        assert list(F) == [M for M in G if all((x - y) % p == 0 for x, y in zip(M.apply(v), v))]
+
+
+@pytest.mark.parametrize("ell, level, dtype", BOUNDARIES)
+def test_reduction_to_the_top_level_keeps_the_group(ell, level, dtype, monkeypatch):
+    # at 2^8 and 2^16 the modulus does not fit the storage dtype, so no
+    # remainder may be taken there: the entries are already reduced
+    _, G = _signed_permutations(ResidueRing(ell, level))
+    for _ in seen_set_strategies(monkeypatch):
+        R = G.reduce_level(level)
+        assert R.array.dtype == dtype
+        assert R.array.tolist() == G.array.tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _fixing_cases():
+    """Groups at level 2, with their elements in order, for the fixing-test
+    property: GL2(Z/9), the GSp4 self-product over Z/9 and the GSp4 cm torus
+    over Z/9."""
+    ring = ResidueRing(3, 2)
+    groups = (gm.gl2_group(ring), gm.scenario_selfproduct(3, 2)[0], gm.scenario_cm(2, 3, 2)[0])
+    return [(G, list(G)) for G in groups]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fixing_chains_match_matrixmod_scans(data):
+    G, elements = data.draw(st.sampled_from(_fixing_cases()))
+    ring, d = G.ring, G.dim
+    ell, mod = ring.ell, ring.modulus
+    entry = st.sampled_from([0, ell, mod - ell, 1, mod - 1]) | st.integers(0, mod - 1)
+    vector = st.lists(entry, min_size=d, max_size=d).map(tuple)
+    gens1 = data.draw(st.lists(vector, min_size=1, max_size=3))
+    # the second fixer lies in the first: combinations of its generators
+    coeffs = data.draw(
+        st.lists(st.lists(entry, min_size=len(gens1), max_size=len(gens1)), min_size=1, max_size=3)
+    )
+    gens2 = [tuple(sum(c * v[k] for c, v in zip(cs, gens1)) % mod for k in range(d)) for cs in coeffs]
+    conditions = [(ell, gens1), (ell**2, gens2)]
+
+    def fixes(M):
+        return all(
+            all((x - y) % p == 0 for x, y in zip(M.apply(v), v)) for p, vs in conditions for v in vs
+        )
+
+    expected = [i for i, M in enumerate(elements) if fixes(M)]
+    assert gm._fixing_indices(G, conditions).tolist() == expected
+    H1 = subgroup_from_generators(gens1, ring, ambient_dim=d)
+    H2 = subgroup_from_generators(gens2, ring, ambient_dim=d)
+    F = filtered_subgroup(G, [H1, H2], [1, 2])
+    assert list(F) == [elements[i] for i in expected]
+    T = stabilizer(G, H1)
+    assert list(T) == [M for M in elements if all(M.apply(v) == v for v in gens1)]
 
 
 def test_reduction_keeps_first_occurrences_across_key_blocks(monkeypatch):
@@ -159,10 +235,21 @@ def test_closure_allocates_a_seen_table_only_inside_its_budget(monkeypatch):
     assert peak >= table_bytes
 
 
+def test_fixing_test_on_cm_torus_allocates_no_block_or_group_sized_temporary():
+    # one block of 4096 rows widened to int64 is 512 KiB, a mask over the
+    # group 10^6 bytes; the test needs neither
+    G, H = gm.scenario_cm(2, 5, 3)
+    assert G.array.dtype == np.uint8
+    hits, peak = _peak_bytes(lambda: gm._fixing_indices(G, [(G.ring.modulus, H.basis)]))
+    assert hits.tolist() == [0]  # the identity alone
+    assert peak < gm._BATCH * 16 * 8 // 2
+    assert peak < G.order // 4
+
+
 def test_report_on_cm_torus_scans_no_group_sized_array():
-    # lambda(G) comes from the g + 1 recorded generators; only the
-    # stabilizer mask is group-sized (10^6 bools); a scan of every
-    # element's multiplier peaked at 15.3 MiB
+    # lambda(G) comes from the g + 1 recorded generators, and the stabilizer
+    # test keeps only the indices of its hits; a scan of every element's
+    # multiplier peaked at 15.3 MiB
     G, H = gm.scenario_cm(2, 5, 3)
     rep, peak = _peak_bytes(lambda: gm.build_degree_report(G, H))
     assert rep.deg_KH == G.order
