@@ -18,6 +18,7 @@ without closing G.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -62,10 +63,11 @@ def _batched(kernel, rows: np.ndarray) -> np.ndarray:
     """``kernel`` applied to consecutive blocks of ``rows``, results joined.
 
     Each block reaches the kernel widened to int64, or as it is when stored
-    as object dtype (no copy), for kernels that multiply whole rows: matrix
-    products, multipliers and packed keys.  The fixing test and level
-    reduction never widen a block (see ``_fixing_indices`` and
-    ``MatrixGroup.reduce_level``).
+    as object dtype (no copy), for kernels that multiply whole rows:
+    multipliers, packed keys and the BFS's matrix products (of the rows new
+    to its row-action table, or of whole frontiers where a key takes
+    several words; see ``_bfs``).  The fixing test and level reduction never
+    widen a block (see ``_fixing_indices`` and ``MatrixGroup.reduce_level``).
     """
     wide = object if rows.dtype == object else np.int64
     parts = [
@@ -119,17 +121,20 @@ def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
     return words.ravel() if nwords == 1 else words.view(f"V{8 * nwords}").ravel()
 
 
-def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, sorted, and the index of each one's first occurrence."""
-    order = np.argsort(keys)  # not stable: reduceat takes each run's minimum index
-    ordered = keys[order]
-    run_start = np.ones(len(keys), dtype=bool)
-    run_start[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(run_start)
-    return ordered[starts], np.minimum.reduceat(order, starts)
+def _unpack(keys: np.ndarray, base: int, width: int, dtype) -> np.ndarray:
+    """The rows of ``width`` digits base ``base``, first digit most
+    significant, that the one-word ``keys`` encode, in ``dtype``: the inverse
+    of ``_pack`` on one-word keys.  The rows are the transpose of a C-ordered
+    (width, len(keys)) array, so ``.T`` gives each digit as a contiguous row."""
+    digits = np.empty((width, len(keys)), dtype=dtype)
+    for c in range(width - 1, 0, -1):
+        keys, digits[c] = np.divmod(keys, base)
+    digits[0] = keys
+    return digits.T
 
 
-# entries of a key-indexed seen table: 16 MiB of int32 point indices
+# entries of a key-indexed int32 table, 16 MiB: a seen table, or a BFS's
+# row-action table
 _DENSE_KEYS = 1 << 22
 
 
@@ -165,7 +170,9 @@ class MatrixGroup:
     residue mod l^n (uint8 up to 256, uint16 up to 65536, uint32 above),
     past it object dtype (Python ints).  The product kernels compute wide,
     in int64 or object dtype: ``_batched`` widens one block of rows at a
-    time.  The fixing test sums only the columns it reads, in the narrowest
+    time.  ``close`` on one-word keys multiplies out each distinct row once
+    and builds ``array`` by unpacking its keys, one BFS level at a time.
+    The fixing test sums only the columns it reads, in the narrowest
     unsigned dtype holding its bound, and ``reduce_level`` takes remainders
     in the storage dtype.  Unsigned subtraction wraps, so widen ``array``
     before doing other arithmetic on it; ``tolist()`` gives Python ints.
@@ -278,7 +285,7 @@ class MatrixGroup:
         keep[:1] = True  # the first element is a first occurrence
         seen, count = _seen_set(p ** (self.dim * self.dim), _pack(reduced[:1], p)), 1
         for i in range(0, len(reduced), _BATCH):  # one block of keys at a time
-            first = seen.add(_pack(reduced[i : i + _BATCH], p), count)
+            first, _ = seen.add(_pack(reduced[i : i + _BATCH], p), count)
             keep[i + first] = True
             count += len(first)
         ring = self.ring.at_level(level)
@@ -295,17 +302,14 @@ class _SeenTable:
         self.table = np.full(size, -1, dtype=np.int32)
         self.table[start_key] = 0
 
-    def add(self, keys: np.ndarray, count: int) -> np.ndarray:
+    def add(self, keys: np.ndarray, count: int, lookup: bool = False):
         """Ascending indices of the first occurrence of each unseen key in
         ``keys``; those keys become points ``count``, ``count + 1``, ... in
-        that order."""
+        that order.  With ``lookup``, also the point index of every key in
+        ``keys`` after the add, else None."""
         first = _first_unseen(self.table, keys)
         self.table[keys[first]] = np.arange(count, count + len(first))
-        return first
-
-    def points(self, keys: np.ndarray) -> np.ndarray:
-        """The point index of each seen key."""
-        return self.table[keys]
+        return first, (self.table[keys] if lookup else None)
 
 
 class _SeenSorted:
@@ -317,26 +321,32 @@ class _SeenSorted:
         self.keys = start_key
         self.index = np.zeros(len(start_key), dtype=np.int64)
 
-    def add(self, keys: np.ndarray, count: int) -> np.ndarray:
-        """As ``_SeenTable.add``."""
-        uniq, first = _first_occurrences(keys)
+    def add(self, keys: np.ndarray, count: int, lookup: bool = False):
+        """As ``_SeenTable.add``.  ``keys`` is sorted once: each distinct key
+        is searched in the seen keys, and the lookup spreads each one's point
+        back over its run in that sort."""
+        order = np.argsort(keys)  # not stable: reduceat takes each run's minimum index
+        ordered = keys[order]
+        run_start = np.ones(len(keys), dtype=bool)
+        run_start[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(run_start)
+        uniq, first = ordered[starts], np.minimum.reduceat(order, starts)
         pos = np.searchsorted(self.keys, uniq)
-        new = self.keys[np.minimum(pos, len(self.keys) - 1)] != uniq
+        at = np.minimum(pos, len(self.keys) - 1)
+        new = self.keys[at] != uniq
+        run_points = self.index[at] if lookup else None  # right for the keys seen before
         pos, uniq, first = pos[new], uniq[new], first[new]
+        by_first = np.argsort(first)
+        added = np.empty(len(first), dtype=np.int64)
+        added[by_first] = np.arange(count, count + len(first))
         self.keys = np.insert(self.keys, pos, uniq)
-        order = np.argsort(first)
-        index = np.empty(len(first), dtype=np.int64)
-        index[order] = np.arange(count, count + len(first))
-        self.index = np.insert(self.index, pos, index)
-        return first[order]
-
-    def points(self, keys: np.ndarray) -> np.ndarray:
-        """As ``_SeenTable.points``.  The keys are looked up in sorted order,
-        which keeps ``searchsorted`` on a forward sweep of the seen keys."""
-        order = np.argsort(keys)
-        points = np.empty(len(keys), dtype=self.index.dtype)
-        points[order] = self.index[np.searchsorted(self.keys, keys[order])]
-        return points
+        self.index = np.insert(self.index, pos, added)
+        points = None
+        if lookup:
+            run_points[new] = added
+            points = np.empty(len(keys), dtype=np.int64)
+            points[order] = run_points[np.cumsum(run_start) - 1]
+        return first[by_first], points
 
 
 def _seen_set(size: int, start_key: np.ndarray):
@@ -346,6 +356,60 @@ def _seen_set(size: int, start_key: np.ndarray):
     if size <= _DENSE_KEYS:
         return _SeenTable(size, start_key)
     return _SeenSorted(start_key)
+
+
+def _products(rows: np.ndarray, mats: np.ndarray, mod: int) -> np.ndarray:
+    """Each row of ``rows``, a flattened k x d matrix, times every matrix of
+    ``mats`` mod ``mod``, flattened, in (row, matrix) order."""
+    k_d, d = rows.shape[1], mats.shape[-1]
+    return (rows.reshape(-1, 1, k_d // d, d) @ mats % mod).reshape(-1, k_d)
+
+
+class _RowAction:
+    """The product step of ``_bfs`` on one-word keys: frontier keys in,
+    product keys out, with no matrix product per point.
+
+    x -> x @ m acts on each row of x on its own, so with D = mod^d the key of
+    x @ m_j is sum_i act[r_i, j] * D^(k-1-i), for r_i the key of row i of x
+    and ``act[r, j]`` the key of row r times m_j.  ``act`` holds -1 until a
+    frontier first reaches row r; each level then computes the products of
+    its new rows only, with the matrix kernel (``_products``).
+    """
+
+    def __init__(self, mats: np.ndarray, mod: int, k: int):
+        d = mats.shape[-1]
+        self.mats, self.mod, self.k, self.base = mats, mod, k, mod**d
+        self.weights = mod ** np.arange(d - 1, -1, -1, dtype=np.int64)  # a row's key: row @ weights
+        self.act = np.full((self.base, len(mats)), -1, dtype=np.int32)
+
+    def __call__(self, frontier: np.ndarray):
+        mats, mod, act, weights = self.mats, self.mod, self.act, self.weights
+        rows = _unpack(frontier, self.base, self.k, np.int64).T  # rows[i]: keys of row i
+        reached = rows.ravel()
+        new = reached[np.take(act[:, 0], reached) < 0]
+        if len(new):
+            new = _distinct(new)
+            entries = _unpack(new, mod, len(weights), np.int64)
+            prods = _batched(lambda block: _products(block, mats, mod) @ weights, entries)
+            act[new] = prods.reshape(len(new), len(mats))
+        # np.take: a gather of whole table rows, faster than fancy indexing
+        keys = np.take(act, rows[0], axis=0).astype(np.int64)
+        for row in rows[1:]:
+            keys *= self.base
+            keys += np.take(act, row, axis=0)
+        keys = keys.ravel()
+        return keys, keys
+
+
+def _row_action(mats: np.ndarray, mod: int, k: int) -> Optional[_RowAction]:
+    """The ``_RowAction`` for points of ``k`` rows, or None where a point's
+    key takes more than one int64 word, where there is no matrix, or where
+    the table's len(mats) * mod^d entries would pass ``_DENSE_KEYS``; all
+    checked before the table is allocated."""
+    d = mats.shape[-1]
+    if not len(mats) or mod ** (k * d) >= 1 << 63 or len(mats) * mod**d > _DENSE_KEYS:
+        return None
+    return _RowAction(mats, mod, k)
 
 
 def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, units=None):
@@ -359,14 +423,22 @@ def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, un
     search.  Raises CapExceeded, naming ``stage``, when the point count
     would pass the cap.
 
+    One product step turns a frontier into its products' packed keys.  When
+    ``_row_action`` applies (one-word keys and a row table inside
+    ``_DENSE_KEYS``), the frontier and the levels are keys, and a product's
+    key is a sum of k gathers from the row-action table.  Otherwise, for
+    multi-word and object keys, they are rows in storage dtype, and the
+    step multiplies them out (``_products``, one widened block at a time)
+    and packs the products.  Both give the same keys in the same order.
+
     Newness is tested once per level against the seen set ``_seen_set``
     picks by the size mod^(k*d) of the key space.  Up to ``_DENSE_KEYS``
     keys it is a ``_SeenTable``: a level gathers its products' table
     entries, takes each unseen key's first product with ``np.minimum.at``
-    and writes the new point indices, with no sort.  Past it, multi-word and object keys
-    included, it is a ``_SeenSorted``: a level sorts its products' keys,
-    searches them in the seen keys and inserts the new ones, a copy of the
-    whole seen array.
+    and writes the new point indices, with no sort.  Past it, multi-word and
+    object keys included, it is a ``_SeenSorted``: a level sorts its
+    products' keys, searches them in the seen keys and inserts the new ones,
+    a copy of the whole seen array.
 
     ``units``, when given, is ``(lam, inv)``: one unit mod ``mod`` per
     matrix and its inverse, as arrays of a dtype in which a product of two
@@ -374,28 +446,31 @@ def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, un
     the units along its BFS tree path, and every product y = x @ m_i gives
     the Schreier scalar lam_i * lambda_x / lambda_y.
 
-    Returns the list of BFS levels (new rows of each depth, in point order)
-    and the distinct Schreier scalars other than 1 (an empty list without
-    ``units``).
+    Returns the list of BFS levels (the new points of each depth, in point
+    order: a 1-d array of one-word keys on the row-action step, rows in
+    storage dtype otherwise) and the distinct Schreier scalars other than 1
+    (an empty list without ``units``).
     """
     noun = "elements" if stage == "closure" else "points"
-    narrow, ngens, k_d = start.dtype, len(mats), start.shape[1]
-    d = mats.shape[-1]
+    ngens, k_d = len(mats), start.shape[1]
+    start_key = _pack(start, mod)
+    step, frontier = _row_action(mats, mod, k_d // mats.shape[-1]), start_key
+    if step is None:  # the frontier is rows
+        frontier = start
 
-    def products(rows):
-        return (rows.reshape(-1, 1, k_d // d, d) @ mats % mod).reshape(-1, k_d)
+        def step(rows):
+            prods = _batched(lambda block: _products(block, mats, mod), rows)
+            return _pack(prods, mod), prods
 
-    seen = _seen_set(mod**k_d, _pack(start, mod))
-    frontier, count = start, 1
+    seen, count = _seen_set(mod**k_d, start_key), 1
     levels, scalars = [frontier], []
     if units is not None:
         lam, inv = units
         one = np.ones(1, dtype=lam.dtype)
         lam_front, inv_points = one, one  # inv_points: lambda_x^-1 by point index
     while len(frontier):
-        prods = _batched(products, frontier)
-        keys = _pack(prods, mod)
-        first = seen.add(keys, count)
+        keys, prods = step(frontier)
+        first, points = seen.add(keys, count, lookup=units is not None)
         # raise only on finding a new point, as the one-at-a-time search does
         if len(first) and count + len(first) > cap:
             raise CapExceeded(
@@ -407,14 +482,14 @@ def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, un
             parent, i = np.divmod(first, ngens)
             inv_front = inv_points[count - len(frontier) : count]
             inv_points = np.concatenate([inv_points, inv_front[parent] * inv[i] % mod])
-            step = (lam_front[:, None] * lam % mod).ravel()  # lam_i * lambda_x, product order
-            s = step * inv_points[seen.points(keys)] % mod
+            step_lam = (lam_front[:, None] * lam % mod).ravel()  # lam_i * lambda_x, product order
+            s = step_lam * inv_points[points] % mod
             s = s[s != 1]
             if len(s):
                 scalars.append(_distinct(s))
             lam_front = lam_front[parent] * lam[i] % mod
         count += len(first)
-        frontier = prods[first].astype(narrow, copy=False)
+        frontier = prods[first].astype(frontier.dtype, copy=False)
         levels.append(frontier)
     if scalars:
         scalars = _distinct(np.concatenate(scalars)).tolist()
@@ -427,8 +502,10 @@ def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DE
 
     The generated semigroup equals the generated group because every element
     of a finite matrix group has finite order.  The element order is that of
-    the one-product-at-a-time search (see ``_bfs``).  Raises CapExceeded when
-    the element count would pass the cap.
+    the one-product-at-a-time search (see ``_bfs``).  On one-word keys the
+    search runs on keys alone, and they are unpacked into storage-dtype rows
+    once, here.  Raises CapExceeded when the element count would pass the
+    cap.
     """
     for g in generators:
         multiplier(g, space)
@@ -436,6 +513,9 @@ def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DE
     gens = np.array([g.rows for g in generators], dtype=_kernel_dtype(mod, d)).reshape(-1, d, d)
     start = np.eye(d, dtype=_storage_dtype(mod, d)).reshape(1, d * d)
     levels, _ = _bfs(start, gens, mod, cap, "closure")  # the seen keys are freed on return
+    if levels[0].ndim == 1:  # one-word keys; each level's are freed once unpacked
+        for i, keys in enumerate(levels):
+            levels[i] = _unpack(keys, mod, d * d, start.dtype)
     return MatrixGroup(space, generators, np.concatenate(levels))
 
 
@@ -858,14 +938,21 @@ def orbit_degree_report(
 _SCENARIO_NAMES = ("cm", "selfproduct", "mumford", "custom")
 
 
+def _scenario_json(key: str, text: str, what: str):
+    """The JSON value of a scenario key; text that is not JSON raises
+    ValueError naming the key."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"scenario key {key!r} is not JSON {what}: {exc}") from None
+
+
 def parse_scenario_text(text: str) -> dict:
     """Parse the key-value scenario format.
 
     Recognized keys: scenario, ell, level, g, generators, H, each at most
     once.  Lines starting with '#' (or trailing comments) are ignored.
     """
-    import json
-
     out: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -883,9 +970,9 @@ def parse_scenario_text(text: str) -> dict:
         elif key in ("ell", "level", "g"):
             out[key] = int(val)
         elif key == "H":
-            out[key] = integer_rows(json.loads(val), "H")
+            out[key] = integer_rows(_scenario_json(key, val, "integer rows"), "H")
         elif key == "generators":
-            mats = json.loads(val)
+            mats = _scenario_json(key, val, "integer matrices")
             if not isinstance(mats, list):
                 raise ValueError("generators must be a list of square integer matrices")
             out[key] = [integer_rows(m, "each generator", square=True) for m in mats]

@@ -20,6 +20,7 @@ from .galois_model import (
     CapExceeded,
     DegreeReport,
     DEFAULT_CAP,
+    _primitive_root,
     degree_report,
     gl2_group,
     gl2_order,
@@ -276,18 +277,6 @@ def verify_kernel_law(ell: int, cap: int = 1_000_000) -> None:
             raise AssertionError("fiber is not a scalar orbit")
 
 
-def multiplier_image(ell: int) -> frozenset[int]:
-    """Multipliers attained on the image: products of three GL2 determinants.
-
-    The torus diag(1, x) already has every unit x as a determinant.
-    """
-    dets = range(1, ell)
-    out = {1}
-    for _ in range(3):
-        out = {x * d % ell for x in out for d in dets}
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class MumfordReport(DegreeReport):
     """DegreeReport plus the stabilizer and image data specific to this model."""
@@ -342,7 +331,10 @@ def verify_mu_s_failure(
         lam_T = {multiplier(M, S).value for M in stab}
         _expect(lam_T == {1, ell - 1}, f"stabilizer multipliers {lam_T} != {{1,-1}}")
         img = image_order(ell)
-        rep = degree_report(ring, m1v, img, len(stab), multiplier_image(ell), lam_T, mu_c)
+        # det maps the torus diag(1, x) onto all units, so lambda(image) is
+        # generated by one primitive root
+        lam_G = [_primitive_root(ring)]
+        rep = degree_report(ring, m1v, img, len(stab), lam_G, lam_T, mu_c)
         inter = rep.deg_cyclo_intersection
         _expect(inter == (ell - 1) // 2, f"intersection degree {inter} != (l-1)/2")
         reports.append(

@@ -265,6 +265,31 @@ def test_duplicate_scenario_key_exit_one(tmp_path, capsys):
     assert "duplicate scenario key 'ell'" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("H", "nope", "scenario key 'H' is not JSON integer rows: Expecting value"),
+        (
+            "generators",
+            "[[[1,1],[0,1]],[[1,0]",
+            "scenario key 'generators' is not JSON integer matrices: Expecting ',' delimiter",
+        ),
+    ],
+    ids=["H", "generators"],
+)
+def test_unparsable_scenario_value_names_the_key(tmp_path, capsys, key, value, message):
+    values = {"generators": "[[[1,1],[0,1]],[[1,0],[1,1]],[[2,0],[0,1]]]", "H": "[[1,0]]", key: value}
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "scenario = custom\nell = 3\nlevel = 1\ng = 1\n"
+        + "".join(f"{k} = {v}\n" for k, v in values.items())
+    )
+    code, out, err = run_cli(capsys, "degrees", "--scenario-file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_scenario_file_custom(tmp_path, capsys):
     path = tmp_path / "scenario.txt"
     path.write_text(

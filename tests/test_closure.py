@@ -1,7 +1,8 @@
 """The frontier-batched closure against the one-product-at-a-time search.
 
 ``reference_close`` is the tuple breadth-first search the array closure
-replaced; it is kept here as the oracle for element order and cap behaviour.
+replaced; it is kept here as the oracle for element order and cap behaviour,
+under every seen set and product step (``conftest.bfs_strategies``).
 """
 
 import re
@@ -16,7 +17,7 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import multiplier, standard_form, symplectic_transvection
 from gspimage.torsion import subgroup_from_generators
 
-from conftest import seen_set_strategies
+from conftest import bfs_strategies, random_similitude, seen_set_strategies
 
 
 def _mul_flat(x: tuple, y: tuple, n: int, m: int) -> tuple:
@@ -113,7 +114,7 @@ def test_close_matches_reference_order(case, chunk, monkeypatch):
         monkeypatch.setattr(gm, "_BATCH", chunk)
     S, gens = build()
     expected = reference_close(S, gens)
-    for _ in seen_set_strategies(monkeypatch):
+    for _ in bfs_strategies(monkeypatch):
         G = close(S, gens)
         assert G.array.dtype == arr_dtype
         assert gm._pack(G.array, S.ring.modulus).dtype.type is key_type
@@ -128,7 +129,7 @@ def test_close_cap_fires_at_reference_count(case, monkeypatch):
     with pytest.raises(CapExceeded):
         reference_close(S, gens, cap=order - 1)
     messages = set()
-    for _ in seen_set_strategies(monkeypatch):
+    for _ in bfs_strategies(monkeypatch):
         assert close(S, gens, cap=order).order == order
         with pytest.raises(CapExceeded) as info:
             close(S, gens, cap=order - 1)
@@ -141,7 +142,56 @@ def test_close_cap_fires_at_reference_count(case, monkeypatch):
         assert 1 <= elements <= order - 1
         assert depth < elements  # each completed level added at least one element
         messages.add(str(info.value))
-    assert len(messages) == 1  # both seen sets stop at the same point
+    assert len(messages) == 1  # every seen set and product step stops at the same point
+
+
+def _bfs_by_step(start, mats, mod, units):
+    """``_bfs`` under the row-action step and under the matrix step, by
+    step: the points as rows, the level lengths and the Schreier scalars,
+    or the CapExceeded message."""
+    out = {}
+    for step in ("keys", "matrix"):
+        with pytest.MonkeyPatch.context() as mp:
+            if step == "matrix":
+                mp.setattr(gm, "_row_action", lambda *args: None)
+            try:
+                levels, scalars = gm._bfs(start, mats, mod, 3000, "orbit", units)
+            except CapExceeded as exc:
+                out[step] = str(exc)
+                continue
+        points = np.concatenate(levels)
+        if points.ndim == 1:  # one-word keys
+            points = gm._unpack(points, mod, start.shape[1], np.int64)
+        out[step] = (points.tolist(), [len(rows) for rows in levels], scalars)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=st.sampled_from([1, 2]),
+    level=st.sampled_from([2, 3]),
+    ngens=st.integers(1, 3),
+    k=st.integers(1, 3),
+    rng=st.randoms(use_true_random=False),
+)
+def test_row_action_step_matches_matrix_step(g, level, ngens, k, rng):
+    # GL2 and GSp4 over Z/9 and Z/27: the closure (the identity under
+    # x -> x @ m) and the orbit of k random rows under x -> x @ m^T with its
+    # Schreier scalars; GSp4 closures over Z/27 have multi-word keys
+    space = standard_form(g, ResidueRing(3, level))
+    d, mod = space.dim, space.ring.modulus
+    gens = [random_similitude(space, rng) for _ in range(ngens)]
+    mats = np.array([M.rows for M in gens], dtype=np.int64)
+    lam = [multiplier(M, space).value for M in gens]
+    units = tuple(np.array(u, dtype=np.int64) for u in (lam, [space.ring.inverse(x) for x in lam]))
+    rows = np.array([[rng.randrange(mod) for _ in range(k * d)]], dtype=np.uint8)
+    identity = np.eye(d, dtype=np.uint8).reshape(1, -1)
+    for start, act, scalars in ((identity, mats, None), (rows, mats.transpose(0, 2, 1), units)):
+        npoint = start.shape[1] // d
+        keyed = gm._row_action(act, mod, npoint) is not None
+        assert keyed == (mod ** (npoint * d) < 2**63)
+        out = _bfs_by_step(start, act, mod, scalars)
+        assert out["keys"] == out["matrix"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,7 +203,7 @@ def test_table_first_occurrences_match_sorted(data):
     seen = sorted(data.draw(st.sets(st.sampled_from(pool))))  # keys already points
     table = np.full(size, -1, dtype=np.int32)
     table[seen] = np.arange(len(seen))
-    distinct, first = gm._first_occurrences(keys)
+    distinct, first = np.unique(keys, return_index=True)
     expected = np.sort(first[~np.isin(distinct, seen)])
     found = gm._first_unseen(table, keys)
     assert found.tolist() == expected.tolist()

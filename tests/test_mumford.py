@@ -163,11 +163,16 @@ def test_kernel_law_exhaustive_l2():
 
 
 def test_multiplier_image_is_all_units():
-    for ell in (3, 5, 7):
+    # the multipliers of the image are the products of three GL2 determinants;
+    # the report takes lambda(G) from one primitive root
+    for ell, rep in zip((3, 5, 7), verify_mu_s_failure([3, 5, 7])):
         arr = mf.gl2_group(ResidueRing(ell, 1)).array.astype(np.int64)  # widen: uint8 wraps
         dets = {int(x) for x in (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2]) % ell}
         triples = {d1 * d2 * d3 % ell for d1 in dets for d2 in dets for d3 in dets}
-        assert mf.multiplier_image(ell) == frozenset(triples) == frozenset(range(1, ell))
+        assert triples == set(range(1, ell))
+        # |lambda(G)| = |lambda(T)| * intersection degree, lambda(T) = {1, -1}
+        assert 2 * rep.deg_cyclo_intersection == len(triples)
+        assert not rep.ramified_type  # lambda(G) is all units
 
 
 def test_verify_mu_s_failure_never_builds_gl2(monkeypatch):

@@ -26,7 +26,7 @@ from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
 from conftest import seen_set_strategies
-from test_closure import _gsp4_f3_subgroup
+from test_closure import CASES, _gsp4_f3_subgroup
 
 # (ell, level) -> storage dtype of a group of 2x2 matrices
 BOUNDARIES = [
@@ -233,6 +233,59 @@ def test_closure_allocates_a_seen_table_only_inside_its_budget(monkeypatch):
     G, peak = _peak_bytes(lambda: close(S, gens))
     assert G.order == 1152
     assert peak >= table_bytes
+
+
+def test_row_action_fills_only_the_rows_it_reaches(monkeypatch):
+    # one transvection over Z/243: a table of 243^2 rows, of which the
+    # closure (243 elements) reaches 244 and the orbit of e2 reaches 243
+    ring = ResidueRing(3, 5)
+    S, u = standard_form(1, ring), MatrixMod(ring, [[1, 1], [0, 1]])
+    made, real = [], gm._row_action
+    monkeypatch.setattr(gm, "_row_action", lambda *args: made.append(real(*args)) or made[-1])
+    G = close(S, [u])
+    rows = G.array.astype(np.int64).reshape(-1, 2)
+    reached = sorted(set((rows[:, 0] * 243 + rows[:, 1]).tolist()))
+    rep = gm.orbit_degree_report(S, [u], subgroup_from_generators([(0, 1)], ring))
+    closure, orbit = made
+    assert closure.act.shape == orbit.act.shape == (243**2, 1)
+    assert G.order == 243 and len(reached) == 244
+    assert np.flatnonzero(closure.act[:, 0] >= 0).tolist() == reached
+    assert rep.deg_KH == 243  # the orbit (c, 1), one row each
+    assert np.flatnonzero(orbit.act[:, 0] >= 0).tolist() == [c * 243 + 1 for c in range(243)]
+
+
+def test_row_action_table_is_checked_against_the_budget_before_allocation(monkeypatch):
+    ring = ResidueRing(3, 3)
+    S, gens = standard_form(1, ring), gm.gl2_standard_generators(ring)
+    mats = np.array([g.rows for g in gens], dtype=np.int64)
+    entries = 3 * 27**2  # the table: one entry per (row, generator)
+    expected = close(S, gens).array.tolist()
+    tables = []
+
+    class Spy(gm._RowAction):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self.act.size)
+
+    monkeypatch.setattr(gm, "_RowAction", Spy)
+    for budget in (entries - 1, entries):
+        monkeypatch.setattr(gm, "_DENSE_KEYS", budget)
+        for seen in (gm._SeenTable, lambda size, key: gm._SeenSorted(key)):
+            monkeypatch.setattr(gm, "_seen_set", seen)
+            assert close(S, gens).array.tolist() == expected
+    assert tables == [entries, entries]  # inside the budget only, under each seen set
+    monkeypatch.setattr(gm, "_DENSE_KEYS", entries - 1)
+    step, peak = _peak_bytes(lambda: gm._row_action(mats, 27, 2))
+    assert step is None and peak < entries * 4
+    monkeypatch.setattr(gm, "_DENSE_KEYS", entries)
+    step, peak = _peak_bytes(lambda: gm._row_action(mats, 27, 2))
+    assert step.act.shape == (27**2, 3) and peak >= entries * 4
+    # GSp4 over Z/27: a closure's keys take two words, however small the table
+    S4, gens4 = CASES["gsp4_z27"][0]()
+    mats4 = np.array([g.rows for g in gens4], dtype=np.int64)
+    monkeypatch.setattr(gm, "_DENSE_KEYS", 1 << 30)
+    assert gm._row_action(mats4, 27, 4) is None
+    assert gm._row_action(mats4, 27, 3) is not None  # an orbit of three vectors
 
 
 def test_fixing_test_on_cm_torus_allocates_no_block_or_group_sized_temporary():
