@@ -16,7 +16,7 @@ from . import galois_model as gm
 from . import mumford as mf
 from .modring import MatrixMod, ResidueRing, is_prime
 from .symplectic import m1, standard_form
-from .torsion import TorsionSubgroup, parse_generator_rows, subgroup_from_generators
+from .torsion import parse_generator_rows, subgroup_from_generators
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,37 +100,37 @@ def _load_scenario_file(path: str) -> dict:
         return gm.parse_scenario_text(fh.read())
 
 
-def _subgroup_H(ns, ring: ResidueRing, dim: int, rows=None) -> Optional[TorsionSubgroup]:
-    """The subgroup generated by the ``--H`` rows when given, else by
-    ``rows``; None when neither is."""
-    if ns.h_rows is not None:
-        rows = parse_generator_rows(ns.h_rows)
-    return None if rows is None else subgroup_from_generators(rows, ring, ambient_dim=dim)
+def _check_rows(what: str, rows, dim: int) -> None:
+    """Every row of ``rows`` has length ``dim`` = 2g; else a UsageError
+    naming ``what``."""
+    for row in rows:
+        if len(row) != dim:
+            raise UsageError(f"{what} rows must have length 2g = {dim}, got {len(row)}")
 
 
-def _custom_scenario(ell: int, data: dict, ns):
-    """A custom scenario's space, generators and subgroup H; ``--H`` replaces H."""
-    for key in ("g", "generators", "H"):
-        if key not in data:
-            raise UsageError(f"custom scenario needs {key!r}")
+def _custom_scenario(ell: int, data: dict):
+    """A custom scenario's space, generators and subgroup H."""
     ring = ResidueRing(ell, data["level"])
     space = standard_form(data["g"], ring)
     gens = [MatrixMod(ring, rows) for rows in data["generators"]]
-    return space, gens, _subgroup_H(ns, ring, space.dim, data["H"])
+    return space, gens, subgroup_from_generators(data["H"], ring, ambient_dim=space.dim)
 
 
-def _scenario_instance(name: str, ell: int, data: dict, ns):
-    """The scenario's group G and subgroup H; ``--H`` replaces H."""
+def _scenario_instance(name: str, ell: int, data: dict, cap: int):
+    """The scenario's group G and subgroup H; ``data["H"]``, when set,
+    replaces the scenario's H."""
     if name == "custom":
-        space, gens, H = _custom_scenario(ell, data, ns)
-        return gm.close(space, gens, ns.cap), H
+        space, gens, H = _custom_scenario(ell, data)
+        return gm.close(space, gens, cap), H
     if name == "cm":
-        G, H = gm.scenario_cm(data["g"], ell, data["level"], ns.cap)
+        G, H = gm.scenario_cm(data["g"], ell, data["level"], cap)
     elif name == "selfproduct":
-        G, H = gm.scenario_selfproduct(ell, data["level"], ns.cap)
+        G, H = gm.scenario_selfproduct(ell, data["level"], cap)
     else:
         raise UsageError(f"scenario {name!r} has no group model")
-    return G, _subgroup_H(ns, G.ring, G.dim) or H
+    if "H" in data:
+        H = subgroup_from_generators(data["H"], G.ring, ambient_dim=G.dim)
+    return G, H
 
 
 # scenarios whose group has one fixed dimension 2g
@@ -164,6 +164,25 @@ def _resolve(ns) -> tuple[str, tuple[int, ...], dict]:
         raise UsageError("the mumford scenario runs at level 1")
     if name == "mumford" and ns.h_rows is not None:
         raise UsageError("the mumford scenario fixes H to its Lagrangian; --H is not accepted")
+    dim = 2 * data["g"]
+    if name == "custom":
+        for key in ("generators", "H"):
+            if key not in data:
+                raise UsageError(f"custom scenario needs {key!r}")
+        _check_rows("scenario key 'H'", data["H"], dim)
+        for rows in data["generators"]:
+            if len(rows) != dim:
+                raise UsageError(
+                    f"scenario key 'generators' needs 2g x 2g = {dim}x{dim} matrices, "
+                    f"got {len(rows)}x{len(rows)}"
+                )
+    # from here data["H"] is the H to use: --H replaces the file's, which
+    # only a custom scenario reads
+    if ns.h_rows is not None:
+        data["H"] = parse_generator_rows(ns.h_rows)
+        _check_rows("--H", data["H"], dim)
+    elif name != "custom":
+        data.pop("H", None)
     return name, ells, data
 
 
@@ -207,12 +226,11 @@ def _cmd_m1(ns) -> tuple[dict, list[str]]:
     rows = parse_generator_rows(ns.h_rows)
     g = 1 if ns.g is None else ns.g
     level = 1 if ns.level is None else ns.level
+    _check_rows("--H", rows, 2 * g)
     reports = []
     for ell in ns.ell:
         ring = ResidueRing(ell, level)
         space = standard_form(g, ring)
-        if any(len(r) != 2 * g for r in rows):
-            raise UsageError("--H rows must have length 2g")
         H = subgroup_from_generators(rows, ring, ambient_dim=2 * g)
         reports.append({"ell": ell, "level": level, "m1": m1(H, space)})
     doc = {"reports": reports}
@@ -233,9 +251,11 @@ def _cmd_reports(ns) -> tuple[dict, list[str]]:
     if name == "mumford":
         reports = mf.verify_mu_s_failure(ells, cap=ns.cap)
     elif name == "custom":  # from the generators; G is never closed
-        reports = [gm.orbit_degree_report(*_custom_scenario(ell, data, ns), ns.cap) for ell in ells]
+        reports = [gm.orbit_degree_report(*_custom_scenario(ell, data), ns.cap) for ell in ells]
     else:
-        reports = [gm.build_degree_report(*_scenario_instance(name, ell, data, ns)) for ell in ells]
+        reports = [
+            gm.build_degree_report(*_scenario_instance(name, ell, data, ns.cap)) for ell in ells
+        ]
     doc = {"reports": [r.to_json_dict() for r in reports]}
     lines = [
         _table_line(d) + (" ramified-type" if r.ramified_type else "")
@@ -261,7 +281,7 @@ def _cmd_stabilizer(ns) -> tuple[dict, list[str]]:
             stab = mf.pointwise_stabilizer_in_image(ell, cap=ns.cap)
             elements = [list(M.flat()) for M in stab]
         else:
-            G, H = _scenario_instance(name, ell, data, ns)
+            G, H = _scenario_instance(name, ell, data, ns.cap)
             elements = gm.stabilizer(G, H).array.tolist()
         out.append(
             {

@@ -682,6 +682,10 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     With r a primitive root mod l^n, G is generated by the g + 1 matrices
     with r at i and 1/r at 2g+1-i (multiplier 1), for i = 1..g, and
     diag(1, ..., 1, r, ..., r) (multiplier r).
+
+    Element order: lexicographic in (lambda, d_1, ..., d_g), each running
+    over the units mod l^n in increasing order, where lambda is the
+    multiplier and d_{2g+1-i} = lambda / d_i.
     """
     if ell == 2:
         raise ValueError("ell must be odd")
@@ -697,15 +701,18 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     unit_row = np.array(units, dtype=narrow)
     # ratio[a, b] = units[a] / units[b], a phi x phi table
     ratio = _batched(lambda u: (u[:, None] * inv % mod).astype(narrow, copy=False), unit_row)
-    # rows in lexicographic order of (lambda, d_1, ..., d_g); d_{2g+1-i} is
-    # lambda / d_i
-    idx = np.indices((len(units),) * (g + 1), dtype=np.min_scalar_type(len(units) - 1))
-    idx = idx.reshape(g + 1, -1)
-    flats = np.zeros((count, n2 * n2), dtype=narrow)
+    # axis 0 of the grid is lambda and axis i is d_i
+    phi = len(units)
+    grid = np.zeros((phi,) * (g + 1) + (n2 * n2,), dtype=narrow)
+
+    def on_axes(values, *axes):
+        return np.expand_dims(values, tuple(i for i in range(g + 1) if i not in axes))
+
     for j in range(g):
-        flats[:, j * (n2 + 1)] = unit_row[idx[1 + j]]
+        grid[..., j * (n2 + 1)] = on_axes(unit_row, 1 + j)
     for j in range(g, n2):
-        flats[:, j * (n2 + 1)] = ratio[idx[0], idx[n2 - j]]
+        grid[..., j * (n2 + 1)] = on_axes(ratio, 0, n2 - j)
+    flats = grid.reshape(count, n2 * n2)
     r = _primitive_root(ring)
     gens = []
     for j in range(g):
@@ -736,25 +743,36 @@ def _primitive_root(ring: ResidueRing) -> int:
 
 
 def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
-    """All of GL2(Z/l^n), enumerated by direct scan in lexicographic order."""
+    """All of GL2(Z/l^n).
+
+    Element order: the rows (a, b, c, d) with a d - b c a unit, in
+    lexicographic order of (a, b, c, d) with entries in 0..l^n - 1.
+    """
     ell, n, mod = ring.ell, ring.level, ring.modulus
     count = gl2_order(ell, n)
     if count > cap:
         raise CapExceeded(f"GL2(Z/{ell}^{n}) has {count} elements, cap={cap}")
     space = standard_form(1, ring)
-    # one block of rows (a, b, c, d) per first entry a; every temporary is
-    # mod^3-sized, and only the group array itself is mod^4-sized
+    # the rows with first entry a keep the (b, c, d) with a d - b c a unit,
+    # which depends on a only through r = a mod l.  So the runs of rows for
+    # a = q l + r, r = 0..l-1, differ from one q to the next only in a: each
+    # block of kept (b, c, d) is computed once and written into every run,
+    # and q l is added to the first column at the end.  Every temporary is
+    # mod^3-sized; only the group array is mod^4-sized.
     rest = np.indices((mod,) * 3, dtype=np.min_scalar_type(mod - 1)).reshape(3, -1)
     b, c, d = (x.astype(np.int64) % ell for x in rest)
     bc = b * c % ell
-    flats = np.empty((count, 4), dtype=_storage_dtype(mod, 2))
+    narrow = _storage_dtype(mod, 2)
+    flats = np.empty((count, 4), dtype=narrow)
+    runs = flats.reshape(mod // ell, -1, 4)
     pos = 0
-    for a in range(mod):
-        kept = rest[:, (a % ell * d - bc) % ell != 0]
-        end = pos + kept.shape[1]
-        flats[pos:end, 0] = a
-        flats[pos:end, 1:] = kept.T
+    for r in range(ell):
+        kept = rest[:, (r * d - bc) % ell != 0].T
+        end = pos + len(kept)
+        runs[:, pos:end, 0] = r
+        runs[:, pos:end, 1:] = kept
         pos = end
+    runs[:, :, 0] += np.arange(0, mod, ell, dtype=narrow)[:, None]
     gens = gl2_standard_generators(ring) if ell != 2 else ()
     return MatrixGroup(space, gens, flats)
 

@@ -527,6 +527,55 @@ def test_malformed_generators_and_H_exit_one(tmp_path, capsys, command, text, fl
     assert err.startswith("error: ") and "integer" in err
 
 
+def _no_work(*args, **kwargs):
+    pytest.fail("a builder ran before the input was checked")
+
+
+@pytest.mark.parametrize("command", ["degrees", "scenario", "sweep", "stabilizer"])
+@pytest.mark.parametrize(
+    "scenario, text, flags, message",
+    [
+        pytest.param(
+            "cm", None, ["--g", "2", "--H", "[[1,0,0]]"],
+            "--H rows must have length 2g = 4, got 3", id="cm-flag-H",
+        ),
+        pytest.param(
+            "selfproduct", None, ["--H", "[[1,0,0,1],[1,0]]"],
+            "--H rows must have length 2g = 4, got 2", id="selfproduct-flag-H",
+        ),
+        pytest.param(
+            None, _custom_text(), ["--H", "[[1,0,0,0]]"],
+            "--H rows must have length 2g = 2, got 4", id="custom-flag-H",
+        ),
+        pytest.param(
+            None, _custom_text(H="[[1,0,0]]"), [],
+            "scenario key 'H' rows must have length 2g = 2, got 3", id="custom-file-H",
+        ),
+        pytest.param(
+            None, _custom_text(generators="[[[1,1],[0,1]],[[1,0,0],[0,1,0],[0,0,1]]]"), [],
+            "scenario key 'generators' needs 2g x 2g = 2x2 matrices, got 3x3",
+            id="custom-generator",
+        ),
+    ],
+)
+def test_dimension_errors_name_the_input_before_any_work(
+    tmp_path, capsys, monkeypatch, command, scenario, text, flags, message
+):
+    for name in ("scenario_cm", "scenario_selfproduct", "close", "orbit_degree_report"):
+        monkeypatch.setattr(cli.gm, name, _no_work)
+    argv = [command, *([scenario] if scenario else []), "--ell", "3", *flags]
+    if text is not None:
+        path = tmp_path / "scenario.txt"
+        path.write_text(text)
+        argv += ["--scenario-file", str(path)]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_m1_H_of_the_wrong_length_names_the_flag(capsys):
+    code, out, err = run_cli(capsys, "m1", "--ell", "5", "--g", "2", "--H", "[[1,0]]")
+    assert (code, out, err) == (1, "", "error: --H rows must have length 2g = 4, got 2\n")
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

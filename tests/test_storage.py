@@ -12,6 +12,7 @@ arithmetic, or where the modulus itself does not fit the storage dtype.
 """
 
 import functools
+import itertools
 import json
 import tracemalloc
 
@@ -198,14 +199,45 @@ def _peak_bytes(build):
 def test_builders_allocate_no_group_sized_int64_array():
     (G, _), peak = _peak_bytes(lambda: gm.scenario_cm(2, 5, 3))
     assert G.order == 10**6 and G.array.dtype == np.uint8
-    int64_bytes = G.order * 16 * 8  # the (10^6, 16) int64 array alone: 122 MiB
-    assert peak < int64_bytes // 2
+    # the group array (15.3 MiB) and no group-sized index or gather on top
+    assert peak < G.array.nbytes + 2**20
     gl2, peak = _peak_bytes(lambda: gm.gl2_group(ResidueRing(3, 3)))
     assert gl2.array.dtype == np.uint8
     assert peak < gl2.order * 4 * 8  # below the group as int64
     (sp, _), peak = _peak_bytes(lambda: gm.scenario_selfproduct(3, 3))
     assert sp.array.dtype == np.uint8
     assert peak < sp.order * 16 * 8
+
+
+@pytest.mark.parametrize(
+    "g, ell, level",
+    [(1, 3, 1), (1, 5, 3), (2, 3, 1), (2, 5, 2), (3, 3, 1), (3, 3, 2), (1, 257, 1)],
+)
+def test_cm_torus_rows_come_in_lambda_then_d_order(g, ell, level):
+    ring = ResidueRing(ell, level)
+    n2, mod = 2 * g, ring.modulus
+    expected = []
+    for lam, *ds in itertools.product(ring.units(), repeat=g + 1):
+        diag = ds + [lam * ring.inverse(d) % mod for d in reversed(ds)]
+        row = [0] * (n2 * n2)
+        row[:: n2 + 1] = diag
+        expected.append(row)
+    G, _ = gm.scenario_cm(g, ell, level)
+    assert G.array.dtype == (np.uint16 if mod > 256 else np.uint8)
+    assert G.array.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "ell, level", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+)
+def test_gl2_rows_come_in_lexicographic_order(ell, level):
+    mod = ell**level
+    expected = [
+        list(row)
+        for row in itertools.product(range(mod), repeat=4)
+        if (row[0] * row[3] - row[1] * row[2]) % ell
+    ]
+    assert gm.gl2_group(ResidueRing(ell, level)).array.tolist() == expected
 
 
 def test_keys_and_reduction_allocate_no_group_sized_int64_array():
