@@ -16,7 +16,7 @@ from . import galois_model as gm
 from . import mumford as mf
 from .modring import MatrixMod, ResidueRing, is_prime
 from .symplectic import m1, standard_form
-from .torsion import parse_generator_rows, subgroup_from_generators
+from .torsion import subgroup_from_generators
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,12 +92,85 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+# -- input -------------------------------------------------------------------
+
+
+def _json(text: str, source: str, what: str):
+    """``text`` parsed as JSON; text that is not JSON raises ValueError
+    naming ``source`` and the ``what`` it should hold."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not JSON {what}: {exc}") from None
+
+
+def integer_rows(data, what: str, *, square: bool = False) -> list[list[int]]:
+    """``data``, as parsed from JSON, checked to be a list of rows of integers
+    (with ``square``, as many rows as each row is long).  Anything else
+    raises ValueError naming ``what``: bool, float and string entries are
+    rejected, not converted."""
+    if not (
+        isinstance(data, list)
+        and all(isinstance(row, list) and all(type(x) is int for x in row) for row in data)
+        and not (square and any(len(row) != len(data) for row in data))
+    ):
+        raise ValueError(f"{what} must be a {'square matrix' if square else 'list'} of integer rows")
+    return data
+
+
+def parse_generator_rows(text: str) -> list[tuple[int, ...]]:
+    """Parse the row-per-generator text format `[[c11,..,c1d],..]` of the
+    ``--H`` flag.  Text that is not JSON raises ValueError naming the flag
+    and echoing the text."""
+    data = _json(text, f"--H {text!r}", "integer rows")
+    return [tuple(row) for row in integer_rows(data, "H")]
+
+
+_SCENARIO_NAMES = ("cm", "selfproduct", "mumford", "custom")
+
+
+def parse_scenario_text(text: str) -> dict:
+    """Parse the key-value scenario format.
+
+    Recognized keys: scenario, ell, level, g, generators, H, each at most
+    once.  Lines starting with '#' (or trailing comments) are ignored.
+    """
+    out: dict = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed scenario line: {raw!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"duplicate scenario key {key!r}")
+        if key == "scenario":
+            if val not in _SCENARIO_NAMES:
+                raise ValueError(f"unknown scenario {val!r}")
+            out[key] = val
+        elif key in ("ell", "level", "g"):
+            out[key] = int(val)
+        elif key == "H":
+            out[key] = integer_rows(_json(val, f"scenario key {key!r}", "integer rows"), "H")
+        elif key == "generators":
+            mats = _json(val, f"scenario key {key!r}", "integer matrices")
+            if not isinstance(mats, list):
+                raise ValueError("generators must be a list of square integer matrices")
+            out[key] = [integer_rows(m, "each generator", square=True) for m in mats]
+        else:
+            raise ValueError(f"unknown scenario key {key!r}")
+    if "scenario" not in out:
+        raise ValueError("scenario file must set 'scenario'")
+    return out
+
+
 # -- scenario resolution -----------------------------------------------------
 
 
 def _load_scenario_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return gm.parse_scenario_text(fh.read())
+        return parse_scenario_text(fh.read())
 
 
 def _check_rows(what: str, rows, dim: int) -> None:
@@ -117,17 +190,15 @@ def _custom_scenario(ell: int, data: dict):
 
 
 def _scenario_instance(name: str, ell: int, data: dict, cap: int):
-    """The scenario's group G and subgroup H; ``data["H"]``, when set,
-    replaces the scenario's H."""
+    """The group G and subgroup H of a custom, cm or selfproduct scenario;
+    ``data["H"]``, when set, replaces a named scenario's H."""
     if name == "custom":
         space, gens, H = _custom_scenario(ell, data)
         return gm.close(space, gens, cap), H
     if name == "cm":
         G, H = gm.scenario_cm(data["g"], ell, data["level"], cap)
-    elif name == "selfproduct":
-        G, H = gm.scenario_selfproduct(ell, data["level"], cap)
     else:
-        raise UsageError(f"scenario {name!r} has no group model")
+        G, H = gm.scenario_selfproduct(ell, data["level"], cap)
     if "H" in data:
         H = subgroup_from_generators(data["H"], G.ring, ambient_dim=G.dim)
     return G, H
@@ -162,27 +233,27 @@ def _resolve(ns) -> tuple[str, tuple[int, ...], dict]:
     data.setdefault("g", fixed_g or 1)
     if name == "mumford" and data["level"] != 1:
         raise UsageError("the mumford scenario runs at level 1")
-    if name == "mumford" and ns.h_rows is not None:
-        raise UsageError("the mumford scenario fixes H to its Lagrangian; --H is not accepted")
+    for what, given in (("--H", ns.h_rows is not None), ("scenario key 'H'", "H" in data)):
+        if name == "mumford" and given:
+            raise UsageError(f"the mumford scenario fixes H to its Lagrangian; {what} is not accepted")
     dim = 2 * data["g"]
     if name == "custom":
         for key in ("generators", "H"):
             if key not in data:
                 raise UsageError(f"custom scenario needs {key!r}")
+    if "H" in data:
         _check_rows("scenario key 'H'", data["H"], dim)
+    if name == "custom":
         for rows in data["generators"]:
             if len(rows) != dim:
                 raise UsageError(
                     f"scenario key 'generators' needs 2g x 2g = {dim}x{dim} matrices, "
                     f"got {len(rows)}x{len(rows)}"
                 )
-    # from here data["H"] is the H to use: --H replaces the file's, which
-    # only a custom scenario reads
+    # from here data["H"], when set, is the H to use: --H replaces the file's
     if ns.h_rows is not None:
         data["H"] = parse_generator_rows(ns.h_rows)
         _check_rows("--H", data["H"], dim)
-    elif name != "custom":
-        data.pop("H", None)
     return name, ells, data
 
 

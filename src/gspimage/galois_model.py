@@ -18,8 +18,7 @@ without closing G.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -37,7 +36,7 @@ from .symplectic import (
     multiplier,
     standard_form,
 )
-from .torsion import TorsionSubgroup, integer_rows, subgroup_from_generators
+from .torsion import TorsionSubgroup, subgroup_from_generators
 
 DEFAULT_CAP = 10_000_000
 
@@ -247,12 +246,7 @@ class MatrixGroup:
     def _multiplier_values(self) -> np.ndarray:
         mod = self.ring.modulus
         rows = self.space.form.rows
-        i, j = next(
-            (i, j)
-            for i, row in enumerate(rows)
-            for j, x in enumerate(row)
-            if self.ring.is_unit(x)
-        )
+        i, j = self.space.unit_entry
         psi = np.array(rows, dtype=_kernel_dtype(mod, self.dim)) % mod
         inv = self.ring.inverse(rows[i][j])
 
@@ -582,8 +576,8 @@ def gl2_order(ell: int, level: int = 1) -> int:
 class FullGL2Group:
     """GL2(Z/l^m) as a structured group, never materialized.
 
-    Groups past the closure cap are handled by structure instead of
-    enumeration; this one answers only the closed-form order and a
+    The GL2 stabilizer-order oracle of the tests and the benchmark; no
+    command uses it.  It answers only the closed-form order and a
     stabilizer counter based on solving the fixing conditions row by row,
     so [K(H):K] in the full image is ``order // stabilizer_order(H)``.
     """
@@ -809,25 +803,14 @@ def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
 # -- reporting ---------------------------------------------------------------
 
 
-_REPORT_KEYS = (
-    "ell",
-    "level",
-    "m1",
-    "deg_KH",
-    "deg_cyclo_intersection",
-    "deg_cyclo_at_m1",
-    "ratio",
-    "mu_w_witness_n",
-)
-
-
 @dataclass(frozen=True)
 class DegreeReport:
     """Exact degree bookkeeping for one (scenario, l) pair.
 
     ramified_type marks scenarios whose multiplier image is a proper
     subgroup of the units (the analogue of l ramifying); it shows up in the
-    table output only, never in the JSON schema.
+    table output only, never in the JSON schema.  ``to_json_dict`` writes
+    every other field, subclass fields included, in field order.
     """
 
     ell: int
@@ -841,10 +824,18 @@ class DegreeReport:
     ramified_type: bool = field(default=False, kw_only=True)
 
     def to_json_dict(self) -> dict:
+        """The JSON report: a Fraction as its string, a tuple of rows as a
+        list of lists."""
         d = {}
-        for key in _REPORT_KEYS:
-            val = getattr(self, key)
-            d[key] = str(val) if isinstance(val, Fraction) else val
+        for f in fields(self):
+            if f.name == "ramified_type":
+                continue
+            val = getattr(self, f.name)
+            if isinstance(val, Fraction):
+                val = str(val)
+            elif isinstance(val, tuple):
+                val = [list(row) for row in val]
+            d[f.name] = val
         return d
 
 
@@ -951,51 +942,3 @@ def orbit_degree_report(
         levels, lam_T = _bfs(start, mats, mod, cap, "orbit", units)
         length = sum(len(rows) for rows in levels)
     return degree_report(ring, m1(H, space), length, 1, lam, lam_T, mu_c)
-
-
-_SCENARIO_NAMES = ("cm", "selfproduct", "mumford", "custom")
-
-
-def _scenario_json(key: str, text: str, what: str):
-    """The JSON value of a scenario key; text that is not JSON raises
-    ValueError naming the key."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"scenario key {key!r} is not JSON {what}: {exc}") from None
-
-
-def parse_scenario_text(text: str) -> dict:
-    """Parse the key-value scenario format.
-
-    Recognized keys: scenario, ell, level, g, generators, H, each at most
-    once.  Lines starting with '#' (or trailing comments) are ignored.
-    """
-    out: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed scenario line: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key in out:
-            raise ValueError(f"duplicate scenario key {key!r}")
-        if key == "scenario":
-            if val not in _SCENARIO_NAMES:
-                raise ValueError(f"unknown scenario {val!r}")
-            out[key] = val
-        elif key in ("ell", "level", "g"):
-            out[key] = int(val)
-        elif key == "H":
-            out[key] = integer_rows(_scenario_json(key, val, "integer rows"), "H")
-        elif key == "generators":
-            mats = _scenario_json(key, val, "integer matrices")
-            if not isinstance(mats, list):
-                raise ValueError("generators must be a list of square integer matrices")
-            out[key] = [integer_rows(m, "each generator", square=True) for m in mats]
-        else:
-            raise ValueError(f"unknown scenario key {key!r}")
-    if "scenario" not in out:
-        raise ValueError("scenario file must set 'scenario'")
-    return out

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3e24.
+# The primes up to 37: is_prime's trial divisors, and a witness set making
+# Miller-Rabin deterministic for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Moduli must fit a 64-bit word so that numpy batch kernels stay exact.
@@ -27,7 +28,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality check (trial division + Miller-Rabin)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -293,6 +294,16 @@ class MatrixMod:
     def __neg__(self) -> "MatrixMod":
         return MatrixMod(self.ring, [[-a for a in row] for row in self.rows])
 
+    def kron(self, other: "MatrixMod") -> "MatrixMod":
+        """The Kronecker product, entry (i*n + k, j*n + l) = self[i][j] *
+        other[k][l] for n = other.dim, on Python ints."""
+        if self.ring != other.ring:
+            raise ValueError("mixed rings")
+        return MatrixMod(
+            self.ring,
+            [[x * y for x in arow for y in brow] for arow in self.rows for brow in other.rows],
+        )
+
     def scale(self, c: int) -> "MatrixMod":
         return MatrixMod(self.ring, [[c * a for a in row] for row in self.rows])
 
@@ -320,13 +331,6 @@ class MatrixMod:
 
     def reduce_level(self, level: int) -> "MatrixMod":
         return MatrixMod(self.ring.at_level(level), self.rows)
-
-    def is_identity(self) -> bool:
-        return all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-        )
 
 
 def _int_det(a: list[list[int]]) -> int:

@@ -57,10 +57,7 @@ def rho(a: MatrixMod, b: MatrixMod, c: MatrixMod) -> MatrixMod:
             raise ValueError("factors must be 2x2")
         if not M.is_invertible:
             raise NotInvertible("tensor factors must be invertible")
-    mod = a.ring.modulus
-    A, B, C = (np.array(M.rows, dtype=np.int64) for M in (a, b, c))
-    out = np.kron(np.kron(A, B), C) % mod
-    return MatrixMod(a.ring, out.tolist())
+    return a.kron(b).kron(c)
 
 
 @dataclass(frozen=True)
@@ -284,13 +281,6 @@ class MumfordReport(DegreeReport):
     stabilizer_size: int
     stabilizer_elements: tuple[tuple[int, ...], ...]
     image_order: int
-
-    def to_json_dict(self) -> dict:
-        d = super().to_json_dict()
-        d["stabilizer_size"] = self.stabilizer_size
-        d["stabilizer_elements"] = [list(f) for f in self.stabilizer_elements]
-        d["image_order"] = self.image_order
-        return d
 
 
 def _expect(cond: bool, message: str) -> None:

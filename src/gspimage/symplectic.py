@@ -58,6 +58,17 @@ class SymplecticSpace:
     def dim(self) -> int:
         return 2 * self.g
 
+    @property
+    def unit_entry(self) -> tuple[int, int]:
+        """The first position (i, j), row-major, of a unit entry of the form;
+        a non-degenerate form over a local ring has one."""
+        return next(
+            (i, j)
+            for i, row in enumerate(self.form.rows)
+            for j, x in enumerate(row)
+            if self.ring.is_unit(x)
+        )
+
 
 def standard_form(g: int, ring: ResidueRing) -> SymplecticSpace:
     """Antidiagonal form: +1 in rows 1..g, -1 in rows g+1..2g."""
@@ -72,21 +83,6 @@ def standard_form(g: int, ring: ResidueRing) -> SymplecticSpace:
     return SymplecticSpace(g, MatrixMod(ring, rows), ring)
 
 
-def _kron(ring: ResidueRing, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
-    m = ring.modulus
-    na, nb = len(a), len(b)
-    out = [[0] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(na):
-            aij = a[i][j]
-            if aij == 0:
-                continue
-            for k in range(nb):
-                for l in range(nb):
-                    out[i * nb + k][j * nb + l] = aij * b[k][l] % m
-    return out
-
-
 def tensor_form(k: int, ring: ResidueRing) -> SymplecticSpace:
     """The 2^k-dimensional Kronecker power of the standard 2x2 form.
 
@@ -98,11 +94,11 @@ def tensor_form(k: int, ring: ResidueRing) -> SymplecticSpace:
         raise ValueError("k must be >= 1")
     if k % 2 == 0:
         raise NotAlternating("even tensor powers of alternating forms are symmetric")
-    psi = [[0, 1], [-1 % ring.modulus, 0]]
-    rows = psi
+    psi = MatrixMod(ring, [[0, 1], [-1, 0]])
+    form = psi
     for _ in range(k - 1):
-        rows = _kron(ring, rows, psi)
-    return SymplecticSpace(2 ** (k - 1), MatrixMod(ring, rows), ring)
+        form = form.kron(psi)
+    return SymplecticSpace(2 ** (k - 1), form, ring)
 
 
 def multiplier(M: MatrixMod, S: SymplecticSpace) -> ResidueElem:
@@ -117,12 +113,7 @@ def multiplier(M: MatrixMod, S: SymplecticSpace) -> ResidueElem:
     form = S.form
     N = M.transpose() @ form @ M
     ring = S.ring
-    pos = next(
-        ((i, j) for i, row in enumerate(form.rows) for j, x in enumerate(row) if ring.is_unit(x)),
-        None,
-    )
-    assert pos is not None  # non-degenerate forms over a local ring have a unit entry
-    i, j = pos
+    i, j = S.unit_entry
     lam = N.rows[i][j] * ring.inverse(form.rows[i][j]) % ring.modulus
     if not ring.is_unit(lam) or form.scale(lam).rows != N.rows:
         raise NotSimilitude("matrix does not rescale the form by a unit")

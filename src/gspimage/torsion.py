@@ -171,30 +171,3 @@ def trivial_subgroup(ring: ResidueRing, ambient_dim: int) -> TorsionSubgroup:
 def full_subgroup(ring: ResidueRing, ambient_dim: int) -> TorsionSubgroup:
     gens = [tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)]
     return subgroup_from_generators(gens, ring, ambient_dim=ambient_dim)
-
-
-def integer_rows(data, what: str, *, square: bool = False) -> list[list[int]]:
-    """``data``, as parsed from JSON, checked to be a list of rows of integers
-    (with ``square``, as many rows as each row is long).  Anything else
-    raises ValueError naming ``what``: bool, float and string entries are
-    rejected, not converted."""
-    if not (
-        isinstance(data, list)
-        and all(isinstance(row, list) and all(type(x) is int for x in row) for row in data)
-        and not (square and any(len(row) != len(data) for row in data))
-    ):
-        raise ValueError(f"{what} must be a {'square matrix' if square else 'list'} of integer rows")
-    return data
-
-
-def parse_generator_rows(text: str) -> list[tuple[int, ...]]:
-    """Parse the row-per-generator text format `[[c11,..,c1d],..]` of the
-    ``--H`` flag.  Text that is not JSON raises ValueError naming the flag
-    and echoing the text."""
-    import json
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--H {text!r} is not JSON integer rows: {exc}") from None
-    return [tuple(row) for row in integer_rows(data, "H")]

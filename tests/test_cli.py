@@ -316,6 +316,65 @@ def test_scenario_file_named(tmp_path, capsys):
     assert "deg_KH=64" in out
 
 
+def test_scenario_file_H_is_read_like_the_flag(tmp_path, capsys):
+    path = tmp_path / "cm.txt"
+    path.write_text("scenario = cm\nell = 5\ng = 2\nH = [[1,0,0,0]]\n")
+    flags = ["cm", "--ell", "5", "--g", "2"]
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(capsys, "degrees", "--scenario-file", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "degrees", *flags, "--H", "[[1,0,0,0]]", "--format", fmt)[1]
+    # diagonal similitudes with d_1 = 1: 4^3 elements over 4^2
+    assert "deg_KH=4 " in run_cli(capsys, "degrees", "--scenario-file", str(path))[1]
+    assert run_cli(capsys, "stabilizer", "--scenario-file", str(path)) == (
+        0,
+        "ell=5 level=1 stabilizer_size=16\n",
+        "",
+    )
+    # --H replaces the file's H
+    other = "[[1,0,0,0],[0,1,0,0]]"
+    assert run_cli(capsys, "degrees", "--scenario-file", str(path), "--H", other) == run_cli(
+        capsys, "degrees", *flags, "--H", other
+    )
+
+
+def test_selfproduct_scenario_file_H_is_read(tmp_path, capsys):
+    path = tmp_path / "selfproduct.txt"
+    path.write_text("scenario = selfproduct\nell = 3\nH = [[1,0,0,0]]\n")
+    code, out, _ = run_cli(capsys, "degrees", "--scenario-file", str(path))
+    assert code == 0
+    flagged = run_cli(capsys, "degrees", "selfproduct", "--ell", "3", "--H", "[[1,0,0,0]]")[1]
+    assert out == flagged
+    assert out != run_cli(capsys, "degrees", "selfproduct", "--ell", "3")[1]
+
+
+@pytest.mark.parametrize("command", ["degrees", "scenario", "sweep", "stabilizer"])
+def test_mumford_scenario_file_H_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "mumford.txt"
+    path.write_text("scenario = mumford\nell = 3\nH = [[1,0,0,0,0,0,0,0]]\n")
+    code, out, err = run_cli(capsys, command, "--scenario-file", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the mumford scenario fixes H to its Lagrangian; "
+        "scenario key 'H' is not accepted\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["degrees", "stabilizer"])
+def test_named_scenario_file_H_of_the_wrong_length_names_the_key(
+    tmp_path, capsys, monkeypatch, command
+):
+    for name in ("scenario_cm", "scenario_selfproduct", "close", "orbit_degree_report"):
+        monkeypatch.setattr(cli.gm, name, _no_work)
+    path = tmp_path / "cm.txt"
+    path.write_text("scenario = cm\nell = 5\ng = 2\nH = [[1,0,0]]\n")
+    assert run_cli(capsys, command, "--scenario-file", str(path)) == (
+        1,
+        "",
+        "error: scenario key 'H' rows must have length 2g = 4, got 3\n",
+    )
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [

@@ -11,6 +11,7 @@ from gspimage.torsion import (
     trivial_subgroup,
 )
 from gspimage import galois_model as gm
+from gspimage.cli import parse_scenario_text
 from gspimage.galois_model import (
     CapExceeded,
     ChainNotIncreasing,
@@ -392,7 +393,7 @@ def test_degree_report_json_shape():
 
 
 def test_parse_scenario_text():
-    data = gm.parse_scenario_text(
+    data = parse_scenario_text(
         """
         # a comment
         scenario = cm
@@ -403,12 +404,12 @@ def test_parse_scenario_text():
     )
     assert data == {"scenario": "cm", "ell": 5, "level": 1, "g": 2}
     with pytest.raises(ValueError):
-        gm.parse_scenario_text("scenario = nope")
+        parse_scenario_text("scenario = nope")
     with pytest.raises(ValueError):
-        gm.parse_scenario_text("ell = 5")
+        parse_scenario_text("ell = 5")
     with pytest.raises(ValueError, match="duplicate scenario key 'ell'"):
-        gm.parse_scenario_text("scenario = cm\nell = 5\nell = 7")
-    custom = gm.parse_scenario_text(
+        parse_scenario_text("scenario = cm\nell = 5\nell = 7")
+    custom = parse_scenario_text(
         'scenario = custom\nell = 3\ng = 1\ngenerators = [[[1,1],[0,1]]]\nH = [[1,0]]'
     )
     assert custom["generators"] == [[[1, 1], [0, 1]]]

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -52,6 +54,19 @@ def test_rho_is_a_homomorphism():
         a, b, c = (random_invertible(ring, 2, rng) for _ in range(3))
         a2, b2, c2 = (random_invertible(ring, 2, rng) for _ in range(3))
         assert rho(a @ a2, b @ b2, c @ c2) == rho(a, b, c) @ rho(a2, b2, c2)
+
+
+def test_rho_is_exact_past_the_int64_range():
+    # the first prime past 2^21: products of three residues pass 2^63
+    ell = 2_097_169
+    ring = ResidueRing(ell, 1)
+    a = MatrixMod(ring, [[ell - 1, 1], [0, ell - 1]])
+    b = MatrixMod(ring, [[ell - 1, ell - 2], [1, ell - 1]])
+    c = MatrixMod(ring, [[ell - 2, ell - 1], [ell - 1, 0]])
+    R = rho(a, b, c).rows
+    for i, j, k, l, m, n in product(range(2), repeat=6):
+        exact = a.rows[i][j] * b.rows[k][l] * c.rows[m][n] % ell
+        assert R[4 * i + 2 * k + m][4 * j + 2 * l + n] == exact
 
 
 def test_rho_lands_in_gsp8():
@@ -241,6 +256,12 @@ def test_mumford_report_json_keys():
         "image_order",
     ]
     assert d["stabilizer_size"] == 2
+    assert (
+        all(type(e) is list for e in d["stabilizer_elements"])
+        and type(d["stabilizer_elements"]) is list
+        and type(d["ratio"]) is str
+        and json.loads(json.dumps(d, indent=2)) == d
+    )
 
 
 def test_triple_products_check_their_byte_budget(monkeypatch):

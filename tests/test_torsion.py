@@ -2,10 +2,10 @@ from itertools import combinations, product
 
 import pytest
 
+from gspimage.cli import parse_generator_rows
 from gspimage.modring import ResidueRing
 from gspimage.torsion import (
     full_subgroup,
-    parse_generator_rows,
     subgroup_from_generators,
     trivial_subgroup,
 )
