@@ -7,9 +7,10 @@ fails to hold.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import galois_model as gm
@@ -27,9 +28,38 @@ class UsageError(ValueError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); we map usage to 1
-        raise UsageError(message)
+class HelpRequested(Exception):
+    """``-h`` or ``--help``: its one argument is the usage text to print."""
+
+
+# -- command line --------------------------------------------------------------
+#
+# One table of flags and one of commands; ``parse_config`` reads ``argv``
+# against them the way the argparse parser this module used to build read it
+# (tests/argparse_oracle.py keeps that parser as the reference): ``--flag
+# value``, ``--flag=value`` or any unique prefix of the flag, the last of a
+# repeated flag winning, and an optional scenario name anywhere among them.
+
+
+def _one_of(*choices: str):
+    """The value parser that accepts exactly ``choices``."""
+
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(
+                f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})"
+            )
+        return text
+
+    return parse
+
+
+def _parsed(what: str, parse, text: str):
+    """``parse(text)``; its ValueError becomes a UsageError naming ``what``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(f"argument {what}: {exc}") from None
 
 
 def _ells(text: str) -> tuple[int, ...]:
@@ -38,10 +68,10 @@ def _ells(text: str) -> tuple[int, ...]:
     try:
         ells = tuple(sorted({int(t) for t in text.split(",") if t.strip()}))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad list: {text!r}") from None
+        raise ValueError(f"bad list: {text!r}") from None
     for ell in ells:
         if not is_prime(ell):
-            raise argparse.ArgumentTypeError(f"entries must be prime, got {ell}")
+            raise ValueError(f"entries must be prime, got {ell}")
     return ells
 
 
@@ -52,44 +82,180 @@ def _cap(text: str) -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        raise ValueError(f"must be an integer >= 1, got {text!r}")
     return cap
 
 
-def _add_flags(p: argparse.ArgumentParser, *extra: str) -> None:
-    """The flags every command reads, plus the named ``extra`` ones; argparse
-    rejects any other flag."""
-    p.add_argument("--ell", type=_ells, default=(), help="comma-separated primes")
-    p.add_argument("--level", type=int)
-    if "g" in extra:
-        p.add_argument("--g", type=int)
-    p.add_argument("--H", dest="h_rows", help="generator rows, e.g. [[1,0],[0,1]]")
-    if "scenario-file" in extra:
-        p.add_argument("--scenario-file", dest="input_path")
-    p.add_argument("--format", default="table", choices=("table", "json"))
-    p.add_argument("--out", dest="output_path")
-    if "cap" in extra:
-        p.add_argument("--cap", type=_cap, default=gm.DEFAULT_CAP)
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gspimage", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_flags(sub.add_parser("m1"), "g")
-    p = sub.add_parser("verify-mumford")
-    _add_flags(p, "cap")
+# flag: (namespace attribute, value parser, default, metavar, help); a value
+# parser raises ValueError with the message that follows "argument --flag: "
+_FLAGS = {
+    "--ell": ("ell", _ells, (), "L[,L...]", "comma-separated primes"),
+    "--level": ("level", _int, None, "N", "work over Z/l^N (default 1)"),
+    "--g": ("g", _int, None, "G", "the group is GSp_2G (default 1, or the scenario's)"),
+    "--H": ("h_rows", str, None, "ROWS", "generator rows of H, e.g. [[1,0],[0,1]]"),
+    "--scenario-file": ("input_path", str, None, "PATH", "a key-value scenario file"),
+    "--format": ("format", _one_of("table", "json"), "table", "table|json", "(default table)"),
+    "--out": ("output_path", str, None, "PATH", "write the output to PATH, not stdout"),
+    "--cap": ("cap", _cap, gm.DEFAULT_CAP, "N", f"enumeration cap (default {gm.DEFAULT_CAP})"),
+}
+_DEFAULTS = {attr: default for attr, _, default, _, _ in _FLAGS.values()}
+
+_NAMES = ("cm", "selfproduct", "mumford")
+_SCENARIO_FLAGS = tuple(_FLAGS)
+# command: (the flags it reads, the names its optional positional takes, the
+# scenario it runs when none is named, what it does)
+_COMMANDS = {
+    "m1": (
+        ("--ell", "--level", "--g", "--H", "--format", "--out"), (), None,
+        "the pairing invariant m1(H) of the subgroup H",
+    ),
     # the mumford scenario without a scenario file; its g is fixed
-    p.set_defaults(name="mumford", g=None, input_path=None)
-    for name in ("stabilizer", "degrees", "scenario", "sweep"):
-        p = sub.add_parser(name)
-        # optional: a scenario file may name the scenario
-        p.add_argument("name", nargs="?", choices=("cm", "selfproduct", "mumford"))
-        _add_flags(p, "g", "scenario-file", "cap")
-    return parser
+    "verify-mumford": (
+        ("--ell", "--level", "--H", "--format", "--out", "--cap"), (), "mumford",
+        "the tensor-cube counterexample battery (degrees mumford)",
+    ),
+    "stabilizer": (_SCENARIO_FLAGS, _NAMES, None, "the pointwise stabilizer of H in G"),
+    "degrees": (_SCENARIO_FLAGS, _NAMES, None, "the degree report of a scenario"),
+    "scenario": (_SCENARIO_FLAGS, _NAMES, None, "the same as degrees"),
+    "sweep": (_SCENARIO_FLAGS, _NAMES, None, "degree reports over primes, with a summary"),
+}
+
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def parse_config(argv: Sequence[str]) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
+def _read(token: str, flags: Sequence[str]):
+    """How ``token`` reads where the flags are ``flags`` (``_HELP`` among
+    them): None for a positional, else ``(flag, value)`` with the value
+    given after '=' (None without one), and flag "" for an unknown flag.  A
+    long flag may be shortened to any unique prefix; a token that starts
+    with '-' is still a positional when it is '-', a negative number, or
+    contains a space."""
+    if token in flags:
+        return token, None
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token.startswith("-h"):  # -hX: X is the value of -h
+        return "-h", token[2:]
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _help(flag: str, value: Optional[str], command: Optional[str]) -> None:
+    """Raise HelpRequested, or UsageError when ``-h``/``--help`` was given a
+    value (``-hh`` is ``-h`` twice)."""
+    if value is not None:
+        rest = value if flag == "--help" else value.lstrip("h")
+        if rest or not value:
+            raise UsageError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    raise HelpRequested(_usage(command))
+
+
+def _usage(command: Optional[str]) -> str:
+    """The help text of ``command``, or of the program when None."""
+    if command is None:
+        lines = ["usage: gspimage <command> [flags]", "", __doc__.strip(), "", "commands:"]
+        lines += [f"  {name:<16}{about}" for name, (*_, about) in _COMMANDS.items()]
+        lines += ["", "Run gspimage <command> --help for the flags a command accepts."]
+    else:
+        flags, names, _, about = _COMMANDS[command]
+        name = f" [{'|'.join(names)}]" if names else ""
+        lines = [f"usage: gspimage {command}{name} [flags]", "", about, "", "flags:"]
+        for flag in flags:
+            _, _, _, metavar, text = _FLAGS[flag]
+            lines.append(f"  {flag + ' ' + metavar:<26}{text}")
+        lines.append(f"  {'-h, --help':<26}print this help and exit")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_command(command: str, tokens: list[str]) -> tuple[SimpleNamespace, list[str]]:
+    """The settings of ``command`` from the tokens after it, and the tokens
+    it does not read.  The first "--" makes every later token a positional;
+    it is dropped when it sits next to the scenario name, and is otherwise
+    one of the tokens not read.  No flag takes "--" as its value."""
+    flags, names, name, _ = _COMMANDS[command]
+    marker = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [None if i >= marker else _read(t, (*_HELP, *flags)) for i, t in enumerate(tokens)]
+    ns = SimpleNamespace(command=command, name=name, **_DEFAULTS)
+    extras: list[str] = []
+    name_pending = bool(names)
+
+    def past_marker(i: int) -> int:  # past the "--" if it is at i
+        return i + 1 if i == marker < len(tokens) else i
+
+    i = 0
+    while i < len(tokens):
+        kind = kinds[i]
+        if kind is None:  # a positional, or the "--"
+            if name_pending:
+                name_pending = False
+                i = past_marker(i)
+                if i < len(tokens):
+                    ns.name = _parsed("name", _one_of(*names), tokens[i])
+                    i = past_marker(i + 1)
+            else:
+                extras.append(tokens[i])
+                i += 1
+            continue
+        flag, value = kind
+        if not flag:  # an unknown flag
+            extras.append(tokens[i])
+            i += 1
+            continue
+        if flag in _HELP:
+            _help(flag, value, command)
+        i += 1
+        if value is None:
+            if i == len(tokens) or i == marker or kinds[i] is not None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            value = tokens[i]
+            i += 1
+        attr, parse, *_ = _FLAGS[flag]
+        setattr(ns, attr, _parsed(flag, parse, value))
+    return ns, extras
+
+
+def parse_config(argv: Sequence[str]) -> SimpleNamespace:
+    """The command and its settings from ``argv``: ``command``, ``name``
+    and one attribute per flag, unset flags at their defaults.  Raises
+    UsageError, or HelpRequested for ``-h``/``--help``."""
+    argv = list(argv)
+    extras: list[str] = []
+    for i, token in enumerate(argv):  # the command is the first positional
+        kind = _read(token, _HELP)
+        if kind is None:
+            if argv[i:] == ["--"]:  # a last "--" is no command
+                continue
+            break
+        flag, value = kind
+        if flag:
+            _help(flag, value, None)
+        extras.append(token)
+    else:
+        raise UsageError("the following arguments are required: command")
+    command = _parsed("command", _one_of(*_COMMANDS), argv[i])
+    ns, more = _parse_command(command, argv[i + 1 :])
+    extras += more
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return ns
 
 
 # -- input -------------------------------------------------------------------
@@ -236,6 +402,10 @@ def _resolve(ns) -> tuple[str, tuple[int, ...], dict]:
     for what, given in (("--H", ns.h_rows is not None), ("scenario key 'H'", "H" in data)):
         if name == "mumford" and given:
             raise UsageError(f"the mumford scenario fixes H to its Lagrangian; {what} is not accepted")
+    if name != "custom" and "generators" in data:
+        raise UsageError(
+            f"the {name} scenario builds its own G; scenario key 'generators' is not accepted"
+        )
     dim = 2 * data["g"]
     if name == "custom":
         for key in ("generators", "H"):
@@ -375,7 +545,7 @@ _HANDLERS = {
 }
 
 
-def run(ns: argparse.Namespace) -> int:
+def run(ns: SimpleNamespace) -> int:
     """Execute one command; returns the process exit status."""
     try:
         doc, lines = _HANDLERS[ns.command](ns)
@@ -392,7 +562,10 @@ def run(ns: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        ns = parse_config(list(sys.argv[1:] if argv is None else argv))
+        ns = parse_config(sys.argv[1:] if argv is None else argv)
+    except HelpRequested as exc:
+        sys.stdout.write(exc.args[0])
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator, Sequence
 
 # The primes up to 37: is_prime's trial divisors, and a witness set making
@@ -270,14 +271,18 @@ class MatrixMod:
     def __matmul__(self, other: "MatrixMod") -> "MatrixMod":
         if self.ring != other.ring:
             raise ValueError("mixed rings")
+        if self.dim != other.dim:
+            raise ValueError(
+                f"dimension mismatch: {self.dim}x{self.dim} @ {other.dim}x{other.dim}"
+            )
         m = self.ring.modulus
-        brows = other.rows
-        n = self.dim
-        out = [
-            [sum(arow[k] * brows[k][j] for k in range(n)) % m for j in range(n)]
-            for arow in self.rows
-        ]
-        return MatrixMod(self.ring, out)
+        cols = tuple(zip(*other.rows))
+        # every entry is reduced here, so the constructor's reduction is skipped
+        out = MatrixMod.__new__(MatrixMod)
+        out.ring = self.ring
+        out.rows = tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in self.rows)
+        out._hash = None
+        return out
 
     def __add__(self, other: "MatrixMod") -> "MatrixMod":
         return MatrixMod(

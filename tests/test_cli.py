@@ -360,6 +360,23 @@ def test_mumford_scenario_file_H_is_rejected(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        pytest.param("scenario = cm\nell = 5\ng = 2\n", ["degrees"], id="cm"),
+        pytest.param("scenario = selfproduct\nell = 3\n", ["stabilizer"], id="selfproduct"),
+        pytest.param("scenario = mumford\nell = 3\n", ["sweep"], id="mumford"),
+        pytest.param("scenario = custom\nell = 5\ng = 2\nH = [[1,0,0,0]]\n", ["degrees", "cm"], id="named-by-flag"),
+    ],
+)
+def test_named_scenario_file_generators_are_rejected(tmp_path, capsys, text, argv):
+    path = tmp_path / "named.txt"
+    path.write_text(text + "generators = [[[1,1],[0,1]]]\n")
+    code, out, err = run_cli(capsys, *argv, "--scenario-file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "scenario key 'generators'" in err
+
+
 @pytest.mark.parametrize("command", ["degrees", "stabilizer"])
 def test_named_scenario_file_H_of_the_wrong_length_names_the_key(
     tmp_path, capsys, monkeypatch, command

@@ -72,6 +72,41 @@ def test_mat_invert_identity_and_diagonal():
     assert mat_invert(D) == MatrixMod.diagonal(r9, [5, 5])
 
 
+# rings with moduli up to 3^20, so that products of entries pass 2^63
+MATMUL_RINGS = [
+    ResidueRing(ell, level)
+    for ell in (2, 3, 5, 13)
+    for level in range(1, 32)
+    if ell**level <= 3**20
+]
+
+
+@given(st.data(), st.sampled_from(MATMUL_RINGS), st.integers(min_value=1, max_value=8))
+def test_matmul_matches_a_triple_loop(data, ring, dim):
+    m = ring.modulus
+    entries = st.lists(
+        st.lists(st.integers(min_value=-m, max_value=2 * m), min_size=dim, max_size=dim),
+        min_size=dim,
+        max_size=dim,
+    )
+    a, b = data.draw(entries), data.draw(entries)
+    expected = [
+        [sum(a[i][k] * b[k][j] for k in range(dim)) % m for j in range(dim)]
+        for i in range(dim)
+    ]
+    product = MatrixMod(ring, a) @ MatrixMod(ring, b)
+    assert product == MatrixMod(ring, expected)
+    assert hash(product) == hash(MatrixMod(ring, expected))
+    assert product.rows == tuple(map(tuple, expected))
+
+
+@pytest.mark.parametrize("left, right", [(2, 3), (3, 2)])
+def test_matmul_rejects_mismatched_dimensions(left, right):
+    ring = ResidueRing(5, 1)
+    with pytest.raises(ValueError, match=rf"{left}x{left} @ {right}x{right}"):
+        MatrixMod.identity(ring, left) @ MatrixMod.identity(ring, right)
+
+
 def test_mat_invert_random_4x4():
     ring = ResidueRing(5, 2)
     rng = random.Random(11)
