@@ -316,7 +316,10 @@ def parse_scenario_text(text: str) -> dict:
                 raise ValueError(f"unknown scenario {val!r}")
             out[key] = val
         elif key in ("ell", "level", "g"):
-            out[key] = int(val)
+            try:
+                out[key] = _int(val)
+            except ValueError as exc:
+                raise ValueError(f"scenario key {key!r}: {exc}") from None
         elif key == "H":
             out[key] = integer_rows(_json(val, f"scenario key {key!r}", "integer rows"), "H")
         elif key == "generators":
@@ -387,6 +390,8 @@ def _resolve(ns) -> tuple[str, tuple[int, ...], dict]:
             raise UsageError(f"ell must be prime, got {data['ell']}")
     if not ells:
         raise UsageError("no --ell given")
+    if name == "mumford" and 2 in ells:
+        raise UsageError("ell must be odd")
     for key, flag in (("level", ns.level), ("g", ns.g)):
         if flag is not None and data.setdefault(key, flag) != flag:
             raise UsageError(

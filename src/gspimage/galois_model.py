@@ -18,6 +18,7 @@ without closing G.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -63,10 +64,9 @@ def _batched(kernel, rows: np.ndarray) -> np.ndarray:
 
     Each block reaches the kernel widened to int64, or as it is when stored
     as object dtype (no copy), for kernels that multiply whole rows:
-    multipliers, packed keys and the BFS's matrix products (of the rows new
-    to its row-action table, or of whole frontiers where a key takes
-    several words; see ``_bfs``).  The fixing test and level reduction never
-    widen a block (see ``_fixing_indices`` and ``MatrixGroup.reduce_level``).
+    multipliers and packed keys.  The fixing test and level reduction never
+    widen a block (see ``_fixing_indices`` and ``MatrixGroup.reduce_level``),
+    and the BFS multiplies no group-sized rows at all (see ``_bfs``).
     """
     wide = object if rows.dtype == object else np.int64
     parts = [
@@ -120,20 +120,7 @@ def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
     return words.ravel() if nwords == 1 else words.view(f"V{8 * nwords}").ravel()
 
 
-def _unpack(keys: np.ndarray, base: int, width: int, dtype) -> np.ndarray:
-    """The rows of ``width`` digits base ``base``, first digit most
-    significant, that the one-word ``keys`` encode, in ``dtype``: the inverse
-    of ``_pack`` on one-word keys.  The rows are the transpose of a C-ordered
-    (width, len(keys)) array, so ``.T`` gives each digit as a contiguous row."""
-    digits = np.empty((width, len(keys)), dtype=dtype)
-    for c in range(width - 1, 0, -1):
-        keys, digits[c] = np.divmod(keys, base)
-    digits[0] = keys
-    return digits.T
-
-
-# entries of a key-indexed int32 table, 16 MiB: a seen table, or a BFS's
-# row-action table
+# entries of a key-indexed int32 seen table, 16 MiB
 _DENSE_KEYS = 1 << 22
 
 
@@ -169,8 +156,8 @@ class MatrixGroup:
     residue mod l^n (uint8 up to 256, uint16 up to 65536, uint32 above),
     past it object dtype (Python ints).  The product kernels compute wide,
     in int64 or object dtype: ``_batched`` widens one block of rows at a
-    time.  ``close`` on one-word keys multiplies out each distinct row once
-    and builds ``array`` by unpacking its keys, one BFS level at a time.
+    time.  ``close`` multiplies out each vector of its row orbits once and
+    builds ``array`` from row ids, one BFS level at a time.
     The fixing test sums only the columns it reads, in the narrowest
     unsigned dtype holding its bound, and ``reduce_level`` takes remainders
     in the storage dtype.  Unsigned subtraction wraps, so widen ``array``
@@ -308,8 +295,10 @@ class _SeenTable:
 
 class _SeenSorted:
     """A seen set as the sorted array of the keys seen so far and, aligned
-    with it, the point index of each, for key spaces too large for a table,
-    multi-word keys among them."""
+    with it, the point index of each, for key spaces too large for a table.
+    The keys are int64, void (the multi-word keys of ``reduce_level``) or
+    object (Python ints: BFS keys past 2^63); every step below takes all
+    three."""
 
     def __init__(self, start_key: np.ndarray):
         self.keys = start_key
@@ -352,87 +341,73 @@ def _seen_set(size: int, start_key: np.ndarray):
     return _SeenSorted(start_key)
 
 
-def _products(rows: np.ndarray, mats: np.ndarray, mod: int) -> np.ndarray:
-    """Each row of ``rows``, a flattened k x d matrix, times every matrix of
-    ``mats`` mod ``mod``, flattened, in (row, matrix) order."""
-    k_d, d = rows.shape[1], mats.shape[-1]
-    return (rows.reshape(-1, 1, k_d // d, d) @ mats % mod).reshape(-1, k_d)
+def _cap_exceeded(stage: str, cap: int, count: int, depth: int) -> CapExceeded:
+    noun = "elements" if stage == "closure" else "points"
+    return CapExceeded(f"{stage} exceeds cap={cap}: {count} {noun} through BFS depth {depth}")
 
 
-class _RowAction:
-    """The product step of ``_bfs`` on one-word keys: frontier keys in,
-    product keys out, with no matrix product per point.
+def _row_orbits(rows, mats, mod: int, cap: int, stage: str) -> list:
+    """The orbit of each of ``rows`` under v -> v @ m mod ``mod`` for m in
+    ``mats`` (rows and matrices as tuples of Python ints), one BFS level at
+    a time: each level is multiplied out in one batch, in the kernel dtype,
+    and its products are looked up in a dict of the vectors found so far.
 
-    x -> x @ m acts on each row of x on its own, so with D = mod^d the key of
-    x @ m_j is sum_i act[r_i, j] * D^(k-1-i), for r_i the key of row i of x
-    and ``act[r, j]`` the key of row r times m_j.  ``act`` holds -1 until a
-    frontier first reaches row r; each level then computes the products of
-    its new rows only, with the matrix kernel (``_products``).
+    For each row: its orbit's vectors in discovery order (a list of tuples;
+    a vector's id is its index), the orbit's int32 action table (``act[a,
+    j]`` the id of vector a times mats[j]) and the row's id.  Rows in one
+    orbit share its list and table.  A row orbit is the image of the orbit
+    of any matrix holding the row, so it is never the longer; one past
+    ``cap`` raises CapExceeded as ``_bfs`` does, with its own count and
+    depth.
     """
-
-    def __init__(self, mats: np.ndarray, mod: int, k: int):
-        d = mats.shape[-1]
-        self.mats, self.mod, self.k, self.base = mats, mod, k, mod**d
-        self.weights = mod ** np.arange(d - 1, -1, -1, dtype=np.int64)  # a row's key: row @ weights
-        self.act = np.full((self.base, len(mats)), -1, dtype=np.int32)
-
-    def __call__(self, frontier: np.ndarray):
-        mats, mod, act, weights = self.mats, self.mod, self.act, self.weights
-        rows = _unpack(frontier, self.base, self.k, np.int64).T  # rows[i]: keys of row i
-        reached = rows.ravel()
-        new = reached[np.take(act[:, 0], reached) < 0]
-        if len(new):
-            new = _distinct(new)
-            entries = _unpack(new, mod, len(weights), np.int64)
-            prods = _batched(lambda block: _products(block, mats, mod) @ weights, entries)
-            act[new] = prods.reshape(len(new), len(mats))
-        # np.take: a gather of whole table rows, faster than fancy indexing
-        keys = np.take(act, rows[0], axis=0).astype(np.int64)
-        for row in rows[1:]:
-            keys *= self.base
-            keys += np.take(act, row, axis=0)
-        keys = keys.ravel()
-        return keys, keys
-
-
-def _row_action(mats: np.ndarray, mod: int, k: int) -> Optional[_RowAction]:
-    """The ``_RowAction`` for points of ``k`` rows, or None where a point's
-    key takes more than one int64 word, where there is no matrix, or where
-    the table's len(mats) * mod^d entries would pass ``_DENSE_KEYS``; all
-    checked before the table is allocated."""
-    d = mats.shape[-1]
-    if not len(mats) or mod ** (k * d) >= 1 << 63 or len(mats) * mod**d > _DENSE_KEYS:
-        return None
-    return _RowAction(mats, mod, k)
+    d = len(rows[0])
+    wide = _kernel_dtype(mod, d)
+    mats = np.array(mats, dtype=wide).reshape(-1, d, d)
+    orbits, out = [], []  # orbits: (vectors, index, table) of each distinct orbit
+    for row in rows:
+        orbit = next((o for o in orbits if row in o[1]), None)
+        if orbit is None:
+            vectors, index, act, depth = [row], {row: 0}, [], 0
+            level = np.array([row], dtype=wide)
+            while len(level):
+                count = len(vectors)
+                # in (vector, matrix) order, as in _bfs
+                prods = (level[:, None, None, :] @ mats % mod).reshape(-1, d)
+                fresh = []
+                for j, y in enumerate(zip(*prods.T.tolist())):
+                    if y not in index:
+                        if len(vectors) == cap:
+                            raise _cap_exceeded(stage, cap, count, depth)
+                        index[y] = len(vectors)
+                        vectors.append(y)
+                        fresh.append(j)
+                    act.append(index[y])
+                level, depth = prods[fresh], depth + 1
+            orbit = (vectors, index, np.array(act, dtype=np.int32).reshape(len(vectors), len(mats)))
+            orbits.append(orbit)
+        out.append((orbit[0], orbit[2], orbit[1][row]))
+    return out
 
 
-def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, units=None):
+def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     """Breadth-first orbit of one k x d matrix under x -> x @ m mod ``mod``.
 
-    ``start`` is the matrix as one flattened row in storage dtype, ``mats``
-    the (n, d, d) action matrices in kernel dtype.  Each frontier is
-    multiplied by every matrix in one batch; products are taken in (frontier
-    index, matrix index) order and each new point is kept at its first
-    occurrence, so the point order is that of the one-product-at-a-time
-    search.  Raises CapExceeded, naming ``stage``, when the point count
-    would pass the cap.
+    ``rows`` are the k rows of the start matrix and ``mats`` the action
+    matrices, as tuples of Python ints.  Row i of x @ m is row i of x times
+    m, so a point is the tuple of the ids of its rows in the orbits of the
+    start rows (``_row_orbits``), and a product is k gathers from their
+    action tables, with no matrix product.  A point's key is its row ids in
+    the mixed radix of the orbit sizes: int64 while the key space prod
+    |orbit_i| is below 2^63, Python ints (object dtype) past it.
 
-    One product step turns a frontier into its products' packed keys.  When
-    ``_row_action`` applies (one-word keys and a row table inside
-    ``_DENSE_KEYS``), the frontier and the levels are keys, and a product's
-    key is a sum of k gathers from the row-action table.  Otherwise, for
-    multi-word and object keys, they are rows in storage dtype, and the
-    step multiplies them out (``_products``, one widened block at a time)
-    and packs the products.  Both give the same keys in the same order.
-
-    Newness is tested once per level against the seen set ``_seen_set``
-    picks by the size mod^(k*d) of the key space.  Up to ``_DENSE_KEYS``
-    keys it is a ``_SeenTable``: a level gathers its products' table
-    entries, takes each unseen key's first product with ``np.minimum.at``
-    and writes the new point indices, with no sort.  Past it, multi-word and
-    object keys included, it is a ``_SeenSorted``: a level sorts its
-    products' keys, searches them in the seen keys and inserts the new ones,
-    a copy of the whole seen array.
+    Each frontier is multiplied by every matrix in one batch; products are
+    taken in (frontier index, matrix index) order and each new point is kept
+    at its first occurrence, so the point order is that of the
+    one-product-at-a-time search.  Newness is tested once per level against
+    the seen set ``_seen_set`` picks by the size of the key space, known
+    before the first level: a ``_SeenTable`` up to ``_DENSE_KEYS`` keys, a
+    ``_SeenSorted`` past it.  Raises CapExceeded, naming ``stage``, when the
+    point count, or a row orbit's, would pass the cap.
 
     ``units``, when given, is ``(lam, inv)``: one unit mod ``mod`` per
     matrix and its inverse, as arrays of a dtype in which a product of two
@@ -440,41 +415,43 @@ def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, un
     the units along its BFS tree path, and every product y = x @ m_i gives
     the Schreier scalar lam_i * lambda_x / lambda_y.
 
-    Returns the list of BFS levels (the new points of each depth, in point
-    order: a 1-d array of one-word keys on the row-action step, rows in
-    storage dtype otherwise) and the distinct Schreier scalars other than 1
-    (an empty list without ``units``).
+    Returns the BFS levels (the new points of each depth, in point order,
+    as a (k, count) int32 array of row ids), the vectors of each start
+    row's orbit by id, and the distinct Schreier scalars other than 1 (an
+    empty list without ``units``).
     """
-    noun = "elements" if stage == "closure" else "points"
-    ngens, k_d = len(mats), start.shape[1]
-    start_key = _pack(start, mod)
-    step, frontier = _row_action(mats, mod, k_d // mats.shape[-1]), start_key
-    if step is None:  # the frontier is rows
-        frontier = start
-
-        def step(rows):
-            prods = _batched(lambda block: _products(block, mats, mod), rows)
-            return _pack(prods, mod), prods
-
-    seen, count = _seen_set(mod**k_d, start_key), 1
+    ngens = np.int64(len(mats))  # int64: a flat table index may pass int32
+    orbits = _row_orbits(rows, mats, mod, cap, stage)
+    tables = [table for _, table, _ in orbits]
+    space = math.prod(map(len, tables))
+    dtype = np.int64 if space < 1 << 63 else object
+    # keyed[i]: row i's action table times W_i, the product of the orbit
+    # sizes past row i
+    keyed, weight, start = [], 1, 0
+    for _, table, a in reversed(orbits):
+        keyed.insert(0, table.astype(dtype) * weight)
+        start += a * weight
+        weight *= len(table)
+    frontier = np.array([[a] for _, _, a in orbits], dtype=np.int32)
+    seen, count = _seen_set(space, np.array([start], dtype=dtype)), 1
     levels, scalars = [frontier], []
     if units is not None:
         lam, inv = units
         one = np.ones(1, dtype=lam.dtype)
         lam_front, inv_points = one, one  # inv_points: lambda_x^-1 by point index
-    while len(frontier):
-        keys, prods = step(frontier)
-        first, points = seen.add(keys, count, lookup=units is not None)
+    while frontier.shape[1]:
+        # np.take: a gather of whole table rows, faster than fancy indexing
+        keys = np.take(keyed[0], frontier[0], axis=0).ravel()
+        for table, ids in zip(keyed[1:], frontier[1:]):
+            keys += np.take(table, ids, axis=0).ravel()
+        first, points = seen.add(keys, count, units is not None)
         # raise only on finding a new point, as the one-at-a-time search does
         if len(first) and count + len(first) > cap:
-            raise CapExceeded(
-                f"{stage} exceeds cap={cap}: {count} {noun}"
-                f" through BFS depth {len(levels) - 1}"
-            )
+            raise _cap_exceeded(stage, cap, count, len(levels) - 1)
+        parent, i = np.divmod(first, ngens)  # a new point is frontier[parent] @ mats[i]
         if units is not None:
             # a new point's path is that of its first occurrence
-            parent, i = np.divmod(first, ngens)
-            inv_front = inv_points[count - len(frontier) : count]
+            inv_front = inv_points[count - frontier.shape[1] : count]
             inv_points = np.concatenate([inv_points, inv_front[parent] * inv[i] % mod])
             step_lam = (lam_front[:, None] * lam % mod).ravel()  # lam_i * lambda_x, product order
             s = step_lam * inv_points[points] % mod
@@ -483,11 +460,12 @@ def _bfs(start: np.ndarray, mats: np.ndarray, mod: int, cap: int, stage: str, un
                 scalars.append(_distinct(s))
             lam_front = lam_front[parent] * lam[i] % mod
         count += len(first)
-        frontier = prods[first].astype(frontier.dtype, copy=False)
+        # row r of a new point: entry (row r of its parent, i) of row r's table
+        frontier = np.array([np.take(t, ids[parent] * ngens + i) for t, ids in zip(tables, frontier)])
         levels.append(frontier)
     if scalars:
         scalars = _distinct(np.concatenate(scalars)).tolist()
-    return levels, scalars
+    return levels, [vectors for vectors, _, _ in orbits], scalars
 
 
 def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DEFAULT_CAP) -> MatrixGroup:
@@ -496,20 +474,19 @@ def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DE
 
     The generated semigroup equals the generated group because every element
     of a finite matrix group has finite order.  The element order is that of
-    the one-product-at-a-time search (see ``_bfs``).  On one-word keys the
-    search runs on keys alone, and they are unpacked into storage-dtype rows
-    once, here.  Raises CapExceeded when the element count would pass the
-    cap.
+    the one-product-at-a-time search (see ``_bfs``), which runs on row ids;
+    each level is decoded here, row i of every element by one gather from
+    the columns of row i's orbit.  Raises CapExceeded when the element count
+    would pass the cap.
     """
     for g in generators:
         multiplier(g, space)
     d, mod = space.dim, space.ring.modulus
-    gens = np.array([g.rows for g in generators], dtype=_kernel_dtype(mod, d)).reshape(-1, d, d)
-    start = np.eye(d, dtype=_storage_dtype(mod, d)).reshape(1, d * d)
-    levels, _ = _bfs(start, gens, mod, cap, "closure")  # the seen keys are freed on return
-    if levels[0].ndim == 1:  # one-word keys; each level's are freed once unpacked
-        for i, keys in enumerate(levels):
-            levels[i] = _unpack(keys, mod, d * d, start.dtype)
+    identity = MatrixMod.identity(space.ring, d).rows
+    levels, orbits, _ = _bfs(identity, [g.rows for g in generators], mod, cap, "closure")
+    columns = [np.array(vectors, dtype=_storage_dtype(mod, d)).T.copy() for vectors in orbits]
+    for j, ids in enumerate(levels):  # each level's ids are freed once decoded
+        levels[j] = np.concatenate([np.take(c, r, axis=1) for c, r in zip(columns, ids)]).T
     return MatrixGroup(space, generators, np.concatenate(levels))
 
 
@@ -933,12 +910,10 @@ def orbit_degree_report(
     if H.is_trivial():  # an empty basis: G fixes it, so T = G
         length, lam_T = 1, lam
     else:
-        d, mod = space.dim, ring.modulus
-        mats = np.array([g.rows for g in generators], dtype=_kernel_dtype(mod, d))
-        mats = mats.reshape(-1, d, d).transpose(0, 2, 1)
-        start = np.array(H.basis, dtype=_storage_dtype(mod, d)).reshape(1, -1)
+        mod = ring.modulus
+        transposes = [tuple(zip(*g.rows)) for g in generators]
         udt = _kernel_dtype(mod, 1)  # a product of two residues stays exact
         units = (np.array(lam, dtype=udt), np.array([ring.inverse(x) for x in lam], dtype=udt))
-        levels, lam_T = _bfs(start, mats, mod, cap, "orbit", units)
-        length = sum(len(rows) for rows in levels)
+        levels, _, lam_T = _bfs(H.basis, transposes, mod, cap, "orbit", units)
+        length = sum(ids.shape[1] for ids in levels)
     return degree_report(ring, m1(H, space), length, 1, lam, lam_T, mu_c)

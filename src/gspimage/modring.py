@@ -271,10 +271,7 @@ class MatrixMod:
     def __matmul__(self, other: "MatrixMod") -> "MatrixMod":
         if self.ring != other.ring:
             raise ValueError("mixed rings")
-        if self.dim != other.dim:
-            raise ValueError(
-                f"dimension mismatch: {self.dim}x{self.dim} @ {other.dim}x{other.dim}"
-            )
+        self._check_dims(other, "@")
         m = self.ring.modulus
         cols = tuple(zip(*other.rows))
         # every entry is reduced here, so the constructor's reduction is skipped
@@ -284,13 +281,21 @@ class MatrixMod:
         out._hash = None
         return out
 
+    def _check_dims(self, other: "MatrixMod", op: str) -> None:
+        if self.dim != other.dim:
+            raise ValueError(
+                f"dimension mismatch: {self.dim}x{self.dim} {op} {other.dim}x{other.dim}"
+            )
+
     def __add__(self, other: "MatrixMod") -> "MatrixMod":
+        self._check_dims(other, "+")
         return MatrixMod(
             self.ring,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
     def __sub__(self, other: "MatrixMod") -> "MatrixMod":
+        self._check_dims(other, "-")
         return MatrixMod(
             self.ring,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
@@ -317,6 +322,10 @@ class MatrixMod:
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product, canonical output."""
+        if len(vec) != self.dim:
+            raise ValueError(
+                f"dimension mismatch: {self.dim}x{self.dim} applied to a vector of length {len(vec)}"
+            )
         m = self.ring.modulus
         return tuple(sum(row[k] * vec[k] for k in range(self.dim)) % m for row in self.rows)
 

@@ -48,28 +48,16 @@ def random_subgroup(ring, dim, rng, max_order=5000):
 
 def seen_set_strategies(monkeypatch, budget=3**16):
     """Run the loop body once per BFS seen set.  The default budget of 3^16
-    keys lets every single-word case of ``test_closure.CASES`` (GSp4(F_3)
-    closures included) use the key-indexed table; ``budget=None`` keeps the
-    package's.  ``_seen_set`` forced to the sorted set gives the other.
-    Multi-word keys take the sorted set both times."""
+    keys lets every BFS of ``test_closure.CASES`` use the key-indexed table;
+    ``budget=None`` keeps the package's.  ``_seen_set`` forced to the sorted
+    set gives the other.  Key spaces past the budget, among them the
+    multi-word keys of ``reduce_level``, take the sorted set both times."""
     table = gm._seen_set
     if budget is not None:
         monkeypatch.setattr(gm, "_DENSE_KEYS", budget)
     for kind, pick in (("table", table), ("sorted", lambda size, key: gm._SeenSorted(key))):
         monkeypatch.setattr(gm, "_seen_set", pick)
         yield kind
-
-
-def bfs_strategies(monkeypatch, budget=3**16):
-    """Run the loop body once per (seen set, product step) pair of the BFS:
-    each seen set of ``seen_set_strategies`` with the row-action step on
-    one-word keys, and with the matrix step (``_row_action`` forced to
-    None).  Multi-word and object keys take the matrix step every time."""
-    keyed = gm._row_action
-    for seen in seen_set_strategies(monkeypatch, budget):
-        for step, pick in (("keys", keyed), ("matrix", lambda *args: None)):
-            monkeypatch.setattr(gm, "_row_action", pick)
-            yield seen, step
 
 
 @pytest.fixture

@@ -119,6 +119,20 @@ def test_mumford_level_must_be_one(capsys):
     assert "level 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stabilizer", "mumford", "--ell", "2"),
+        ("stabilizer", "mumford", "--ell", "2,3"),
+        ("degrees", "mumford", "--ell", "2"),
+        ("verify-mumford", "--ell", "2"),
+    ],
+)
+def test_mumford_rejects_even_ell(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: ell must be odd\n")
+
+
 def test_threads_flag_is_gone(capsys):
     code, out, err = run_cli(capsys, "verify-mumford", "--ell", "3", "--threads", "4")
     assert code == 1
@@ -288,6 +302,17 @@ def test_unparsable_scenario_value_names_the_key(tmp_path, capsys, key, value, m
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("key", ["ell", "level", "g"])
+@pytest.mark.parametrize("value", ["5.0", "five"])
+def test_non_integer_scenario_value_names_the_key(tmp_path, capsys, key, value):
+    values = {"ell": "5", "level": "1", "g": "2", key: value}
+    path = tmp_path / "bad.txt"
+    path.write_text("scenario = cm\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    code, out, err = run_cli(capsys, "degrees", "--scenario-file", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: scenario key {key!r}: invalid int value: {value!r}\n"
 
 
 def test_scenario_file_custom(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 ``reference_close`` is the tuple breadth-first search the array closure
 replaced; it is kept here as the oracle for element order and cap behaviour,
-under every seen set and product step (``conftest.bfs_strategies``).
+under every seen set (``conftest.seen_set_strategies``).  ``reference_orbit``
+is the same search for any start matrix, level by level, with Schreier
+scalars: the oracle for ``_bfs`` itself.
 """
 
 import re
@@ -14,10 +16,15 @@ from hypothesis import given, settings, strategies as st
 from gspimage import galois_model as gm
 from gspimage.galois_model import CapExceeded, close, gl2_standard_generators
 from gspimage.modring import MatrixMod, ResidueRing
-from gspimage.symplectic import multiplier, standard_form, symplectic_transvection
-from gspimage.torsion import subgroup_from_generators
+from gspimage.symplectic import (
+    diagonal_similitude,
+    multiplier,
+    standard_form,
+    symplectic_transvection,
+)
+from gspimage.torsion import full_subgroup, subgroup_from_generators
 
-from conftest import bfs_strategies, random_similitude, seen_set_strategies
+from conftest import seen_set_strategies
 
 
 def _mul_flat(x: tuple, y: tuple, n: int, m: int) -> tuple:
@@ -114,7 +121,7 @@ def test_close_matches_reference_order(case, chunk, monkeypatch):
         monkeypatch.setattr(gm, "_BATCH", chunk)
     S, gens = build()
     expected = reference_close(S, gens)
-    for _ in bfs_strategies(monkeypatch):
+    for _ in seen_set_strategies(monkeypatch):
         G = close(S, gens)
         assert G.array.dtype == arr_dtype
         assert gm._pack(G.array, S.ring.modulus).dtype.type is key_type
@@ -129,7 +136,7 @@ def test_close_cap_fires_at_reference_count(case, monkeypatch):
     with pytest.raises(CapExceeded):
         reference_close(S, gens, cap=order - 1)
     messages = set()
-    for _ in bfs_strategies(monkeypatch):
+    for _ in seen_set_strategies(monkeypatch):
         assert close(S, gens, cap=order).order == order
         with pytest.raises(CapExceeded) as info:
             close(S, gens, cap=order - 1)
@@ -142,56 +149,174 @@ def test_close_cap_fires_at_reference_count(case, monkeypatch):
         assert 1 <= elements <= order - 1
         assert depth < elements  # each completed level added at least one element
         messages.add(str(info.value))
-    assert len(messages) == 1  # every seen set and product step stops at the same point
+    assert len(messages) == 1  # every seen set stops at the same point
 
 
-def _bfs_by_step(start, mats, mod, units):
-    """``_bfs`` under the row-action step and under the matrix step, by
-    step: the points as rows, the level lengths and the Schreier scalars,
-    or the CapExceeded message."""
-    out = {}
-    for step in ("keys", "matrix"):
-        with pytest.MonkeyPatch.context() as mp:
-            if step == "matrix":
-                mp.setattr(gm, "_row_action", lambda *args: None)
-            try:
-                levels, scalars = gm._bfs(start, mats, mod, 3000, "orbit", units)
-            except CapExceeded as exc:
-                out[step] = str(exc)
-                continue
-        points = np.concatenate(levels)
-        if points.ndim == 1:  # one-word keys
-            points = gm._unpack(points, mod, start.shape[1], np.int64)
-        out[step] = (points.tolist(), [len(rows) for rows in levels], scalars)
-    return out
+def reference_orbit(rows, mats, mod, cap, stage, lams=None):
+    """The breadth-first orbit of the matrix with rows ``rows`` under
+    x -> x @ m mod ``mod``, one product at a time and level by level.
+
+    Returns the points (tuples of rows) in discovery order, the length of
+    each level (the last one 0) and, given one unit ``lams[i]`` per matrix,
+    the sorted distinct Schreier scalars lam_i lambda_x / lambda_y other
+    than 1 (else none).  Raises the CapExceeded of ``_bfs`` when a level
+    would pass ``cap``.
+    """
+
+    def times(x, m):
+        return tuple(
+            tuple(sum(a * m[k][j] for k, a in enumerate(v)) % mod for j in range(len(m)))
+            for v in x
+        )
+
+    start = tuple(map(tuple, rows))
+    units = lams or [1] * len(mats)
+    lam_of, points, lengths, frontier, scalars = {start: 1}, [start], [1], [start], set()
+    while frontier:
+        count, new = len(points), []
+        for x in frontier:
+            for m, lam in zip(mats, units):
+                y = times(x, m)
+                if y not in lam_of:
+                    if len(points) == cap:
+                        noun = "elements" if stage == "closure" else "points"
+                        raise CapExceeded(
+                            f"{stage} exceeds cap={cap}: {count} {noun}"
+                            f" through BFS depth {len(lengths) - 1}"
+                        )
+                    lam_of[y] = lam_of[x] * lam % mod
+                    points.append(y)
+                    new.append(y)
+                s = lam * lam_of[x] * pow(lam_of[y], -1, mod) % mod
+                if s != 1:
+                    scalars.add(s)
+        lengths.append(len(new))
+        frontier = new
+    return points, lengths, sorted(scalars) if lams else []
 
 
-@settings(max_examples=40, deadline=None)
+def _expected_bfs(rows, mats, mod, cap, stage, lams=None):
+    """``reference_orbit``'s result or cap message, where the first row
+    whose own orbit passes the cap gives the message, as in ``_bfs``."""
+    try:
+        for row in rows:
+            reference_orbit([row], mats, mod, cap, stage)
+        return reference_orbit(rows, mats, mod, cap, stage, lams)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def _bfs_result(rows, mats, mod, cap, stage, units=None):
+    """``_bfs``'s points (tuples of rows), level lengths and scalars, or
+    its cap message."""
+    try:
+        levels, orbits, scalars = gm._bfs(rows, mats, mod, cap, stage, units)
+    except CapExceeded as exc:
+        return str(exc)
+    points = [
+        tuple(orbits[i][a] for i, a in enumerate(column))
+        for ids in levels
+        for column in ids.T.tolist()
+    ]
+    return points, [ids.shape[1] for ids in levels], scalars
+
+
+def _random_generator(space, rng):
+    """Transvections by vectors divisible by a random power of l, times a
+    diagonal similitude: groups from a few elements to far past any cap."""
+    ring = space.ring
+    mod, ell = ring.modulus, ring.ell
+    M = MatrixMod.identity(ring, space.dim)
+    for _ in range(rng.randrange(3)):
+        shift = ell ** rng.randrange(ring.level)
+        M = M @ symplectic_transvection(
+            space, [rng.randrange(mod) * shift % mod for _ in range(space.dim)]
+        )
+    unit = rng.randrange(mod // ell) * ell + rng.randrange(1, ell)
+    return M @ diagonal_similitude(space, rng.choice([1, mod - 1, unit]))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
+    ell=st.sampled_from([2, 3, 5]),
+    level=st.sampled_from([1, 2, 3, 4, 5, 6, 20]),
     g=st.sampled_from([1, 2]),
-    level=st.sampled_from([2, 3]),
-    ngens=st.integers(1, 3),
+    ngens=st.integers(0, 3),
     k=st.integers(1, 3),
+    cap=st.sampled_from([30, 300, 3000]),
     rng=st.randoms(use_true_random=False),
 )
-def test_row_action_step_matches_matrix_step(g, level, ngens, k, rng):
-    # GL2 and GSp4 over Z/9 and Z/27: the closure (the identity under
-    # x -> x @ m) and the orbit of k random rows under x -> x @ m^T with its
-    # Schreier scalars; GSp4 closures over Z/27 have multi-word keys
-    space = standard_form(g, ResidueRing(3, level))
+def test_bfs_matches_tuple_reference(ell, level, g, ngens, k, cap, rng):
+    # GL2 and GSp4: the closure (the identity under x -> x @ m) and the orbit
+    # of k random rows under x -> x @ m^T with its Schreier scalars, under
+    # both seen sets; a search that ends inside the cap runs again at caps
+    # of its size and one less
+    space = standard_form(g, ResidueRing(ell, level))
     d, mod = space.dim, space.ring.modulus
-    gens = [random_similitude(space, rng) for _ in range(ngens)]
-    mats = np.array([M.rows for M in gens], dtype=np.int64)
-    lam = [multiplier(M, space).value for M in gens]
-    units = tuple(np.array(u, dtype=np.int64) for u in (lam, [space.ring.inverse(x) for x in lam]))
-    rows = np.array([[rng.randrange(mod) for _ in range(k * d)]], dtype=np.uint8)
-    identity = np.eye(d, dtype=np.uint8).reshape(1, -1)
-    for start, act, scalars in ((identity, mats, None), (rows, mats.transpose(0, 2, 1), units)):
-        npoint = start.shape[1] // d
-        keyed = gm._row_action(act, mod, npoint) is not None
-        assert keyed == (mod ** (npoint * d) < 2**63)
-        out = _bfs_by_step(start, act, mod, scalars)
-        assert out["keys"] == out["matrix"]
+    gens = [_random_generator(space, rng) for _ in range(ngens)]
+    lams = [multiplier(M, space).value for M in gens]
+    udt = gm._kernel_dtype(mod, 1)
+    units = (np.array(lams, dtype=udt), np.array([pow(x, -1, mod) for x in lams], dtype=udt))
+    rows = [tuple(rng.randrange(mod) for _ in range(d)) for _ in range(k)]
+    identity = MatrixMod.identity(space.ring, d).rows
+    searches = [
+        ("closure", identity, [M.rows for M in gens], None, None),
+        ("orbit", rows, [tuple(zip(*M.rows)) for M in gens], lams, units),
+    ]
+    for stage, start, mats, scalars, unit_arrays in searches:
+        expected = _expected_bfs(start, mats, mod, cap, stage, scalars)
+        caps = [cap]
+        if not isinstance(expected, str):
+            caps += [n for n in (len(expected[0]), len(expected[0]) - 1) if n]
+        if stage == "closure":
+            if isinstance(expected, str):
+                with pytest.raises(CapExceeded):
+                    reference_close(space, gens, cap)
+            else:
+                assert [sum(p, ()) for p in expected[0]] == reference_close(space, gens, cap)
+        for c in caps:
+            want = _expected_bfs(start, mats, mod, c, stage, scalars)
+            with pytest.MonkeyPatch.context() as mp:  # hypothesis tests take no monkeypatch fixture
+                for _ in seen_set_strategies(mp, budget=None):
+                    assert _bfs_result(start, mats, mod, c, stage, unit_arrays) == want
+
+
+def test_close_on_object_keys_matches_reference(monkeypatch):
+    # <r I, r^38 I> in GSp6(Z/3^7), r a primitive root: the 1458 unit
+    # scalars.  Each row orbit is the 1458 unit multiples of e_i, so the key
+    # space 1458^6 is past 2^63 and the keys are Python ints
+    ring = ResidueRing(3, 7)
+    S = standard_form(3, ring)
+    r = gm._primitive_root(ring)
+    gens = [MatrixMod.diagonal(ring, [pow(r, e, ring.modulus)] * 6) for e in (1, 38)]
+    assert 1458**6 > 2**63
+    starts, real = [], gm._seen_set
+    monkeypatch.setattr(gm, "_seen_set", lambda size, key: starts.append(key) or real(size, key))
+    G = close(S, gens)
+    assert [key.dtype for key in starts] == [object]
+    assert G.order == 1458
+    assert [tuple(row) for row in G.array.tolist()] == reference_close(S, gens)
+    # the orbit of H's basis e_1..e_6 runs on the same keys, with lookups
+    H = full_subgroup(ring, 6)
+    assert gm.orbit_degree_report(S, gens, H) == gm.build_degree_report(G, H)
+    assert [key.dtype for key in starts] == [object, object]
+
+
+def test_close_cap_fires_on_a_row_orbit():
+    # <r I> in GL2(Z/25), r = 2 a primitive root: the closure and the orbits
+    # of e1 and of e2 have 20 points each, so at cap=19 the orbit of e1, the
+    # first row, passes the cap before any element is searched
+    ring = ResidueRing(5, 2)
+    S = standard_form(1, ring)
+    gens = [MatrixMod.diagonal(ring, [2, 2])]
+    assert close(S, gens, cap=20).order == 20
+    with pytest.raises(CapExceeded):
+        reference_close(S, gens, cap=19)
+    message = "closure exceeds cap=19: 19 elements through BFS depth 18"
+    with pytest.raises(CapExceeded, match=f"^{message}$"):
+        gm._row_orbits(MatrixMod.identity(ring, 2).rows, [gens[0].rows], 25, 19, "closure")
+    with pytest.raises(CapExceeded, match=f"^{message}$"):
+        close(S, gens, cap=19)
 
 
 @settings(max_examples=60, deadline=None)

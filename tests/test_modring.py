@@ -107,6 +107,24 @@ def test_matmul_rejects_mismatched_dimensions(left, right):
         MatrixMod.identity(ring, left) @ MatrixMod.identity(ring, right)
 
 
+@pytest.mark.parametrize("left, right", [(2, 3), (3, 2)])
+def test_sum_and_difference_reject_mismatched_dimensions(left, right):
+    ring = ResidueRing(5, 1)
+    a, b = MatrixMod.identity(ring, left), MatrixMod.identity(ring, right)
+    with pytest.raises(ValueError, match=rf"^dimension mismatch: {left}x{left} \+ {right}x{right}$"):
+        a + b
+    with pytest.raises(ValueError, match=rf"^dimension mismatch: {left}x{left} - {right}x{right}$"):
+        a - b
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_apply_rejects_a_vector_of_another_length(length):
+    M = MatrixMod.identity(ResidueRing(5, 1), 2)
+    with pytest.raises(ValueError, match=rf"^dimension mismatch: 2x2 applied to a vector of length {length}$"):
+        M.apply([1] * length)
+    assert M.apply([1, 2]) == (1, 2)
+
+
 def test_mat_invert_random_4x4():
     ring = ResidueRing(5, 2)
     rng = random.Random(11)

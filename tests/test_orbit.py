@@ -22,7 +22,7 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import standard_form
 from gspimage.torsion import full_subgroup, subgroup_from_generators, trivial_subgroup
 
-from conftest import bfs_strategies, random_similitude, random_subgroup
+from conftest import random_similitude, random_subgroup, seen_set_strategies
 from test_closure import CASES
 
 
@@ -54,7 +54,7 @@ def test_unit_subgroup_orders_rejects_non_units():
 def _assert_paths_agree(space, gens, H, G):
     expected = {mu_c: build_degree_report(G, H, mu_c) for mu_c in {1, space.ring.ell - 1}}
     with pytest.MonkeyPatch.context() as mp:  # hypothesis tests take no monkeypatch fixture
-        for _ in bfs_strategies(mp, budget=None):
+        for _ in seen_set_strategies(mp, budget=None):
             for mu_c, rep in expected.items():
                 assert orbit_degree_report(space, gens, H, mu_c=mu_c) == rep
 
@@ -134,7 +134,7 @@ def test_orbit_report_matches_materialized_on_closure_cases(case, chunk, rng, mo
     for _ in range(3):
         H = random_subgroup(S.ring, S.dim, rng)
         expected = build_degree_report(G, H)
-        for _ in bfs_strategies(monkeypatch):
+        for _ in seen_set_strategies(monkeypatch):
             assert orbit_degree_report(S, gens, H) == expected
 
 

@@ -14,6 +14,7 @@ arithmetic, or where the modulus itself does not fit the storage dtype.
 import functools
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
 from conftest import seen_set_strategies
-from test_closure import CASES, _gsp4_f3_subgroup
+from test_closure import CASES
 
 # (ell, level) -> storage dtype of a group of 2x2 matrices
 BOUNDARIES = [
@@ -251,73 +252,78 @@ def test_keys_and_reduction_allocate_no_group_sized_int64_array():
     assert peak < 0.75 * int64_bytes
 
 
+def _spy_row_orbits(monkeypatch):
+    made, real = [], gm._row_orbits
+    monkeypatch.setattr(gm, "_row_orbits", lambda *args: made.append(real(*args)) or made[-1])
+    return made
+
+
 def test_closure_allocates_a_seen_table_only_inside_its_budget(monkeypatch):
+    # the seen table is sized by the product of the row orbits, before it is
+    # allocated.  GL2(Z/27): e1 and e2 share one orbit, the 648 vectors of
+    # order 27, so the key space is 648^2
     ring = ResidueRing(3, 3)
-    G, peak = _peak_bytes(lambda: close(standard_form(1, ring), gm.gl2_standard_generators(ring)))
+    S, gens = standard_form(1, ring), gm.gl2_standard_generators(ring)
+    made = _spy_row_orbits(monkeypatch)
+    G, peak = _peak_bytes(lambda: close(S, gens))
     assert G.order == gm.gl2_order(3, 3)
-    assert peak < 16 * 2**20  # the 27^4-entry table (2 MiB) included
-    S, gens = _gsp4_f3_subgroup()
-    table_bytes = 3**16 * 4  # keys of 16 entries mod 3: past the default budget
-    G, peak = _peak_bytes(lambda: close(S, gens))
-    assert G.order == 1152
-    assert peak < table_bytes
-    monkeypatch.setattr(gm, "_DENSE_KEYS", 3**16)
-    G, peak = _peak_bytes(lambda: close(S, gens))
-    assert G.order == 1152
-    assert peak >= table_bytes
+    assert peak < 16 * 2**20  # the 648^2-entry table (1.6 MiB) included
+    space = math.prod(len(act) for _, act, _ in made[-1])
+    assert space == 648**2
+    expected = G.array.tolist()
+    tables = []
 
+    class Spy(gm._SeenTable):
+        def __init__(self, size, start_key):
+            tables.append(size)
+            super().__init__(size, start_key)
 
-def test_row_action_fills_only_the_rows_it_reaches(monkeypatch):
-    # one transvection over Z/243: a table of 243^2 rows, of which the
-    # closure (243 elements) reaches 244 and the orbit of e2 reaches 243
-    ring = ResidueRing(3, 5)
-    S, u = standard_form(1, ring), MatrixMod(ring, [[1, 1], [0, 1]])
-    made, real = [], gm._row_action
-    monkeypatch.setattr(gm, "_row_action", lambda *args: made.append(real(*args)) or made[-1])
-    G = close(S, [u])
-    rows = G.array.astype(np.int64).reshape(-1, 2)
-    reached = sorted(set((rows[:, 0] * 243 + rows[:, 1]).tolist()))
-    rep = gm.orbit_degree_report(S, [u], subgroup_from_generators([(0, 1)], ring))
-    closure, orbit = made
-    assert closure.act.shape == orbit.act.shape == (243**2, 1)
-    assert G.order == 243 and len(reached) == 244
-    assert np.flatnonzero(closure.act[:, 0] >= 0).tolist() == reached
-    assert rep.deg_KH == 243  # the orbit (c, 1), one row each
-    assert np.flatnonzero(orbit.act[:, 0] >= 0).tolist() == [c * 243 + 1 for c in range(243)]
+    monkeypatch.setattr(gm, "_SeenTable", Spy)
+    for budget in (space - 1, space):
+        monkeypatch.setattr(gm, "_DENSE_KEYS", budget)
+        assert close(S, gens).array.tolist() == expected
+        seen, peak = _peak_bytes(lambda: gm._seen_set(space, np.zeros(1, dtype=np.int64)))
+        assert (peak >= space * 4) == (budget == space) == isinstance(seen, Spy)
+    assert tables == [space, space]  # inside the budget only: one closure, one direct call
 
 
 def test_row_action_table_is_checked_against_the_budget_before_allocation(monkeypatch):
+    # a row-action table holds one row orbit, whose length is checked against
+    # the cap as it grows, before the table is built: GL2(Z/27) needs one
+    # table of 648 vectors, refused at cap=647
     ring = ResidueRing(3, 3)
-    S, gens = standard_form(1, ring), gm.gl2_standard_generators(ring)
-    mats = np.array([g.rows for g in gens], dtype=np.int64)
-    entries = 3 * 27**2  # the table: one entry per (row, generator)
-    expected = close(S, gens).array.tolist()
-    tables = []
-
-    class Spy(gm._RowAction):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(self.act.size)
-
-    monkeypatch.setattr(gm, "_RowAction", Spy)
-    for budget in (entries - 1, entries):
-        monkeypatch.setattr(gm, "_DENSE_KEYS", budget)
-        for seen in (gm._SeenTable, lambda size, key: gm._SeenSorted(key)):
-            monkeypatch.setattr(gm, "_seen_set", seen)
-            assert close(S, gens).array.tolist() == expected
-    assert tables == [entries, entries]  # inside the budget only, under each seen set
-    monkeypatch.setattr(gm, "_DENSE_KEYS", entries - 1)
-    step, peak = _peak_bytes(lambda: gm._row_action(mats, 27, 2))
-    assert step is None and peak < entries * 4
-    monkeypatch.setattr(gm, "_DENSE_KEYS", entries)
-    step, peak = _peak_bytes(lambda: gm._row_action(mats, 27, 2))
-    assert step.act.shape == (27**2, 3) and peak >= entries * 4
-    # GSp4 over Z/27: a closure's keys take two words, however small the table
+    identity = MatrixMod.identity(ring, 2).rows
+    mats = [g.rows for g in gm.gl2_standard_generators(ring)]
+    with pytest.raises(gm.CapExceeded, match="closure exceeds cap=647: "):
+        gm._row_orbits(identity, mats, 27, 647, "closure")
+    (vectors, act, a), (same, same_act, b) = gm._row_orbits(identity, mats, 27, 648, "closure")
+    assert same is vectors and same_act is act and len(vectors) == 648
+    assert act.shape == (648, 3) and act.dtype == np.int32
+    assert vectors[a] == (1, 0) and vectors[b] == (0, 1)
+    # GSp4 over Z/27: packed entries would take two words (27^16 > 2^63), but
+    # the row orbits (6, 27, 2 and 3 vectors) give 972 keys, one word each
     S4, gens4 = CASES["gsp4_z27"][0]()
-    mats4 = np.array([g.rows for g in gens4], dtype=np.int64)
-    monkeypatch.setattr(gm, "_DENSE_KEYS", 1 << 30)
-    assert gm._row_action(mats4, 27, 4) is None
-    assert gm._row_action(mats4, 27, 3) is not None  # an orbit of three vectors
+    made = _spy_row_orbits(monkeypatch)
+    assert close(S4, gens4).order == 486
+    assert [act.shape for _, act, _ in made[0]] == [(6, 4), (27, 4), (2, 4), (3, 4)]
+    assert 27**16 > 2**63 and math.prod(len(act) for _, act, _ in made[0]) == 972
+
+
+def test_row_action_fills_only_the_rows_it_reaches(monkeypatch):
+    # one transvection over Z/243: the closure's orbits are the 243 vectors
+    # (1, c) and e2 alone, the orbit of H = <e2> the 243 vectors (c, 1);
+    # each table holds its orbit, not all 243^2 rows
+    ring = ResidueRing(3, 5)
+    S, u = standard_form(1, ring), MatrixMod(ring, [[1, 1], [0, 1]])
+    made = _spy_row_orbits(monkeypatch)
+    assert close(S, [u]).order == 243
+    assert gm.orbit_degree_report(S, [u], subgroup_from_generators([(0, 1)], ring)).deg_KH == 243
+    (e1, act1, _), (e2, act2, _) = made[0]
+    ((orbit, act, _),) = made[1]
+    assert e1 == [(1, c) for c in range(243)] and e2 == [(0, 1)]
+    assert orbit == [(c, 1) for c in range(243)]
+    assert act1.shape == act.shape == (243, 1) and act2.shape == (1, 1)
+    assert act1[:, 0].tolist() == act[:, 0].tolist() == [*range(1, 243), 0]
 
 
 def test_fixing_test_on_cm_torus_allocates_no_block_or_group_sized_temporary():
