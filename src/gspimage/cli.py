@@ -359,11 +359,8 @@ def _custom_scenario(ell: int, data: dict):
 
 
 def _scenario_instance(name: str, ell: int, data: dict, cap: int):
-    """The group G and subgroup H of a custom, cm or selfproduct scenario;
-    ``data["H"]``, when set, replaces a named scenario's H."""
-    if name == "custom":
-        space, gens, H = _custom_scenario(ell, data)
-        return gm.close(space, gens, cap), H
+    """The group G and subgroup H of a cm or selfproduct scenario;
+    ``data["H"]``, when set, replaces the scenario's H."""
     if name == "cm":
         G, H = gm.scenario_cm(data["g"], ell, data["level"], cap)
     else:
@@ -526,6 +523,9 @@ def _cmd_stabilizer(ns) -> tuple[dict, list[str]]:
         if name == "mumford":
             stab = mf.pointwise_stabilizer_in_image(ell, cap=ns.cap)
             elements = [list(M.flat()) for M in stab]
+        elif name == "custom":  # G's closure is searched, never built
+            space, gens, H = _custom_scenario(ell, data)
+            elements = gm.close(space, gens, ns.cap, fixing=H).array.tolist()
         else:
             G, H = _scenario_instance(name, ell, data, ns.cap)
             elements = gm.stabilizer(G, H).array.tolist()

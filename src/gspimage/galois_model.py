@@ -96,6 +96,19 @@ def _storage_dtype(mod: int, dim: int):
     return _unsigned_dtype(mod - 1) if _np_batch_ok(mod, dim) else object
 
 
+def _mod(x: np.ndarray, m: int) -> np.ndarray:
+    """``x % m`` for an array of non-negative integers, in ``x``'s dtype,
+    which must hold ``m``.  numpy floor-divides by a scalar with a multiply
+    and a shift but takes ``%`` with a division per entry, so an integer
+    dtype gets ``x - (x // m) * m``, in one temporary as ``%`` would use;
+    object dtype (Python ints) keeps ``%``."""
+    if x.dtype == object:
+        return x % m
+    q = x // m
+    q *= m
+    return np.subtract(x, q, out=q)
+
+
 def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
     """Key of each row of ``flat``: two keys are equal exactly when the rows are.
 
@@ -123,19 +136,27 @@ def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
 # entries of a key-indexed int32 seen table, 16 MiB
 _DENSE_KEYS = 1 << 22
 
+# the entry of an unseen key in a seen table; a point index is at least 0
+_UNSEEN = np.iinfo(np.int32).min
+
 
 def _first_unseen(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence in ``keys`` of each key
-    whose ``table`` entry is -1 (unseen).  Each such entry is left holding
-    its key's index; the caller may overwrite it."""
-    cand = np.flatnonzero(table[keys] < 0)
-    cand_keys = keys[cand]
-    table[cand_keys] = np.iinfo(table.dtype).max
+    whose ``table`` entry is ``_UNSEEN``, in one pass over ``keys``.
+
+    Key j gets the stamp -1 - j, so an earlier occurrence has the larger
+    stamp.  ``np.maximum.at`` leaves a seen entry (a point index, at least
+    0) alone and leaves an unseen one holding the stamp of its key's first
+    occurrence, which the caller may overwrite; the first occurrences are
+    where an entry equals the stamp.  ``keys`` must number fewer than 2^31,
+    so that every stamp is above ``_UNSEEN`` in the table's int32.
+    """
+    stamps = np.arange(-1, -1 - len(keys), -1, dtype=table.dtype)
     # a repeated index in a fancy assignment keeps an unspecified value;
-    # minimum.at keeps the least, and takes its fast path only when the
+    # maximum.at keeps the greatest, and takes its fast path only when the
     # values are of the table's dtype
-    np.minimum.at(table, cand_keys, cand.astype(table.dtype))
-    return cand[table[cand_keys] == cand]
+    np.maximum.at(table, keys, stamps)
+    return np.flatnonzero(table[keys] == stamps)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -169,9 +190,10 @@ class MatrixGroup:
     ``generators``, when not empty, generates the group in ``array``.  Only
     the builders record them (``close``, ``gl2_group``, ``scenario_cm``,
     ``scenario_selfproduct``, and ``reduce_level`` from its source's), each
-    for the group it builds; subgroups cut out by a mask and
-    ``from_elements`` record none.  ``build_degree_report`` relies on this:
-    it reads lambda(G) from the generators' multipliers.
+    for the group it builds; subgroups cut out by a mask (``close`` with
+    ``fixing`` among them) and ``from_elements`` record none.
+    ``build_degree_report`` relies on this: it reads lambda(G) from the
+    generators' multipliers.
     """
 
     __slots__ = ("space", "generators", "array")
@@ -260,7 +282,7 @@ class MatrixGroup:
         p = self.ring.ell ** level
         # the remainder is taken in the storage dtype, which holds p below
         # the top level; at the top level the entries are already reduced
-        reduced = self.array if level == self.ring.level else self.array % p
+        reduced = self.array if level == self.ring.level else _mod(self.array, p)
         reduced = reduced.astype(_storage_dtype(p, self.dim), copy=False)
         keep = np.zeros(len(reduced), dtype=bool)
         keep[:1] = True  # the first element is a first occurrence
@@ -277,10 +299,11 @@ class MatrixGroup:
 
 class _SeenTable:
     """A seen set over a small key space: an int32 table indexed by the
-    packed key, -1 for an unseen key and the key's point index otherwise."""
+    packed key, ``_UNSEEN`` for an unseen key and the key's point index
+    otherwise.  An add finds its new keys in one pass (``_first_unseen``)."""
 
     def __init__(self, size: int, start_key: np.ndarray):
-        self.table = np.full(size, -1, dtype=np.int32)
+        self.table = np.full(size, _UNSEEN, dtype=np.int32)
         self.table[start_key] = 0
 
     def add(self, keys: np.ndarray, count: int, lookup: bool = False):
@@ -468,7 +491,12 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     return levels, [vectors for vectors, _, _ in orbits], scalars
 
 
-def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DEFAULT_CAP) -> MatrixGroup:
+def close(
+    space: SymplecticSpace,
+    generators: Sequence[MatrixMod],
+    cap: int = DEFAULT_CAP,
+    fixing: Optional[TorsionSubgroup] = None,
+) -> MatrixGroup:
     """Breadth-first closure of a generating set under multiplication: the
     orbit of the identity under right multiplication by the generators.
 
@@ -478,29 +506,55 @@ def close(space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DE
     each level is decoded here, row i of every element by one gather from
     the columns of row i's orbit.  Raises CapExceeded when the element count
     would pass the cap.
+
+    With a non-trivial ``fixing`` = H, returns instead the elements that fix
+    H pointwise, in closure order and with no generators recorded: the
+    ``stabilizer`` of the closure, element for element, without decoding the
+    closure.  Row i of M e = e reads row_i(M) . e = e_i, and row_i(M) is a
+    vector of row i's orbit, so one mask per row over its orbit's vectors,
+    computed in the kernel dtype, tests each element on its row ids; only
+    the elements every mask passes are decoded.  The BFS still visits the
+    whole group, so ``cap`` bounds the closure as without ``fixing``.
     """
     for g in generators:
         multiplier(g, space)
+    if fixing is not None:
+        _check_subgroup(space, fixing)
     d, mod = space.dim, space.ring.modulus
     identity = MatrixMod.identity(space.ring, d).rows
     levels, orbits, _ = _bfs(identity, [g.rows for g in generators], mod, cap, "closure")
+    masks = []
+    if fixing is not None and not fixing.is_trivial():
+        wide = _kernel_dtype(mod, d)
+        basis = np.array(fixing.basis, dtype=wide)  # the vectors e, one per row
+        masks = [
+            (np.array(vectors, dtype=wide) @ basis.T % mod == basis[:, i]).all(axis=1)
+            for i, vectors in enumerate(orbits)
+        ]
     columns = [np.array(vectors, dtype=_storage_dtype(mod, d)).T.copy() for vectors in orbits]
     for j, ids in enumerate(levels):  # each level's ids are freed once decoded
+        if masks:
+            ids = ids[:, np.all([mask[r] for mask, r in zip(masks, ids)], axis=0)]
         levels[j] = np.concatenate([np.take(c, r, axis=1) for c, r in zip(columns, ids)]).T
-    return MatrixGroup(space, generators, np.concatenate(levels))
+    return MatrixGroup(space, () if masks else generators, np.concatenate(levels))
+
+
+def _check_subgroup(space: SymplecticSpace, H: TorsionSubgroup) -> None:
+    if H.ring != space.ring:
+        raise ValueError("group and subgroup live over different rings")
+    if H.ambient_dim != space.dim:
+        raise ValueError("ambient dimension mismatch")
 
 
 def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     """Pointwise fixer {M in G : M e = e for every Smith-basis generator e}.
 
-    Fixing a generating set fixes all of H by linearity.
+    Fixing a generating set fixes all of H by linearity.  For a closure,
+    ``close(..., fixing=H)`` lists the same elements without building G.
     """
     if not isinstance(G, MatrixGroup):
         raise TypeError("stabilizer enumeration needs a materialized group")
-    if H.ring != G.ring:
-        raise ValueError("group and subgroup live over different rings")
-    if H.ambient_dim != G.dim:
-        raise ValueError("ambient dimension mismatch")
+    _check_subgroup(G.space, H)
     if H.is_trivial():
         return G
     return MatrixGroup(G.space, (), G.array[_fixing_indices(G, [(G.ring.modulus, H.basis)])])
@@ -514,7 +568,7 @@ def _fixing_indices(G: MatrixGroup, conditions) -> np.ndarray:
     row i: sum_j M[i, j] v_j = v_i mod p over the nonzero v_j.  A test reads
     only its columns i*d + j of the stored rows and sums them in the
     narrowest unsigned dtype holding both the bound sum_j v_j (mod - 1) and p
-    (``%`` needs p in the dtype), or in object dtype when the rows are stored
+    (``_mod`` needs p in the dtype), or in object dtype when the rows are stored
     so; no block is widened.  The tests of the largest p, the most selective,
     run first; each block keeps its surviving rows and their indices after
     each test, and stops once none survives.
@@ -537,7 +591,7 @@ def _fixing_indices(G: MatrixGroup, conditions) -> np.ndarray:
             total = np.zeros(len(block), dtype=acc)
             for col, x in terms:
                 total += block[:, col] if x == 1 else np.multiply(block[:, col], x, dtype=acc)
-            kept = total % p == target
+            kept = _mod(total, p) == target
             block, index = block[kept], index[kept]
             if not len(index):
                 break

@@ -269,9 +269,7 @@ class MatrixMod:
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "MatrixMod") -> "MatrixMod":
-        if self.ring != other.ring:
-            raise ValueError("mixed rings")
-        self._check_dims(other, "@")
+        self._check_operand(other, "@")
         m = self.ring.modulus
         cols = tuple(zip(*other.rows))
         # every entry is reduced here, so the constructor's reduction is skipped
@@ -281,21 +279,24 @@ class MatrixMod:
         out._hash = None
         return out
 
-    def _check_dims(self, other: "MatrixMod", op: str) -> None:
+    def _check_operand(self, other: "MatrixMod", op: str) -> None:
+        """``other`` lives over this ring and has this dimension."""
+        if self.ring != other.ring:
+            raise ValueError("mixed rings")
         if self.dim != other.dim:
             raise ValueError(
                 f"dimension mismatch: {self.dim}x{self.dim} {op} {other.dim}x{other.dim}"
             )
 
     def __add__(self, other: "MatrixMod") -> "MatrixMod":
-        self._check_dims(other, "+")
+        self._check_operand(other, "+")
         return MatrixMod(
             self.ring,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
     def __sub__(self, other: "MatrixMod") -> "MatrixMod":
-        self._check_dims(other, "-")
+        self._check_operand(other, "-")
         return MatrixMod(
             self.ring,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],

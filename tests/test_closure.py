@@ -281,6 +281,69 @@ def test_bfs_matches_tuple_reference(ell, level, g, ngens, k, cap, rng):
                     assert _bfs_result(start, mats, mod, c, stage, unit_arrays) == want
 
 
+def _random_fixed_vectors(kind, ring, d, rng):
+    """Rows for H: none, one vector, several, or non-primitive ones, each a
+    multiple of l^k for some 0 < k < level (0 at level 1)."""
+    if kind == "trivial":
+        return []
+    count = 1 if kind == "one" else rng.randrange(2 if kind == "several" else 1, d + 1)
+    vectors = []
+    for _ in range(count):
+        k = rng.randrange(1, max(2, ring.level)) if kind == "non-primitive" else 0
+        vectors.append(tuple(rng.randrange(ring.modulus) * ring.ell**k % ring.modulus for _ in range(d)))
+    return vectors
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ell=st.sampled_from([2, 3, 5]),
+    level=st.sampled_from([1, 2, 3, 4, 5, 6, 20]),
+    g=st.sampled_from([1, 2]),
+    ngens=st.integers(0, 3),
+    kind=st.sampled_from(["trivial", "one", "several", "non-primitive"]),
+    cap=st.sampled_from([30, 300, 3000]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_close_fixing_matches_stabilizer_of_close(ell, level, g, ngens, kind, cap, rng):
+    # GL2 and GSp4 generator sets (object keys at level 20): the filtered
+    # closure is the stabilizer of the closure, element for element, with
+    # the same dtype and generators, and the same cap message, under both
+    # seen sets; a closure inside the cap runs again at caps of its size
+    # and one less
+    space = standard_form(g, ResidueRing(ell, level))
+    ring, d = space.ring, space.dim
+    gens = [_random_generator(space, rng) for _ in range(ngens)]
+    H = subgroup_from_generators(_random_fixed_vectors(kind, ring, d, rng), ring, ambient_dim=d)
+
+    def outcome(c, fixing=None):
+        try:
+            return close(space, gens, c, fixing=fixing)
+        except CapExceeded as exc:
+            return str(exc)
+
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis tests take no monkeypatch fixture
+        for _ in seen_set_strategies(mp, budget=None):
+            G = outcome(cap)
+            caps = [cap] if isinstance(G, str) else [cap] + [n for n in (G.order, G.order - 1) if n]
+            for c in caps:
+                G, F = outcome(c), outcome(c, H)
+                if isinstance(G, str):
+                    assert F == G
+                    continue
+                T = gm.stabilizer(G, H)
+                assert F.array.dtype == T.array.dtype
+                assert F.array.tolist() == T.array.tolist()
+                assert F.generators == T.generators
+
+
+def test_close_fixing_rejects_mismatched_subgroup():
+    S, gens = _gl2_mod9()
+    with pytest.raises(ValueError, match="different rings"):
+        close(S, gens, fixing=subgroup_from_generators([(1, 0)], ResidueRing(3, 1)))
+    with pytest.raises(ValueError, match="ambient dimension"):
+        close(S, gens, fixing=subgroup_from_generators([(1, 0, 0, 0)], S.ring))
+
+
 def test_close_on_object_keys_matches_reference(monkeypatch):
     # <r I, r^38 I> in GSp6(Z/3^7), r a primitive root: the 1458 unit
     # scalars.  Each row orbit is the 1458 unit multiples of e_i, so the key
@@ -326,7 +389,7 @@ def test_table_first_occurrences_match_sorted(data):
     pool = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=12))
     keys = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=200)), dtype=np.int64)
     seen = sorted(data.draw(st.sets(st.sampled_from(pool))))  # keys already points
-    table = np.full(size, -1, dtype=np.int32)
+    table = np.full(size, gm._UNSEEN, dtype=np.int32)
     table[seen] = np.arange(len(seen))
     distinct, first = np.unique(keys, return_index=True)
     expected = np.sort(first[~np.isin(distinct, seen)])

@@ -117,6 +117,15 @@ def test_sum_and_difference_reject_mismatched_dimensions(left, right):
         a - b
 
 
+@pytest.mark.parametrize("left, right", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("op", ["+", "-", "@"])
+def test_arithmetic_rejects_mixed_rings(op, left, right):
+    # Z/5 and Z/25 in both operand orders: no result is reduced mod either
+    a, b = (MatrixMod(ResidueRing(5, n), [[1, 2], [3, 4]]) for n in (left, right))
+    with pytest.raises(ValueError, match="^mixed rings$"):
+        {"+": a.__add__, "-": a.__sub__, "@": a.__matmul__}[op](b)
+
+
 @pytest.mark.parametrize("length", [1, 3])
 def test_apply_rejects_a_vector_of_another_length(length):
     M = MatrixMod.identity(ResidueRing(5, 1), 2)
