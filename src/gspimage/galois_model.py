@@ -1,16 +1,17 @@
 """Finite Galois-image engine.
 
-Matrix groups inside GSp_2g(Z/l^n) with materialized closures, pointwise
-stabilizers, the field-degree bookkeeping built on the multiplier character,
-congruence-filtered subgroups, and the diagonal-torus / self-product
-scenario builders.
+Matrix groups inside GSp_2g(Z/l^n): closures held as element arrays, and
+the GL2, diagonal-torus and self-product builders' groups scanned block by
+block as they are written; pointwise stabilizers, the field-degree
+bookkeeping built on the multiplier character, and congruence-filtered
+subgroups.
 
 Degrees are modeled exactly: [K(H):K] is the index of the pointwise
 stabilizer, the cyclotomic degree at level m is the size of the multiplier
 image mod l^m, and the degree of the cyclotomic intersection is
 |lambda(G)| / |lambda(T)| for T the stabilizer.  ``degree_report`` computes
 all of them from |G|, |T|, generators of lambda(G) and lambda(T), and m1.
-``build_degree_report`` takes them from a materialized group, lambda(G)
+``build_degree_report`` takes them from a ``MatrixGroup``, lambda(G)
 from the multipliers of its recorded generators; ``orbit_degree_report``
 takes them from the orbit of H's basis and its Schreier multipliers,
 without closing G.
@@ -59,21 +60,43 @@ def _np_batch_ok(mod: int, dim: int) -> bool:
 _BATCH = 1 << 12
 
 
-def _batched(kernel, rows: np.ndarray) -> np.ndarray:
-    """``kernel`` applied to consecutive blocks of ``rows``, results joined.
+def _row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of ``_BATCH`` rows of ``rows``; one empty slice
+    when ``rows`` is empty, so that a kernel still sees the row width."""
+    return (rows[i : i + _BATCH] for i in range(0, max(len(rows), 1), _BATCH))
+
+
+def _rebatched(runs) -> Iterator[np.ndarray]:
+    """The rows of ``runs`` (blocks of rows of any lengths), in order, as
+    blocks of ``_BATCH`` rows, the last one shorter, so that a scan pays its
+    per-block cost once per ``_BATCH`` rows.  A block that lies in one run
+    is a view of it; one that spans runs is joined from their slices."""
+    pending, count = [], 0
+    for run in runs:
+        while len(run):
+            part, run = run[: _BATCH - count], run[_BATCH - count :]
+            pending.append(part)
+            count += len(part)
+            if count == _BATCH:
+                yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+                pending, count = [], 0
+    if pending:
+        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+
+
+def _batched(kernel, blocks) -> np.ndarray:
+    """``kernel`` applied to each of ``blocks`` (consecutive blocks of rows,
+    at least one), results joined.
 
     Each block reaches the kernel widened to int64, or as it is when stored
     as object dtype (no copy), for kernels that multiply whole rows:
     multipliers and packed keys.  The fixing test and level reduction never
-    widen a block (see ``_fixing_indices`` and ``MatrixGroup.reduce_level``),
+    widen a block (see ``_fixing_scan`` and ``MatrixGroup.reduce_level``),
     and the BFS multiplies no group-sized rows at all (see ``_bfs``).
     """
-    wide = object if rows.dtype == object else np.int64
-    parts = [
-        kernel(rows[i : i + _BATCH].astype(wide, copy=False))
-        for i in range(0, len(rows), _BATCH)
-    ]
-    return np.concatenate(parts) if parts else kernel(rows.astype(wide, copy=False))
+    return np.concatenate(
+        [kernel(b.astype(object if b.dtype == object else np.int64, copy=False)) for b in blocks]
+    )
 
 
 def _kernel_dtype(mod: int, dim: int):
@@ -129,7 +152,7 @@ def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
         weights[i, i // step] = mod ** (last - i)
     # one block widened at a time; object blocks fit int64 (ResidueRing keeps
     # mod < 2^63) and must be cast, or the words would come out as objects
-    words = _batched(lambda block: block.astype(np.int64, copy=False) @ weights, flat)
+    words = _batched(lambda block: block.astype(np.int64, copy=False) @ weights, _row_blocks(flat))
     return words.ravel() if nwords == 1 else words.view(f"V{8 * nwords}").ravel()
 
 
@@ -169,45 +192,58 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 class MatrixGroup:
-    """A finite group of similitudes, materialized in a deterministic order.
+    """A finite group of similitudes, in a deterministic element order.
 
-    ``array`` holds the elements, one row-major matrix per row, as a
-    read-only (order, d*d) array.  Storage is narrow: inside the kernel
-    guard (``_np_batch_ok``) it is the smallest unsigned dtype holding a
-    residue mod l^n (uint8 up to 256, uint16 up to 65536, uint32 above),
-    past it object dtype (Python ints).  The product kernels compute wide,
-    in int64 or object dtype: ``_batched`` widens one block of rows at a
-    time.  ``close`` multiplies out each vector of its row orbits once and
-    builds ``array`` from row ids, one BFS level at a time.
-    The fixing test sums only the columns it reads, in the narrowest
-    unsigned dtype holding its bound, and ``reduce_level`` takes remainders
-    in the storage dtype.  Unsigned subtraction wraps, so widen ``array``
-    before doing other arithmetic on it; ``tolist()`` gives Python ints.
-    The constructor takes distinct reduced elements, as every builder here
-    produces them; ``from_elements`` reduces a listed set and checks it for
-    duplicates.
+    ``blocks()`` yields the elements, one row-major matrix per row, in
+    element order and in blocks of ``_BATCH`` rows.  A builder
+    (``gl2_group``, ``scenario_cm``, ``scenario_selfproduct``) gives its
+    closed-form ``order`` and ``runs``, a function that writes the rows
+    afresh on each call, one run at a time (160 KiB for the 10^6-element cm
+    torus at l^n = 125); every other group gives its elements.  ``array``
+    is all the elements as one read-only (order, d*d) array, joined from the
+    runs on first access and kept; from then on the blocks are slices of
+    it.  The fixing test and the multiplier scan read blocks, so a degree
+    report or a stabilizer never holds a built group whole;
+    ``reduce_level``, ``contains_group``, membership and iteration read
+    ``array``.
 
-    ``generators``, when not empty, generates the group in ``array``.  Only
-    the builders record them (``close``, ``gl2_group``, ``scenario_cm``,
+    Storage is narrow: inside the kernel guard (``_np_batch_ok``) it is the
+    smallest unsigned dtype holding a residue mod l^n (uint8 up to 256,
+    uint16 up to 65536, uint32 above), past it object dtype (Python ints).
+    The product kernels compute wide, in int64 or object dtype: ``_batched``
+    widens one block of rows at a time.  ``close`` multiplies out each
+    vector of its row orbits once and builds ``array`` from row ids, one
+    BFS level at a time.  The fixing test sums only the columns it reads,
+    in the narrowest unsigned dtype holding its bound, and ``reduce_level``
+    takes remainders in the storage dtype.  Unsigned subtraction wraps, so
+    widen ``array`` before doing other arithmetic on it; ``tolist()`` gives
+    Python ints.  The constructor takes distinct reduced elements, as every
+    builder here produces them; ``from_elements`` reduces a listed set and
+    checks it for duplicates.
+
+    ``generators``, when not empty, generates the group.  Only the builders
+    record them (``close``, ``gl2_group``, ``scenario_cm``,
     ``scenario_selfproduct``, and ``reduce_level`` from its source's), each
-    for the group it builds; subgroups cut out by a mask (``close`` with
+    for the group it builds; subgroups cut out by a test (``close`` with
     ``fixing`` among them) and ``from_elements`` record none.
     ``build_degree_report`` relies on this: it reads lambda(G) from the
     generators' multipliers.
     """
 
-    __slots__ = ("space", "generators", "array")
+    __slots__ = ("space", "generators", "order", "_runs", "_array")
 
-    def __init__(self, space: SymplecticSpace, generators, elements):
+    def __init__(self, space: SymplecticSpace, generators, elements=(), *, runs=None, order=0):
+        """The group of the rows ``elements``, or of the ``order`` rows, in
+        the storage dtype, of the runs that ``runs()`` yields."""
         self.space = space
         self.generators = tuple(generators)
         for g in self.generators:
             multiplier(g, space)  # raises NotSimilitude on a bad generator
-        d = space.dim
-        dtype = _storage_dtype(space.ring.modulus, d)
-        arr = np.asarray(elements, dtype=dtype).reshape(-1, d * d).view()
-        arr.flags.writeable = False
-        self.array = arr
+        self._runs, self._array, self.order = runs, None, order
+        if runs is None:
+            arr = np.asarray(elements, dtype=self._dtype()).reshape(-1, self.dim**2).view()
+            arr.flags.writeable = False
+            self._array, self.order = arr, len(arr)
 
     @classmethod
     def from_elements(cls, space, elements) -> "MatrixGroup":
@@ -229,22 +265,47 @@ class MatrixGroup:
     def dim(self) -> int:
         return self.space.dim
 
-    @property
-    def order(self) -> int:
-        return len(self.array)
+    def _dtype(self):
+        return _storage_dtype(self.ring.modulus, self.dim)
 
-    def _matrices(self) -> np.ndarray:
-        return self.array.reshape(-1, self.dim, self.dim)
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            arr = np.empty((self.order, self.dim**2), dtype=self._dtype())
+            pos = 0
+            for run in self._runs():
+                arr[pos : pos + len(run)] = run
+                pos += len(run)
+            arr.flags.writeable = False
+            self._array, self._runs = arr, None
+        return self._array
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The elements in element order, as consecutive blocks of
+        ``_BATCH`` rows, the last one shorter: cut from the builder's runs
+        until ``array`` is joined, slices of ``array`` from then on.  Read
+        them; never write to them."""
+        if self._array is None:
+            return _rebatched(self._runs())
+        return _row_blocks(self._array)
 
     def __iter__(self) -> Iterator[MatrixMod]:
         for row in self.array:
             yield MatrixMod.from_flat(self.ring, self.dim, row.tolist())
 
     def __contains__(self, M: MatrixMod) -> bool:
+        """Whether ``M`` is an element; False for a matrix over another ring
+        or of another size, as ``MatrixMod.__eq__`` decides."""
+        if not isinstance(M, MatrixMod) or M.ring != self.ring or M.dim != self.dim:
+            return False
         row = np.array(M.flat(), dtype=self.array.dtype)
         return bool((self.array == row).all(axis=1).any())
 
     def contains_group(self, other: "MatrixGroup") -> bool:
+        """Whether every element of ``other`` is one of this group's; False
+        for a group over another ring or of another dimension."""
+        if other.ring != self.ring or other.dim != self.dim:
+            return False
         mod = self.ring.modulus
         return bool(np.isin(_pack(other.array, mod), _pack(self.array, mod)).all())
 
@@ -253,18 +314,19 @@ class MatrixGroup:
         return tuple(self._multiplier_values().tolist())
 
     def _multiplier_values(self) -> np.ndarray:
-        mod = self.ring.modulus
+        mod, d = self.ring.modulus, self.dim
         rows = self.space.form.rows
         i, j = self.space.unit_entry
-        psi = np.array(rows, dtype=_kernel_dtype(mod, self.dim)) % mod
+        psi = np.array(rows, dtype=_kernel_dtype(mod, d)) % mod
         inv = self.ring.inverse(rows[i][j])
 
-        def kernel(M):
+        def kernel(flat):
             # (M^T psi M)[i,j] = col_i(M)^T psi col_j(M)
+            M = flat.reshape(-1, d, d)
             left = M[:, :, i] @ psi % mod
             return (left * M[:, :, j]).sum(axis=1) % mod * inv % mod
 
-        return _batched(kernel, self._matrices())
+        return _batched(kernel, self.blocks())
 
     def multiplier_image(self) -> np.ndarray:
         """The distinct multipliers, ascending, as a read-only array in the
@@ -557,23 +619,31 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     _check_subgroup(G.space, H)
     if H.is_trivial():
         return G
-    return MatrixGroup(G.space, (), G.array[_fixing_indices(G, [(G.ring.modulus, H.basis)])])
+    return MatrixGroup(G.space, (), _fixing_scan(G, [(G.ring.modulus, H.basis)])[1])
 
 
 def _fixing_indices(G: MatrixGroup, conditions) -> np.ndarray:
-    """Ascending indices of the elements M of G with M v = v mod p for every
-    vector v of every (p, vectors) pair in ``conditions``.
+    """The indices of ``_fixing_scan``."""
+    return _fixing_scan(G, conditions)[0]
+
+
+def _fixing_scan(G: MatrixGroup, conditions) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending indices, and the rows, of the elements M of G with M v = v
+    mod p for every vector v of every (p, vectors) pair in ``conditions``.
 
     Each vector v, reduced mod p and skipped when it is 0, gives one test per
-    row i: sum_j M[i, j] v_j = v_i mod p over the nonzero v_j.  A test reads
-    only its columns i*d + j of the stored rows and sums them in the
-    narrowest unsigned dtype holding both the bound sum_j v_j (mod - 1) and p
-    (``_mod`` needs p in the dtype), or in object dtype when the rows are stored
-    so; no block is widened.  The tests of the largest p, the most selective,
-    run first; each block keeps its surviving rows and their indices after
-    each test, and stops once none survives.
+    row i: sum_j M[i, j] v_j = v_i mod p over the nonzero v_j.  The tests are
+    built once and run over ``G.blocks()``, so a built group is scanned as
+    its builder writes it, never joined.  A test reads only its columns
+    i*d + j of the stored rows and sums them in the narrowest unsigned dtype
+    holding both the bound sum_j v_j (mod - 1) and p (``_mod`` needs p in
+    the dtype), or in object dtype when the rows are stored so; no block is
+    widened.  The tests of the largest p, the most selective, run first;
+    each block keeps its surviving rows and their indices (the block's
+    offset plus their place in it) after each test, and stops once none
+    survives.
     """
-    d, top, stored = G.dim, G.ring.modulus - 1, G.array.dtype
+    d, top, stored = G.dim, G.ring.modulus - 1, G._dtype()
     tests = []
     for p, vectors in sorted(conditions, key=lambda c: -c[0]):
         for v in vectors:
@@ -583,10 +653,10 @@ def _fixing_indices(G: MatrixGroup, conditions) -> np.ndarray:
                 bound = max(sum(x for _, x in terms) * top, p)
                 acc = object if stored == object else _unsigned_dtype(bound)
                 tests += [([(i * d + j, x) for j, x in terms], v[i], p, acc) for i in range(d)]
-    hits = []
-    for start in range(0, G.order, _BATCH):
-        block = G.array[start : start + _BATCH]
+    hits, rows, start = [np.arange(0)], [np.empty((0, d * d), dtype=stored)], 0
+    for block in G.blocks():
         index = np.arange(start, start + len(block))
+        start += len(block)
         for terms, target, p, acc in tests:
             total = np.zeros(len(block), dtype=acc)
             for col, x in terms:
@@ -595,8 +665,10 @@ def _fixing_indices(G: MatrixGroup, conditions) -> np.ndarray:
             block, index = block[kept], index[kept]
             if not len(index):
                 break
-        hits.append(index)
-    return np.concatenate(hits) if hits else np.arange(0)
+        if len(index):
+            hits.append(index)
+            rows.append(block)
+    return np.concatenate(hits), np.concatenate(rows)
 
 
 def gl2_order(ell: int, level: int = 1) -> int:
@@ -693,7 +765,7 @@ def filtered_subgroup(
         for Hf, cut in zip(fixers, cutoffs)
         if not Hf.is_trivial()
     ]
-    return MatrixGroup(Gfull.space, (), Gfull.array[_fixing_indices(Gfull, conditions)])
+    return MatrixGroup(Gfull.space, (), _fixing_scan(Gfull, conditions)[1])
 
 
 # -- scenario builders ------------------------------------------------------
@@ -722,22 +794,33 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     n2, mod = 2 * g, ring.modulus
     narrow = _storage_dtype(mod, n2)
     units = list(ring.units())
-    inv = np.array([ring.inverse(u) for u in units], dtype=_kernel_dtype(mod, n2))
-    unit_row = np.array(units, dtype=narrow)
-    # ratio[a, b] = units[a] / units[b], a phi x phi table
-    ratio = _batched(lambda u: (u[:, None] * inv % mod).astype(narrow, copy=False), unit_row)
-    # axis 0 of the grid is lambda and axis i is d_i
     phi = len(units)
-    grid = np.zeros((phi,) * (g + 1) + (n2 * n2,), dtype=narrow)
 
     def on_axes(values, *axes):
         return np.expand_dims(values, tuple(i for i in range(g + 1) if i not in axes))
 
-    for j in range(g):
-        grid[..., j * (n2 + 1)] = on_axes(unit_row, 1 + j)
-    for j in range(g, n2):
-        grid[..., j * (n2 + 1)] = on_axes(ratio, 0, n2 - j)
-    flats = grid.reshape(count, n2 * n2)
+    def runs():
+        # the rows of k consecutive lambdas, k phi^g rows with k at least 1
+        # and at most about _BATCH rows when phi^g is short, form a grid with
+        # axis 0 for lambda and axis i for d_i, each over the units in
+        # increasing order.  Its d_i columns are the same for every k
+        # lambdas, so they are broadcast once, into ``template``; each grid
+        # is a copy of it with the lambda / d_i columns broadcast from a
+        # k x phi table.
+        k = max(1, _BATCH // phi**g)
+        unit_row = np.array(units, dtype=narrow)
+        wide = np.array(units, dtype=_kernel_dtype(mod, n2))
+        inv = np.array([ring.inverse(u) for u in units], dtype=wide.dtype)
+        template = np.zeros((k,) + (phi,) * g + (n2 * n2,), dtype=narrow)
+        for j in range(g):
+            template[..., j * (n2 + 1)] = on_axes(unit_row, 1 + j)
+        for a in range(0, phi, k):
+            ratio = (wide[a : a + k, None] * inv % mod).astype(narrow)
+            grid = template[: len(ratio)].copy()
+            for j in range(g, n2):  # d_{j+1} = lambda / d_{2g-j}
+                grid[..., j * (n2 + 1)] = on_axes(ratio, 0, n2 - j)
+            yield grid.reshape(-1, n2 * n2)
+
     r = _primitive_root(ring)
     gens = []
     for j in range(g):
@@ -745,7 +828,7 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         d[j], d[n2 - 1 - j] = r, ring.inverse(r)
         gens.append(MatrixMod.diagonal(ring, d))
     gens.append(MatrixMod.diagonal(ring, [1] * g + [r] * g))
-    G = MatrixGroup(space, gens, flats)
+    G = MatrixGroup(space, gens, runs=runs, order=count)
     H = subgroup_from_generators([(1,) * n2], ring)
     return G, H
 
@@ -778,28 +861,31 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
     if count > cap:
         raise CapExceeded(f"GL2(Z/{ell}^{n}) has {count} elements, cap={cap}")
     space = standard_form(1, ring)
-    # the rows with first entry a keep the (b, c, d) with a d - b c a unit,
-    # which depends on a only through r = a mod l.  So the runs of rows for
-    # a = q l + r, r = 0..l-1, differ from one q to the next only in a: each
-    # block of kept (b, c, d) is computed once and written into every run,
-    # and q l is added to the first column at the end.  Every temporary is
-    # mod^3-sized; only the group array is mod^4-sized.
-    rest = np.indices((mod,) * 3, dtype=np.min_scalar_type(mod - 1)).reshape(3, -1)
-    b, c, d = (x.astype(np.int64) % ell for x in rest)
-    bc = b * c % ell
     narrow = _storage_dtype(mod, 2)
-    flats = np.empty((count, 4), dtype=narrow)
-    runs = flats.reshape(mod // ell, -1, 4)
-    pos = 0
-    for r in range(ell):
-        kept = rest[:, (r * d - bc) % ell != 0].T
-        end = pos + len(kept)
-        runs[:, pos:end, 0] = r
-        runs[:, pos:end, 1:] = kept
-        pos = end
-    runs[:, :, 0] += np.arange(0, mod, ell, dtype=narrow)[:, None]
+
+    def runs():
+        # one run of rows per a: the rows with first entry a keep the
+        # (b, c, d) with a d - b c a unit, which depends on a only through
+        # r = a mod l.  So kept[r] is computed once, for a = r, serves every
+        # a = q l + r, and is dropped after the last.  Every temporary is
+        # mod^3-sized.
+        rest = np.indices((mod,) * 3, dtype=np.min_scalar_type(mod - 1)).reshape(3, -1)
+        b, c, d = (x.astype(np.int64) % ell for x in rest)
+        bc = b * c % ell
+        kept = [None] * ell
+        for a in range(mod):
+            q, r = divmod(a, ell)
+            if q == 0:
+                kept[r] = rest[:, (r * d - bc) % ell != 0].T
+            run = np.empty((len(kept[r]), 4), dtype=narrow)
+            run[:, 0] = a
+            run[:, 1:] = kept[r]
+            if a + ell >= mod:
+                kept[r] = None
+            yield run
+
     gens = gl2_standard_generators(ring) if ell != 2 else ()
-    return MatrixGroup(space, gens, flats)
+    return MatrixGroup(space, gens, runs=runs, order=count)
 
 
 def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
@@ -818,15 +904,21 @@ def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         [0, 0, -1 % m, 0],
     ]
     space = SymplecticSpace(2, MatrixMod(ring, rows), ring)
-    # diag-block(g, g), row-major: (a, b, 0, 0, c, d, 0, 0, 0, 0, a, b, 0, 0, c, d)
-    flats = np.zeros((gl2.order, 16), dtype=_storage_dtype(m, 4))
-    flats[:, [0, 1, 4, 5]] = gl2.array
-    flats[:, [10, 11, 14, 15]] = gl2.array
+    dtype = _storage_dtype(m, 4)
+
+    def runs():
+        # diag-block(g, g), row-major: (a, b, 0, 0, c, d, 0, 0, 0, 0, a, b, 0, 0, c, d)
+        for block in gl2.blocks():
+            flats = np.zeros((len(block), 16), dtype=dtype)
+            flats[:, [0, 1, 4, 5]] = block
+            flats[:, [10, 11, 14, 15]] = block
+            yield flats
+
     gens = [
         MatrixMod(ring, [[*row, 0, 0] for row in x.rows] + [[0, 0, *row] for row in x.rows])
         for x in gl2.generators
     ]
-    G = MatrixGroup(space, gens, flats)
+    G = MatrixGroup(space, gens, runs=runs, order=gl2.order)
     H = subgroup_from_generators([(1, 0, 0, 1)], ring)
     return G, H
 

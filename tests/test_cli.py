@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from gspimage import cli
+from gspimage.modring import MatrixMod, ResidueRing
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -738,3 +740,46 @@ def test_sweep_is_degrees_plus_one_summary(capsys, name):
     doc = json.loads(sweep)
     assert list(doc) == ["reports", "summary"]
     assert doc["reports"] == json.loads(degrees)["reports"]
+
+
+def _diag_block(x):
+    (a, b), (c, d) = x
+    return [[a, b, 0, 0], [c, d, 0, 0], [0, 0, a, b], [0, 0, c, d]]
+
+
+@pytest.mark.parametrize(
+    "name, argv, size",
+    [
+        ("cm", ["--g", "2", "--ell", "5", "--level", "2"], 400),
+        ("selfproduct", ["--ell", "3", "--level", "2"], 54),
+    ],
+)
+def test_stabilizer_prints_the_fixing_builder_rows_in_builder_order(capsys, name, argv, size):
+    # G enumerated independently, in the builder's documented order: the
+    # diagonal similitudes diag(d1, d2, lam/d2, lam/d1) by (lam, d1, d2), or
+    # diag-block(x, x) for x in GL2 by the entries of x; T is the elements
+    # fixing e1
+    ring = ResidueRing(int(argv[argv.index("--ell") + 1]), 2)
+    mod = ring.modulus
+    if name == "cm":
+        units = list(ring.units())
+        G = [
+            MatrixMod.diagonal(ring, [d1, d2, lam * ring.inverse(d2), lam * ring.inverse(d1)])
+            for lam, d1, d2 in itertools.product(units, repeat=3)
+        ]
+    else:
+        G = [
+            MatrixMod(ring, _diag_block(((a, b), (c, d))))
+            for a, b, c, d in itertools.product(range(mod), repeat=4)
+            if (a * d - b * c) % ring.ell
+        ]
+    e1 = (1, 0, 0, 0)
+    expected = [list(M.flat()) for M in G if M.apply(e1) == e1]
+    assert len(expected) == size
+    code, out, _ = run_cli(
+        capsys, "stabilizer", name, *argv, "--H", "[[1,0,0,0]]", "--format", "json"
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["stabilizer_size"] == size
+    assert report["stabilizer_elements"] == expected

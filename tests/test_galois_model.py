@@ -420,3 +420,25 @@ def test_unit_group_order():
     assert unit_group_order(5, 0) == 1
     assert unit_group_order(5, 1) == 4
     assert unit_group_order(5, 2) == 20
+
+
+def test_membership_is_false_across_rings_and_dimensions():
+    # as MatrixMod.__eq__: a matrix or group over another ring, or of
+    # another size, is never a member, whatever its entries
+    r5, r25 = ResidueRing(5, 1), ResidueRing(5, 2)
+    G25, G5 = gl2_group(r25), gl2_group(r5)
+    assert MatrixMod.identity(r25, 2) in G25
+    assert MatrixMod.identity(r5, 2) in G5
+    assert MatrixMod.identity(r5, 2) not in G25
+    assert MatrixMod.identity(r25, 2) not in G5
+    assert MatrixMod.identity(r5, 3) not in G5
+    assert MatrixMod.diagonal(ResidueRing(257, 1), [256, 1]) not in G5  # past uint8
+    sub5 = gm.MatrixGroup.from_elements(
+        standard_form(1, r5), [MatrixMod.identity(r5, 2), MatrixMod.diagonal(r5, [4, 1])]
+    )
+    assert G5.contains_group(sub5)
+    assert not G25.contains_group(sub5)
+    torus, _ = scenario_cm(2, 5, 1)
+    assert torus.contains_group(torus)
+    assert not G5.contains_group(torus)
+    assert not torus.contains_group(G5)

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -345,3 +346,109 @@ def test_report_on_cm_torus_scans_no_group_sized_array():
     rep, peak = _peak_bytes(lambda: gm.build_degree_report(G, H))
     assert rep.deg_KH == G.order
     assert peak < 4 * 2**20
+
+
+# -- built groups are scanned block by block ----------------------------------
+
+
+def _spy_joins(monkeypatch):
+    """The built groups whose rows get joined into ``array``, one entry per join."""
+    joined, real = [], gm.MatrixGroup.array
+
+    def spy(self):
+        if self._array is None:
+            joined.append(self)
+        return real.fget(self)
+
+    monkeypatch.setattr(gm.MatrixGroup, "array", property(spy))
+    return joined
+
+
+def test_report_and_stabilizer_never_join_a_built_group(monkeypatch):
+    joined = _spy_joins(monkeypatch)
+    G, H = gm.scenario_cm(2, 5, 3)
+    assert gm.build_degree_report(G, H).deg_KH == G.order == 10**6
+    identity = MatrixMod.identity(G.ring, 4).flat()
+    assert [M.flat() for M in stabilizer(G, H)] == [identity]
+    assert joined == []
+    # the library calls that read every row join once, and only once
+    assert G.reduce_level(2).order == 20**3
+    assert G.reduce_level(1).order == 4**3
+    assert len(list(G)) == G.order
+    assert len(joined) == 1 and joined[0] is G
+
+
+@pytest.mark.parametrize("scan", ["report", "stabilizer"])
+@pytest.mark.parametrize("family", ["cm", "selfproduct"])
+def test_building_and_scanning_hold_a_block_not_the_group(family, scan):
+    # joined, the cm torus at l^n = 125 (10^6 elements) takes 15.3 MiB and
+    # the self-product over Z/25 (300,000 elements) 4.6 MiB; a scan holds
+    # one block of rows at a time, and the hits
+    build = {
+        "cm": lambda: gm.scenario_cm(2, 5, 3),
+        "selfproduct": lambda: gm.scenario_selfproduct(5, 2),
+    }
+    run = {"report": gm.build_degree_report, "stabilizer": stabilizer}
+    _, peak = _peak_bytes(lambda: run[scan](*build[family]()))
+    assert peak < 2 * 2**20
+
+
+# builder, its arguments: every builder at small sizes, l = 2 for GL2 among them
+BUILT = [
+    *((gm.gl2_group, (ResidueRing(*r),)) for r in [(2, 1), (2, 3), (3, 2), (5, 1)]),
+    *((gm.scenario_cm, args) for args in [(1, 3, 2), (1, 5, 1), (2, 3, 2), (2, 5, 1), (3, 3, 1)]),
+    *((gm.scenario_selfproduct, args) for args in [(3, 1), (3, 2), (5, 1)]),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _built(case):
+    """A joined copy of ``BUILT[case]``'s group and its elements, in order."""
+    build, args = BUILT[case]
+    G = build(*args)
+    G = G[0] if isinstance(G, tuple) else G
+    G.array
+    return G, list(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_scans_of_unjoined_groups_match_joined_and_matrixmod_scans(data):
+    case = data.draw(st.integers(0, len(BUILT) - 1))
+    joined, elements = _built(case)
+    build, args = BUILT[case]
+    ring, d = joined.ring, joined.dim
+    ell, mod = ring.ell, ring.modulus
+    entry = st.sampled_from([0, ell, mod - ell, 1, mod - 1]) | st.integers(0, mod - 1)
+    vector = st.lists(entry, min_size=d, max_size=d).map(tuple)
+    gens1 = data.draw(st.lists(vector, min_size=1, max_size=3))
+    coeffs = data.draw(
+        st.lists(st.lists(entry, min_size=len(gens1), max_size=len(gens1)), min_size=1, max_size=3)
+    )
+    # the second fixer lies in the first: combinations of its generators
+    gens2 = [tuple(sum(c * v[k] for c, v in zip(cs, gens1)) % mod for k in range(d)) for cs in coeffs]
+    H1 = subgroup_from_generators(gens1, ring, ambient_dim=d)
+    H2 = subgroup_from_generators(gens2, ring, ambient_dim=d)
+    conditions = [(ell, gens1), (ell ** min(2, ring.level), gens2)]
+
+    def fixes(M, conds):
+        return all(
+            all((x - y) % p == 0 for x, y in zip(M.apply(v), v)) for p, vs in conds for v in vs
+        )
+
+    def rows(X):  # read through blocks: a trivial H gives back G itself
+        return [tuple(row) for block in X.blocks() for row in block.tolist()]
+
+    expected = [i for i, M in enumerate(elements) if fixes(M, conditions)]
+    fixed = [M.flat() for M in elements if fixes(M, [(mod, gens1)])]
+    # blocks of a few rows, of one run or many, and of about the default size
+    with mock.patch.object(gm, "_BATCH", data.draw(st.sampled_from([7, 100, 1000, gm._BATCH]))):
+        G = build(*args)
+        G = G[0] if isinstance(G, tuple) else G
+        assert gm._fixing_indices(G, conditions).tolist() == expected
+        for X in (G, joined):
+            assert rows(stabilizer(X, H1)) == fixed
+            filtered = filtered_subgroup(X, [H1, H2], [1, 2])
+            assert rows(filtered) == [elements[i].flat() for i in expected]
+        assert G.multipliers() == joined.multipliers()
+        assert G._array is None
