@@ -202,10 +202,10 @@ class MatrixGroup:
     torus at l^n = 125); every other group gives its elements.  ``array``
     is all the elements as one read-only (order, d*d) array, joined from the
     runs on first access and kept; from then on the blocks are slices of
-    it.  The fixing test and the multiplier scan read blocks, so a degree
-    report or a stabilizer never holds a built group whole;
-    ``reduce_level``, ``contains_group``, membership and iteration read
-    ``array``.
+    it.  The fixing test, the multiplier scan and membership (``in``) read
+    blocks, so a degree report, a stabilizer or a membership test never
+    holds a built group whole; ``reduce_level``, ``contains_group`` and
+    iteration read ``array``.
 
     Storage is narrow: inside the kernel guard (``_np_batch_ok``) it is the
     smallest unsigned dtype holding a residue mod l^n (uint8 up to 256,
@@ -298,8 +298,8 @@ class MatrixGroup:
         or of another size, as ``MatrixMod.__eq__`` decides."""
         if not isinstance(M, MatrixMod) or M.ring != self.ring or M.dim != self.dim:
             return False
-        row = np.array(M.flat(), dtype=self.array.dtype)
-        return bool((self.array == row).all(axis=1).any())
+        row = np.array(M.flat(), dtype=self._dtype())
+        return any((block == row).all(axis=1).any() for block in self.blocks())
 
     def contains_group(self, other: "MatrixGroup") -> bool:
         """Whether every element of ``other`` is one of this group's; False

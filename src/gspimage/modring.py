@@ -220,13 +220,23 @@ class MatrixMod:
     def __init__(self, ring: ResidueRing, rows: Sequence[Sequence[int]]):
         m = ring.modulus
         self.ring = ring
-        self.rows = tuple(tuple(int(x) % m for x in row) for row in rows)
+        self.rows = tuple([tuple([int(x) % m for x in row]) for row in rows])
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square")
         self._hash = None
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def _of_reduced(cls, ring: ResidueRing, rows: tuple[tuple[int, ...], ...]) -> "MatrixMod":
+        """The matrix of square tuple rows whose entries are already reduced
+        mod the modulus: the constructor's reduction and checks are skipped."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.rows = rows
+        out._hash = None
+        return out
 
     @classmethod
     def identity(cls, ring: ResidueRing, dim: int) -> "MatrixMod":
@@ -272,12 +282,9 @@ class MatrixMod:
         self._check_operand(other, "@")
         m = self.ring.modulus
         cols = tuple(zip(*other.rows))
-        # every entry is reduced here, so the constructor's reduction is skipped
-        out = MatrixMod.__new__(MatrixMod)
-        out.ring = self.ring
-        out.rows = tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in self.rows)
-        out._hash = None
-        return out
+        return MatrixMod._of_reduced(
+            self.ring, tuple([tuple([sum(map(mul, row, col)) % m for col in cols]) for row in self.rows])
+        )
 
     def _check_operand(self, other: "MatrixMod", op: str) -> None:
         """``other`` lives over this ring and has this dimension."""
@@ -319,7 +326,7 @@ class MatrixMod:
         return MatrixMod(self.ring, [[c * a for a in row] for row in self.rows])
 
     def transpose(self) -> "MatrixMod":
-        return MatrixMod(self.ring, list(zip(*self.rows)))
+        return MatrixMod._of_reduced(self.ring, tuple(zip(*self.rows)))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product, canonical output."""
@@ -328,7 +335,7 @@ class MatrixMod:
                 f"dimension mismatch: {self.dim}x{self.dim} applied to a vector of length {len(vec)}"
             )
         m = self.ring.modulus
-        return tuple(sum(row[k] * vec[k] for k in range(self.dim)) % m for row in self.rows)
+        return tuple([sum(map(mul, row, vec)) % m for row in self.rows])
 
     # -- invertibility ------------------------------------------------------
 

@@ -145,29 +145,27 @@ def pointwise_stabilizer_in_image(ell: int, cap: int = DEFAULT_CAP) -> list[Matr
     four targets meet both columns of a, of b and of c.  So a, b and c are
     diagonal, and canonically a = diag(1, alpha), b = diag(1, beta),
     c = diag(g0, g1).  The targets read g0 = 1, beta g1 = 1, alpha g1 = 1
-    and alpha beta g0 = 1; the scan solves the first two and keeps the
-    (alpha, beta) pairs meeting the last two.  Found elements are
-    re-verified against the fixed vectors and returned sorted by entries.
+    and alpha beta g0 = 1: so g1 = beta^-1, alpha = beta and beta^2 = 1,
+    and one pass over the l - 1 candidates beta keeps the solutions.  The
+    cap bounds that count.  Found elements are re-verified against the
+    fixed vectors and returned sorted by entries.
     """
     ring = _ring(ell)
-    if (ell - 1) ** 2 > cap:
-        raise CapExceeded(f"{(ell - 1) ** 2} diagonal triples exceed cap={cap}")
-    found = set()
+    if ell - 1 > cap:
+        raise CapExceeded(
+            f"tensor-cube stabilizer exceeds cap={cap}: {ell - 1} diagonal candidates at l={ell}"
+        )
+    found = []
     for beta in range(1, ell):
-        g1 = pow(beta, -1, ell)  # g0 = 1 and beta g1 = 1
-        for alpha in range(1, ell):
-            if alpha * g1 % ell == 1 and alpha * beta % ell == 1:
-                a, b, c = (MatrixMod.diagonal(ring, [1, x]) for x in (alpha, beta, g1))
-                found.add(rho(a, b, c).flat())
-    out = []
-    for flat in sorted(found):
-        M = MatrixMod.from_flat(ring, 8, flat)
-        for idx in _LAGRANGIAN_INDICES:
-            e = tuple(1 if t == idx else 0 for t in range(8))
-            if M.apply(e) != e:
-                raise AssertionError("solver produced a non-fixing element")
-        out.append(M)
-    return out
+        if beta * beta % ell == 1:
+            g1 = pow(beta, -1, ell)
+            a, b, c = (MatrixMod.diagonal(ring, [1, x]) for x in (beta, beta, g1))
+            found.append(rho(a, b, c))
+    fixed = [tuple(int(t == idx) for t in range(8)) for idx in _LAGRANGIAN_INDICES]
+    for M in found:
+        if any(M.apply(e) != e for e in fixed):
+            raise AssertionError("solver produced a non-fixing element")
+    return sorted(found, key=MatrixMod.flat)
 
 
 def stabilizer_brute_force(ell: int, cap: int = 200_000_000) -> list[MatrixMod]:

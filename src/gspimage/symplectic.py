@@ -111,11 +111,14 @@ def multiplier(M: MatrixMod, S: SymplecticSpace) -> ResidueElem:
     if M.dim != S.dim:
         raise ValueError("dimension mismatch")
     form = S.form
-    N = M.transpose() @ form @ M
+    N = M.transpose() @ (form @ M)
     ring = S.ring
+    mod = ring.modulus
     i, j = S.unit_entry
-    lam = N.rows[i][j] * ring.inverse(form.rows[i][j]) % ring.modulus
-    if not ring.is_unit(lam) or form.scale(lam).rows != N.rows:
+    lam = N.rows[i][j] * ring.inverse(form.rows[i][j]) % mod
+    if not ring.is_unit(lam) or any(
+        n != lam * f % mod for nrow, frow in zip(N.rows, form.rows) for n, f in zip(nrow, frow)
+    ):
         raise NotSimilitude("matrix does not rescale the form by a unit")
     return ring.elem(lam)
 

@@ -82,6 +82,15 @@ def test_verify_mumford_large_primes(capsys):
         assert r["image_order"] == (gl2 // (ell - 1)) ** 2 * gl2
 
 
+def test_verify_mumford_runs_past_the_square_of_the_candidate_count(capsys):
+    # (l - 1)^2 = 10036224 passes the default cap of 10^7, l - 1 does not
+    code, out, _ = run_cli(capsys, "verify-mumford", "--ell", "3169", "--format", "json")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["stabilizer_size"] == 2
+    assert report["deg_cyclo_intersection"] == 1584
+
+
 def test_stabilizer_command_mumford(capsys):
     code, out, _ = run_cli(
         capsys, "stabilizer", "mumford", "--ell", "3", "--format", "json"

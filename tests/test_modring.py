@@ -100,6 +100,22 @@ def test_matmul_matches_a_triple_loop(data, ring, dim):
     assert product.rows == tuple(map(tuple, expected))
 
 
+@given(st.data(), st.sampled_from(MATMUL_RINGS), st.integers(min_value=1, max_value=8))
+def test_constructor_transpose_and_apply_match_plain_expressions(data, ring, dim):
+    m = ring.modulus
+    ints = st.integers(min_value=-m, max_value=2 * m)
+    rows = data.draw(st.lists(st.lists(ints, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    vec = data.draw(st.lists(ints, min_size=dim, max_size=dim))
+    reduced = tuple(tuple(int(x) % m for x in row) for row in rows)
+    M = MatrixMod(ring, rows)
+    assert M.rows == reduced
+    T = M.transpose()
+    assert T.rows == tuple(tuple(reduced[j][i] for j in range(dim)) for i in range(dim))
+    assert T == MatrixMod(ring, list(zip(*reduced))) and T.transpose() == M
+    assert hash(T) == hash(MatrixMod(ring, list(zip(*reduced))))
+    assert M.apply(vec) == tuple(sum(row[k] * vec[k] for k in range(dim)) % m for row in reduced)
+
+
 @pytest.mark.parametrize("left, right", [(2, 3), (3, 2)])
 def test_matmul_rejects_mismatched_dimensions(left, right):
     ring = ResidueRing(5, 1)

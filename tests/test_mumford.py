@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gspimage.modring import MatrixMod, NotInvertible, ResidueRing
+from gspimage.modring import MatrixMod, NotInvertible, ResidueRing, is_prime
 from gspimage.symplectic import multiplier, weil_pairing
 from gspimage import mumford as mf
 from gspimage.mumford import (
@@ -135,6 +135,16 @@ def test_stabilizer_exact_small_primes():
     assert pointwise_stabilizer_in_image(2) == [MatrixMod.identity(ring2, 8)]
 
 
+def test_stabilizer_is_exactly_the_flip_at_every_prime_below_500():
+    # {I, flip}, sorted by entries, at every odd prime; {I} at l = 2
+    for ell in filter(is_prime, range(3, 500)):
+        ring = ResidueRing(ell, 1)
+        assert pointwise_stabilizer_in_image(ell) == sorted(
+            [MatrixMod.identity(ring, 8), _flip(ring)], key=MatrixMod.flat
+        ), ell
+    assert pointwise_stabilizer_in_image(2) == [MatrixMod.identity(ResidueRing(2, 1), 8)]
+
+
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_stabilizer_pruned_equals_brute_force(ell):
     assert pointwise_stabilizer_in_image(ell) == mf.stabilizer_brute_force(ell)
@@ -201,9 +211,13 @@ def test_verify_mu_s_failure_never_builds_gl2(monkeypatch):
 
 
 def test_stabilizer_cap_counts_diagonal_triples():
-    assert len(pointwise_stabilizer_in_image(11, cap=100)) == 2
-    with pytest.raises(mf.CapExceeded):
-        pointwise_stabilizer_in_image(11, cap=99)
+    # the solver tries the l - 1 candidates beta, so the cap bounds l - 1
+    assert len(pointwise_stabilizer_in_image(11, cap=10)) == 2
+    with pytest.raises(
+        mf.CapExceeded,
+        match=r"^tensor-cube stabilizer exceeds cap=9: 10 diagonal candidates at l=11$",
+    ):
+        pointwise_stabilizer_in_image(11, cap=9)
 
 
 def test_verify_mu_s_failure_values():

@@ -211,6 +211,47 @@ def test_builders_allocate_no_group_sized_int64_array():
     assert peak < sp.order * 16 * 8
 
 
+def test_membership_scans_blocks_without_joining_the_group():
+    R = ResidueRing(5, 3)
+    G, _ = gm.scenario_cm(2, 5, 3)
+    found, peak = _peak_bytes(lambda: MatrixMod.identity(R, 4) in G)
+    assert found and G._array is None
+    assert peak < 2**20  # the joined torus is 15.3 MiB, its comparison 16.2
+    # a non-member is compared with every block, one block at a time
+    swap = MatrixMod(R, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    found, peak = _peak_bytes(lambda: swap in G)
+    assert not found and G._array is None
+    assert peak < 2**20
+
+
+def _membership_fixtures():
+    for name in sorted(CASES):
+        S, gens = CASES[name][0]()
+        yield name, lambda S=S, gens=gens: close(S, gens)
+    yield "gl2_mod9", lambda: gm.gl2_group(ResidueRing(3, 2))
+    yield "cm_5_2", lambda: gm.scenario_cm(2, 5, 2)[0]
+    yield "selfproduct_3_2", lambda: gm.scenario_selfproduct(3, 2)[0]
+
+
+@pytest.mark.parametrize("batch", [None, 7])
+def test_membership_matches_the_joined_array_comparison(batch, monkeypatch):
+    if batch is not None:  # members then lie past the first block
+        monkeypatch.setattr(gm, "_BATCH", batch)
+    for name, build in _membership_fixtures():
+        G, joined = build(), build().array
+        mod, d = G.ring.modulus, G.dim
+        candidates = []
+        for i in (0, 1, G.order // 2, G.order - 1):
+            flat = joined[i].tolist()
+            candidates.append(flat)
+            for k in (0, d * d - 1):  # one entry moved off a member
+                candidates.append(flat[:k] + [(flat[k] + 1) % mod] + flat[k + 1 :])
+        for flat in candidates:
+            M = MatrixMod.from_flat(G.ring, d, flat)
+            old = bool((joined == np.array(flat, dtype=joined.dtype)).all(axis=1).any())
+            assert (M in G) is old, (name, flat)
+
+
 @pytest.mark.parametrize(
     "g, ell, level",
     [(1, 3, 1), (1, 5, 3), (2, 3, 1), (2, 5, 2), (3, 3, 1), (3, 3, 2), (1, 257, 1)],

@@ -18,6 +18,7 @@ from gspimage.symplectic import (
     tensor_form,
     weil_pairing,
 )
+from gspimage.mumford import rho
 from gspimage.torsion import full_subgroup, subgroup_from_generators
 
 from conftest import random_invertible, random_similitude, random_subgroup
@@ -85,9 +86,63 @@ def test_multiplier_not_similitude():
         multiplier(M, S)
 
 
-def test_multiplier_of_tensor_triples_is_det_product():
-    from gspimage.mumford import rho
+def _tensor_scaling(S, lam):
+    """rho(diag(1, lam), I, I): multiplier lam for the triple tensor form."""
+    I2 = MatrixMod.identity(S.ring, 2)
+    return rho(MatrixMod.diagonal(S.ring, [1, lam]), I2, I2)
 
+
+# a rank-4 standard form, the triple tensor form, and a standard form at
+# level 20, whose entries near 3^20 make products of two entries pass 2^63;
+# each with a similitude of any given unit multiplier
+MULTIPLIER_SPACES = [
+    (standard_form(2, ResidueRing(7, 1)), diagonal_similitude),
+    (tensor_form(3, ResidueRing(5, 1)), _tensor_scaling),
+    (standard_form(2, ResidueRing(3, 20)), diagonal_similitude),
+]
+
+
+def _plain_multiplier(M, F, ell, m):
+    """The unit lambda with M^T F M = lambda F mod m, on plain ints, or None
+    if there is none."""
+    n = len(F)
+    N = [
+        [sum(M[k][i] * F[k][l] * M[l][j] for k in range(n) for l in range(n)) % m for j in range(n)]
+        for i in range(n)
+    ]
+    i, j = next((i, j) for i in range(n) for j in range(n) if F[i][j] % m)
+    lam = N[i][j] * pow(F[i][j], -1, m) % m
+    if lam % ell == 0:
+        return None
+    return lam if all(N[a][b] == lam * F[a][b] % m for a in range(n) for b in range(n)) else None
+
+
+@given(st.sampled_from(MULTIPLIER_SPACES), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_multiplier_matches_plain_ints_and_rejects_one_moved_entry(case, rng):
+    S, scaling = case
+    ring = S.ring
+    m, F = ring.modulus, [list(r) for r in S.form.rows]
+    # transvections (multiplier 1) times a similitude of multiplier lam
+    lam = rng.choice([x for x in range(1, min(m, 200)) if ring.is_unit(x)])
+    M = scaling(S, lam)
+    for _ in range(3):
+        M = symplectic_transvection(S, [rng.randrange(m) for _ in range(S.dim)]) @ M
+    rows = [list(r) for r in M.rows]
+    assert _plain_multiplier(rows, F, ring.ell, m) == lam
+    assert multiplier(M, S).value == lam
+    # move entry (r, c) by a unit, with c off a unit column j of row r of F M:
+    # M^T F M then changes in row c at column j, which lambda F cannot absorb
+    r = rng.randrange(S.dim)
+    j = next(j for j, x in enumerate((S.form @ M).rows[r]) if ring.is_unit(x))
+    c = rng.choice([k for k in range(S.dim) if k != j])
+    rows[r][c] = (rows[r][c] + rng.choice([1, 2, m - 1])) % m
+    assert _plain_multiplier(rows, F, ring.ell, m) is None
+    with pytest.raises(NotSimilitude):
+        multiplier(MatrixMod(ring, rows), S)
+
+
+def test_multiplier_of_tensor_triples_is_det_product():
     for ell in (3, 5):
         ring = ResidueRing(ell, 1)
         S = tensor_form(3, ring)
