@@ -3,7 +3,6 @@
 from .modring import (
     MatrixMod,
     NotInvertible,
-    ResidueElem,
     ResidueRing,
     is_prime,
     mat_invert,
@@ -13,7 +12,6 @@ from .symplectic import (
     NotAlternating,
     NotSimilitude,
     OrderTooLarge,
-    PairingValue,
     SymplecticSpace,
     m1,
     m1_exhaustive,

@@ -350,6 +350,18 @@ def _check_rows(what: str, rows, dim: int) -> None:
             raise UsageError(f"{what} rows must have length 2g = {dim}, got {len(row)}")
 
 
+def _check_g(g: int) -> None:
+    """g >= 1, and a 2g x 2g form of at most ``DEFAULT_CAP`` entries.  The
+    form is built as lists of Python ints before any cap is read, and only
+    rows of H or generators tie g to the input, so a huge g is refused here
+    rather than by running out of memory."""
+    if g < 1:
+        raise UsageError("g must be >= 1")
+    entries = (2 * g) ** 2
+    if entries > gm.DEFAULT_CAP:
+        raise gm.CapExceeded(f"the form of GSp_{2 * g} has {entries} entries, cap={gm.DEFAULT_CAP}")
+
+
 def _custom_scenario(ell: int, data: dict):
     """A custom scenario's space, generators and subgroup H."""
     ring = ResidueRing(ell, data["level"])
@@ -426,6 +438,7 @@ def _resolve(ns) -> tuple[str, tuple[int, ...], dict]:
     if ns.h_rows is not None:
         data["H"] = parse_generator_rows(ns.h_rows)
         _check_rows("--H", data["H"], dim)
+    _check_g(data["g"])
     return name, ells, data
 
 
@@ -470,6 +483,7 @@ def _cmd_m1(ns) -> tuple[dict, list[str]]:
     g = 1 if ns.g is None else ns.g
     level = 1 if ns.level is None else ns.level
     _check_rows("--H", rows, 2 * g)
+    _check_g(g)
     reports = []
     for ell in ns.ell:
         ring = ResidueRing(ell, level)
@@ -560,7 +574,7 @@ def run(ns: SimpleNamespace) -> int:
         # AssertionError: a divisibility invariant of the degree bookkeeping
         print(f"expectation failed: {exc}", file=sys.stderr)
         return EXIT_EXPECTATION
-    except (UsageError, gm.CapExceeded, gm.ChainNotIncreasing, ValueError, OSError) as exc:
+    except (gm.CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

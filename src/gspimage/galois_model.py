@@ -204,8 +204,8 @@ class MatrixGroup:
     runs on first access and kept; from then on the blocks are slices of
     it.  The fixing test, the multiplier scan and membership (``in``) read
     blocks, so a degree report, a stabilizer or a membership test never
-    holds a built group whole; ``reduce_level``, ``contains_group`` and
-    iteration read ``array``.
+    holds a built group whole; ``reduce_level`` and iteration read
+    ``array``.
 
     Storage is narrow: inside the kernel guard (``_np_batch_ok``) it is the
     smallest unsigned dtype holding a residue mod l^n (uint8 up to 256,
@@ -218,14 +218,13 @@ class MatrixGroup:
     takes remainders in the storage dtype.  Unsigned subtraction wraps, so
     widen ``array`` before doing other arithmetic on it; ``tolist()`` gives
     Python ints.  The constructor takes distinct reduced elements, as every
-    builder here produces them; ``from_elements`` reduces a listed set and
-    checks it for duplicates.
+    builder here produces them.
 
     ``generators``, when not empty, generates the group.  Only the builders
     record them (``close``, ``gl2_group``, ``scenario_cm``,
     ``scenario_selfproduct``, and ``reduce_level`` from its source's), each
     for the group it builds; subgroups cut out by a test (``close`` with
-    ``fixing`` among them) and ``from_elements`` record none.
+    ``fixing`` among them) record none.
     ``build_degree_report`` relies on this: it reads lambda(G) from the
     generators' multipliers.
     """
@@ -244,18 +243,6 @@ class MatrixGroup:
             arr = np.asarray(elements, dtype=self._dtype()).reshape(-1, self.dim**2).view()
             arr.flags.writeable = False
             self._array, self.order = arr, len(arr)
-
-    @classmethod
-    def from_elements(cls, space, elements) -> "MatrixGroup":
-        mod = space.ring.modulus
-        flats = [
-            tuple(int(x) % mod for x in (e.flat() if isinstance(e, MatrixMod) else e))
-            for e in elements
-        ]
-        G = cls(space, (), flats)
-        if len(_distinct(_pack(G.array, mod))) != G.order:
-            raise ValueError("duplicate elements")
-        return G
 
     @property
     def ring(self) -> ResidueRing:
@@ -300,14 +287,6 @@ class MatrixGroup:
             return False
         row = np.array(M.flat(), dtype=self._dtype())
         return any((block == row).all(axis=1).any() for block in self.blocks())
-
-    def contains_group(self, other: "MatrixGroup") -> bool:
-        """Whether every element of ``other`` is one of this group's; False
-        for a group over another ring or of another dimension."""
-        if other.ring != self.ring or other.dim != self.dim:
-            return False
-        mod = self.ring.modulus
-        return bool(np.isin(_pack(other.array, mod), _pack(self.array, mod)).all())
 
     def multipliers(self) -> tuple[int, ...]:
         """Multiplier of every element, in element order."""
@@ -615,16 +594,11 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     ``close(..., fixing=H)`` lists the same elements without building G.
     """
     if not isinstance(G, MatrixGroup):
-        raise TypeError("stabilizer enumeration needs a materialized group")
+        raise TypeError("stabilizer enumeration needs a MatrixGroup")
     _check_subgroup(G.space, H)
     if H.is_trivial():
         return G
     return MatrixGroup(G.space, (), _fixing_scan(G, [(G.ring.modulus, H.basis)])[1])
-
-
-def _fixing_indices(G: MatrixGroup, conditions) -> np.ndarray:
-    """The indices of ``_fixing_scan``."""
-    return _fixing_scan(G, conditions)[0]
 
 
 def _fixing_scan(G: MatrixGroup, conditions) -> tuple[np.ndarray, np.ndarray]:
@@ -743,23 +717,24 @@ def filtered_subgroup(
 
     An empty chain returns Gfull itself.  The fixed subgroups must decrease
     along the chain (so the fixers increase) and the cutoffs must be strictly
-    increasing, else ChainNotIncreasing.
+    increasing, else ChainNotIncreasing; a fixer outside Gfull's ring or
+    dimension raises ValueError before either test.
     """
     if len(fixers) != len(cutoffs):
         raise ValueError("fixers and cutoffs must have equal length")
     if not fixers:
         return Gfull
+    for Hf in fixers:
+        if Hf.ring != Gfull.ring or Hf.ambient_dim != Gfull.dim:
+            raise ValueError("fixer does not live in the group's ambient space")
     if any(n < 1 for n in cutoffs) or any(
         a >= b for a, b in zip(cutoffs, cutoffs[1:])
     ):
         raise ChainNotIncreasing("cutoffs must be strictly increasing and >= 1")
     for a, b in zip(fixers, fixers[1:]):
-        if a.ring != b.ring or not all(a.contains(v) for v in b.basis):
+        if not all(a.contains(v) for v in b.basis):
             raise ChainNotIncreasing("fixed subgroups must form a decreasing chain")
     level = Gfull.ring.level
-    for Hf in fixers:
-        if Hf.ring != Gfull.ring or Hf.ambient_dim != Gfull.dim:
-            raise ValueError("fixer does not live in the group's ambient space")
     conditions = [
         (Gfull.ring.ell ** min(level, cut), Hf.basis)
         for Hf, cut in zip(fixers, cutoffs)
@@ -1015,7 +990,7 @@ def _multiplier_generators(X: MatrixGroup) -> list[int]:
     multipliers of ``X.generators`` when X records any, else those of all
     its elements."""
     if X.generators:
-        return [multiplier(g, X.space).value for g in X.generators]
+        return [multiplier(g, X.space) for g in X.generators]
     return X.multiplier_image().tolist()
 
 
@@ -1052,7 +1027,7 @@ def orbit_degree_report(
     ring = space.ring
     if H.ring != ring or H.ambient_dim != space.dim:
         raise ValueError("subgroup does not live in the group's space")
-    lam = [multiplier(g, space).value for g in generators]  # raises NotSimilitude
+    lam = [multiplier(g, space) for g in generators]  # raises NotSimilitude
     if H.is_trivial():  # an empty basis: G fixes it, so T = G
         length, lam_T = 1, lam
     else:

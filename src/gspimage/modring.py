@@ -81,13 +81,11 @@ class ResidueRing:
             raise ValueError(f"ell must be prime, got {self.ell}")
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
-        m = self.ell ** self.level
+        # l >= 2, so a level past 62 passes the word: l^n is not formed then
+        m = _WORD_CAP if self.level > 62 else self.ell ** self.level
         if m >= _WORD_CAP:
             raise ValueError("modulus l^n must fit in a 64-bit word")
         object.__setattr__(self, "modulus", m)
-
-    def reduce(self, x: int) -> int:
-        return x % self.modulus
 
     def valuation(self, x: int) -> int:
         """Largest v <= level with l^v | x; by convention valuation(0) = level."""
@@ -158,54 +156,8 @@ class ResidueRing:
     def unit_count(self) -> int:
         return unit_group_order(self.ell, self.level)
 
-    def elem(self, x: int) -> "ResidueElem":
-        return ResidueElem(x, self)
-
     def at_level(self, level: int) -> "ResidueRing":
         return ResidueRing(self.ell, level)
-
-
-@dataclass(frozen=True)
-class ResidueElem:
-    """A canonical residue together with its ring."""
-
-    value: int
-    ring: ResidueRing
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.ring.reduce(self.value))
-
-    @property
-    def valuation(self) -> int:
-        return self.ring.valuation(self.value)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.value)
-
-    def inverse(self) -> "ResidueElem":
-        return ResidueElem(self.ring.inverse(self.value), self.ring)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, ResidueElem):
-            if other.ring != self.ring:
-                raise ValueError("mixed rings")
-            return other.value
-        return int(other)
-
-    def __add__(self, other) -> "ResidueElem":
-        return ResidueElem(self.value + self._coerce(other), self.ring)
-
-    def __sub__(self, other) -> "ResidueElem":
-        return ResidueElem(self.value - self._coerce(other), self.ring)
-
-    def __mul__(self, other) -> "ResidueElem":
-        return ResidueElem(self.value * self._coerce(other), self.ring)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ResidueElem":
-        return ResidueElem(-self.value, self.ring)
 
 
 class MatrixMod:
@@ -341,7 +293,7 @@ class MatrixMod:
 
     def det(self) -> int:
         """Determinant, computed exactly on integer lifts then reduced."""
-        return self.ring.reduce(_int_det([list(r) for r in self.rows]))
+        return _int_det([list(r) for r in self.rows]) % self.ring.modulus
 
     @property
     def is_invertible(self) -> bool:

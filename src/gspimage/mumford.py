@@ -316,7 +316,7 @@ def verify_mu_s_failure(
             set(stab) == {ident, flip},
             f"stabilizer is not {{I, diag(1,-1,-1,1,-1,1,1,-1)}} at ell={ell}",
         )
-        lam_T = {multiplier(M, S).value for M in stab}
+        lam_T = {multiplier(M, S) for M in stab}
         _expect(lam_T == {1, ell - 1}, f"stabilizer multipliers {lam_T} != {{1,-1}}")
         img = image_order(ell)
         # det maps the torus diag(1, x) onto all units, so lambda(image) is

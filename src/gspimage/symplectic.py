@@ -14,7 +14,7 @@ from typing import Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .modring import MatrixMod, ResidueElem, ResidueRing
+from .modring import MatrixMod, ResidueRing
 
 if TYPE_CHECKING:  # pragma: no cover
     from .torsion import TorsionSubgroup
@@ -101,8 +101,8 @@ def tensor_form(k: int, ring: ResidueRing) -> SymplecticSpace:
     return SymplecticSpace(2 ** (k - 1), form, ring)
 
 
-def multiplier(M: MatrixMod, S: SymplecticSpace) -> ResidueElem:
-    """The unit lambda with M^T form M = lambda * form.
+def multiplier(M: MatrixMod, S: SymplecticSpace) -> int:
+    """The unit lambda in 0..l^n - 1 with M^T form M = lambda * form.
 
     Raises NotSimilitude when no such unit exists.
     """
@@ -120,34 +120,12 @@ def multiplier(M: MatrixMod, S: SymplecticSpace) -> ResidueElem:
         n != lam * f % mod for nrow, frow in zip(N.rows, form.rows) for n, f in zip(nrow, frow)
     ):
         raise NotSimilitude("matrix does not rescale the form by a unit")
-    return ring.elem(lam)
+    return lam
 
 
-@dataclass(frozen=True)
-class PairingValue:
-    """A root of unity of l-power order, stored as its exponent in Z/l^m."""
-
-    exponent: ResidueElem
-
-    @property
-    def level(self) -> int:
-        return self.exponent.ring.level
-
-    @property
-    def order_exponent(self) -> int:
-        """The k such that the represented root has exact order l^k."""
-        return self.level - self.exponent.valuation
-
-
-def point_order_exponent(ring: ResidueRing, v: Sequence[int]) -> int:
-    """e with l^e the exact order of v in (Z/l^N)^d; the zero vector gives 0."""
-    if not v:
-        return 0
-    return ring.level - min(ring.valuation(x) for x in v)
-
-
-def weil_pairing(P: Sequence[int], Q: Sequence[int], S: SymplecticSpace, n: int) -> PairingValue:
-    """Level-n pairing of two vectors of order dividing l^n.
+def weil_pairing(P: Sequence[int], Q: Sequence[int], S: SymplecticSpace, n: int) -> int:
+    """Level-n pairing of two vectors of order dividing l^n, as the exponent
+    in 0..l^n - 1 of the root of unity it stands for.
 
     The vectors live at the ambient level N of S; they are divided exactly by
     l^(N-n) to land in (Z/l^n)^{2g}, where the pairing is P^T form Q.
@@ -172,17 +150,18 @@ def weil_pairing(P: Sequence[int], Q: Sequence[int], S: SymplecticSpace, n: int)
             continue
         row = form[i]
         total += pi * sum(row[j] * q[j] for j in range(len(q)) if row[j])
-    return PairingValue(ResidueElem(total % mod_n, ResidueRing(ring.ell, n)))
+    return total % mod_n
 
 
 def m1(H: "TorsionSubgroup", S: SymplecticSpace) -> int:
     """Largest k such that two equal-order points of H pair to a primitive
     l^k-th root.
 
-    Fast path: it suffices to scan pairs of Smith-basis generators scaled to
-    their common order.  m1_exhaustive is the reference implementation that
-    scans all pairs of elements; the two are property-tested against each
-    other.
+    A pairing exponent e at level n stands for a root of exact order
+    l^(n - v_l(e)), with v_l(0) = n.  Fast path: it suffices to scan pairs
+    of Smith-basis generators scaled to their common order.  m1_exhaustive
+    is the reference implementation that scans all pairs of elements; the
+    two are property-tested against each other.
     """
     if H.ring != S.ring:
         raise ValueError("subgroup and space live over different rings")
@@ -196,7 +175,8 @@ def m1(H: "TorsionSubgroup", S: SymplecticSpace) -> int:
                 continue  # cannot improve: k <= n
             P = tuple(x * ell ** (orders[i] - n) for x in basis[i])
             Q = tuple(x * ell ** (orders[j] - n) for x in basis[j])
-            best = max(best, weil_pairing(P, Q, S, n).order_exponent)
+            e = weil_pairing(P, Q, S, n)
+            best = max(best, n - min(S.ring.valuation(e), n))
     return best
 
 
@@ -237,21 +217,3 @@ def m1_exhaustive(H: "TorsionSubgroup", S: SymplecticSpace) -> int:
             if best == n:
                 break
     return best
-
-
-def symplectic_transvection(S: SymplecticSpace, v: Sequence[int]) -> MatrixMod:
-    """x -> x + form(x, v) v, a similitude with multiplier 1."""
-    ring = S.ring
-    w = S.form.apply(v)
-    n = S.dim
-    rows = [
-        [(1 if i == j else 0) + v[i] * w[j] for j in range(n)]
-        for i in range(n)
-    ]
-    return MatrixMod(ring, rows)
-
-
-def diagonal_similitude(S: SymplecticSpace, lam: int) -> MatrixMod:
-    """diag(lam,..,lam,1,..,1): multiplier lam for the standard antidiagonal form."""
-    g = S.g
-    return MatrixMod.diagonal(S.ring, [lam] * g + [1] * g)

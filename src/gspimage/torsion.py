@@ -7,7 +7,7 @@ membership a divisibility check.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,29 +64,6 @@ class TorsionSubgroup:
         ]
         return subgroup_from_generators(gens, self.ring, ambient_dim=self.ambient_dim)
 
-    def lifted(self, level: int) -> "TorsionSubgroup":
-        """Image under the injection (Z/l^N)^d -> (Z/l^M)^d, x -> l^(M-N) x."""
-        if level < self.ring.level:
-            raise ValueError("can only lift to a higher level")
-        shift = self.ring.ell ** (level - self.ring.level)
-        gens = [tuple(x * shift for x in b) for b in self.basis]
-        return subgroup_from_generators(
-            gens, self.ring.at_level(level), ambient_dim=self.ambient_dim
-        )
-
-    def iter_elements(self) -> Iterator[tuple[int, ...]]:
-        """All elements, in deterministic coefficient order."""
-        mod = self.ring.modulus
-        ell = self.ring.ell
-        elems = [(0,) * self.ambient_dim]
-        for b, m in zip(self.basis, self.orders):
-            nxt = []
-            for c in range(ell ** m):
-                for e in elems:
-                    nxt.append(tuple((x + c * y) % mod for x, y in zip(e, b)))
-            elems = nxt
-        yield from elems
-
     def element_array(self) -> np.ndarray:
         """All elements as an (|H|, d) int64 array."""
         if self.order > _ENUM_CAP:
@@ -100,16 +77,6 @@ class TorsionSubgroup:
             out = (coeffs[:, None, None] * bvec[None, None, :] + out[None, :, :]) % mod
             out = out.reshape(-1, self.ambient_dim)
         return out
-
-    def same_subgroup(self, other: "TorsionSubgroup") -> bool:
-        """Equality as subgroups (Smith bases are not unique)."""
-        if self.ring != other.ring or self.ambient_dim != other.ambient_dim:
-            return False
-        if self.orders != other.orders:
-            return False
-        return all(other.contains(b) for b in self.basis) and all(
-            self.contains(b) for b in other.basis
-        )
 
     def __repr__(self) -> str:
         return (

@@ -4,8 +4,19 @@ import pytest
 
 from gspimage import galois_model as gm
 from gspimage.modring import MatrixMod
-from gspimage.symplectic import diagonal_similitude, symplectic_transvection
 from gspimage.torsion import subgroup_from_generators
+
+
+def symplectic_transvection(S, v):
+    """x -> x + form(x, v) v, a similitude with multiplier 1."""
+    w = S.form.apply(v)
+    n = S.dim
+    return MatrixMod(S.ring, [[(i == j) + v[i] * w[j] for j in range(n)] for i in range(n)])
+
+
+def diagonal_similitude(S, lam):
+    """diag(lam,..,lam,1,..,1): multiplier lam for the standard antidiagonal form."""
+    return MatrixMod.diagonal(S.ring, [lam] * S.g + [1] * S.g)
 
 
 def random_matrix(ring, dim, rng):

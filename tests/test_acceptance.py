@@ -80,7 +80,7 @@ def test_criterion_3_form_fixture():
         pairs = 0
         for i, P in enumerate(H.basis):
             for Q in H.basis[i + 1 :]:
-                assert weil_pairing(P, Q, S, 1).exponent.value == 0
+                assert weil_pairing(P, Q, S, 1) == 0
                 pairs += 1
         assert pairs == 6
     _report(3, "tensor form matches the 8x8 fixture; all six basis pairings vanish")
@@ -142,15 +142,15 @@ def test_criterion_7_pairing_laws():
         P2 = tuple(rng.randrange(mod) * shift % mod for _ in range(dim))
         Q = tuple(rng.randrange(mod) * shift % mod for _ in range(dim))
         mod_n = ell**n
-        eP_Q = weil_pairing(P, Q, S, n).exponent.value
-        eP2_Q = weil_pairing(P2, Q, S, n).exponent.value
+        eP_Q = weil_pairing(P, Q, S, n)
+        eP2_Q = weil_pairing(P2, Q, S, n)
         Psum = tuple((a + b) % mod for a, b in zip(P, P2))
-        assert weil_pairing(Psum, Q, S, n).exponent.value == (eP_Q + eP2_Q) % mod_n
-        assert weil_pairing(P, P, S, n).exponent.value == 0
+        assert weil_pairing(Psum, Q, S, n) == (eP_Q + eP2_Q) % mod_n
+        assert weil_pairing(P, P, S, n) == 0
         M = random_similitude(S, rng, transvections=3)
-        lam = multiplier(M, S).value
+        lam = multiplier(M, S)
         assert (
-            weil_pairing(M.apply(P), M.apply(Q), S, n).exponent.value
+            weil_pairing(M.apply(P), M.apply(Q), S, n)
             == lam * eP_Q % mod_n
         )
     _report(7, "bilinearity, alternation and equivariance exact on 500 random instances")
@@ -259,7 +259,7 @@ def test_criterion_9_index_shadow_and_tower_identities():
             ambient_dim=G.dim,
         )
         T2 = gm.stabilizer(G, bigger)
-        assert T.contains_group(T2)
+        assert set(map(tuple, T2.array.tolist())) <= set(map(tuple, T.array.tolist()))
         assert gm.build_degree_report(G, bigger).deg_KH % deg == 0
         if ring.level == 2:
             piC = G.reduce_level(1)

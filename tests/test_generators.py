@@ -28,7 +28,7 @@ def _assert_generates(G):
     assert G.generators
     C = close(G.space, G.generators, cap=G.order)
     assert C.order == G.order
-    assert G.contains_group(C)
+    assert set(map(tuple, C.array.tolist())) == set(map(tuple, G.array.tolist()))
 
 
 @pytest.mark.parametrize("g, ell, level", CM_CASES)

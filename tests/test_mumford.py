@@ -77,7 +77,7 @@ def test_rho_lands_in_gsp8():
         for _ in range(25):
             a, b, c = (random_invertible(ring, 2, rng) for _ in range(3))
             lam = multiplier(rho(a, b, c), S)
-            assert lam.value == a.det() * b.det() * c.det() % ell
+            assert lam == a.det() * b.det() * c.det() % ell
 
 
 def test_tensor_triple_canonicalization():
@@ -103,7 +103,7 @@ def test_lagrangian_subgroup(ell):
     assert H.orders == (1, 1, 1, 1)
     for i, P in enumerate(H.basis):
         for Q in H.basis[i:]:
-            assert weil_pairing(P, Q, S, 1).exponent.value == 0
+            assert weil_pairing(P, Q, S, 1) == 0
     from gspimage.symplectic import m1
 
     assert m1(H, S) == 0
@@ -163,9 +163,9 @@ def test_stabilizer_elements_fix_H_and_multipliers():
     stab = pointwise_stabilizer_in_image(ell)
     mults = set()
     for M in stab:
-        for v in H.iter_elements():
+        for v in map(tuple, H.element_array().tolist()):
             assert M.apply(v) == v
-        mults.add(multiplier(M, S).value)
+        mults.add(multiplier(M, S))
     assert mults == {1, ell - 1}
 
 
