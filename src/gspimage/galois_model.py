@@ -470,66 +470,65 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     one-product-at-a-time search.  Newness is tested once per level against
     the seen set ``_seen_set`` picks by the size of the key space, known
     before the first level: a ``_SeenTable`` up to ``_DENSE_KEYS`` keys, a
-    ``_SeenSorted`` past it.  Raises CapExceeded, naming ``stage``, when the
-    point count, or a row orbit's, would pass the cap.
+    ``_SeenSorted`` past it.  The next frontier is the new keys' row ids.
+    Raises CapExceeded, naming ``stage``, when the point count, or a row
+    orbit's, would pass the cap.
 
-    ``units``, when given, is ``(lam, inv)``: one unit mod ``mod`` per
-    matrix and its inverse, as arrays of a dtype in which a product of two
-    units is exact.  Each point x then carries lambda_x, the product of
-    the units along its BFS tree path, and every product y = x @ m_i gives
-    the Schreier scalar lam_i * lambda_x / lambda_y.
+    ``units``, when given, is one unit mod ``mod`` per matrix (Python ints).
+    Each point x then carries lambda_x, the product of the units along its
+    BFS tree path, in the smallest unsigned dtype holding (mod - 1)^2
+    (object past uint64).  A new point y takes as lambda_y the step value
+    lam_i * lambda_x of its first occurrence, so the Schreier scalar of a
+    product y = x @ m_i, its step value over lambda_y, is formed only where
+    they differ: once per level and distinct step * mod + lambda_y, which
+    is below mod^2 and so in the dtype.
 
     Returns the BFS levels (the new points of each depth, in point order,
     as a (k, count) int32 array of row ids), the vectors of each start
-    row's orbit by id, and the distinct Schreier scalars other than 1 (an
-    empty list without ``units``).
+    row's orbit by id, and the distinct Schreier scalars other than 1,
+    ascending (an empty list without ``units``).
     """
-    ngens = np.int64(len(mats))  # int64: a flat table index may pass int32
     orbits = _row_orbits(rows, mats, mod, cap, stage)
-    tables = [table for _, table, _ in orbits]
-    space = math.prod(map(len, tables))
+    sizes = [len(table) for _, table, _ in orbits]
+    space = math.prod(sizes)
     dtype = np.int64 if space < 1 << 63 else object
-    # keyed[i]: row i's action table times W_i, the product of the orbit
-    # sizes past row i
-    keyed, weight, start = [], 1, 0
-    for _, table, a in reversed(orbits):
-        keyed.insert(0, table.astype(dtype) * weight)
-        start += a * weight
-        weight *= len(table)
+    weights = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+    keyed = [table.astype(dtype) * w for (_, table, _), w in zip(orbits, weights)]
+    start = sum(a * w for (_, _, a), w in zip(orbits, weights))
     frontier = np.array([[a] for _, _, a in orbits], dtype=np.int32)
     seen, count = _seen_set(space, np.array([start], dtype=dtype)), 1
-    levels, scalars = [frontier], []
+    levels, scalars = [frontier], set()
     if units is not None:
-        lam, inv = units
-        one = np.ones(1, dtype=lam.dtype)
-        lam_front, inv_points = one, one  # inv_points: lambda_x^-1 by point index
+        lam = np.array(units, dtype=_unsigned_dtype((mod - 1) ** 2))
+        lam_front = lam_points = np.ones(1, dtype=lam.dtype)  # lam_points: lambda_x by point index
     while frontier.shape[1]:
-        # np.take: a gather of whole table rows, faster than fancy indexing
-        keys = np.take(keyed[0], frontier[0], axis=0).ravel()
+        # take: a gather of whole table rows, faster than fancy indexing
+        keys = keyed[0].take(frontier[0], axis=0).ravel()
         for table, ids in zip(keyed[1:], frontier[1:]):
-            keys += np.take(table, ids, axis=0).ravel()
+            keys += table.take(ids, axis=0).ravel()
         first, points = seen.add(keys, count, units is not None)
         # raise only on finding a new point, as the one-at-a-time search does
         if len(first) and count + len(first) > cap:
             raise _cap_exceeded(stage, cap, count, len(levels) - 1)
-        parent, i = np.divmod(first, ngens)  # a new point is frontier[parent] @ mats[i]
         if units is not None:
-            # a new point's path is that of its first occurrence
-            inv_front = inv_points[count - frontier.shape[1] : count]
-            inv_points = np.concatenate([inv_points, inv_front[parent] * inv[i] % mod])
-            step_lam = (lam_front[:, None] * lam % mod).ravel()  # lam_i * lambda_x, product order
-            s = step_lam * inv_points[points] % mod
-            s = s[s != 1]
-            if len(s):
-                scalars.append(_distinct(s))
-            lam_front = lam_front[parent] * lam[i] % mod
+            step = (lam_front[:, None] * lam % mod).ravel()  # in product order
+            lam_front = step[first]
+            if count + len(first) > len(lam_points):  # grown geometrically
+                lam_points = np.resize(lam_points, 2 * (count + len(first)))
+            lam_points[count : count + len(first)] = lam_front
+            lam_y = lam_points[points]
+            odd = step != lam_y
+            if odd.any():
+                for pair in _distinct(step[odd] * mod + lam_y[odd]).tolist():
+                    s, y = divmod(pair, mod)
+                    scalars.add(s * pow(y, -1, mod) % mod)
         count += len(first)
-        # row r of a new point: entry (row r of its parent, i) of row r's table
-        frontier = np.array([np.take(t, ids[parent] * ngens + i) for t, ids in zip(tables, frontier)])
+        rest, ids = keys[first], []
+        for n in sizes[:0:-1]:  # the new keys' row ids, in the mixed radix of the sizes
+            rest, ids = rest // n, [rest % n] + ids
+        frontier = np.array([rest] + ids, dtype=np.int32)
         levels.append(frontier)
-    if scalars:
-        scalars = _distinct(np.concatenate(scalars)).tolist()
-    return levels, [vectors for vectors, _, _ in orbits], scalars
+    return levels, [vectors for vectors, _, _ in orbits], sorted(scalars)
 
 
 def close(
@@ -762,14 +761,18 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     if ell == 2:
         raise ValueError("ell must be odd")
     ring = ResidueRing(ell, level)
-    count = ring.unit_count ** (g + 1)
-    if count > cap:
-        raise CapExceeded(f"diagonal torus has {count} elements, cap={cap}")
+    phi, count = ring.unit_count, 1
+    for _ in range(g + 1):  # phi^(g+1), one factor at a time
+        count *= phi
+        if count > cap:  # phi >= 2, so this stops within log2(cap) + 1 factors
+            # the whole count where it is at most 4096 bits long
+            short = (g + 1) * phi.bit_length() <= 4096
+            size = phi ** (g + 1) if short else f"more than {count}"
+            raise CapExceeded(f"diagonal torus has {size} elements, cap={cap}")
     space = standard_form(g, ring)
     n2, mod = 2 * g, ring.modulus
     narrow = _storage_dtype(mod, n2)
     units = list(ring.units())
-    phi = len(units)
 
     def on_axes(values, *axes):
         return np.expand_dims(values, tuple(i for i in range(g + 1) if i not in axes))
@@ -1031,10 +1034,7 @@ def orbit_degree_report(
     if H.is_trivial():  # an empty basis: G fixes it, so T = G
         length, lam_T = 1, lam
     else:
-        mod = ring.modulus
         transposes = [tuple(zip(*g.rows)) for g in generators]
-        udt = _kernel_dtype(mod, 1)  # a product of two residues stays exact
-        units = (np.array(lam, dtype=udt), np.array([ring.inverse(x) for x in lam], dtype=udt))
-        levels, _, lam_T = _bfs(H.basis, transposes, mod, cap, "orbit", units)
+        levels, _, lam_T = _bfs(H.basis, transposes, ring.modulus, cap, "orbit", lam)
         length = sum(ids.shape[1] for ids in levels)
     return degree_report(ring, m1(H, space), length, 1, lam, lam_T, mu_c)

@@ -51,7 +51,14 @@ class SymplecticSpace:
             raise NotAlternating("form must be antisymmetric")
         if any(f.rows[i][i] != 0 for i in range(f.dim)):
             raise NotAlternating("form must have zero diagonal")
-        if not f.is_invertible:
+        # one nonzero entry per row and per column, each a unit (the
+        # standard, tensor and self-product forms): a permuted unit diagonal,
+        # invertible without the O(n^3) determinant
+        cols = [[j for j, x in enumerate(row) if x] for row in f.rows]
+        monomial = all(
+            len(c) == 1 and self.ring.is_unit(row[c[0]]) for row, c in zip(f.rows, cols)
+        ) and len({c[0] for c in cols}) == f.dim
+        if not monomial and not f.is_invertible:
             raise ValueError("form must be non-degenerate")
 
     @property

@@ -250,15 +250,13 @@ def test_bfs_matches_tuple_reference(ell, level, g, ngens, k, cap, rng):
     d, mod = space.dim, space.ring.modulus
     gens = [_random_generator(space, rng) for _ in range(ngens)]
     lams = [multiplier(M, space) for M in gens]
-    udt = gm._kernel_dtype(mod, 1)
-    units = (np.array(lams, dtype=udt), np.array([pow(x, -1, mod) for x in lams], dtype=udt))
     rows = [tuple(rng.randrange(mod) for _ in range(d)) for _ in range(k)]
     identity = MatrixMod.identity(space.ring, d).rows
     searches = [
         ("closure", identity, [M.rows for M in gens], None, None),
-        ("orbit", rows, [tuple(zip(*M.rows)) for M in gens], lams, units),
+        ("orbit", rows, [tuple(zip(*M.rows)) for M in gens], lams, lams),
     ]
-    for stage, start, mats, scalars, unit_arrays in searches:
+    for stage, start, mats, scalars, units in searches:
         expected = _expected_bfs(start, mats, mod, cap, stage, scalars)
         caps = [cap]
         if not isinstance(expected, str):
@@ -273,7 +271,48 @@ def test_bfs_matches_tuple_reference(ell, level, g, ngens, k, cap, rng):
             want = _expected_bfs(start, mats, mod, c, stage, scalars)
             with pytest.MonkeyPatch.context() as mp:  # hypothesis tests take no monkeypatch fixture
                 for _ in seen_set_strategies(mp, budget=None):
-                    assert _bfs_result(start, mats, mod, c, stage, unit_arrays) == want
+                    assert _bfs_result(start, mats, mod, c, stage, units) == want
+
+
+@pytest.mark.parametrize("level, lam_dtype", [(20, np.uint64), (21, object)])
+def test_bfs_scalars_in_both_schreier_dtypes(level, lam_dtype, monkeypatch):
+    # lambda_x is held in uint64 while (3^n - 1)^2 < 2^64 (n = 20) and in
+    # Python ints past it (n = 21).  The level-20 generators of
+    # _three_adic_level20, lifted; H = <e1>: T holds diag(1, -1), so the
+    # scalars are not all 1
+    mod, t = 3**level, 3**17
+    assert gm._unsigned_dtype((mod - 1) ** 2) == lam_dtype
+    space = standard_form(1, ResidueRing(3, level))
+    rows = [[[1, t], [0, 1]], [[1, 0], [t, 1]], [[mod - 1, 0], [0, 1]], [[0, 1], [mod - 1, 0]]]
+    gens = [MatrixMod(space.ring, r) for r in rows]
+    lams = [multiplier(M, space) for M in gens]
+    mats = [tuple(zip(*M.rows)) for M in gens]
+    want = _expected_bfs([(1, 0)], mats, mod, gm.DEFAULT_CAP, "orbit", lams)
+    assert want[2] == [mod - 1]
+    for _ in seen_set_strategies(monkeypatch):
+        assert _bfs_result([(1, 0)], mats, mod, gm.DEFAULT_CAP, "orbit", lams) == want
+
+
+def test_thin_search_with_a_mismatched_scalar_on_every_level(monkeypatch):
+    # <diag(2,1), diag(1,2)> in GL2(Z/125), H = <e1>: the orbit is the 100
+    # unit multiples of e1, one new point per level, and on every level
+    # diag(1,2) fixes its point with step value 2 lambda_x != lambda_x
+    ring = ResidueRing(5, 3)
+    S = standard_form(1, ring)
+    gens = [MatrixMod.diagonal(ring, [2, 1]), MatrixMod.diagonal(ring, [1, 2])]
+    H = subgroup_from_generators([(1, 0)], ring)
+    lams = [multiplier(M, S) for M in gens]
+    mats = [tuple(zip(*M.rows)) for M in gens]
+    want = _expected_bfs([(1, 0)], mats, 125, gm.DEFAULT_CAP, "orbit", lams)
+    assert want[1] == [1] * 100 + [0]
+    assert want[2] == [2]
+    for _ in seen_set_strategies(monkeypatch):
+        assert _bfs_result([(1, 0)], mats, 125, gm.DEFAULT_CAP, "orbit", lams) == want
+        G = close(S, gens)
+        assert [tuple(row) for row in G.array.tolist()] == reference_close(S, gens)
+        report = gm.orbit_degree_report(S, gens, H)
+        assert report == gm.build_degree_report(G, H)
+        assert (report.deg_KH, report.deg_cyclo_intersection) == (100, 1)
 
 
 def _random_fixed_vectors(kind, ring, d, rng):

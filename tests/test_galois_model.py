@@ -106,8 +106,16 @@ def test_cm_torus_equals_closure_of_generators():
 def test_cm_rejects_even_prime_and_cap():
     with pytest.raises(ValueError):
         scenario_cm(2, 2, 1)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^diagonal torus has 1728 elements, cap=100$"):
         scenario_cm(2, 13, 1, cap=100)
+
+
+def test_cm_cap_refuses_a_huge_torus_at_once():
+    # phi(3) = 2, so 2^(10^12 + 1) is never formed: the product stops at the
+    # first power of 2 past the cap
+    message = r"^diagonal torus has more than 16777216 elements, cap=10000000$"
+    with pytest.raises(CapExceeded, match=message):
+        scenario_cm(10**12, 3)
 
 
 def test_selfproduct_scenario():

@@ -8,6 +8,7 @@ from gspimage.symplectic import (
     NotAlternating,
     NotSimilitude,
     OrderTooLarge,
+    SymplecticSpace,
     m1,
     m1_exhaustive,
     multiplier,
@@ -56,6 +57,35 @@ def test_standard_form_is_alternating_nondegenerate(g):
     S = standard_form(g, ResidueRing(3, 2))
     assert S.form.transpose() == -S.form
     assert S.form.is_invertible
+
+
+def test_permuted_unit_diagonal_forms_skip_the_determinant(monkeypatch):
+    # standard_form at g = 400 (an 800 x 800 form), the tensor form and the
+    # self-product form
+    def no_det(self):
+        raise AssertionError("determinant called")
+
+    monkeypatch.setattr(MatrixMod, "det", no_det)
+    ring = ResidueRing(3, 2)
+    assert standard_form(400, ring).dim == 800
+    assert tensor_form(3, ring).dim == 8
+    psi = [[0, 1], [-1, 0]]
+    selfproduct = [[*row, 0, 0] for row in psi] + [[0, 0, *row] for row in psi]
+    assert SymplecticSpace(2, MatrixMod(ring, selfproduct), ring).dim == 4
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 3], [-3, 0]],  # one entry per row and column, but not units mod 9
+        # row 3 repeats row 2: outside the permutation pattern, and degenerate
+        [[0, 1, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 1], [0, -1, -1, 0]],
+    ],
+)
+def test_degenerate_forms_are_refused(rows):
+    ring = ResidueRing(3, 2)
+    with pytest.raises(ValueError, match="non-degenerate"):
+        SymplecticSpace(len(rows) // 2, MatrixMod(ring, rows), ring)
 
 
 def test_tensor_form_k1_and_parity():
