@@ -224,20 +224,25 @@ class MatrixGroup:
     record them (``close``, ``gl2_group``, ``scenario_cm``,
     ``scenario_selfproduct``, and ``reduce_level`` from its source's), each
     for the group it builds; subgroups cut out by a test (``close`` with
-    ``fixing`` among them) record none.
-    ``build_degree_report`` relies on this: it reads lambda(G) from the
-    generators' multipliers.
+    ``fixing`` among them) record none.  ``units`` holds their multipliers,
+    in order.  ``build_degree_report`` relies on this: it reads lambda(G)
+    from them, and the fixing test prunes by the entries the generators can
+    make nonzero (``_support``).
     """
 
-    __slots__ = ("space", "generators", "order", "_runs", "_array")
+    __slots__ = ("space", "generators", "units", "order", "_runs", "_array")
 
-    def __init__(self, space: SymplecticSpace, generators, elements=(), *, runs=None, order=0):
+    def __init__(
+        self, space: SymplecticSpace, generators, elements=(), *, runs=None, order=0, units=None
+    ):
         """The group of the rows ``elements``, or of the ``order`` rows, in
-        the storage dtype, of the runs that ``runs()`` yields."""
+        the storage dtype, of the runs that ``runs()`` yields.  ``units``,
+        when given, are the generators' multipliers, already checked."""
         self.space = space
         self.generators = tuple(generators)
-        for g in self.generators:
-            multiplier(g, space)  # raises NotSimilitude on a bad generator
+        if units is None:  # raises NotSimilitude on a bad generator
+            units = [multiplier(g, space) for g in self.generators]
+        self.units = tuple(units)
         self._runs, self._array, self.order = runs, None, order
         if runs is None:
             arr = np.asarray(elements, dtype=self._dtype()).reshape(-1, self.dim**2).view()
@@ -335,7 +340,7 @@ class MatrixGroup:
         ring = self.ring.at_level(level)
         space = SymplecticSpace(self.space.g, self.space.form.reduce_level(level), ring)
         gens = tuple(g.reduce_level(level) for g in self.generators)
-        return MatrixGroup(space, gens, reduced[keep])
+        return MatrixGroup(space, gens, reduced[keep], units=[u % p for u in self.units])
 
 
 class _SeenTable:
@@ -556,8 +561,7 @@ def close(
     the elements every mask passes are decoded.  The BFS still visits the
     whole group, so ``cap`` bounds the closure as without ``fixing``.
     """
-    for g in generators:
-        multiplier(g, space)
+    units = [multiplier(g, space) for g in generators]  # raises NotSimilitude
     if fixing is not None:
         _check_subgroup(space, fixing)
     d, mod = space.dim, space.ring.modulus
@@ -576,7 +580,8 @@ def close(
         if masks:
             ids = ids[:, np.all([mask[r] for mask, r in zip(masks, ids)], axis=0)]
         levels[j] = np.concatenate([np.take(c, r, axis=1) for c, r in zip(columns, ids)]).T
-    return MatrixGroup(space, () if masks else generators, np.concatenate(levels))
+    gens, units = ((), ()) if masks else (generators, units)
+    return MatrixGroup(space, gens, np.concatenate(levels), units=units)
 
 
 def _check_subgroup(space: SymplecticSpace, H: TorsionSubgroup) -> None:
@@ -600,41 +605,67 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     return MatrixGroup(G.space, (), _fixing_scan(G, [(G.ring.modulus, H.basis)])[1])
 
 
+def _support(G: MatrixGroup) -> np.ndarray:
+    """The entries, as a (d, d) boolean array, that some element of G can
+    make nonzero: the closure of the identity's pattern under boolean
+    products with the patterns of ``G.generators``, a sound bound since the
+    pattern of AB lies in the boolean product of those of A and B.  Every
+    entry when G records no generators; the diagonal always."""
+    d = G.dim
+    if not G.generators:
+        return np.ones((d, d), dtype=bool)
+    patterns = [np.array(g.rows) != 0 for g in G.generators]
+    support = np.eye(d, dtype=bool)
+    while True:
+        grown = np.logical_or.reduce([support] + [support @ x for x in patterns])
+        if (grown == support).all():
+            return support
+        support = grown
+
+
 def _fixing_scan(G: MatrixGroup, conditions) -> tuple[np.ndarray, np.ndarray]:
     """Ascending indices, and the rows, of the elements M of G with M v = v
     mod p for every vector v of every (p, vectors) pair in ``conditions``.
 
     Each vector v, reduced mod p and skipped when it is 0, gives one test per
-    row i: sum_j M[i, j] v_j = v_i mod p over the nonzero v_j.  The tests are
-    built once and run over ``G.blocks()``, so a built group is scanned as
-    its builder writes it, never joined.  A test reads only its columns
-    i*d + j of the stored rows and sums them in the narrowest unsigned dtype
+    row i: sum_j M[i, j] v_j = v_i mod p over the nonzero v_j with (i, j) in
+    ``_support(G)``, as every other entry is 0 throughout G.  A row left with
+    no term is skipped: its v_i is 0, the diagonal being in the support.  The
+    tests are built once and run over ``G.blocks()``, so a built group is
+    scanned as its builder writes it, never joined.  A test reads only its
+    columns i*d + j of the stored rows: a lone term with coefficient 1 is the
+    stored column itself; more are summed in the narrowest unsigned dtype
     holding both the bound sum_j v_j (mod - 1) and p (``_mod`` needs p in
-    the dtype), or in object dtype when the rows are stored so; no block is
-    widened.  The tests of the largest p, the most selective, run first;
-    each block keeps its surviving rows and their indices (the block's
-    offset plus their place in it) after each test, and stops once none
-    survives.
+    the dtype), or in object dtype when the rows are stored so.  No block is
+    widened, and ``_mod`` is skipped when the bound is below p.  The tests
+    run largest p first (the most selective), then fewest terms first; each
+    block keeps its surviving rows and their indices (the block's offset
+    plus their place in it) after each test, and stops once none survives.
     """
     d, top, stored = G.dim, G.ring.modulus - 1, G._dtype()
+    support = _support(G).ravel()
     tests = []
-    for p, vectors in sorted(conditions, key=lambda c: -c[0]):
+    for p, vectors in conditions:
         for v in vectors:
             v = [int(x) % p for x in v]
-            terms = [(j, x) for j, x in enumerate(v) if x]
-            if terms:
-                bound = max(sum(x for _, x in terms) * top, p)
-                acc = object if stored == object else _unsigned_dtype(bound)
-                tests += [([(i * d + j, x) for j, x in terms], v[i], p, acc) for i in range(d)]
+            for i in range(d):
+                terms = [(i * d + j, x) for j, x in enumerate(v) if x and support[i * d + j]]
+                if terms:
+                    bound = sum(x for _, x in terms) * top
+                    acc = object if stored == object else _unsigned_dtype(max(bound, p))
+                    tests.append((-p, len(terms), terms, v[i], p if bound >= p else 0, acc))
+    tests.sort(key=lambda t: t[:2])
     hits, rows, start = [np.arange(0)], [np.empty((0, d * d), dtype=stored)], 0
     for block in G.blocks():
         index = np.arange(start, start + len(block))
         start += len(block)
-        for terms, target, p, acc in tests:
-            total = np.zeros(len(block), dtype=acc)
-            for col, x in terms:
+        for _, _, terms, target, p, acc in tests:
+            col, x = terms[0]
+            lone = len(terms) == 1 and x == 1  # the stored column itself, no accumulator
+            total = block[:, col] if lone else np.multiply(block[:, col], x, dtype=acc)
+            for col, x in terms[1:]:
                 total += block[:, col] if x == 1 else np.multiply(block[:, col], x, dtype=acc)
-            kept = _mod(total, p) == target
+            kept = (_mod(total, p) if p else total) == target
             block, index = block[kept], index[kept]
             if not len(index):
                 break
@@ -844,9 +875,10 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
     def runs():
         # one run of rows per a: the rows with first entry a keep the
         # (b, c, d) with a d - b c a unit, which depends on a only through
-        # r = a mod l.  So kept[r] is computed once, for a = r, serves every
-        # a = q l + r, and is dropped after the last.  Every temporary is
-        # mod^3-sized.
+        # r = a mod l.  So kept[r], a row-major template of those rows with
+        # column 0 left free, is computed once, for a = r, serves every
+        # a = q l + r as one contiguous copy with column 0 filled, and is
+        # dropped after the last.  Every temporary is mod^3-sized.
         rest = np.indices((mod,) * 3, dtype=np.min_scalar_type(mod - 1)).reshape(3, -1)
         b, c, d = (x.astype(np.int64) % ell for x in rest)
         bc = b * c % ell
@@ -854,10 +886,11 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
         for a in range(mod):
             q, r = divmod(a, ell)
             if q == 0:
-                kept[r] = rest[:, (r * d - bc) % ell != 0].T
-            run = np.empty((len(kept[r]), 4), dtype=narrow)
+                unit = (r * d - bc) % ell != 0
+                kept[r] = np.empty((np.count_nonzero(unit), 4), dtype=narrow)
+                kept[r][:, 1:] = rest[:, unit].T
+            run = kept[r].copy()
             run[:, 0] = a
-            run[:, 1:] = kept[r]
             if a + ell >= mod:
                 kept[r] = None
             yield run
@@ -990,11 +1023,9 @@ def degree_report(
 
 def _multiplier_generators(X: MatrixGroup) -> list[int]:
     """A generating set of lambda(X): lambda is a homomorphism, so the
-    multipliers of ``X.generators`` when X records any, else those of all
-    its elements."""
-    if X.generators:
-        return [multiplier(g, X.space) for g in X.generators]
-    return X.multiplier_image().tolist()
+    multipliers of ``X.generators`` (``X.units``) when X records any, else
+    those of all its elements."""
+    return list(X.units) if X.generators else X.multiplier_image().tolist()
 
 
 def build_degree_report(G: MatrixGroup, H: TorsionSubgroup, mu_c=Fraction(1)) -> DegreeReport:

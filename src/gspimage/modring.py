@@ -192,7 +192,8 @@ class MatrixMod:
 
     @classmethod
     def identity(cls, ring: ResidueRing, dim: int) -> "MatrixMod":
-        return cls(ring, [[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        zero = (0,) * dim
+        return cls._of_reduced(ring, tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(dim)))
 
     @classmethod
     def diagonal(cls, ring: ResidueRing, entries: Sequence[int]) -> "MatrixMod":
@@ -262,7 +263,10 @@ class MatrixMod:
         )
 
     def __neg__(self) -> "MatrixMod":
-        return MatrixMod(self.ring, [[-a for a in row] for row in self.rows])
+        m = self.ring.modulus
+        return MatrixMod._of_reduced(
+            self.ring, tuple([tuple([m - a if a else 0 for a in row]) for row in self.rows])
+        )
 
     def kron(self, other: "MatrixMod") -> "MatrixMod":
         """The Kronecker product, entry (i*n + k, j*n + l) = self[i][j] *

@@ -53,11 +53,14 @@ class SymplecticSpace:
             raise NotAlternating("form must have zero diagonal")
         # one nonzero entry per row and per column, each a unit (the
         # standard, tensor and self-product forms): a permuted unit diagonal,
-        # invertible without the O(n^3) determinant
-        cols = [[j for j, x in enumerate(row) if x] for row in f.rows]
-        monomial = all(
-            len(c) == 1 and self.ring.is_unit(row[c[0]]) for row, c in zip(f.rows, cols)
-        ) and len({c[0] for c in cols}) == f.dim
+        # invertible without the O(n^3) determinant.  A row's one nonzero
+        # entry is its sum, found by index.
+        cols = [row.index(sum(row)) if row.count(0) == f.dim - 1 else None for row in f.rows]
+        monomial = (
+            None not in cols
+            and len(set(cols)) == f.dim
+            and all(self.ring.is_unit(row[c]) for row, c in zip(f.rows, cols))
+        )
         if not monomial and not f.is_invertible:
             raise ValueError("form must be non-degenerate")
 
@@ -81,13 +84,11 @@ def standard_form(g: int, ring: ResidueRing) -> SymplecticSpace:
     """Antidiagonal form: +1 in rows 1..g, -1 in rows g+1..2g."""
     if g < 1:
         raise ValueError("g must be >= 1")
-    n = 2 * g
-    rows = [[0] * n for _ in range(n)]
-    for i in range(g):
-        rows[i][n - 1 - i] = 1
-    for i in range(g, n):
-        rows[i][n - 1 - i] = -1
-    return SymplecticSpace(g, MatrixMod(ring, rows), ring)
+    n, zero = 2 * g, (0,) * (2 * g)
+    rows = tuple(
+        zero[: n - 1 - i] + (1 if i < g else ring.modulus - 1,) + zero[n - i :] for i in range(n)
+    )
+    return SymplecticSpace(g, MatrixMod._of_reduced(ring, rows), ring)
 
 
 def tensor_form(k: int, ring: ResidueRing) -> SymplecticSpace:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -213,6 +214,44 @@ def test_H_overrides_stabilizer_subgroup(capsys):
     code, out, _ = run_cli(capsys, "stabilizer", "cm", "--ell", "5", "--g", "2", "--H", "[[1,0,0,0]]")
     assert code == 0
     assert out == "ell=5 level=1 stabilizer_size=16\n"
+
+
+def _fixers_of_e1(rows, mod):
+    """The rows (row-major matrices) M with M e1 = e1 mod ``mod``, in order:
+    column 0 of M is e1."""
+    d = math.isqrt(len(rows[0]))
+    return [M for M in rows if [M[i * d] % mod for i in range(d)] == [1] + [0] * (d - 1)]
+
+
+def test_stabilizer_of_e1_in_the_built_groups_matches_an_enumeration(capsys):
+    # the fixing vector e1 meets the structural zeros of both builders: the
+    # off-diagonal entries of the cm torus and the off-block ones of the
+    # self-product.  cm: diag(d1, d2, lam/d2, lam/d1) in (lam, d1, d2)
+    # lexicographic order over the units mod 25
+    units = [u for u in range(1, 25) if u % 5]
+    cm = []
+    for lam, d1, d2 in itertools.product(units, repeat=3):
+        diag = [d1, d2, lam * pow(d2, -1, 25) % 25, lam * pow(d1, -1, 25) % 25]
+        cm.append([diag[i] if i == j else 0 for i in range(4) for j in range(4)])
+    # selfproduct: diag-block(g, g) for g = (a, b, c, d) in lexicographic
+    # order over Z/9 with ad - bc a unit
+    selfproduct = [
+        [a, b, 0, 0, c, d, 0, 0, 0, 0, a, b, 0, 0, c, d]
+        for a, b, c, d in itertools.product(range(9), repeat=4)
+        if (a * d - b * c) % 3
+    ]
+    for argv, rows, mod in (
+        (["cm", "--g", "2", "--ell", "5"], cm, 25),
+        (["selfproduct", "--ell", "3"], selfproduct, 9),
+    ):
+        code, out, err = run_cli(
+            capsys, "stabilizer", *argv, "--level", "2", "--H", "[[1,0,0,0]]", "--format", "json"
+        )
+        assert code == 0, err
+        (rep,) = json.loads(out)["reports"]
+        expected = _fixers_of_e1(rows, mod)
+        assert rep["stabilizer_elements"] == expected
+        assert rep["stabilizer_size"] == len(expected) == {25: 400, 9: 54}[mod]
 
 
 @pytest.mark.parametrize(

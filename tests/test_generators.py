@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from gspimage import galois_model as gm
 from gspimage.galois_model import build_degree_report, close, degree_report, stabilizer
 from gspimage.modring import ResidueRing
-from gspimage.symplectic import m1
+from gspimage.symplectic import m1, multiplier
 from gspimage.torsion import trivial_subgroup
 
 from conftest import random_subgroup
@@ -117,3 +117,27 @@ def test_report_scans_only_groups_without_generators(monkeypatch):
     F = gm.filtered_subgroup(G, [H], [1])
     build_degree_report(F, trivial_subgroup(G.ring, G.dim))  # T is F, without generators
     assert scanned == [F, F]
+
+
+def test_each_generator_multiplier_is_computed_once(monkeypatch):
+    # the constructor checks each generator and keeps its multiplier; the
+    # report reads lambda(G) from those, and close passes its own check's
+    calls = []
+
+    def spy(M, S):
+        calls.append(M)
+        return multiplier(M, S)
+
+    monkeypatch.setattr(gm, "multiplier", spy)
+    G, H = gm.scenario_cm(2, 5, 1)
+    build_degree_report(G, H)
+    assert calls == list(G.generators)
+    calls.clear()
+    C = close(G.space, G.generators)
+    assert calls == list(G.generators) and C.units == G.units
+    # reduction keeps the units mod l^level, as a fresh check would give them
+    G2, _ = gm.scenario_cm(2, 5, 2)
+    calls.clear()
+    R = G2.reduce_level(1)
+    assert calls == []
+    assert R.units == tuple(multiplier(g, R.space) for g in R.generators)

@@ -226,3 +226,21 @@ def test_matrix_hash_and_flat_roundtrip():
     assert hash(MatrixMod(r, [[6, 2], [3, 4]])) == hash(M)
     assert M.reduce_level(1) == M
     assert MatrixMod(ResidueRing(5, 2), [[6, 2], [3, 4]]).reduce_level(1) == M
+
+
+# 3^20, the deep-level modulus, and 3^39, the largest power of 3 below 2^63
+@pytest.mark.parametrize("level", [20, 39])
+def test_identity_and_negation_equal_the_reduced_construction(level):
+    ring = ResidueRing(3, level)
+    m = ring.modulus
+    rng = random.Random(level)
+    rows = [[rng.choice([0, 1, m - 1, rng.randrange(m)]) for _ in range(5)] for _ in range(5)]
+    I, A = MatrixMod.identity(ring, 5), MatrixMod(ring, rows)
+    for built, constructed in (
+        (I, MatrixMod(ring, [[int(i == j) for j in range(5)] for i in range(5)])),
+        (-A, MatrixMod(ring, [[-x for x in row] for row in rows])),
+        (-I, MatrixMod(ring, [[-int(i == j) for j in range(5)] for i in range(5)])),
+    ):
+        assert built.rows == constructed.rows
+        assert all(type(row) is tuple and all(type(x) is int for x in row) for row in built.rows)
+        assert hash(built) == hash(constructed)

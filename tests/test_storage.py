@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -28,7 +29,7 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
-from conftest import seen_set_strategies
+from conftest import random_invertible, random_similitude, seen_set_strategies
 from test_closure import CASES
 
 # (ell, level) -> storage dtype of a group of 2x2 matrices
@@ -153,6 +154,78 @@ def test_fixing_chains_match_matrixmod_scans(data):
     assert list(F) == [elements[i] for i in expected]
     T = stabilizer(G, H1)
     assert list(T) == [M for M in elements if all(M.apply(v) == v for v in gens1)]
+
+
+def _gsp4_9_generators(kind, rng):
+    """A random generating set, of one to three matrices, of a small subgroup
+    of GSp4(Z/9) for the standard form, whose pairs are (0, 3) and (1, 2)."""
+    S = standard_form(2, ResidueRing(3, 2))
+    units = [u for u in range(1, 9) if u % 3]
+
+    def diagonal():
+        a, b, lam = (rng.choice(units) for _ in range(3))
+        return MatrixMod.diagonal(S.ring, [a, b, lam * pow(b, -1, 9), lam * pow(a, -1, 9)])
+
+    def monomial():
+        # the pair swap (0 1)(2 3), or the quarter turn e0 -> -e3, e3 -> e0
+        swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        turn = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0]]
+        return MatrixMod(S.ring, rng.choice([swap, turn])) @ diagonal()
+
+    P = random_invertible(S.ring, 2, rng)
+
+    def block():
+        # g on the plane of e0, e3 and P g P^-1 on that of e1, e2: a similitude
+        # with multiplier det g, in a group of at most |GL2(Z/9)| elements
+        g = random_invertible(S.ring, 2, rng)
+        (a, b), (c, d) = g.rows
+        (e, f), (h, k) = (P @ g @ P.inverse()).rows
+        return MatrixMod(S.ring, [[a, 0, 0, b], [0, e, f, 0], [0, h, k, 0], [c, 0, 0, d]])
+
+    if kind == "full":  # one element, so a cyclic group
+        return S, [random_similitude(S, rng)]
+    make = {"diagonal": diagonal, "monomial": monomial, "block": block}[kind]
+    return S, [make() for _ in range(rng.randrange(1, 4))]
+
+
+def _outside_support(G):
+    """Whether some element of G is nonzero at an entry outside its support."""
+    outside = ~gm._support(G).ravel()
+    return any((block != 0)[:, outside].any() for block in G.blocks())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_support_bounds_every_element_and_pruning_keeps_the_scan(data):
+    kind = data.draw(st.sampled_from(["diagonal", "monomial", "block", "full"]))
+    S, gens = _gsp4_9_generators(kind, random.Random(data.draw(st.integers(0, 2**32))))
+    G = close(S, gens, cap=10**5)
+    assert not _outside_support(G)
+    assert gm._support(G).diagonal().all()
+    ell, mod = 3, 9
+    entry = st.sampled_from([0, ell, mod - ell, 1, mod - 1]) | st.integers(0, mod - 1)
+    vectors = st.lists(st.lists(entry, min_size=4, max_size=4), min_size=1, max_size=3)
+    conditions = [(ell, data.draw(vectors)), (mod, data.draw(vectors))]
+    # the same rows with no generators: every entry in the support, no pruning
+    unpruned = MatrixGroup(S, (), G.array)
+    assert gm._support(unpruned).all()
+    hits, rows = gm._fixing_scan(G, conditions)
+    full_hits, full_rows = gm._fixing_scan(unpruned, conditions)
+    assert hits.tolist() == full_hits.tolist()
+    assert rows.tolist() == full_rows.tolist()
+
+
+def test_builder_supports_bound_their_elements():
+    ring = ResidueRing(3, 2)
+    diagonal = np.eye(4, dtype=bool)
+    blocks = np.kron(np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool))
+    for G, expected in (
+        (gm.gl2_group(ring), np.ones((2, 2), dtype=bool)),
+        (gm.scenario_cm(2, 3, 2)[0], diagonal),
+        (gm.scenario_selfproduct(3, 2)[0], blocks),
+    ):
+        assert gm._support(G).tolist() == expected.tolist()
+        assert not _outside_support(G)
 
 
 def test_reduction_keeps_first_occurrences_across_key_blocks(monkeypatch):

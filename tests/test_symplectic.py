@@ -74,6 +74,24 @@ def test_permuted_unit_diagonal_forms_skip_the_determinant(monkeypatch):
     assert SymplecticSpace(2, MatrixMod(ring, selfproduct), ring).dim == 4
 
 
+@pytest.mark.parametrize("level", [20, 39])
+def test_standard_form_builds_no_matrix_through_the_constructor(level, monkeypatch):
+    # the form, its negation in the alternation check and its transpose come
+    # from reduced tuple rows; the constructor would reduce every entry again
+    ring = ResidueRing(3, level)
+    signs = [1, 1, 1, -1, -1, -1]
+    expected = MatrixMod(ring, [[signs[i] * (j == 5 - i) for j in range(6)] for i in range(6)])
+    assert standard_form(3, ring).form == expected
+    assert expected.rows[5][0] == ring.modulus - 1
+
+    def no_init(self, *args):
+        raise AssertionError("MatrixMod.__init__ called")
+
+    monkeypatch.setattr(MatrixMod, "__init__", no_init)
+    assert standard_form(400, ResidueRing(3, 2)).dim == 800
+    assert standard_form(3, ring).form.rows == expected.rows
+
+
 @pytest.mark.parametrize(
     "rows",
     [
