@@ -44,8 +44,6 @@ from .galois_model import (
 from .mumford import (
     ExpectationFailed,
     MumfordReport,
-    TensorTriple,
-    block_dependence,
     image_order,
     lagrangian_H,
     pointwise_stabilizer_in_image,

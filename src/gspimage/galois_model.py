@@ -133,27 +133,18 @@ def _mod(x: np.ndarray, m: int) -> np.ndarray:
 
 
 def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
-    """Key of each row of ``flat``: two keys are equal exactly when the rows are.
-
-    Entries are packed base ``mod``, first entry most significant, into int64
-    words of as many entries as stay below 2^63.  A row that fits one word gets
-    an int64 key; a row of ``w`` words gets one ``np.void`` scalar of ``8*w``
-    bytes.  Void keys sort bytewise: a consistent total order, not the numeric
-    one, which is all that sorting, ``np.searchsorted`` and ``np.isin`` need.
+    """Key of each row of ``flat``: its entries read base ``mod``, first entry
+    most significant, so two keys are equal exactly when the rows are.  int64
+    while every key is below 2^63, Python ints (object dtype) past it, as in
+    ``_bfs``.
     """
     width = flat.shape[1]
-    step = 1
-    while step < width and mod ** (step + 1) < (1 << 63):
-        step += 1
-    nwords = -(-width // step)
-    weights = np.zeros((width, nwords), dtype=np.int64)  # word j = block j . weights
-    for i in range(width):
-        last = min(width, (i // step + 1) * step) - 1
-        weights[i, i // step] = mod ** (last - i)
-    # one block widened at a time; object blocks fit int64 (ResidueRing keeps
-    # mod < 2^63) and must be cast, or the words would come out as objects
-    words = _batched(lambda block: block.astype(np.int64, copy=False) @ weights, _row_blocks(flat))
-    return words.ravel() if nwords == 1 else words.view(f"V{8 * nwords}").ravel()
+    dtype = np.int64 if mod**width < 1 << 63 else object
+    weights = np.array([mod ** (width - 1 - i) for i in range(width)], dtype=dtype)
+    # one block cast at a time: int64 blocks to Python ints past 2^63, and
+    # object blocks (which fit int64, as ResidueRing keeps mod < 2^63) back to
+    # int64 below it
+    return _batched(lambda block: block.astype(dtype, copy=False) @ weights, _row_blocks(flat))
 
 
 # entries of a key-indexed int32 seen table, 16 MiB
@@ -365,9 +356,8 @@ class _SeenTable:
 class _SeenSorted:
     """A seen set as the sorted array of the keys seen so far and, aligned
     with it, the point index of each, for key spaces too large for a table.
-    The keys are int64, void (the multi-word keys of ``reduce_level``) or
-    object (Python ints: BFS keys past 2^63); every step below takes all
-    three."""
+    The keys are int64, or object (Python ints) past 2^63; every step below
+    takes both."""
 
     def __init__(self, start_key: np.ndarray):
         self.keys = start_key
@@ -805,8 +795,9 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     narrow = _storage_dtype(mod, n2)
     units = list(ring.units())
 
-    def on_axes(values, *axes):
-        return np.expand_dims(values, tuple(i for i in range(g + 1) if i not in axes))
+    def on_axis(i):
+        # a broadcast shape: the units on axis i, lambda (any length) on axis 0
+        return tuple(phi if t == i else -1 if t == 0 else 1 for t in range(g + 1))
 
     def runs():
         # the rows of k consecutive lambdas, k phi^g rows with k at least 1
@@ -815,19 +806,21 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         # increasing order.  Its d_i columns are the same for every k
         # lambdas, so they are broadcast once, into ``template``; each grid
         # is a copy of it with the lambda / d_i columns broadcast from a
-        # k x phi table.
+        # k x phi table, reshaped onto axes 0 and i.
         k = max(1, _BATCH // phi**g)
         unit_row = np.array(units, dtype=narrow)
         wide = np.array(units, dtype=_kernel_dtype(mod, n2))
         inv = np.array([ring.inverse(u) for u in units], dtype=wide.dtype)
         template = np.zeros((k,) + (phi,) * g + (n2 * n2,), dtype=narrow)
         for j in range(g):
-            template[..., j * (n2 + 1)] = on_axes(unit_row, 1 + j)
+            template[..., j * (n2 + 1)] = unit_row.reshape(on_axis(1 + j))
+        # d_{j+1} = lambda / d_{2g-j}: its column, and its table's shape
+        shapes = [(j * (n2 + 1), on_axis(n2 - j)) for j in range(g, n2)]
         for a in range(0, phi, k):
             ratio = (wide[a : a + k, None] * inv % mod).astype(narrow)
             grid = template[: len(ratio)].copy()
-            for j in range(g, n2):  # d_{j+1} = lambda / d_{2g-j}
-                grid[..., j * (n2 + 1)] = on_axes(ratio, 0, n2 - j)
+            for column, shape in shapes:
+                grid[..., column] = ratio.reshape(shape)
             yield grid.reshape(-1, n2 * n2)
 
     r = _primitive_root(ring)

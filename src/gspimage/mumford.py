@@ -1,9 +1,9 @@
 """The tensor-cube engine over F_l.
 
-The representation (a, b, c) -> a (x) b (x) c of GL2^3 into GSp8, its image,
-the block linear-dependence conditions cutting the image out, the special
-Lagrangian subgroup spanned by e111, e122, e212, e221, and the two-element
-pointwise stabilizer of that subgroup inside the image.
+The representation (a, b, c) -> a (x) b (x) c of GL2^3 into GSp8, the order
+of its image, the special Lagrangian subgroup spanned by e111, e122, e212,
+e221, and the two-element pointwise stabilizer of that subgroup inside the
+image.
 
 Everything runs at level 1: the construction lives over the prime field.
 """
@@ -60,40 +60,6 @@ def rho(a: MatrixMod, b: MatrixMod, c: MatrixMod) -> MatrixMod:
     return a.kron(b).kron(c)
 
 
-@dataclass(frozen=True)
-class TensorTriple:
-    """A triple (a, b, c) of invertible 2x2 matrices.
-
-    Canonical triples (a and b scaled so their first nonzero entry is 1, the
-    scalars absorbed into c) biject with image elements: two triples have the
-    same Kronecker product exactly when they differ by scalars (la, mu b, nu c)
-    with la*mu*nu = 1, and canonicalization picks one member of each fiber.
-    """
-
-    a: MatrixMod
-    b: MatrixMod
-    c: MatrixMod
-
-    @classmethod
-    def canonical(cls, a: MatrixMod, b: MatrixMod, c: MatrixMod) -> "TensorTriple":
-        ring = a.ring
-        ua = next(x for x in a.flat() if x != 0)
-        a2 = a.scale(ring.inverse(ua))
-        c2 = c.scale(ua)
-        ub = next(x for x in b.flat() if x != 0)
-        b2 = b.scale(ring.inverse(ub))
-        c2 = c2.scale(ub)
-        return cls(a2, b2, c2)
-
-    def is_canonical(self) -> bool:
-        lead_a = next(x for x in self.a.flat() if x != 0)
-        lead_b = next(x for x in self.b.flat() if x != 0)
-        return lead_a == 1 and lead_b == 1
-
-    def matrix(self) -> MatrixMod:
-        return rho(self.a, self.b, self.c)
-
-
 def lagrangian_H(ell: int) -> TorsionSubgroup:
     """The rank-4 subgroup on e111, e122, e212, e221; totally isotropic for
     the tensor form."""
@@ -105,35 +71,8 @@ def lagrangian_H(ell: int) -> TorsionSubgroup:
     return subgroup_from_generators(gens, _ring(ell))
 
 
-def _pairwise_dependent(x: np.ndarray, y: np.ndarray, mod: int) -> bool:
-    xf, yf = x.reshape(-1), y.reshape(-1)
-    return bool((((np.outer(xf, yf) - np.outer(yf, xf)) % mod) == 0).all())
-
-
-def block_dependence(M: MatrixMod) -> bool:
-    """Necessary membership condition for the image: the four 4x4 quadrants
-    are pairwise linearly dependent, and so are the four 2x2 sub-blocks inside
-    each quadrant."""
-    if M.dim != 8:
-        raise ValueError("expected an 8x8 matrix")
-    mod = M.ring.modulus
-    arr = np.array(M.rows, dtype=np.int64)
-    quads = [arr[i : i + 4, j : j + 4] for i in (0, 4) for j in (0, 4)]
-    for s in range(4):
-        for t in range(s + 1, 4):
-            if not _pairwise_dependent(quads[s], quads[t], mod):
-                return False
-    for q in quads:
-        subs = [q[i : i + 2, j : j + 2] for i in (0, 2) for j in (0, 2)]
-        for s in range(4):
-            for t in range(s + 1, 4):
-                if not _pairwise_dependent(subs[s], subs[t], mod):
-                    return False
-    return True
-
-
 def _gl2_array(ell: int) -> np.ndarray:
-    # widened: the oracles subtract and multiply entries, and unsigned storage wraps
+    # widened: the oracle subtracts and multiplies entries, and unsigned storage wraps
     return gl2_group(_ring(ell)).array.astype(np.int64).reshape(-1, 2, 2)
 
 
@@ -202,74 +141,13 @@ def stabilizer_brute_force(ell: int, cap: int = 200_000_000) -> list[MatrixMod]:
 
 
 def image_order(ell: int, cap: Optional[int] = None) -> int:
-    """|image| = (|GL2|/(l-1))^2 * |GL2| via the canonical-triple bijection."""
+    """|image| = (|GL2|/(l-1))^2 * |GL2|: each fiber of rho is one scalar orbit
+    {(la a, mu b, nu c) : la mu nu = 1}, of (l-1)^2 triples."""
     n = gl2_order(ell)
     value = (n // (ell - 1)) ** 2 * n
     if cap is not None and value > cap:
         raise CapExceeded(f"image has {value} elements, cap={cap}")
     return value
-
-
-# bytes one int64 temporary of _all_triple_products may take
-_TRIPLE_BYTES = 1 << 28
-
-
-def _all_triple_products(ell: int) -> tuple[np.ndarray, int]:
-    n = gl2_order(ell)
-    need = n**3 * 64 * 8  # the (n^3, 8, 8) int64 einsum result, and again for its % ell
-    if need > _TRIPLE_BYTES:
-        raise CapExceeded(
-            f"triple products: {n**3} triples need {need} bytes per int64 temporary,"
-            f" budget={_TRIPLE_BYTES}"
-        )
-    G = _gl2_array(ell)
-    AB = np.einsum("aij,bkl->abikjl", G, G).reshape(n * n, 4, 4) % ell
-    ABC = np.einsum("xij,ckl->xcikjl", AB, G).reshape(n * n * n, 8, 8) % ell
-    return ABC.astype(np.uint8).reshape(n * n * n, 64), n
-
-def image_order_enumerated(ell: int, cap: int = 1_000_000) -> int:
-    """Dedup enumeration over all |GL2|^3 triples; the oracle for image_order."""
-    n = gl2_order(ell)
-    if n**3 > cap:
-        raise CapExceeded(f"{n**3} triples exceed cap={cap}")
-    keys, _ = _all_triple_products(ell)
-    view = np.ascontiguousarray(keys).view(np.dtype((np.void, 64)))
-    return len(np.unique(view))
-
-
-def verify_kernel_law(ell: int, cap: int = 1_000_000) -> None:
-    """Exhaustively check the kernel of the tensor representation.
-
-    Every fiber of (a,b,c) -> product must be exactly the scalar orbit
-    {(la a, mu b, nu c) : la mu nu = 1}, of size (l-1)^2.  Raises on any
-    mismatch.
-    """
-    n = gl2_order(ell)
-    if n**3 > cap:
-        raise CapExceeded(f"{n**3} triples exceed cap={cap}")
-    G = _gl2_array(ell)
-    index = {tuple(map(int, g.reshape(-1))): i for i, g in enumerate(G)}
-    keys, _ = _all_triple_products(ell)
-    view = np.ascontiguousarray(keys).view(np.dtype((np.void, 64))).reshape(-1)
-    _, inverse, counts = np.unique(view, return_inverse=True, return_counts=True)
-    expected = (ell - 1) ** 2
-    if not (counts == expected).all():
-        raise AssertionError("some fiber does not have size (l-1)^2")
-    order = np.argsort(inverse, kind="stable")
-    fibers = np.split(order, np.cumsum(counts)[:-1])
-    for members in fibers:
-        t0 = int(members[0])
-        a0, b0, c0 = t0 // (n * n), t0 // n % n, t0 % n
-        orbit = set()
-        for la in range(1, ell):
-            for mu in range(1, ell):
-                nu = pow(la * mu, -1, ell)
-                ia = index[tuple(map(int, (la * G[a0] % ell).reshape(-1)))]
-                ib = index[tuple(map(int, (mu * G[b0] % ell).reshape(-1)))]
-                ic = index[tuple(map(int, (nu * G[c0] % ell).reshape(-1)))]
-                orbit.add(ia * n * n + ib * n + ic)
-        if orbit != set(map(int, members)):
-            raise AssertionError("fiber is not a scalar orbit")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from gspimage import galois_model as gm
-from gspimage.modring import MatrixMod
+from gspimage.modring import MatrixMod, ResidueRing
+from gspimage.mumford import rho
 from gspimage.torsion import subgroup_from_generators
 
 
@@ -57,12 +58,26 @@ def random_subgroup(ring, dim, rng, max_order=5000):
             return H
 
 
+def tensor_generators(ell):
+    """rho(g, I, I), rho(I, g, I) and rho(I, I, g) for g in generators of
+    GL2(F_l), so they generate the tensor-cube image: gl2_standard_generators
+    at odd l, and at l = 2, which it refuses, the two transvections
+    (GL2(F_2) = SL2(F_2))."""
+    ring = ResidueRing(ell, 1)
+    I2 = MatrixMod.identity(ring, 2)
+    if ell == 2:
+        gl2 = [MatrixMod(ring, [[1, 1], [0, 1]]), MatrixMod(ring, [[1, 0], [1, 1]])]
+    else:
+        gl2 = gm.gl2_standard_generators(ring)
+    return [rho(*(g if i == place else I2 for i in range(3))) for place in range(3) for g in gl2]
+
+
 def seen_set_strategies(monkeypatch, budget=3**16):
     """Run the loop body once per BFS seen set.  The default budget of 3^16
     keys lets every BFS of ``test_closure.CASES`` use the key-indexed table;
     ``budget=None`` keeps the package's.  ``_seen_set`` forced to the sorted
-    set gives the other.  Key spaces past the budget, among them the
-    multi-word keys of ``reduce_level``, take the sorted set both times."""
+    set gives the other.  Key spaces past the budget take the sorted set
+    both times."""
     table = gm._seen_set
     if budget is not None:
         monkeypatch.setattr(gm, "_DENSE_KEYS", budget)

@@ -25,7 +25,7 @@ from gspimage.symplectic import (
 )
 from gspimage.torsion import subgroup_from_generators
 
-from conftest import random_similitude, random_subgroup
+from conftest import random_similitude, random_subgroup, tensor_generators
 from test_symplectic import TENSOR3_FORM
 
 
@@ -87,14 +87,19 @@ def test_criterion_3_form_fixture():
 
 
 def test_criterion_4_image_order_oracle():
+    # the general engine on the nine generators rho(g, I, I), rho(I, g, I),
+    # rho(I, I, g): the orbit of H gives [G:T], the closure fixing H gives T
     t0 = time.monotonic()
     assert mf.image_order(3) == 27648
-    assert mf.image_order_enumerated(3) == 27648
-    mf.verify_kernel_law(2)
-    mf.verify_kernel_law(3)
+    for ell in (2, 3):
+        S, H = mf.tensor_space(ell), mf.lagrangian_H(ell)
+        gens = tensor_generators(ell)
+        index = gm.orbit_degree_report(S, gens, H).deg_KH
+        T = gm.close(S, gens, fixing=H)
+        assert index * T.order == mf.image_order(ell)
     elapsed = time.monotonic() - t0
     assert elapsed <= 60.0
-    _report(4, f"image order 27648 by dedup; kernel law exhaustive for l=2,3 ({elapsed:.1f}s)")
+    _report(4, f"image order [G:T] |T| = 216, 27648 from the orbit engine for l=2,3 ({elapsed:.2f}s)")
 
 
 def test_criterion_5_cm_and_selfproduct():

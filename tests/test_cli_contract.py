@@ -3,9 +3,12 @@
 A named cm or selfproduct scenario reports on its built group (the
 materialized path); a custom scenario file with the same generators and H
 reports from the orbit of H (``orbit_degree_report``), never building G.
-Both must print the same bytes.  The property test drives ``cli.main`` with
-argv and scenario text mixing valid and broken input, and checks the exit
-codes, stdout, ``--out`` and ``--H`` against a scenario file's ``H``.
+Both must print the same bytes.  The mumford scenario, which runs on the
+tensor cube's closed forms, and its custom twin must print the same
+stabilizer list and the same degree fields.  The property test drives
+``cli.main`` with argv and scenario text mixing valid and broken input, and
+checks the exit codes, stdout, ``--out`` and ``--H`` against a scenario
+file's ``H``.
 """
 
 import contextlib
@@ -20,7 +23,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from gspimage import cli
 from gspimage import galois_model as gm
 from gspimage.modring import MatrixMod, ResidueRing
-from gspimage.symplectic import standard_form
+from gspimage.symplectic import standard_form, tensor_form
+
+from conftest import tensor_generators
 
 
 def _main(argv):
@@ -80,6 +85,30 @@ def test_custom_twin_prints_the_named_report(tmp_path, name, ell, level, g):
     custom = _main(["degrees", "--scenario-file", str(path), "--format", "json"])
     assert named[0] == 0, named[2]
     assert custom == named
+
+
+# D^T F_std D is the tensor form: both pair e_i with e_(7-i), with opposite
+# signs on the pairs of e1 and e2
+_TENSOR_TO_STANDARD = [1, -1, -1, 1, 1, 1, 1, 1]
+
+
+def test_custom_twin_of_the_tensor_cube(tmp_path):
+    ring = ResidueRing(3, 1)
+    D = MatrixMod.diagonal(ring, _TENSOR_TO_STANDARD)
+    assert D.transpose() @ standard_form(4, ring).form @ D == tensor_form(3, ring).form
+    # D is its own inverse, and fixes the Lagrangian's e111, e122, e212, e221
+    gens = [[list(row) for row in (D @ x @ D).rows] for x in tensor_generators(3)]
+    H = [[int(i == j) for i in range(8)] for j in (0, 3, 5, 6)]
+    path = tmp_path / "twin.txt"
+    path.write_text(_scenario_text(3, 1, 4, gens, H))
+    named = _main(["stabilizer", "mumford", "--ell", "3", "--format", "json"])
+    assert named[0] == 0, named[2]
+    assert _main(["stabilizer", "--scenario-file", str(path), "--format", "json"]) == named
+    code, out, err = _main(["degrees", "--scenario-file", str(path), "--format", "json"])
+    assert code == 0, err
+    battery = json.loads(_main(["verify-mumford", "--ell", "3", "--format", "json"])[1])
+    [report] = json.loads(out)["reports"]
+    assert list(report.items()) == list(battery["reports"][0].items())[:8]
 
 
 def test_a_level_past_the_word_is_refused_without_forming_its_power():

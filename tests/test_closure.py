@@ -75,7 +75,7 @@ def _gsp4_f3_subgroup():
 
 
 def _gsp4_z27_subgroup():
-    # entries fit uint8, but 27^16 > 2^63, so the packed keys are multi-word voids
+    # entries fit uint8, but 27^16 > 2^63, so the packed keys are Python ints
     ring = ResidueRing(3, 3)
     S = standard_form(2, ring)
     gens = [
@@ -103,8 +103,8 @@ def _three_adic_level20():
 CASES = {
     "gl2_mod9": (_gl2_mod9, np.uint8, np.int64, 3888),
     "gsp4_f3": (_gsp4_f3_subgroup, np.uint8, np.int64, 1152),
-    "gsp4_z27": (_gsp4_z27_subgroup, np.uint8, np.void, 486),
-    "level20": (_three_adic_level20, object, np.void, 5832),
+    "gsp4_z27": (_gsp4_z27_subgroup, np.uint8, object, 486),
+    "level20": (_three_adic_level20, object, object, 5832),
 }
 
 
@@ -119,7 +119,7 @@ def test_close_matches_reference_order(case, chunk, monkeypatch):
     for _ in seen_set_strategies(monkeypatch):
         G = close(S, gens)
         assert G.array.dtype == arr_dtype
-        assert gm._pack(G.array, S.ring.modulus).dtype.type is key_type
+        assert gm._pack(G.array, S.ring.modulus).dtype == key_type
         assert G.order == order
         assert [tuple(row) for row in G.array.tolist()] == expected
 
@@ -446,10 +446,10 @@ def test_close_without_generators_is_trivial(case):
     "mod, width, key_type",
     [
         (27, 4, np.int64),
-        (27, 16, np.void),
-        (3**20, 4, np.void),
+        (27, 16, object),
+        (3**20, 4, object),
         (3**39, 1, np.int64),
-        (3**39, 4, np.void),  # 3^39 is the largest power of 3 below 2^63
+        (3**39, 4, object),  # 3^39 is the largest power of 3 below 2^63
     ],
 )
 @settings(max_examples=40, deadline=None)
@@ -461,7 +461,7 @@ def test_pack_keys_equal_exactly_when_rows_equal(mod, width, key_type, data):
     )
     for dtype in (np.int64, object):
         keys = gm._pack(np.array(rows, dtype=dtype), mod)
-        assert keys.dtype.type is key_type
+        assert keys.dtype == key_type
         assert keys.shape == (len(rows),)
         for i, row in enumerate(rows):
             assert (keys == keys[i]).tolist() == [other == row for other in rows]
@@ -469,15 +469,15 @@ def test_pack_keys_equal_exactly_when_rows_equal(mod, width, key_type, data):
 
 @pytest.mark.parametrize("case", ["gsp4_z27", "level20"])
 def test_multiword_keys_in_group_checks(case, monkeypatch):
-    # reduce_level is the one group check on multi-word keys: 16 entries
-    # mod 27, and 4 entries mod 3^10 (3^40 > 2^63), pack into two-word void
+    # reduce_level is the one group check on keys past 2^63: 16 entries
+    # mod 27, and 4 entries mod 3^10 (3^40 > 2^63), pack into Python-int
     # keys.  At the top level all 486 elements stay; the level-20 group
     # reduced to level 10 keeps its first occurrences
     level = {"gsp4_z27": 3, "level20": 10}[case]
     S, gens = CASES[case][0]()
     G = close(S, gens)
     p = S.ring.ell**level
-    assert gm._pack(G.array[:1] % p, p).dtype.type is np.void
+    assert gm._pack(G.array[:1] % p, p).dtype == object
     expected = list(dict.fromkeys(M.reduce_level(level).flat() for M in G))
     for _ in seen_set_strategies(monkeypatch):
         R = G.reduce_level(level)

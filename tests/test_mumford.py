@@ -6,13 +6,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from gspimage import galois_model as gm
 from gspimage.modring import MatrixMod, NotInvertible, ResidueRing, is_prime
 from gspimage.symplectic import multiplier, weil_pairing
 from gspimage import mumford as mf
 from gspimage.mumford import (
     MumfordReport,
-    TensorTriple,
-    block_dependence,
     image_order,
     lagrangian_H,
     pointwise_stabilizer_in_image,
@@ -21,7 +20,7 @@ from gspimage.mumford import (
     verify_mu_s_failure,
 )
 
-from conftest import random_invertible
+from conftest import random_invertible, tensor_generators
 
 
 def _flip(ring):
@@ -80,21 +79,6 @@ def test_rho_lands_in_gsp8():
             assert lam == a.det() * b.det() * c.det() % ell
 
 
-def test_tensor_triple_canonicalization():
-    ring = ResidueRing(7, 1)
-    rng = random.Random(9)
-    units = [u for u in range(1, 7)]
-    for _ in range(25):
-        a, b, c = (random_invertible(ring, 2, rng) for _ in range(3))
-        t = TensorTriple.canonical(a, b, c)
-        assert t.is_canonical()
-        assert t.matrix() == rho(a, b, c)
-        la, mu = rng.choice(units), rng.choice(units)
-        nu = pow(la * mu, -1, 7)
-        t2 = TensorTriple.canonical(a.scale(la), b.scale(mu), c.scale(nu))
-        assert (t2.a, t2.b, t2.c) == (t.a, t.b, t.c)
-
-
 @pytest.mark.parametrize("ell", [3, 5])
 def test_lagrangian_subgroup(ell):
     H = lagrangian_H(ell)
@@ -107,22 +91,6 @@ def test_lagrangian_subgroup(ell):
     from gspimage.symplectic import m1
 
     assert m1(H, S) == 0
-
-
-def test_block_dependence_identity_and_images():
-    ring = ResidueRing(5, 1)
-    assert block_dependence(MatrixMod.identity(ring, 8))
-    rng = random.Random(17)
-    for _ in range(100):
-        a, b, c = (random_invertible(ring, 2, rng) for _ in range(3))
-        assert block_dependence(rho(a, b, c))
-
-
-def test_block_dependence_rejects_elementary():
-    ring = ResidueRing(5, 1)
-    rows = [[1 if i == j else 0 for j in range(8)] for i in range(8)]
-    rows[0][1] = 1  # I + E12 is not a tensor product
-    assert not block_dependence(MatrixMod(ring, rows))
 
 
 def test_stabilizer_exact_small_primes():
@@ -173,18 +141,46 @@ def test_image_order_formula_and_enumeration():
     assert image_order(2) == 216
     assert image_order(3) == 27648
     assert image_order(5) == 120 * 120 * 480
-    assert mf.image_order_enumerated(2) == 216
     ring = ResidueRing(3, 1)
     I2 = MatrixMod.identity(ring, 2)
     assert rho(I2, I2, I2) == MatrixMod.identity(ring, 8)  # identity is in the image
     with pytest.raises(mf.CapExceeded):
-        mf.image_order_enumerated(5)
-    with pytest.raises(mf.CapExceeded):
         image_order(5, cap=1000)
 
 
-def test_kernel_law_exhaustive_l2():
-    mf.verify_kernel_law(2)
+@pytest.mark.parametrize("ell", [2, 3])
+def test_general_engine_twin(ell):
+    # the tensor cube through the general engine alone: [G:T] from the orbit
+    # of H under the nine generators, T from the closure fixing H
+    S, H = tensor_space(ell), lagrangian_H(ell)
+    gens = tensor_generators(ell)
+    rep = gm.orbit_degree_report(S, gens, H)
+    T = gm.close(S, gens, fixing=H)
+    assert rep.deg_KH * T.order == image_order(ell)
+    assert set(T) == set(pointwise_stabilizer_in_image(ell))
+    if ell != 2:  # verify_mu_s_failure refuses l = 2
+        battery = verify_mu_s_failure([ell])[0]
+        assert vars(rep) == {name: getattr(battery, name) for name in vars(rep)}
+
+
+def test_scalar_orbit_of_a_triple_is_one_fiber():
+    # (la a) (x) (mu b) (x) (nu c) = la mu nu (a (x) b (x) c): the (l-1)^2
+    # triples of a scalar orbit are distinct and share one image element.
+    # With the twin's count of image elements, |GL2|^3 / (l-1)^2, every
+    # fiber of rho is then exactly one scalar orbit, at l = 2 and 3
+    ell = 7
+    ring = ResidueRing(ell, 1)
+    rng = random.Random(29)
+    units = range(1, ell)
+    for _ in range(10):
+        a, b, c = (random_invertible(ring, 2, rng) for _ in range(3))
+        orbit = {
+            (a.scale(la), b.scale(mu), c.scale(pow(la * mu, -1, ell)))
+            for la in units
+            for mu in units
+        }
+        assert len(orbit) == (ell - 1) ** 2
+        assert {rho(*t) for t in orbit} == {rho(a, b, c)}
 
 
 def test_multiplier_image_is_all_units():
@@ -277,14 +273,3 @@ def test_mumford_report_json_keys():
         and json.loads(json.dumps(d, indent=2)) == d
     )
 
-
-def test_triple_products_check_their_byte_budget(monkeypatch):
-    # at l = 3 each int64 temporary is 48^3 * 64 * 8 bytes (54 MiB)
-    need = 48**3 * 64 * 8
-    monkeypatch.setattr(mf, "_TRIPLE_BYTES", need - 1)
-    for oracle in (mf.image_order_enumerated, mf.verify_kernel_law):
-        with pytest.raises(mf.CapExceeded, match=f"triple products: 110592 triples need {need}"):
-            oracle(3)
-    monkeypatch.setattr(mf, "_TRIPLE_BYTES", need)
-    assert mf.image_order_enumerated(3) == image_order(3)
-    mf.verify_kernel_law(3)
