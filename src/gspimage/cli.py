@@ -537,11 +537,12 @@ def _cmd_stabilizer(ns) -> tuple[dict, list[str]]:
         if name == "mumford":
             stab = mf.pointwise_stabilizer_in_image(ell, cap=ns.cap)
             elements = [list(M.flat()) for M in stab]
-        elif name == "custom":  # G's closure is searched, never built
-            space, gens, H = _custom_scenario(ell, data)
-            elements = gm.close(space, gens, ns.cap, fixing=H).array.tolist()
-        else:
-            G, H = _scenario_instance(name, ell, data, ns.cap)
+        else:  # one block scan, on a builder's group or a closure
+            if name == "custom":
+                space, gens, H = _custom_scenario(ell, data)
+                G = gm.close(space, gens, ns.cap)
+            else:
+                G, H = _scenario_instance(name, ell, data, ns.cap)
             elements = gm.stabilizer(G, H).array.tolist()
         out.append(
             {

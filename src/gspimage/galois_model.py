@@ -1,10 +1,9 @@
 """Finite Galois-image engine.
 
-Matrix groups inside GSp_2g(Z/l^n): closures held as element arrays, and
-the GL2, diagonal-torus and self-product builders' groups scanned block by
-block as they are written; pointwise stabilizers, the field-degree
-bookkeeping built on the multiplier character, and congruence-filtered
-subgroups.
+Matrix groups inside GSp_2g(Z/l^n): closures and the GL2, diagonal-torus
+and self-product builders' groups, scanned block by block as they are
+written; pointwise stabilizers, the field-degree bookkeeping built on the
+multiplier character, and congruence-filtered subgroups.
 
 Degrees are modeled exactly: [K(H):K] is the index of the pointwise
 stabilizer, the cyclotomic degree at level m is the size of the multiplier
@@ -187,24 +186,24 @@ class MatrixGroup:
 
     ``blocks()`` yields the elements, one row-major matrix per row, in
     element order and in blocks of ``_BATCH`` rows.  A builder
-    (``gl2_group``, ``scenario_cm``, ``scenario_selfproduct``) gives its
-    closed-form ``order`` and ``runs``, a function that writes the rows
-    afresh on each call, one run at a time (160 KiB for the 10^6-element cm
-    torus at l^n = 125); every other group gives its elements.  ``array``
-    is all the elements as one read-only (order, d*d) array, joined from the
-    runs on first access and kept; from then on the blocks are slices of
-    it.  The fixing test, the multiplier scan and membership (``in``) read
-    blocks, so a degree report, a stabilizer or a membership test never
-    holds a built group whole; ``reduce_level`` and iteration read
-    ``array``.
+    (``gl2_group``, ``scenario_cm``, ``scenario_selfproduct``, ``close``)
+    gives its ``order`` and ``runs``, a function that writes the rows afresh
+    on each call, one run at a time (160 KiB for the 10^6-element cm torus
+    at l^n = 125; one BFS level for a closure); every other group gives its
+    elements.  ``array`` is all the elements as one read-only (order, d*d)
+    array, joined from the runs on first access and kept; from then on the
+    blocks are slices of it.  The fixing test, the multiplier scan and
+    membership (``in``) read blocks, so a degree report, a stabilizer or a
+    membership test never holds a built group whole; ``reduce_level`` below
+    the top level and iteration read ``array``.
 
     Storage is narrow: inside the kernel guard (``_np_batch_ok``) it is the
     smallest unsigned dtype holding a residue mod l^n (uint8 up to 256,
     uint16 up to 65536, uint32 above), past it object dtype (Python ints).
     The product kernels compute wide, in int64 or object dtype: ``_batched``
     widens one block of rows at a time.  ``close`` multiplies out each
-    vector of its row orbits once and builds ``array`` from row ids, one
-    BFS level at a time.  The fixing test sums only the columns it reads,
+    vector of its row orbits once, and its runs decode the BFS levels from
+    row ids by gathers.  The fixing test sums only the columns it reads,
     in the narrowest unsigned dtype holding its bound, and ``reduce_level``
     takes remainders in the storage dtype.  Unsigned subtraction wraps, so
     widen ``array`` before doing other arithmetic on it; ``tolist()`` gives
@@ -214,11 +213,10 @@ class MatrixGroup:
     ``generators``, when not empty, generates the group.  Only the builders
     record them (``close``, ``gl2_group``, ``scenario_cm``,
     ``scenario_selfproduct``, and ``reduce_level`` from its source's), each
-    for the group it builds; subgroups cut out by a test (``close`` with
-    ``fixing`` among them) record none.  ``units`` holds their multipliers,
-    in order.  ``build_degree_report`` relies on this: it reads lambda(G)
-    from them, and the fixing test prunes by the entries the generators can
-    make nonzero (``_support``).
+    for the group it builds; subgroups cut out by a test record none.
+    ``units`` holds their multipliers, in order.  ``build_degree_report``
+    relies on this: it reads lambda(G) from them, and the fixing test prunes
+    by the entries the generators can make nonzero (``_support``).
     """
 
     __slots__ = ("space", "generators", "units", "order", "_runs", "_array")
@@ -313,14 +311,16 @@ class MatrixGroup:
         return image
 
     def reduce_level(self, level: int) -> "MatrixGroup":
-        """Image under reduction mod l^level, first occurrences in element order."""
+        """Image under reduction mod l^level, first occurrences in element
+        order; the group itself at the top level, where its elements are
+        already reduced and distinct."""
         if not 1 <= level <= self.ring.level:
             raise ValueError(f"can only reduce to a level in 1..{self.ring.level}, got {level}")
+        if level == self.ring.level:
+            return self
         p = self.ring.ell ** level
-        # the remainder is taken in the storage dtype, which holds p below
-        # the top level; at the top level the entries are already reduced
-        reduced = self.array if level == self.ring.level else _mod(self.array, p)
-        reduced = reduced.astype(_storage_dtype(p, self.dim), copy=False)
+        # the remainder is taken in the storage dtype, which holds p below the top level
+        reduced = _mod(self.array, p).astype(_storage_dtype(p, self.dim), copy=False)
         keep = np.zeros(len(reduced), dtype=bool)
         keep[:1] = True  # the first element is a first occurrence
         seen, count = _seen_set(p ** (self.dim * self.dim), _pack(reduced[:1], p)), 1
@@ -527,51 +527,34 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
 
 
 def close(
-    space: SymplecticSpace,
-    generators: Sequence[MatrixMod],
-    cap: int = DEFAULT_CAP,
-    fixing: Optional[TorsionSubgroup] = None,
+    space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DEFAULT_CAP
 ) -> MatrixGroup:
     """Breadth-first closure of a generating set under multiplication: the
     orbit of the identity under right multiplication by the generators.
 
     The generated semigroup equals the generated group because every element
     of a finite matrix group has finite order.  The element order is that of
-    the one-product-at-a-time search (see ``_bfs``), which runs on row ids;
-    each level is decoded here, row i of every element by one gather from
-    the columns of row i's orbit.  Raises CapExceeded when the element count
-    would pass the cap.
-
-    With a non-trivial ``fixing`` = H, returns instead the elements that fix
-    H pointwise, in closure order and with no generators recorded: the
-    ``stabilizer`` of the closure, element for element, without decoding the
-    closure.  Row i of M e = e reads row_i(M) . e = e_i, and row_i(M) is a
-    vector of row i's orbit, so one mask per row over its orbit's vectors,
-    computed in the kernel dtype, tests each element on its row ids; only
-    the elements every mask passes are decoded.  The BFS still visits the
-    whole group, so ``cap`` bounds the closure as without ``fixing``.
+    the one-product-at-a-time search (see ``_bfs``), which runs on row ids.
+    The group keeps the BFS levels' row ids and the columns of each row's
+    orbit, and its runs decode one level each, afresh on every scan: row i
+    of every element of the level is one gather from the columns of row i's
+    orbit.  So ``stabilizer`` scans a closure block by block, as it does a
+    builder's group.  Raises CapExceeded when the element count would pass
+    the cap.
     """
     units = [multiplier(g, space) for g in generators]  # raises NotSimilitude
-    if fixing is not None:
-        _check_subgroup(space, fixing)
     d, mod = space.dim, space.ring.modulus
     identity = MatrixMod.identity(space.ring, d).rows
     levels, orbits, _ = _bfs(identity, [g.rows for g in generators], mod, cap, "closure")
-    masks = []
-    if fixing is not None and not fixing.is_trivial():
-        wide = _kernel_dtype(mod, d)
-        basis = np.array(fixing.basis, dtype=wide)  # the vectors e, one per row
-        masks = [
-            (np.array(vectors, dtype=wide) @ basis.T % mod == basis[:, i]).all(axis=1)
-            for i, vectors in enumerate(orbits)
-        ]
     columns = [np.array(vectors, dtype=_storage_dtype(mod, d)).T.copy() for vectors in orbits]
-    for j, ids in enumerate(levels):  # each level's ids are freed once decoded
-        if masks:
-            ids = ids[:, np.all([mask[r] for mask, r in zip(masks, ids)], axis=0)]
-        levels[j] = np.concatenate([np.take(c, r, axis=1) for c, r in zip(columns, ids)]).T
-    gens, units = ((), ()) if masks else (generators, units)
-    return MatrixGroup(space, gens, np.concatenate(levels), units=units)
+
+    def runs():
+        # a (k*d, count) array read transposed
+        for ids in levels:
+            yield np.concatenate([np.take(c, r, axis=1) for c, r in zip(columns, ids)]).T
+
+    order = sum(ids.shape[1] for ids in levels)
+    return MatrixGroup(space, generators, runs=runs, order=order, units=units)
 
 
 def _check_subgroup(space: SymplecticSpace, H: TorsionSubgroup) -> None:
@@ -584,8 +567,9 @@ def _check_subgroup(space: SymplecticSpace, H: TorsionSubgroup) -> None:
 def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     """Pointwise fixer {M in G : M e = e for every Smith-basis generator e}.
 
-    Fixing a generating set fixes all of H by linearity.  For a closure,
-    ``close(..., fixing=H)`` lists the same elements without building G.
+    Fixing a generating set fixes all of H by linearity.  G is scanned block
+    by block (``_fixing_scan``), so a built group or a closure is never
+    joined, and T keeps G's element order.
     """
     if not isinstance(G, MatrixGroup):
         raise TypeError("stabilizer enumeration needs a MatrixGroup")
@@ -1052,8 +1036,7 @@ def orbit_degree_report(
     ``cap`` bounds the orbit length; past it CapExceeded names the orbit.
     """
     ring = space.ring
-    if H.ring != ring or H.ambient_dim != space.dim:
-        raise ValueError("subgroup does not live in the group's space")
+    _check_subgroup(space, H)
     lam = [multiplier(g, space) for g in generators]  # raises NotSimilitude
     if H.is_trivial():  # an empty basis: G fixes it, so T = G
         length, lam_T = 1, lam

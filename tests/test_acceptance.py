@@ -88,14 +88,15 @@ def test_criterion_3_form_fixture():
 
 def test_criterion_4_image_order_oracle():
     # the general engine on the nine generators rho(g, I, I), rho(I, g, I),
-    # rho(I, I, g): the orbit of H gives [G:T], the closure fixing H gives T
+    # rho(I, I, g): the orbit of H gives [G:T], the stabilizer of H in the
+    # closure gives T
     t0 = time.monotonic()
     assert mf.image_order(3) == 27648
     for ell in (2, 3):
         S, H = mf.tensor_space(ell), mf.lagrangian_H(ell)
         gens = tensor_generators(ell)
         index = gm.orbit_degree_report(S, gens, H).deg_KH
-        T = gm.close(S, gens, fixing=H)
+        T = gm.stabilizer(gm.close(S, gens), H)
         assert index * T.order == mf.image_order(ell)
     elapsed = time.monotonic() - t0
     assert elapsed <= 60.0

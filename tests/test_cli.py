@@ -11,6 +11,9 @@ import pytest
 
 from gspimage import cli
 from gspimage.modring import MatrixMod, ResidueRing
+from gspimage.symplectic import standard_form
+
+from test_closure import reference_close
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -830,4 +833,23 @@ def test_stabilizer_prints_the_fixing_builder_rows_in_builder_order(capsys, name
     assert code == 0
     (report,) = json.loads(out)["reports"]
     assert report["stabilizer_size"] == size
+    assert report["stabilizer_elements"] == expected
+
+
+@pytest.mark.parametrize("v", [(1, 0), (0, 1), (1, 1), (2, 7), (3, 0)])
+def test_stabilizer_prints_the_fixing_closure_rows_in_closure_order(tmp_path, capsys, v):
+    # GL2(Z/9) from the README's generators, closed by the one-product-at-a-
+    # time reference search: T is its elements with M v = v, in its order
+    ring = ResidueRing(3, 2)
+    rows = [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 0], [0, 1]]]
+    G = reference_close(standard_form(1, ring), [MatrixMod(ring, r) for r in rows])
+    expected = [list(flat) for flat in G if MatrixMod.from_flat(ring, 2, flat).apply(v) == v]
+    path = tmp_path / "gl2_9.txt"
+    path.write_text(
+        f"scenario = custom\nell = 3\nlevel = 2\ng = 1\ngenerators = {rows}\nH = [{list(v)}]\n"
+    )
+    code, out, err = run_cli(capsys, "stabilizer", "--scenario-file", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)["reports"]
+    assert report["stabilizer_size"] == len(expected)
     assert report["stabilizer_elements"] == expected

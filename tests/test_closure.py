@@ -338,44 +338,59 @@ def _random_fixed_vectors(kind, ring, d, rng):
     cap=st.sampled_from([30, 300, 3000]),
     rng=st.randoms(use_true_random=False),
 )
-def test_close_fixing_matches_stabilizer_of_close(ell, level, g, ngens, kind, cap, rng):
-    # GL2 and GSp4 generator sets (object keys at level 20): the filtered
-    # closure is the stabilizer of the closure, element for element, with
-    # the same dtype and generators, and the same cap message, under both
-    # seen sets; a closure inside the cap runs again at caps of its size
-    # and one less
+def test_stabilizer_of_close_matches_reference_filter(ell, level, g, ngens, kind, cap, rng):
+    # GL2 and GSp4 generator sets (object keys at level 20): the stabilizer
+    # of the closure is the reference closure's elements with M e = e for
+    # every basis vector e of H, in closure order and in the storage dtype,
+    # and the cap raises exactly where the reference's does, with one
+    # message under both seen sets; a closure inside the cap runs again at
+    # caps of its size and one less
     space = standard_form(g, ResidueRing(ell, level))
-    ring, d = space.ring, space.dim
+    ring, d, mod = space.ring, space.dim, space.ring.modulus
     gens = [_random_generator(space, rng) for _ in range(ngens)]
     H = subgroup_from_generators(_random_fixed_vectors(kind, ring, d, rng), ring, ambient_dim=d)
 
-    def outcome(c, fixing=None):
-        try:
-            return close(space, gens, c, fixing=fixing)
-        except CapExceeded as exc:
-            return str(exc)
+    def fixes(flat):
+        return all(
+            sum(flat[i * d + j] * e[j] for j in range(d)) % mod == e[i] % mod
+            for e in H.basis
+            for i in range(d)
+        )
 
+    def reference(c):
+        """The closure's order and its elements fixing H, or None past the cap."""
+        try:
+            elements = reference_close(space, gens, c)
+        except CapExceeded:
+            return None
+        return len(elements), [list(flat) for flat in elements if fixes(flat)]
+
+    full = reference(cap)
+    caps = [cap] if full is None else [cap] + [n for n in (full[0], full[0] - 1) if n]
+    expected = {c: reference(c) for c in caps}
+    messages = {}
     with pytest.MonkeyPatch.context() as mp:  # hypothesis tests take no monkeypatch fixture
         for _ in seen_set_strategies(mp, budget=None):
-            G = outcome(cap)
-            caps = [cap] if isinstance(G, str) else [cap] + [n for n in (G.order, G.order - 1) if n]
             for c in caps:
-                G, F = outcome(c), outcome(c, H)
-                if isinstance(G, str):
-                    assert F == G
+                try:
+                    T = gm.stabilizer(close(space, gens, c), H)
+                except CapExceeded as exc:
+                    assert expected[c] is None
+                    assert messages.setdefault(c, str(exc)) == str(exc)
                     continue
-                T = gm.stabilizer(G, H)
-                assert F.array.dtype == T.array.dtype
-                assert F.array.tolist() == T.array.tolist()
-                assert F.generators == T.generators
+                assert expected[c] is not None
+                assert T.array.dtype == gm._storage_dtype(mod, d)
+                assert T.array.tolist() == expected[c][1]
+                assert T.generators == (tuple(gens) if H.is_trivial() else ())
 
 
-def test_close_fixing_rejects_mismatched_subgroup():
+def test_stabilizer_of_close_rejects_mismatched_subgroup():
     S, gens = _gl2_mod9()
+    G = close(S, gens)
     with pytest.raises(ValueError, match="different rings"):
-        close(S, gens, fixing=subgroup_from_generators([(1, 0)], ResidueRing(3, 1)))
+        gm.stabilizer(G, subgroup_from_generators([(1, 0)], ResidueRing(3, 1)))
     with pytest.raises(ValueError, match="ambient dimension"):
-        close(S, gens, fixing=subgroup_from_generators([(1, 0, 0, 0)], S.ring))
+        gm.stabilizer(G, subgroup_from_generators([(1, 0, 0, 0)], S.ring))
 
 
 def test_close_on_object_keys_matches_reference(monkeypatch):

@@ -151,11 +151,11 @@ def test_image_order_formula_and_enumeration():
 @pytest.mark.parametrize("ell", [2, 3])
 def test_general_engine_twin(ell):
     # the tensor cube through the general engine alone: [G:T] from the orbit
-    # of H under the nine generators, T from the closure fixing H
+    # of H under the nine generators, T as H's stabilizer in their closure
     S, H = tensor_space(ell), lagrangian_H(ell)
     gens = tensor_generators(ell)
     rep = gm.orbit_degree_report(S, gens, H)
-    T = gm.close(S, gens, fixing=H)
+    T = gm.stabilizer(gm.close(S, gens), H)
     assert rep.deg_KH * T.order == image_order(ell)
     assert set(T) == set(pointwise_stabilizer_in_image(ell))
     if ell != 2:  # verify_mu_s_failure refuses l = 2

@@ -483,6 +483,34 @@ def test_report_and_stabilizer_never_join_a_built_group(monkeypatch):
     assert len(joined) == 1 and joined[0] is G
 
 
+def test_stabilizer_of_a_closure_never_joins_it(monkeypatch):
+    # a closure keeps its BFS levels as row ids and decodes one level per
+    # run, so the stabilizer scans it block by block, as a builder's group
+    joined = _spy_joins(monkeypatch)
+    ring = ResidueRing(3, 3)
+    G = close(standard_form(1, ring), gm.gl2_standard_generators(ring))
+    T = stabilizer(G, subgroup_from_generators([(1, 0)], ring))
+    assert joined == [] and G._array is None
+    assert (G.order, T.order) == (gm.gl2_order(3, 3), 486)
+    # M e1 = e1: the first column of M is (1, 0)
+    assert T.array.tolist() == [row for row in G.array.tolist() if (row[0], row[2]) == (1, 0)]
+    assert len(joined) == 1 and joined[0] is G
+
+
+def test_reduction_to_the_top_level_builds_no_seen_set(monkeypatch):
+    # a group's elements are distinct, so at the top level there is nothing
+    # to deduplicate: the group itself comes back, unread
+    made, real = [], gm._seen_set
+    monkeypatch.setattr(gm, "_seen_set", lambda *args: made.append(args) or real(*args))
+    joined = _spy_joins(monkeypatch)
+    G, _ = gm.scenario_selfproduct(3, 3)
+    assert G.reduce_level(3) is G
+    assert made == [] and joined == []
+    # below it, one seen set finds the first occurrences
+    assert gm.scenario_selfproduct(3, 2)[0].reduce_level(1).order == gm.gl2_order(3, 1)
+    assert len(made) == 1
+
+
 @pytest.mark.parametrize("scan", ["report", "stabilizer"])
 @pytest.mark.parametrize("family", ["cm", "selfproduct"])
 def test_building_and_scanning_hold_a_block_not_the_group(family, scan):
