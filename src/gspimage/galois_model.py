@@ -149,6 +149,9 @@ def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
 # entries of a key-indexed int32 seen table, 16 MiB
 _DENSE_KEYS = 1 << 22
 
+# bytes of one BFS level's product batch, checked before it is allocated
+_LEVEL_BYTES = 1 << 30
+
 # the entry of an unseen key in a seen table; a point index is at least 0
 _UNSEEN = np.iinfo(np.int32).min
 
@@ -162,14 +165,16 @@ def _first_unseen(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     0) alone and leaves an unseen one holding the stamp of its key's first
     occurrence, which the caller may overwrite; the first occurrences are
     where an entry equals the stamp.  ``keys`` must number fewer than 2^31,
-    so that every stamp is above ``_UNSEEN`` in the table's int32.
+    so that every stamp is above ``_UNSEEN`` in the table's int32, and must
+    hold no key whose entry is an earlier stamp (a stamp is below 0, so it
+    would not read as seen).
     """
     stamps = np.arange(-1, -1 - len(keys), -1, dtype=table.dtype)
     # a repeated index in a fancy assignment keeps an unspecified value;
     # maximum.at keeps the greatest, and takes its fast path only when the
     # values are of the table's dtype
     np.maximum.at(table, keys, stamps)
-    return np.flatnonzero(table[keys] == stamps)
+    return np.flatnonzero(table.take(keys) == stamps)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -194,8 +199,10 @@ class MatrixGroup:
     array, joined from the runs on first access and kept; from then on the
     blocks are slices of it.  The fixing test, the multiplier scan and
     membership (``in``) read blocks, so a degree report, a stabilizer or a
-    membership test never holds a built group whole; ``reduce_level`` below
-    the top level and iteration read ``array``.
+    membership test never holds a built group whole; an unjoined closure's
+    fixing test reads its row ids instead (``_ClosureRuns.scan``) and
+    decodes only the elements that pass.  ``reduce_level`` below the top
+    level and iteration read ``array``.
 
     Storage is narrow: inside the kernel guard (``_np_batch_ok``) it is the
     smallest unsigned dtype holding a residue mod l^n (uint8 up to 256,
@@ -336,8 +343,10 @@ class MatrixGroup:
 
 class _SeenTable:
     """A seen set over a small key space: an int32 table indexed by the
-    packed key, ``_UNSEEN`` for an unseen key and the key's point index
-    otherwise.  An add finds its new keys in one pass (``_first_unseen``)."""
+    packed key, ``_UNSEEN`` for an unseen key.  An add finds its new keys in
+    one pass (``_first_unseen``).  A seen key's entry is its point index when
+    the adds ask for lookups; when they do not, it is only some value other
+    than ``_UNSEEN``: the stamp ``_first_unseen`` left there."""
 
     def __init__(self, size: int, start_key: np.ndarray):
         self.table = np.full(size, _UNSEEN, dtype=np.int32)
@@ -347,10 +356,15 @@ class _SeenTable:
         """Ascending indices of the first occurrence of each unseen key in
         ``keys``; those keys become points ``count``, ``count + 1``, ... in
         that order.  With ``lookup``, also the point index of every key in
-        ``keys`` after the add, else None."""
-        first = _first_unseen(self.table, keys)
-        self.table[keys[first]] = np.arange(count, count + len(first))
-        return first, (self.table[keys] if lookup else None)
+        ``keys`` after the add, else None.  Every add of one table must ask
+        for lookups, or none may."""
+        if lookup:
+            first = _first_unseen(self.table, keys)
+            self.table[keys.take(first)] = np.arange(count, count + len(first))
+            return first, self.table.take(keys)
+        # stamp only the keys not seen before; the stamps mark them seen
+        fresh = np.flatnonzero(self.table.take(keys) == _UNSEEN)
+        return fresh.take(_first_unseen(self.table, keys.take(fresh))), None
 
 
 class _SeenSorted:
@@ -455,9 +469,10 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     matrices, as tuples of Python ints.  Row i of x @ m is row i of x times
     m, so a point is the tuple of the ids of its rows in the orbits of the
     start rows (``_row_orbits``), and a product is k gathers from their
-    action tables, with no matrix product.  A point's key is its row ids in
-    the mixed radix of the orbit sizes: int64 while the key space prod
-    |orbit_i| is below 2^63, Python ints (object dtype) past it.
+    int32 action tables, with no matrix product.  A point's key is its row
+    ids in the mixed radix of the orbit sizes, in the narrowest dtype
+    holding the key space prod |orbit_i|: int32 below 2^31, int64 below
+    2^63, Python ints (object dtype) past it.
 
     Each frontier is multiplied by every matrix in one batch; products are
     taken in (frontier index, matrix index) order and each new point is kept
@@ -465,9 +480,11 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     one-product-at-a-time search.  Newness is tested once per level against
     the seen set ``_seen_set`` picks by the size of the key space, known
     before the first level: a ``_SeenTable`` up to ``_DENSE_KEYS`` keys, a
-    ``_SeenSorted`` past it.  The next frontier is the new keys' row ids.
-    Raises CapExceeded, naming ``stage``, when the point count, or a row
-    orbit's, would pass the cap.
+    ``_SeenSorted`` past it.  The next frontier is the products' row ids at
+    the first occurrences.  Raises CapExceeded, naming ``stage``, when the
+    point count, or a row orbit's, would pass the cap, or when a level's
+    product batch would take more than ``_LEVEL_BYTES``, checked before it
+    is allocated.
 
     ``units``, when given, is one unit mod ``mod`` per matrix (Python ints).
     Each point x then carries lambda_x, the product of the units along its
@@ -479,33 +496,48 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     is below mod^2 and so in the dtype.
 
     Returns the BFS levels (the new points of each depth, in point order,
-    as a (k, count) int32 array of row ids), the vectors of each start
+    as a (k, count) array of row ids in the narrowest unsigned dtype holding
+    every id, so that a closure keeps them small), the vectors of each start
     row's orbit by id, and the distinct Schreier scalars other than 1,
     ascending (an empty list without ``units``).
     """
     orbits = _row_orbits(rows, mats, mod, cap, stage)
-    sizes = [len(table) for _, table, _ in orbits]
+    acts = [act for _, act, _ in orbits]
+    sizes = [len(act) for act in acts]
     space = math.prod(sizes)
-    dtype = np.int64 if space < 1 << 63 else object
+    dtype = next((t for t in (np.int32, np.int64) if space <= np.iinfo(t).max), object)
     weights = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
-    keyed = [table.astype(dtype) * w for (_, table, _), w in zip(orbits, weights)]
     start = sum(a * w for (_, _, a), w in zip(orbits, weights))
-    frontier = np.array([[a] for _, _, a in orbits], dtype=np.int32)
+    ids_dtype = _unsigned_dtype(max(sizes) - 1)
+    frontier = np.array([[a] for _, _, a in orbits], dtype=ids_dtype)
     seen, count = _seen_set(space, np.array([start], dtype=dtype)), 1
-    levels, scalars = [frontier], set()
-    if units is not None:
+    levels, scalars, lookup = [frontier], set(), units is not None
+    # bytes per product: its k int32 row ids, and four words for its key and
+    # the seen test's temporaries (past int64, a pointer and a Python int)
+    per_product = 4 * len(acts) + 4 * (8 if dtype != object else 48)
+    if lookup:
         lam = np.array(units, dtype=_unsigned_dtype((mod - 1) ** 2))
         lam_front = lam_points = np.ones(1, dtype=lam.dtype)  # lam_points: lambda_x by point index
     while frontier.shape[1]:
+        need = frontier.shape[1] * len(mats) * per_product
+        if need > _LEVEL_BYTES:
+            raise CapExceeded(
+                f"{stage} exceeds the BFS level budget of {_LEVEL_BYTES} bytes:"
+                f" depth {len(levels) - 1} needs {need} bytes"
+            )
         # take: a gather of whole table rows, faster than fancy indexing
-        keys = keyed[0].take(frontier[0], axis=0).ravel()
-        for table, ids in zip(keyed[1:], frontier[1:]):
-            keys += table.take(ids, axis=0).ravel()
-        first, points = seen.add(keys, count, units is not None)
+        prods = [act.take(ids, axis=0).ravel() for act, ids in zip(acts, frontier)]
+        if len(prods) == 1:  # one row: its ids are its keys
+            keys = prods[0].astype(dtype, copy=False)
+        else:
+            keys = np.multiply(prods[0], weights[0], dtype=dtype)
+            for ids, w in zip(prods[1:], weights[1:]):
+                keys += ids if w == 1 else np.multiply(ids, w, dtype=dtype)
+        first, points = seen.add(keys, count, lookup)
         # raise only on finding a new point, as the one-at-a-time search does
         if len(first) and count + len(first) > cap:
             raise _cap_exceeded(stage, cap, count, len(levels) - 1)
-        if units is not None:
+        if lookup:
             step = (lam_front[:, None] * lam % mod).ravel()  # in product order
             lam_front = step[first]
             if count + len(first) > len(lam_points):  # grown geometrically
@@ -518,12 +550,53 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
                     s, y = divmod(pair, mod)
                     scalars.add(s * pow(y, -1, mod) % mod)
         count += len(first)
-        rest, ids = keys[first], []
-        for n in sizes[:0:-1]:  # the new keys' row ids, in the mixed radix of the sizes
-            rest, ids = rest // n, [rest % n] + ids
-        frontier = np.array([rest] + ids, dtype=np.int32)
+        frontier = np.array([ids.take(first) for ids in prods], dtype=ids_dtype)
         levels.append(frontier)
     return levels, [vectors for vectors, _, _ in orbits], sorted(scalars)
+
+
+class _ClosureRuns:
+    """A closure's elements as its BFS levels of row ids (each a (d, count)
+    array, in element order; see ``_bfs``) and the columns of each row's
+    orbit (a (d, |orbit|) array in the storage dtype).  Called, it yields
+    the decoded levels, one run each, as a builder's ``runs`` does."""
+
+    def __init__(self, levels: list, orbits: list, dtype):
+        self.levels = levels
+        self.columns = [np.array(vectors, dtype=dtype).T.copy() for vectors in orbits]
+
+    def decode(self, ids: np.ndarray) -> np.ndarray:
+        """The row-major elements whose row ids are the columns of ``ids``:
+        row i of each is one gather from the columns of row i's orbit."""
+        # a (d*d, count) array read transposed
+        return np.concatenate([c.take(r, axis=1) for c, r in zip(self.columns, ids)]).T
+
+    def __call__(self) -> Iterator[np.ndarray]:
+        return map(self.decode, self.levels)
+
+    def scan(self, tests: list) -> tuple[np.ndarray, np.ndarray]:
+        """``_fixing_scan`` on row ids.  A test on row i (``_fixing_tests``)
+        reads only row i, which lies in row i's orbit, so each test runs once
+        over that orbit's vectors, giving each row a mask over its orbit.  A
+        level keeps the elements whose row ids pass every mask, gathered
+        most selective row first, each over the survivors of the ones before;
+        a row whose mask is all true is skipped, unless every row's is.  Only
+        the survivors are decoded."""
+        masks = [np.ones(c.shape[1], dtype=bool) for c in self.columns]
+        for i, *test in tests:
+            masks[i] &= _passes(self.columns[i].T, *test)
+        by_pass = sorted(range(len(masks)), key=lambda i: masks[i].mean())
+        picked = [i for i in by_pass if not masks[i].all()] or by_pass[:1]
+        hits, rows, start = [], [], 0  # the identity, at level 0, passes
+        for ids in self.levels:
+            index = np.flatnonzero(masks[picked[0]].take(ids[picked[0]]))
+            for i in picked[1:]:
+                index = index[masks[i].take(ids[i].take(index))]
+            if len(index):
+                hits.append(start + index)
+                rows.append(self.decode(ids[:, index]))
+            start += ids.shape[1]
+        return np.concatenate(hits), np.concatenate(rows)
 
 
 def close(
@@ -535,24 +608,18 @@ def close(
     The generated semigroup equals the generated group because every element
     of a finite matrix group has finite order.  The element order is that of
     the one-product-at-a-time search (see ``_bfs``), which runs on row ids.
-    The group keeps the BFS levels' row ids and the columns of each row's
-    orbit, and its runs decode one level each, afresh on every scan: row i
-    of every element of the level is one gather from the columns of row i's
-    orbit.  So ``stabilizer`` scans a closure block by block, as it does a
-    builder's group.  Raises CapExceeded when the element count would pass
-    the cap.
+    The group's runs are a ``_ClosureRuns``: it keeps the BFS levels' row
+    ids and the columns of each row's orbit, and decodes one level per run,
+    afresh on every scan.  So a closure is scanned block by block, as a
+    builder's group is, and ``stabilizer`` tests it on row ids, decoding
+    only the stabilizer's elements.  Raises CapExceeded when the element
+    count would pass the cap.
     """
     units = [multiplier(g, space) for g in generators]  # raises NotSimilitude
     d, mod = space.dim, space.ring.modulus
     identity = MatrixMod.identity(space.ring, d).rows
     levels, orbits, _ = _bfs(identity, [g.rows for g in generators], mod, cap, "closure")
-    columns = [np.array(vectors, dtype=_storage_dtype(mod, d)).T.copy() for vectors in orbits]
-
-    def runs():
-        # a (k*d, count) array read transposed
-        for ids in levels:
-            yield np.concatenate([np.take(c, r, axis=1) for c, r in zip(columns, ids)]).T
-
+    runs = _ClosureRuns(levels, orbits, _storage_dtype(mod, d))
     order = sum(ids.shape[1] for ids in levels)
     return MatrixGroup(space, generators, runs=runs, order=order, units=units)
 
@@ -567,9 +634,9 @@ def _check_subgroup(space: SymplecticSpace, H: TorsionSubgroup) -> None:
 def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     """Pointwise fixer {M in G : M e = e for every Smith-basis generator e}.
 
-    Fixing a generating set fixes all of H by linearity.  G is scanned block
-    by block (``_fixing_scan``), so a built group or a closure is never
-    joined, and T keeps G's element order.
+    Fixing a generating set fixes all of H by linearity.  ``_fixing_scan``
+    tests a built group block by block and a closure on its row ids, so
+    neither is joined, and T keeps G's element order.
     """
     if not isinstance(G, MatrixGroup):
         raise TypeError("stabilizer enumeration needs a MatrixGroup")
@@ -597,49 +664,71 @@ def _support(G: MatrixGroup) -> np.ndarray:
         support = grown
 
 
-def _fixing_scan(G: MatrixGroup, conditions) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending indices, and the rows, of the elements M of G with M v = v
-    mod p for every vector v of every (p, vectors) pair in ``conditions``.
+def _fixing_tests(G: MatrixGroup, conditions) -> list:
+    """The tests of M v = v mod p, for M in G, for every vector v of every
+    (p, vectors) pair in ``conditions``, largest p first (the most
+    selective), then fewest terms first.
 
-    Each vector v, reduced mod p and skipped when it is 0, gives one test per
-    row i: sum_j M[i, j] v_j = v_i mod p over the nonzero v_j with (i, j) in
-    ``_support(G)``, as every other entry is 0 throughout G.  A row left with
-    no term is skipped: its v_i is 0, the diagonal being in the support.  The
-    tests are built once and run over ``G.blocks()``, so a built group is
-    scanned as its builder writes it, never joined.  A test reads only its
-    columns i*d + j of the stored rows: a lone term with coefficient 1 is the
-    stored column itself; more are summed in the narrowest unsigned dtype
-    holding both the bound sum_j v_j (mod - 1) and p (``_mod`` needs p in
-    the dtype), or in object dtype when the rows are stored so.  No block is
-    widened, and ``_mod`` is skipped when the bound is below p.  The tests
-    run largest p first (the most selective), then fewest terms first; each
-    block keeps its surviving rows and their indices (the block's offset
-    plus their place in it) after each test, and stops once none survives.
+    Each vector v, reduced mod p and skipped when it is 0, gives one test
+    (i, terms, v_i, p, acc) per row i: sum_j M[i, j] v_j = v_i mod p over
+    the terms (j, v_j) with v_j nonzero and (i, j) in ``_support(G)``, as
+    every other entry is 0 throughout G.  A row left with no term is
+    skipped: its v_i is 0, the diagonal being in the support.  The sum is
+    taken in ``acc``, the narrowest unsigned dtype holding both the bound
+    sum_j v_j (mod - 1) and p (``_mod`` needs p in the dtype), or object
+    dtype when G is stored so; p is 0 when the bound is below it, so that
+    ``_mod`` is skipped.
     """
     d, top, stored = G.dim, G.ring.modulus - 1, G._dtype()
-    support = _support(G).ravel()
+    support = _support(G)
     tests = []
     for p, vectors in conditions:
         for v in vectors:
             v = [int(x) % p for x in v]
             for i in range(d):
-                terms = [(i * d + j, x) for j, x in enumerate(v) if x and support[i * d + j]]
+                terms = [(j, x) for j, x in enumerate(v) if x and support[i, j]]
                 if terms:
                     bound = sum(x for _, x in terms) * top
                     acc = object if stored == object else _unsigned_dtype(max(bound, p))
-                    tests.append((-p, len(terms), terms, v[i], p if bound >= p else 0, acc))
+                    tests.append((-p, len(terms), i, terms, v[i], p if bound >= p else 0, acc))
     tests.sort(key=lambda t: t[:2])
-    hits, rows, start = [np.arange(0)], [np.empty((0, d * d), dtype=stored)], 0
+    return [t[2:] for t in tests]
+
+
+def _passes(rows: np.ndarray, terms, target: int, p: int, acc) -> np.ndarray:
+    """Whether each of ``rows`` (row i of elements, in the storage dtype)
+    passes a test on row i of ``_fixing_tests``.  It reads only the columns
+    j of its terms, and a lone term with coefficient 1 is the column itself:
+    no row is widened."""
+    (j, x), rest = terms[0], terms[1:]
+    total = rows[:, j] if not rest and x == 1 else np.multiply(rows[:, j], x, dtype=acc)
+    for j, x in rest:
+        total += rows[:, j] if x == 1 else np.multiply(rows[:, j], x, dtype=acc)
+    return (_mod(total, p) if p else total) == target
+
+
+def _fixing_scan(G: MatrixGroup, conditions) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending indices, and the rows, of the elements M of G with M v = v
+    mod p for every vector v of every (p, vectors) pair in ``conditions``.
+
+    The tests (``_fixing_tests``) are built once.  An unjoined closure runs
+    them on row ids (``_ClosureRuns.scan``).  Any other group runs them over
+    ``G.blocks()``, so a built group is scanned as its builder writes it,
+    never joined: test i reads row i of each stored element, columns
+    i*d .. i*d + d - 1.  Each block keeps its surviving rows and their
+    indices (the block's offset plus their place in it) after each test,
+    and stops once none survives.
+    """
+    tests = _fixing_tests(G, conditions)
+    if isinstance(G._runs, _ClosureRuns):
+        return G._runs.scan(tests)
+    d = G.dim
+    hits, rows, start = [np.arange(0)], [np.empty((0, d * d), dtype=G._dtype())], 0
     for block in G.blocks():
         index = np.arange(start, start + len(block))
         start += len(block)
-        for _, _, terms, target, p, acc in tests:
-            col, x = terms[0]
-            lone = len(terms) == 1 and x == 1  # the stored column itself, no accumulator
-            total = block[:, col] if lone else np.multiply(block[:, col], x, dtype=acc)
-            for col, x in terms[1:]:
-                total += block[:, col] if x == 1 else np.multiply(block[:, col], x, dtype=acc)
-            kept = (_mod(total, p) if p else total) == target
+        for i, *test in tests:
+            kept = _passes(block[:, i * d : i * d + d], *test)
             block, index = block[kept], index[kept]
             if not len(index):
                 break
@@ -773,7 +862,7 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
             # the whole count where it is at most 4096 bits long
             short = (g + 1) * phi.bit_length() <= 4096
             size = phi ** (g + 1) if short else f"more than {count}"
-            raise CapExceeded(f"diagonal torus has {size} elements, cap={cap}")
+            raise CapExceeded(f"cm torus exceeds cap={cap}: {size} elements")
     space = standard_form(g, ring)
     n2, mod = 2 * g, ring.modulus
     narrow = _storage_dtype(mod, n2)
@@ -845,7 +934,7 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
     ell, n, mod = ring.ell, ring.level, ring.modulus
     count = gl2_order(ell, n)
     if count > cap:
-        raise CapExceeded(f"GL2(Z/{ell}^{n}) has {count} elements, cap={cap}")
+        raise CapExceeded(f"gl2 group exceeds cap={cap}: GL2(Z/{ell}^{n}) has {count} elements")
     space = standard_form(1, ring)
     narrow = _storage_dtype(mod, 2)
 

@@ -146,7 +146,7 @@ def image_order(ell: int, cap: Optional[int] = None) -> int:
     n = gl2_order(ell)
     value = (n // (ell - 1)) ** 2 * n
     if cap is not None and value > cap:
-        raise CapExceeded(f"image has {value} elements, cap={cap}")
+        raise CapExceeded(f"tensor-cube image exceeds cap={cap}: {value} elements at l={ell}")
     return value
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gspimage import cli
+from gspimage import cli, galois_model as gm
 from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import standard_form
 
@@ -585,6 +585,39 @@ def test_custom_report_past_the_closure_cap(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "closure exceeds cap=10000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scenario", "cm", "--ell", "13", "--g", "2", "--cap", "10"), "cm torus exceeds cap=10: 1728 elements"),
+        (
+            ("degrees", "selfproduct", "--ell", "5", "--level", "2", "--cap", "10"),
+            "gl2 group exceeds cap=10: GL2(Z/5^2) has 300000 elements",
+        ),
+        (
+            ("stabilizer", "selfproduct", "--ell", "5", "--level", "2", "--cap", "10"),
+            "gl2 group exceeds cap=10: GL2(Z/5^2) has 300000 elements",
+        ),
+    ],
+)
+def test_builder_caps_name_their_stage(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_closure_past_the_level_budget_exits_one(tmp_path, capsys, monkeypatch):
+    # the closure of GL2(Z/125) passes a 1 MB level budget (40 bytes a
+    # product: 2 row ids, 32 bytes of key and temporaries) long before the
+    # cap, and exits 1 with the stage, the depth and the bytes
+    monkeypatch.setattr(gm, "_LEVEL_BYTES", 10**6)
+    path = tmp_path / "gl2_125.txt"
+    path.write_text(GL2_125)
+    code, out, err = run_cli(capsys, "stabilizer", "--scenario-file", str(path))
+    assert (code, out) == (1, "")
+    found = re.fullmatch(
+        r"error: closure exceeds the BFS level budget of 1000000 bytes: depth (\d+) needs (\d+) bytes\n", err
+    )
+    assert found and int(found[2]) > 10**6 and int(found[2]) % (3 * 40) == 0
 
 
 def test_cap_bounds_the_orbit_on_custom_reports(tmp_path, capsys):

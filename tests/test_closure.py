@@ -8,6 +8,7 @@ scalars: the oracle for ``_bfs`` itself.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,6 +383,113 @@ def test_stabilizer_of_close_matches_reference_filter(ell, level, g, ngens, kind
                 assert T.array.dtype == gm._storage_dtype(mod, d)
                 assert T.array.tolist() == expected[c][1]
                 assert T.generators == (tuple(gens) if H.is_trivial() else ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ell=st.sampled_from([2, 3, 5]),
+    level=st.sampled_from([1, 2, 3, 20]),
+    g=st.sampled_from([1, 2]),
+    ngens=st.integers(1, 3),
+    data=st.data(),
+    rng=st.randoms(use_true_random=False),
+)
+def test_closure_stabilizer_on_row_ids_matches_joined_scan_and_matrixmod_filter(
+    ell, level, g, ngens, data, rng
+):
+    # an unjoined closure is tested on row ids, a joined one block by block,
+    # and both against MatrixMod products, in element order: H of rank 1..d
+    # with zero entries, and at level 20 (3^20 and 5^20 past the int64
+    # guard) row-orbit vectors of object dtype.  A second condition mod a
+    # lower power of l runs the filtered-subgroup scan the same two ways
+    space = standard_form(g, ResidueRing(ell, level))
+    ring, d, mod = space.ring, space.dim, space.ring.modulus
+    gens = [_random_generator(space, rng) for _ in range(ngens)]
+    entry = st.sampled_from([0, 1, ell, mod - 1]) | st.integers(0, mod - 1)
+    vector = st.lists(entry, min_size=d, max_size=d).map(tuple)
+    H = subgroup_from_generators(data.draw(st.lists(vector, min_size=1, max_size=d)), ring, ambient_dim=d)
+    coarse = (ell ** data.draw(st.integers(1, level)), data.draw(st.lists(vector, min_size=1, max_size=2)))
+    try:
+        G, joined = close(space, gens, cap=3000), close(space, gens, cap=3000)
+    except CapExceeded:
+        return
+    elements = list(joined)  # joins it
+    assert isinstance(G._runs, gm._ClosureRuns) and joined._runs is None
+    assert (joined.array.dtype == object) == (level == 20 and ell > 2)
+    # read through blocks: a trivial H gives back G itself
+    T = [tuple(row) for block in gm.stabilizer(G, H).blocks() for row in block.tolist()]
+    assert T == [M.flat() for M in elements if all(M.apply(e) == tuple(e) for e in H.basis)]
+    assert T == [tuple(row) for row in gm._fixing_scan(joined, [(mod, H.basis)])[1].tolist()]
+    conditions = [(mod, H.basis), coarse]
+    hits, rows = gm._fixing_scan(G, conditions)
+    want, want_rows = gm._fixing_scan(joined, conditions)
+    assert hits.tolist() == want.tolist() and rows.tolist() == want_rows.tolist()
+    assert rows.dtype == want_rows.dtype
+    # no test, so no selective row: every element passes
+    assert gm._fixing_scan(G, [(mod, [(0,) * d])])[1].tolist() == joined.array.tolist()
+    assert G._array is None  # never joined
+
+
+def test_closure_stabilizer_decodes_only_its_elements(monkeypatch):
+    # GL2(Z/27), H = <e1>: M e1 = e1 asks for 27 of the 648 vectors in row
+    # 0's orbit and 18 in row 1's, so row 1 is gathered first, then row 0
+    # over its survivors, and only the 486 elements of T are decoded.  The
+    # 314,928 elements take 1.2 MiB decoded, 4 bytes each; beyond the stored
+    # levels the scan holds one level's mask gather and its index cast to
+    # intp, 9 bytes a point of the largest level
+    ring = ResidueRing(3, 3)
+    G = close(standard_form(1, ring), gl2_standard_generators(ring))
+    H = subgroup_from_generators([(1, 0)], ring)
+    decoded, real = [], gm._ClosureRuns.decode
+
+    def spy(self, ids):
+        decoded.append(ids.shape[1])
+        return real(self, ids)
+
+    monkeypatch.setattr(gm._ClosureRuns, "decode", spy)
+    tracemalloc.start()
+    try:
+        T = gm.stabilizer(G, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.order == 486 and sum(decoded) == 486
+    largest = max(ids.shape[1] for ids in G._runs.levels)
+    assert largest == 42708
+    assert peak < 10 * largest < G.order * 4 // 2
+    assert G._array is None
+
+
+def test_bfs_checks_each_level_against_the_byte_budget(monkeypatch):
+    # GL2(Z/27): a product holds 2 int32 row ids, and its int32 key with the
+    # seen test's temporaries is budgeted at four 8-byte words, so 40 bytes.
+    # The largest frontier, 42,708 elements at depth 12, times 3 generators
+    # needs 5,124,960 bytes; one byte less, and depth 12 is refused before
+    # its batch is built
+    ring = ResidueRing(3, 3)
+    S, gens = standard_form(1, ring), gl2_standard_generators(ring)
+    batches, real = [], gm._SeenTable.add
+
+    def spy(self, keys, *args):
+        batches.append(len(keys))
+        return real(self, keys, *args)
+
+    monkeypatch.setattr(gm._SeenTable, "add", spy)
+    monkeypatch.setattr(gm, "_LEVEL_BYTES", 5_124_960)
+    assert close(S, gens).order == gm.gl2_order(3, 3)
+    assert max(batches) * 40 == 5_124_960 and batches.index(max(batches)) == 12
+    batches.clear()
+    monkeypatch.setattr(gm, "_LEVEL_BYTES", 5_124_959)
+    message = "closure exceeds the BFS level budget of 5124959 bytes: depth 12 needs 5124960 bytes"
+    with pytest.raises(CapExceeded, match=f"^{message}$"):
+        close(S, gens)
+    assert len(batches) == 12
+    # the orbit search checks the same budget: e1 times 3 generators, at 4
+    # bytes of row id and 32 of key and temporaries each
+    monkeypatch.setattr(gm, "_LEVEL_BYTES", 100)
+    message = "orbit exceeds the BFS level budget of 100 bytes: depth 0 needs 108 bytes"
+    with pytest.raises(CapExceeded, match=f"^{message}$"):
+        gm.orbit_degree_report(S, gens, subgroup_from_generators([(1, 0)], ring))
 
 
 def test_stabilizer_of_close_rejects_mismatched_subgroup():

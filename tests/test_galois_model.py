@@ -70,6 +70,13 @@ def test_close_cap_exceeded():
         close(standard_form(1, ring), gl2_standard_generators(ring), cap=10)
 
 
+def test_gl2_group_cap_names_its_stage():
+    ring = ResidueRing(5, 2)
+    assert gl2_group(ring, cap=300000).order == 300000
+    with pytest.raises(CapExceeded, match=r"^gl2 group exceeds cap=299999: GL2\(Z/5\^2\) has 300000 elements$"):
+        gl2_group(ring, cap=299999)
+
+
 def test_cm_scenario_order_and_degrees():
     G, H = scenario_cm(2, 5, 1)
     assert G.order == 64  # (l-1)^(g+1) diagonal similitudes
@@ -106,14 +113,14 @@ def test_cm_torus_equals_closure_of_generators():
 def test_cm_rejects_even_prime_and_cap():
     with pytest.raises(ValueError):
         scenario_cm(2, 2, 1)
-    with pytest.raises(CapExceeded, match=r"^diagonal torus has 1728 elements, cap=100$"):
+    with pytest.raises(CapExceeded, match=r"^cm torus exceeds cap=100: 1728 elements$"):
         scenario_cm(2, 13, 1, cap=100)
 
 
 def test_cm_cap_refuses_a_huge_torus_at_once():
     # phi(3) = 2, so 2^(10^12 + 1) is never formed: the product stops at the
     # first power of 2 past the cap
-    message = r"^diagonal torus has more than 16777216 elements, cap=10000000$"
+    message = r"^cm torus exceeds cap=10000000: more than 16777216 elements$"
     with pytest.raises(CapExceeded, match=message):
         scenario_cm(10**12, 3)
 

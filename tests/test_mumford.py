@@ -144,7 +144,7 @@ def test_image_order_formula_and_enumeration():
     ring = ResidueRing(3, 1)
     I2 = MatrixMod.identity(ring, 2)
     assert rho(I2, I2, I2) == MatrixMod.identity(ring, 8)  # identity is in the image
-    with pytest.raises(mf.CapExceeded):
+    with pytest.raises(mf.CapExceeded, match=r"^tensor-cube image exceeds cap=1000: 6912000 elements at l=5$"):
         image_order(5, cap=1000)
 
 
