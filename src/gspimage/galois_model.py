@@ -1,8 +1,8 @@
 """Finite Galois-image engine.
 
 Matrix groups inside GSp_2g(Z/l^n): closures and the GL2, diagonal-torus
-and self-product builders' groups, scanned block by block as they are
-written; pointwise stabilizers, the field-degree bookkeeping built on the
+and self-product builders' groups, all stored and scanned as row ids;
+pointwise stabilizers, the field-degree bookkeeping built on the
 multiplier character, and congruence-filtered subgroups.
 
 Degrees are modeled exactly: [K(H):K] is the index of the pointwise
@@ -18,6 +18,7 @@ without closing G.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -65,32 +66,14 @@ def _row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
     return (rows[i : i + _BATCH] for i in range(0, max(len(rows), 1), _BATCH))
 
 
-def _rebatched(runs) -> Iterator[np.ndarray]:
-    """The rows of ``runs`` (blocks of rows of any lengths), in order, as
-    blocks of ``_BATCH`` rows, the last one shorter, so that a scan pays its
-    per-block cost once per ``_BATCH`` rows.  A block that lies in one run
-    is a view of it; one that spans runs is joined from their slices."""
-    pending, count = [], 0
-    for run in runs:
-        while len(run):
-            part, run = run[: _BATCH - count], run[_BATCH - count :]
-            pending.append(part)
-            count += len(part)
-            if count == _BATCH:
-                yield pending[0] if len(pending) == 1 else np.concatenate(pending)
-                pending, count = [], 0
-    if pending:
-        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
-
-
 def _batched(kernel, blocks) -> np.ndarray:
     """``kernel`` applied to each of ``blocks`` (consecutive blocks of rows,
     at least one), results joined.
 
     Each block reaches the kernel widened to int64, or as it is when stored
     as object dtype (no copy), for kernels that multiply whole rows:
-    multipliers and packed keys.  The fixing test and level reduction never
-    widen a block (see ``_fixing_scan`` and ``MatrixGroup.reduce_level``),
+    multipliers and packed keys.  The fixing test and level reduction read
+    row ids, not rows (see ``_RowIds.scan`` and ``MatrixGroup.reduce_level``),
     and the BFS multiplies no group-sized rows at all (see ``_bfs``).
     """
     return np.concatenate(
@@ -186,64 +169,154 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _mixed_radix(sizes: list) -> tuple:
+    """The key space ``prod(sizes)`` of tuples of ids, the i-th below
+    ``sizes[i]``, the narrowest dtype holding it (int32 below 2^31, int64
+    below 2^63, Python ints (object dtype) past it) and the weights that
+    read a tuple as one key, first id most significant."""
+    space = math.prod(sizes)
+    dtype = next((t for t in (np.int32, np.int64) if space <= np.iinfo(t).max), object)
+    return space, dtype, [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+
+
+def _radix_keys(ids, weights: list, dtype) -> np.ndarray:
+    """The key of each tuple of ``ids`` (one id array per place) under the
+    weights and dtype of ``_mixed_radix``; one place's ids are its keys."""
+    if len(ids) == 1:
+        return ids[0].astype(dtype, copy=False)
+    keys = np.multiply(ids[0], weights[0], dtype=dtype)
+    for r, w in zip(ids[1:], weights[1:]):
+        keys += r if w == 1 else np.multiply(r, w, dtype=dtype)
+    return keys
+
+
+class _RowIds:
+    """A group's elements as row ids.  Row i of every element is one of the
+    vectors of ``columns[i]``, a (d, n_i) array in the storage dtype with one
+    vector per column, so an element is the tuple of its d row ids.
+
+    ``batches()`` yields the elements in element order, one batch at a
+    time: d id arrays of one length, row i's indexing ``columns[i]``.  The
+    batches are given as a list, or as a function that writes them afresh
+    on each call, as a builder's does; a batch may share its arrays with
+    other batches and rows.  Every group has at least one batch, and only
+    an empty group has an empty one."""
+
+    def __init__(self, columns: list, batches):
+        self.columns = columns
+        self.batches = batches if callable(batches) else batches.__iter__
+
+    def slices(self) -> Iterator[list]:
+        """The batches cut into slices of ``_BATCH`` elements, in order;
+        an empty batch gives one empty slice."""
+        for ids in self.batches():
+            for s in range(0, max(len(ids[0]), 1), _BATCH):
+                yield [r[s : s + _BATCH] for r in ids]
+
+    def decode(self, ids) -> np.ndarray:
+        """The row-major elements whose row ids are ``ids``: row i of each is
+        one gather from ``columns[i]``."""
+        # a (d*d, count) array read transposed
+        return np.concatenate([c.take(r, axis=1) for c, r in zip(self.columns, ids)]).T
+
+    def scan(self, tests: list) -> tuple[np.ndarray, "_RowIds"]:
+        """Ascending indices, and the row ids over the same columns, of the
+        elements that pass every test of ``_fixing_tests``.  A test on row i
+        reads only row i, one of the vectors of ``columns[i]``, so each test
+        runs once over those vectors, giving each row a mask over its
+        columns.  A batch keeps the elements whose row ids pass every mask,
+        gathered most selective row first, each over the survivors of the
+        ones before; a row whose mask is all true is skipped, unless every
+        row's is.  Nothing is decoded."""
+        masks = [np.ones(c.shape[1], dtype=bool) for c in self.columns]
+        for i, *test in tests:
+            masks[i] &= _passes(self.columns[i].T, *test)
+        by_pass = sorted(range(len(masks)), key=lambda i: masks[i].sum() / max(len(masks[i]), 1))
+        picked = [i for i in by_pass if not masks[i].all()] or by_pass[:1]
+        hits, kept, start = [np.arange(0)], [], 0
+        for ids in self.batches():
+            index = np.flatnonzero(masks[picked[0]].take(ids[picked[0]]))
+            for i in picked[1:]:
+                index = index[masks[i].take(ids[i].take(index))]
+            if len(index):
+                hits.append(start + index)
+                kept.append([r.take(index) for r in ids])
+            start += len(ids[0])
+        batch = [np.concatenate(parts) for parts in zip(*kept)] if kept else [r[:0] for r in ids]
+        return np.concatenate(hits), _RowIds(self.columns, [batch])
+
+
+def _numbering(vectors: np.ndarray, mod: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``vectors`` (residues mod ``mod``), in the order
+    of their packed keys, as a (d, m) array of columns, and the id of each
+    row of ``vectors`` among them, in the narrowest unsigned dtype."""
+    _, first, ids = np.unique(_pack(vectors, mod), return_index=True, return_inverse=True)
+    return vectors[first].T.copy(), ids.reshape(-1).astype(_unsigned_dtype(max(len(first) - 1, 0)))
+
+
 class MatrixGroup:
     """A finite group of similitudes, in a deterministic element order.
 
+    Every group is stored as row ids (``rows``, a ``_RowIds``): row i of
+    each element is one of a few vectors, ``rows.columns[i]``, and an
+    element is the tuple of its d row ids.  A builder (``gl2_group``,
+    ``scenario_cm``, ``scenario_selfproduct``) writes its ids afresh on
+    each call of ``rows.batches()``, one batch of elements at a time;
+    ``close`` keeps its BFS levels' ids, ``stabilizer`` and
+    ``filtered_subgroup`` the surviving ids over their group's columns,
+    ``reduce_level`` its first occurrences' ids over reduced columns; the
+    constructor numbers the rows it is given (``_numbering``) and keeps
+    them too.  ``order`` is given with the ids.
+
     ``blocks()`` yields the elements, one row-major matrix per row, in
-    element order and in blocks of ``_BATCH`` rows.  A builder
-    (``gl2_group``, ``scenario_cm``, ``scenario_selfproduct``, ``close``)
-    gives its ``order`` and ``runs``, a function that writes the rows afresh
-    on each call, one run at a time (160 KiB for the 10^6-element cm torus
-    at l^n = 125; one BFS level for a closure); every other group gives its
-    elements.  ``array`` is all the elements as one read-only (order, d*d)
-    array, joined from the runs on first access and kept; from then on the
-    blocks are slices of it.  The fixing test, the multiplier scan and
-    membership (``in``) read blocks, so a degree report, a stabilizer or a
-    membership test never holds a built group whole; an unjoined closure's
-    fixing test reads its row ids instead (``_ClosureRuns.scan``) and
-    decodes only the elements that pass.  ``reduce_level`` below the top
-    level and iteration read ``array``.
+    element order and in blocks of at most ``_BATCH`` rows, decoded from
+    the ids on each call; ``array`` is all of them as one read-only
+    (order, d*d) array, decoded on first access and kept, and from then on
+    the blocks are slices of it.  The fixing test (``_fixing_scan``) and
+    ``reduce_level`` read only ids and columns; the multiplier scan and
+    membership (``in``) read blocks, so none of them holds a group whole.
+    Iteration reads ``array``.
 
     Storage is narrow: inside the kernel guard (``_np_batch_ok``) it is the
     smallest unsigned dtype holding a residue mod l^n (uint8 up to 256,
-    uint16 up to 65536, uint32 above), past it object dtype (Python ints).
+    uint16 up to 65536, uint32 above), past it object dtype (Python ints);
+    an id is in the smallest unsigned dtype holding its row's vector count.
     The product kernels compute wide, in int64 or object dtype: ``_batched``
-    widens one block of rows at a time.  ``close`` multiplies out each
-    vector of its row orbits once, and its runs decode the BFS levels from
-    row ids by gathers.  The fixing test sums only the columns it reads,
-    in the narrowest unsigned dtype holding its bound, and ``reduce_level``
-    takes remainders in the storage dtype.  Unsigned subtraction wraps, so
-    widen ``array`` before doing other arithmetic on it; ``tolist()`` gives
-    Python ints.  The constructor takes distinct reduced elements, as every
-    builder here produces them.
+    widens one block of rows at a time.  The fixing test sums only the
+    columns it reads, in the narrowest unsigned dtype holding its bound,
+    and ``reduce_level`` takes remainders in the storage dtype.  Unsigned
+    subtraction wraps, so widen ``array`` before doing other arithmetic on
+    it; ``tolist()`` gives Python ints.  The constructor takes distinct
+    reduced elements, as every builder here produces them.
 
     ``generators``, when not empty, generates the group.  Only the builders
     record them (``close``, ``gl2_group``, ``scenario_cm``,
     ``scenario_selfproduct``, and ``reduce_level`` from its source's), each
     for the group it builds; subgroups cut out by a test record none.
     ``units`` holds their multipliers, in order.  ``build_degree_report``
-    relies on this: it reads lambda(G) from them, and the fixing test prunes
-    by the entries the generators can make nonzero (``_support``).
+    relies on this: it reads lambda(G) from them.
     """
 
-    __slots__ = ("space", "generators", "units", "order", "_runs", "_array")
+    __slots__ = ("space", "generators", "units", "order", "rows", "_array")
 
     def __init__(
-        self, space: SymplecticSpace, generators, elements=(), *, runs=None, order=0, units=None
+        self, space: SymplecticSpace, generators, elements=(), *, rows=None, order=0, units=None
     ):
-        """The group of the rows ``elements``, or of the ``order`` rows, in
-        the storage dtype, of the runs that ``runs()`` yields.  ``units``,
-        when given, are the generators' multipliers, already checked."""
+        """The group of the rows ``elements``, or of the ``order`` elements
+        whose row ids are ``rows``.  ``units``, when given, are the
+        generators' multipliers, already checked."""
         self.space = space
         self.generators = tuple(generators)
         if units is None:  # raises NotSimilitude on a bad generator
             units = [multiplier(g, space) for g in self.generators]
         self.units = tuple(units)
-        self._runs, self._array, self.order = runs, None, order
-        if runs is None:
+        self.rows, self._array, self.order = rows, None, order
+        if rows is None:
             arr = np.asarray(elements, dtype=self._dtype()).reshape(-1, self.dim**2).view()
             arr.flags.writeable = False
-            self._array, self.order = arr, len(arr)
+            self._array, self.order, d = arr, len(arr), self.dim
+            numbered = [_numbering(arr[:, i * d : i * d + d], self.ring.modulus) for i in range(d)]
+            self.rows = _RowIds([c for c, _ in numbered], [[r for _, r in numbered]])
 
     @property
     def ring(self) -> ResidueRing:
@@ -261,20 +334,20 @@ class MatrixGroup:
         if self._array is None:
             arr = np.empty((self.order, self.dim**2), dtype=self._dtype())
             pos = 0
-            for run in self._runs():
-                arr[pos : pos + len(run)] = run
-                pos += len(run)
+            for block in self.blocks():
+                arr[pos : pos + len(block)] = block
+                pos += len(block)
             arr.flags.writeable = False
-            self._array, self._runs = arr, None
+            self._array = arr
         return self._array
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The elements in element order, as consecutive blocks of
-        ``_BATCH`` rows, the last one shorter: cut from the builder's runs
-        until ``array`` is joined, slices of ``array`` from then on.  Read
-        them; never write to them."""
+        """The elements in element order, as consecutive blocks of at most
+        ``_BATCH`` rows, at least one: decoded from the row ids until
+        ``array`` is read, slices of ``array`` from then on.  Read them;
+        never write to them."""
         if self._array is None:
-            return _rebatched(self._runs())
+            return map(self.rows.decode, self.rows.slices())
         return _row_blocks(self._array)
 
     def __iter__(self) -> Iterator[MatrixMod]:
@@ -320,25 +393,39 @@ class MatrixGroup:
     def reduce_level(self, level: int) -> "MatrixGroup":
         """Image under reduction mod l^level, first occurrences in element
         order; the group itself at the top level, where its elements are
-        already reduced and distinct."""
+        already reduced and distinct.
+
+        Each row's vectors are reduced once and renumbered, so an element's
+        image is the tuple of its rows' new ids.  First occurrences are
+        found by the mixed-radix keys of those tuples (``_mixed_radix``,
+        as in ``_bfs``) through ``_seen_set``, one slice of ``_BATCH``
+        elements at a time.  Nothing is decoded or joined."""
         if not 1 <= level <= self.ring.level:
             raise ValueError(f"can only reduce to a level in 1..{self.ring.level}, got {level}")
         if level == self.ring.level:
             return self
         p = self.ring.ell ** level
+        stored = _storage_dtype(p, self.dim)
         # the remainder is taken in the storage dtype, which holds p below the top level
-        reduced = _mod(self.array, p).astype(_storage_dtype(p, self.dim), copy=False)
-        keep = np.zeros(len(reduced), dtype=bool)
-        keep[:1] = True  # the first element is a first occurrence
-        seen, count = _seen_set(p ** (self.dim * self.dim), _pack(reduced[:1], p)), 1
-        for i in range(0, len(reduced), _BATCH):  # one block of keys at a time
-            first, _ = seen.add(_pack(reduced[i : i + _BATCH], p), count)
-            keep[i + first] = True
+        reduced = [_mod(c, p).astype(stored, copy=False) for c in self.rows.columns]
+        numbered = [_numbering(c.T, p) for c in reduced]
+        columns, renumber = [c for c, _ in numbered], [r for _, r in numbered]
+        size, dtype, weights = _mixed_radix([c.shape[1] for c in columns])
+        slices = ([m.take(r) for m, r in zip(renumber, ids)] for ids in self.rows.slices())
+        head = next(slices)
+        # the first element is a first occurrence
+        kept = [[r[:1] for r in head]]
+        seen, count = _seen_set(size, _radix_keys(kept[0], weights, dtype)), len(head[0][:1])
+        for ids in itertools.chain([head], slices):
+            first, _ = seen.add(_radix_keys(ids, weights, dtype), count)
+            kept.append([r.take(first) for r in ids])
             count += len(first)
+        batch = [np.concatenate(parts) for parts in zip(*kept)]
         ring = self.ring.at_level(level)
         space = SymplecticSpace(self.space.g, self.space.form.reduce_level(level), ring)
         gens = tuple(g.reduce_level(level) for g in self.generators)
-        return MatrixGroup(space, gens, reduced[keep], units=[u % p for u in self.units])
+        rows = _RowIds(columns, [batch])
+        return MatrixGroup(space, gens, rows=rows, order=count, units=[u % p for u in self.units])
 
 
 class _SeenTable:
@@ -504,9 +591,7 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     orbits = _row_orbits(rows, mats, mod, cap, stage)
     acts = [act for _, act, _ in orbits]
     sizes = [len(act) for act in acts]
-    space = math.prod(sizes)
-    dtype = next((t for t in (np.int32, np.int64) if space <= np.iinfo(t).max), object)
-    weights = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+    space, dtype, weights = _mixed_radix(sizes)
     start = sum(a * w for (_, _, a), w in zip(orbits, weights))
     ids_dtype = _unsigned_dtype(max(sizes) - 1)
     frontier = np.array([[a] for _, _, a in orbits], dtype=ids_dtype)
@@ -527,13 +612,7 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
             )
         # take: a gather of whole table rows, faster than fancy indexing
         prods = [act.take(ids, axis=0).ravel() for act, ids in zip(acts, frontier)]
-        if len(prods) == 1:  # one row: its ids are its keys
-            keys = prods[0].astype(dtype, copy=False)
-        else:
-            keys = np.multiply(prods[0], weights[0], dtype=dtype)
-            for ids, w in zip(prods[1:], weights[1:]):
-                keys += ids if w == 1 else np.multiply(ids, w, dtype=dtype)
-        first, points = seen.add(keys, count, lookup)
+        first, points = seen.add(_radix_keys(prods, weights, dtype), count, lookup)
         # raise only on finding a new point, as the one-at-a-time search does
         if len(first) and count + len(first) > cap:
             raise _cap_exceeded(stage, cap, count, len(levels) - 1)
@@ -555,50 +634,6 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     return levels, [vectors for vectors, _, _ in orbits], sorted(scalars)
 
 
-class _ClosureRuns:
-    """A closure's elements as its BFS levels of row ids (each a (d, count)
-    array, in element order; see ``_bfs``) and the columns of each row's
-    orbit (a (d, |orbit|) array in the storage dtype).  Called, it yields
-    the decoded levels, one run each, as a builder's ``runs`` does."""
-
-    def __init__(self, levels: list, orbits: list, dtype):
-        self.levels = levels
-        self.columns = [np.array(vectors, dtype=dtype).T.copy() for vectors in orbits]
-
-    def decode(self, ids: np.ndarray) -> np.ndarray:
-        """The row-major elements whose row ids are the columns of ``ids``:
-        row i of each is one gather from the columns of row i's orbit."""
-        # a (d*d, count) array read transposed
-        return np.concatenate([c.take(r, axis=1) for c, r in zip(self.columns, ids)]).T
-
-    def __call__(self) -> Iterator[np.ndarray]:
-        return map(self.decode, self.levels)
-
-    def scan(self, tests: list) -> tuple[np.ndarray, np.ndarray]:
-        """``_fixing_scan`` on row ids.  A test on row i (``_fixing_tests``)
-        reads only row i, which lies in row i's orbit, so each test runs once
-        over that orbit's vectors, giving each row a mask over its orbit.  A
-        level keeps the elements whose row ids pass every mask, gathered
-        most selective row first, each over the survivors of the ones before;
-        a row whose mask is all true is skipped, unless every row's is.  Only
-        the survivors are decoded."""
-        masks = [np.ones(c.shape[1], dtype=bool) for c in self.columns]
-        for i, *test in tests:
-            masks[i] &= _passes(self.columns[i].T, *test)
-        by_pass = sorted(range(len(masks)), key=lambda i: masks[i].mean())
-        picked = [i for i in by_pass if not masks[i].all()] or by_pass[:1]
-        hits, rows, start = [], [], 0  # the identity, at level 0, passes
-        for ids in self.levels:
-            index = np.flatnonzero(masks[picked[0]].take(ids[picked[0]]))
-            for i in picked[1:]:
-                index = index[masks[i].take(ids[i].take(index))]
-            if len(index):
-                hits.append(start + index)
-                rows.append(self.decode(ids[:, index]))
-            start += ids.shape[1]
-        return np.concatenate(hits), np.concatenate(rows)
-
-
 def close(
     space: SymplecticSpace, generators: Sequence[MatrixMod], cap: int = DEFAULT_CAP
 ) -> MatrixGroup:
@@ -608,20 +643,19 @@ def close(
     The generated semigroup equals the generated group because every element
     of a finite matrix group has finite order.  The element order is that of
     the one-product-at-a-time search (see ``_bfs``), which runs on row ids.
-    The group's runs are a ``_ClosureRuns``: it keeps the BFS levels' row
-    ids and the columns of each row's orbit, and decodes one level per run,
-    afresh on every scan.  So a closure is scanned block by block, as a
-    builder's group is, and ``stabilizer`` tests it on row ids, decoding
-    only the stabilizer's elements.  Raises CapExceeded when the element
-    count would pass the cap.
+    The group keeps them: its batches are the BFS levels, and row i's
+    columns are the vectors of the orbit of e_i.  Raises CapExceeded when
+    the element count would pass the cap.
     """
     units = [multiplier(g, space) for g in generators]  # raises NotSimilitude
     d, mod = space.dim, space.ring.modulus
     identity = MatrixMod.identity(space.ring, d).rows
     levels, orbits, _ = _bfs(identity, [g.rows for g in generators], mod, cap, "closure")
-    runs = _ClosureRuns(levels, orbits, _storage_dtype(mod, d))
+    levels.pop()  # the search ends on an empty level
+    dtype = _storage_dtype(mod, d)
+    columns = [np.array(vectors, dtype=dtype).T.copy() for vectors in orbits]
     order = sum(ids.shape[1] for ids in levels)
-    return MatrixGroup(space, generators, runs=runs, order=order, units=units)
+    return MatrixGroup(space, generators, rows=_RowIds(columns, levels), order=order, units=units)
 
 
 def _check_subgroup(space: SymplecticSpace, H: TorsionSubgroup) -> None:
@@ -635,64 +669,40 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     """Pointwise fixer {M in G : M e = e for every Smith-basis generator e}.
 
     Fixing a generating set fixes all of H by linearity.  ``_fixing_scan``
-    tests a built group block by block and a closure on its row ids, so
-    neither is joined, and T keeps G's element order.
+    tests G on its row ids, so G is neither decoded nor joined; T keeps
+    G's element order and holds the surviving ids over G's columns, decoded
+    only when its ``array`` or ``blocks()`` is read.
     """
     if not isinstance(G, MatrixGroup):
         raise TypeError("stabilizer enumeration needs a MatrixGroup")
     _check_subgroup(G.space, H)
     if H.is_trivial():
         return G
-    return MatrixGroup(G.space, (), _fixing_scan(G, [(G.ring.modulus, H.basis)])[1])
-
-
-def _support(G: MatrixGroup) -> np.ndarray:
-    """The entries, as a (d, d) boolean array, that some element of G can
-    make nonzero: the closure of the identity's pattern under boolean
-    products with the patterns of ``G.generators``, a sound bound since the
-    pattern of AB lies in the boolean product of those of A and B.  Every
-    entry when G records no generators; the diagonal always."""
-    d = G.dim
-    if not G.generators:
-        return np.ones((d, d), dtype=bool)
-    patterns = [np.array(g.rows) != 0 for g in G.generators]
-    support = np.eye(d, dtype=bool)
-    while True:
-        grown = np.logical_or.reduce([support] + [support @ x for x in patterns])
-        if (grown == support).all():
-            return support
-        support = grown
+    return _fixing_scan(G, [(G.ring.modulus, H.basis)])[1]
 
 
 def _fixing_tests(G: MatrixGroup, conditions) -> list:
     """The tests of M v = v mod p, for M in G, for every vector v of every
-    (p, vectors) pair in ``conditions``, largest p first (the most
-    selective), then fewest terms first.
+    (p, vectors) pair in ``conditions``.
 
     Each vector v, reduced mod p and skipped when it is 0, gives one test
     (i, terms, v_i, p, acc) per row i: sum_j M[i, j] v_j = v_i mod p over
-    the terms (j, v_j) with v_j nonzero and (i, j) in ``_support(G)``, as
-    every other entry is 0 throughout G.  A row left with no term is
-    skipped: its v_i is 0, the diagonal being in the support.  The sum is
-    taken in ``acc``, the narrowest unsigned dtype holding both the bound
-    sum_j v_j (mod - 1) and p (``_mod`` needs p in the dtype), or object
-    dtype when G is stored so; p is 0 when the bound is below it, so that
-    ``_mod`` is skipped.
+    the terms (j, v_j) with v_j nonzero.  The sum is taken in ``acc``, the
+    narrowest unsigned dtype holding both the bound sum_j v_j (mod - 1) and
+    p (``_mod`` needs p in the dtype), or object dtype when G is stored so;
+    p is 0 when the bound is below it, so that ``_mod`` is skipped.
     """
-    d, top, stored = G.dim, G.ring.modulus - 1, G._dtype()
-    support = _support(G)
+    top, stored = G.ring.modulus - 1, G._dtype()
     tests = []
     for p, vectors in conditions:
         for v in vectors:
             v = [int(x) % p for x in v]
-            for i in range(d):
-                terms = [(j, x) for j, x in enumerate(v) if x and support[i, j]]
-                if terms:
-                    bound = sum(x for _, x in terms) * top
-                    acc = object if stored == object else _unsigned_dtype(max(bound, p))
-                    tests.append((-p, len(terms), i, terms, v[i], p if bound >= p else 0, acc))
-    tests.sort(key=lambda t: t[:2])
-    return [t[2:] for t in tests]
+            terms = [(j, x) for j, x in enumerate(v) if x]
+            if terms:
+                bound = sum(x for _, x in terms) * top
+                acc = object if stored == object else _unsigned_dtype(max(bound, p))
+                tests += [(i, terms, v[i], p if bound >= p else 0, acc) for i in range(G.dim)]
+    return tests
 
 
 def _passes(rows: np.ndarray, terms, target: int, p: int, acc) -> np.ndarray:
@@ -707,35 +717,14 @@ def _passes(rows: np.ndarray, terms, target: int, p: int, acc) -> np.ndarray:
     return (_mod(total, p) if p else total) == target
 
 
-def _fixing_scan(G: MatrixGroup, conditions) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending indices, and the rows, of the elements M of G with M v = v
-    mod p for every vector v of every (p, vectors) pair in ``conditions``.
-
-    The tests (``_fixing_tests``) are built once.  An unjoined closure runs
-    them on row ids (``_ClosureRuns.scan``).  Any other group runs them over
-    ``G.blocks()``, so a built group is scanned as its builder writes it,
-    never joined: test i reads row i of each stored element, columns
-    i*d .. i*d + d - 1.  Each block keeps its surviving rows and their
-    indices (the block's offset plus their place in it) after each test,
-    and stops once none survives.
-    """
-    tests = _fixing_tests(G, conditions)
-    if isinstance(G._runs, _ClosureRuns):
-        return G._runs.scan(tests)
-    d = G.dim
-    hits, rows, start = [np.arange(0)], [np.empty((0, d * d), dtype=G._dtype())], 0
-    for block in G.blocks():
-        index = np.arange(start, start + len(block))
-        start += len(block)
-        for i, *test in tests:
-            kept = _passes(block[:, i * d : i * d + d], *test)
-            block, index = block[kept], index[kept]
-            if not len(index):
-                break
-        if len(index):
-            hits.append(index)
-            rows.append(block)
-    return np.concatenate(hits), np.concatenate(rows)
+def _fixing_scan(G: MatrixGroup, conditions) -> tuple[np.ndarray, MatrixGroup]:
+    """Ascending indices of the elements M of G with M v = v mod p for every
+    vector v of every (p, vectors) pair in ``conditions``, and the subgroup
+    they form.  The tests (``_fixing_tests``) are built once and run on G's
+    row ids (``_RowIds.scan``), for every group alike; the subgroup holds
+    the surviving ids over G's columns, in G's element order."""
+    hits, rows = G.rows.scan(_fixing_tests(G, conditions))
+    return hits, MatrixGroup(G.space, (), rows=rows, order=len(hits))
 
 
 def gl2_order(ell: int, level: int = 1) -> int:
@@ -808,10 +797,11 @@ def filtered_subgroup(
     """Congruence-filtered subgroup: elements of Gfull that fix the i-th
     vector list mod l^min(level, n_i).
 
-    An empty chain returns Gfull itself.  The fixed subgroups must decrease
-    along the chain (so the fixers increase) and the cutoffs must be strictly
+    An empty chain returns Gfull itself.  The fixers must decrease along
+    the chain, each holding the next, and the cutoffs must be strictly
     increasing, else ChainNotIncreasing; a fixer outside Gfull's ring or
-    dimension raises ValueError before either test.
+    dimension raises ValueError before either test.  The result holds
+    Gfull's surviving row ids, as ``stabilizer``'s does.
     """
     if len(fixers) != len(cutoffs):
         raise ValueError("fixers and cutoffs must have equal length")
@@ -833,7 +823,7 @@ def filtered_subgroup(
         for Hf, cut in zip(fixers, cutoffs)
         if not Hf.is_trivial()
     ]
-    return MatrixGroup(Gfull.space, (), _fixing_scan(Gfull, conditions)[1])
+    return _fixing_scan(Gfull, conditions)[1]
 
 
 # -- scenario builders ------------------------------------------------------
@@ -851,6 +841,13 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     Element order: lexicographic in (lambda, d_1, ..., d_g), each running
     over the units mod l^n in increasing order, where lambda is the
     multiplier and d_{2g+1-i} = lambda / d_i.
+
+    Row i takes the values u e_i, u over the units in increasing order, so
+    an entry's id is its unit's index.  A batch holds the k phi^g elements
+    of k consecutive multipliers, k at least 1 and as large as fits in
+    ``_BATCH``: the ids of d_1..d_g are slices of one lexicographic grid,
+    shared by every batch, and those of lambda / d_i are broadcast from a
+    k x phi table of the batch's ratios (``searchsorted`` on the units).
     """
     if ell == 2:
         raise ValueError("ell must be odd")
@@ -865,36 +862,24 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
             raise CapExceeded(f"cm torus exceeds cap={cap}: {size} elements")
     space = standard_form(g, ring)
     n2, mod = 2 * g, ring.modulus
-    narrow = _storage_dtype(mod, n2)
-    units = list(ring.units())
+    units = np.array(list(ring.units()), dtype=_kernel_dtype(mod, n2))
+    inv = np.array([ring.inverse(u) for u in units.tolist()], dtype=units.dtype)
+    columns = [np.zeros((n2, phi), dtype=_storage_dtype(mod, n2)) for _ in range(n2)]
+    for i, c in enumerate(columns):
+        c[i] = units
+    ids = _unsigned_dtype(phi - 1)
 
-    def on_axis(i):
-        # a broadcast shape: the units on axis i, lambda (any length) on axis 0
-        return tuple(phi if t == i else -1 if t == 0 else 1 for t in range(g + 1))
-
-    def runs():
-        # the rows of k consecutive lambdas, k phi^g rows with k at least 1
-        # and at most about _BATCH rows when phi^g is short, form a grid with
-        # axis 0 for lambda and axis i for d_i, each over the units in
-        # increasing order.  Its d_i columns are the same for every k
-        # lambdas, so they are broadcast once, into ``template``; each grid
-        # is a copy of it with the lambda / d_i columns broadcast from a
-        # k x phi table, reshaped onto axes 0 and i.
+    def batches():
         k = max(1, _BATCH // phi**g)
-        unit_row = np.array(units, dtype=narrow)
-        wide = np.array(units, dtype=_kernel_dtype(mod, n2))
-        inv = np.array([ring.inverse(u) for u in units], dtype=wide.dtype)
-        template = np.zeros((k,) + (phi,) * g + (n2 * n2,), dtype=narrow)
-        for j in range(g):
-            template[..., j * (n2 + 1)] = unit_row.reshape(on_axis(1 + j))
-        # d_{j+1} = lambda / d_{2g-j}: its column, and its table's shape
-        shapes = [(j * (n2 + 1), on_axis(n2 - j)) for j in range(g, n2)]
+        # the d_i ids of k multipliers' elements: axis 0 for lambda, axis i for d_i
+        grid = np.indices((k,) + (phi,) * g, dtype=ids)[1:].reshape(g, -1)
+        # row 2g + 1 - i holds lambda / d_i: the ratio table on axes 0 and i
+        axes = [[-1] + [phi if t == i else 1 for t in range(1, g + 1)] for i in range(g, 0, -1)]
         for a in range(0, phi, k):
-            ratio = (wide[a : a + k, None] * inv % mod).astype(narrow)
-            grid = template[: len(ratio)].copy()
-            for column, shape in shapes:
-                grid[..., column] = ratio.reshape(shape)
-            yield grid.reshape(-1, n2 * n2)
+            ratio = np.searchsorted(units, units[a : a + k, None] * inv % mod).astype(ids)
+            shape = (len(ratio),) + (phi,) * g
+            ratios = [np.broadcast_to(ratio.reshape(s), shape).ravel() for s in axes]
+            yield [x[: math.prod(shape)] for x in grid] + ratios
 
     r = _primitive_root(ring)
     gens = []
@@ -903,7 +888,7 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         d[j], d[n2 - 1 - j] = r, ring.inverse(r)
         gens.append(MatrixMod.diagonal(ring, d))
     gens.append(MatrixMod.diagonal(ring, [1] * g + [r] * g))
-    G = MatrixGroup(space, gens, runs=runs, order=count)
+    G = MatrixGroup(space, gens, rows=_RowIds(columns, batches), order=count)
     H = subgroup_from_generators([(1,) * n2], ring)
     return G, H
 
@@ -930,45 +915,51 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
 
     Element order: the rows (a, b, c, d) with a d - b c a unit, in
     lexicographic order of (a, b, c, d) with entries in 0..l^n - 1.
+
+    Both rows take the primitive vectors P (those nonzero mod l) in
+    lexicographic order, so the elements are the (P[i], P[j]) with a unit
+    determinant, in order of (i, j).  The determinant is a unit exactly when
+    P[j] mod l is off the line through P[i] mod l, so the partners j of an
+    i depend only on that line and are listed once for each of the l + 1
+    lines, all of one length.  A batch holds the elements of k consecutive
+    i, k at least 1 and as large as fits in ``_BATCH``.
     """
     ell, n, mod = ring.ell, ring.level, ring.modulus
     count = gl2_order(ell, n)
     if count > cap:
         raise CapExceeded(f"gl2 group exceeds cap={cap}: GL2(Z/{ell}^{n}) has {count} elements")
     space = standard_form(1, ring)
-    narrow = _storage_dtype(mod, 2)
+    vectors = np.indices((mod, mod)).reshape(2, -1)
+    P = vectors[:, (vectors % ell).any(axis=0)]
+    x, y = P % ell
+    # the line through P mod l: its slope y / x, or l where x = 0
+    inverse = np.array([0] + [pow(u, -1, ell) for u in range(1, ell)])
+    line = np.where(x, y * inverse[x] % ell, ell)
+    ids = _unsigned_dtype(P.shape[1] - 1)
+    partners = np.array([np.flatnonzero(line != t) for t in range(ell + 1)], dtype=ids)
+    columns = P.astype(_storage_dtype(mod, 2))
 
-    def runs():
-        # one run of rows per a: the rows with first entry a keep the
-        # (b, c, d) with a d - b c a unit, which depends on a only through
-        # r = a mod l.  So kept[r], a row-major template of those rows with
-        # column 0 left free, is computed once, for a = r, serves every
-        # a = q l + r as one contiguous copy with column 0 filled, and is
-        # dropped after the last.  Every temporary is mod^3-sized.
-        rest = np.indices((mod,) * 3, dtype=np.min_scalar_type(mod - 1)).reshape(3, -1)
-        b, c, d = (x.astype(np.int64) % ell for x in rest)
-        bc = b * c % ell
-        kept = [None] * ell
-        for a in range(mod):
-            q, r = divmod(a, ell)
-            if q == 0:
-                unit = (r * d - bc) % ell != 0
-                kept[r] = np.empty((np.count_nonzero(unit), 4), dtype=narrow)
-                kept[r][:, 1:] = rest[:, unit].T
-            run = kept[r].copy()
-            run[:, 0] = a
-            if a + ell >= mod:
-                kept[r] = None
-            yield run
+    def batches():
+        m = partners.shape[1]
+        k = max(1, _BATCH // m)
+        for i in range(0, P.shape[1], k):
+            lines = line[i : i + k]
+            first = np.repeat(np.arange(i, i + len(lines), dtype=ids), m)
+            yield [first, partners.take(lines, axis=0).ravel()]
 
     gens = gl2_standard_generators(ring) if ell != 2 else ()
-    return MatrixGroup(space, gens, runs=runs, order=count)
+    return MatrixGroup(space, gens, rows=_RowIds([columns, columns], batches), order=count)
 
 
 def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     """Self-product image {diag-block(g, g)} inside GSp4 with form psi + psi,
     and H generated by (P, Q) = (1,0,0,1), whose pairing value is primitive.
-    G is generated by diag-block(x, x) for x in ``gl2_standard_generators``."""
+    G is generated by diag-block(x, x) for x in ``gl2_standard_generators``.
+
+    Element order: that of ``gl2_group``.  An element of GL2 with row ids
+    (i, j) gives the one with row ids (i, j, i, j): rows 0 and 1 take the
+    primitive vectors placed in the first block, rows 2 and 3 in the
+    second."""
     if ell == 2:
         raise ValueError("ell must be odd")
     ring = ResidueRing(ell, level)
@@ -981,21 +972,19 @@ def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         [0, 0, -1 % m, 0],
     ]
     space = SymplecticSpace(2, MatrixMod(ring, rows), ring)
-    dtype = _storage_dtype(m, 4)
+    P = gl2.rows.columns[0]
+    first, second = (np.zeros((4, P.shape[1]), dtype=_storage_dtype(m, 4)) for _ in range(2))
+    first[:2], second[2:] = P, P
 
-    def runs():
-        # diag-block(g, g), row-major: (a, b, 0, 0, c, d, 0, 0, 0, 0, a, b, 0, 0, c, d)
-        for block in gl2.blocks():
-            flats = np.zeros((len(block), 16), dtype=dtype)
-            flats[:, [0, 1, 4, 5]] = block
-            flats[:, [10, 11, 14, 15]] = block
-            yield flats
+    def batches():
+        return ([i, j, i, j] for i, j in gl2.rows.batches())
 
+    ids = _RowIds([first, first, second, second], batches)
     gens = [
         MatrixMod(ring, [[*row, 0, 0] for row in x.rows] + [[0, 0, *row] for row in x.rows])
         for x in gl2.generators
     ]
-    G = MatrixGroup(space, gens, runs=runs, order=gl2.order)
+    G = MatrixGroup(space, gens, rows=ids, order=gl2.order)
     H = subgroup_from_generators([(1, 0, 0, 1)], ring)
     return G, H
 

@@ -397,8 +397,8 @@ def test_stabilizer_of_close_matches_reference_filter(ell, level, g, ngens, kind
 def test_closure_stabilizer_on_row_ids_matches_joined_scan_and_matrixmod_filter(
     ell, level, g, ngens, data, rng
 ):
-    # an unjoined closure is tested on row ids, a joined one block by block,
-    # and both against MatrixMod products, in element order: H of rank 1..d
+    # a closure is tested on row ids, unjoined and joined, and against
+    # MatrixMod products, in element order: H of rank 1..d
     # with zero entries, and at level 20 (3^20 and 5^20 past the int64
     # guard) row-orbit vectors of object dtype.  A second condition mod a
     # lower power of l runs the filtered-subgroup scan the same two ways
@@ -414,50 +414,60 @@ def test_closure_stabilizer_on_row_ids_matches_joined_scan_and_matrixmod_filter(
     except CapExceeded:
         return
     elements = list(joined)  # joins it
-    assert isinstance(G._runs, gm._ClosureRuns) and joined._runs is None
+    assert isinstance(G.rows, gm._RowIds) and G._array is None and joined._array is not None
     assert (joined.array.dtype == object) == (level == 20 and ell > 2)
     # read through blocks: a trivial H gives back G itself
     T = [tuple(row) for block in gm.stabilizer(G, H).blocks() for row in block.tolist()]
     assert T == [M.flat() for M in elements if all(M.apply(e) == tuple(e) for e in H.basis)]
-    assert T == [tuple(row) for row in gm._fixing_scan(joined, [(mod, H.basis)])[1].tolist()]
+    assert T == [tuple(row) for row in gm._fixing_scan(joined, [(mod, H.basis)])[1].array.tolist()]
     conditions = [(mod, H.basis), coarse]
     hits, rows = gm._fixing_scan(G, conditions)
     want, want_rows = gm._fixing_scan(joined, conditions)
+    rows, want_rows = rows.array, want_rows.array
     assert hits.tolist() == want.tolist() and rows.tolist() == want_rows.tolist()
     assert rows.dtype == want_rows.dtype
     # no test, so no selective row: every element passes
-    assert gm._fixing_scan(G, [(mod, [(0,) * d])])[1].tolist() == joined.array.tolist()
+    assert gm._fixing_scan(G, [(mod, [(0,) * d])])[1].array.tolist() == joined.array.tolist()
     assert G._array is None  # never joined
 
 
 def test_closure_stabilizer_decodes_only_its_elements(monkeypatch):
     # GL2(Z/27), H = <e1>: M e1 = e1 asks for 27 of the 648 vectors in row
     # 0's orbit and 18 in row 1's, so row 1 is gathered first, then row 0
-    # over its survivors, and only the 486 elements of T are decoded.  The
-    # 314,928 elements take 1.2 MiB decoded, 4 bytes each; beyond the stored
-    # levels the scan holds one level's mask gather and its index cast to
-    # intp, 9 bytes a point of the largest level
+    # over its survivors, and T holds the ids of its 486 elements.  Nothing
+    # is decoded until T is read, and then only T's elements.  The 314,928
+    # elements take 1.2 MiB decoded, 4 bytes each; beyond the stored levels
+    # the scan holds one level's mask gather and its index cast to intp, 9
+    # bytes a point of the largest level.  The built cm torus and
+    # self-product are scanned the same way: their T is the identity alone
     ring = ResidueRing(3, 3)
     G = close(standard_form(1, ring), gl2_standard_generators(ring))
     H = subgroup_from_generators([(1, 0)], ring)
-    decoded, real = [], gm._ClosureRuns.decode
+    decoded, real = [], gm._RowIds.decode
 
     def spy(self, ids):
-        decoded.append(ids.shape[1])
+        decoded.append(len(ids[0]))
         return real(self, ids)
 
-    monkeypatch.setattr(gm._ClosureRuns, "decode", spy)
+    monkeypatch.setattr(gm._RowIds, "decode", spy)
     tracemalloc.start()
     try:
         T = gm.stabilizer(G, H)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert T.order == 486 and sum(decoded) == 486
-    largest = max(ids.shape[1] for ids in G._runs.levels)
+    assert T.order == 486 and sum(decoded) == 0
+    assert len(T.array) == sum(decoded) == 486
+    largest = max(len(ids[0]) for ids in G.rows.batches())
     assert largest == 42708
     assert peak < 10 * largest < G.order * 4 // 2
     assert G._array is None
+    for G, H in (gm.scenario_cm(2, 5, 3), gm.scenario_selfproduct(5, 2)):
+        decoded.clear()
+        T = gm.stabilizer(G, H)
+        assert T.order == 1 and sum(decoded) == 0
+        assert T.array.tolist() == [list(MatrixMod.identity(G.ring, 4).flat())] and sum(decoded) == 1
+        assert G._array is None
 
 
 def test_bfs_checks_each_level_against_the_byte_budget(monkeypatch):

@@ -29,7 +29,7 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
-from conftest import random_invertible, random_similitude, seen_set_strategies
+from conftest import seen_set_strategies
 from test_closure import CASES
 
 # (ell, level) -> storage dtype of a group of 2x2 matrices
@@ -156,78 +156,6 @@ def test_fixing_chains_match_matrixmod_scans(data):
     assert list(T) == [M for M in elements if all(M.apply(v) == v for v in gens1)]
 
 
-def _gsp4_9_generators(kind, rng):
-    """A random generating set, of one to three matrices, of a small subgroup
-    of GSp4(Z/9) for the standard form, whose pairs are (0, 3) and (1, 2)."""
-    S = standard_form(2, ResidueRing(3, 2))
-    units = [u for u in range(1, 9) if u % 3]
-
-    def diagonal():
-        a, b, lam = (rng.choice(units) for _ in range(3))
-        return MatrixMod.diagonal(S.ring, [a, b, lam * pow(b, -1, 9), lam * pow(a, -1, 9)])
-
-    def monomial():
-        # the pair swap (0 1)(2 3), or the quarter turn e0 -> -e3, e3 -> e0
-        swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-        turn = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0]]
-        return MatrixMod(S.ring, rng.choice([swap, turn])) @ diagonal()
-
-    P = random_invertible(S.ring, 2, rng)
-
-    def block():
-        # g on the plane of e0, e3 and P g P^-1 on that of e1, e2: a similitude
-        # with multiplier det g, in a group of at most |GL2(Z/9)| elements
-        g = random_invertible(S.ring, 2, rng)
-        (a, b), (c, d) = g.rows
-        (e, f), (h, k) = (P @ g @ P.inverse()).rows
-        return MatrixMod(S.ring, [[a, 0, 0, b], [0, e, f, 0], [0, h, k, 0], [c, 0, 0, d]])
-
-    if kind == "full":  # one element, so a cyclic group
-        return S, [random_similitude(S, rng)]
-    make = {"diagonal": diagonal, "monomial": monomial, "block": block}[kind]
-    return S, [make() for _ in range(rng.randrange(1, 4))]
-
-
-def _outside_support(G):
-    """Whether some element of G is nonzero at an entry outside its support."""
-    outside = ~gm._support(G).ravel()
-    return any((block != 0)[:, outside].any() for block in G.blocks())
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_support_bounds_every_element_and_pruning_keeps_the_scan(data):
-    kind = data.draw(st.sampled_from(["diagonal", "monomial", "block", "full"]))
-    S, gens = _gsp4_9_generators(kind, random.Random(data.draw(st.integers(0, 2**32))))
-    G = close(S, gens, cap=10**5)
-    assert not _outside_support(G)
-    assert gm._support(G).diagonal().all()
-    ell, mod = 3, 9
-    entry = st.sampled_from([0, ell, mod - ell, 1, mod - 1]) | st.integers(0, mod - 1)
-    vectors = st.lists(st.lists(entry, min_size=4, max_size=4), min_size=1, max_size=3)
-    conditions = [(ell, data.draw(vectors)), (mod, data.draw(vectors))]
-    # the same rows with no generators: every entry in the support, no pruning
-    unpruned = MatrixGroup(S, (), G.array)
-    assert gm._support(unpruned).all()
-    hits, rows = gm._fixing_scan(G, conditions)
-    full_hits, full_rows = gm._fixing_scan(unpruned, conditions)
-    assert hits.tolist() == full_hits.tolist()
-    assert rows.tolist() == full_rows.tolist()
-
-
-def test_builder_supports_bound_their_elements():
-    ring = ResidueRing(3, 2)
-    diagonal = np.eye(4, dtype=bool)
-    blocks = np.kron(np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool))
-    for G, expected in (
-        (gm.gl2_group(ring), np.ones((2, 2), dtype=bool)),
-        (gm.scenario_cm(2, 3, 2)[0], diagonal),
-        (gm.scenario_selfproduct(3, 2)[0], blocks),
-    ):
-        assert gm._support(G).tolist() == expected.tolist()
-        assert not _outside_support(G)
-
-
 def test_reduction_keeps_first_occurrences_across_key_blocks(monkeypatch):
     # 3888 elements reduce to the 48 of GL2(F_3), their first occurrences
     # spread over many blocks of 7 keys
@@ -316,11 +244,20 @@ def test_membership_matches_the_joined_array_comparison(batch, monkeypatch):
             assert (M in G) is old, (name, flat)
 
 
+def _in_blocks_of_default_and_seven(monkeypatch):
+    """Run the loop body with the default ``_BATCH``, then with 7, where a
+    block splits inside one multiplier of the cm torus and inside the
+    elements of one GL2 first row."""
+    for batch in (gm._BATCH, 7):
+        monkeypatch.setattr(gm, "_BATCH", batch)
+        yield batch
+
+
 @pytest.mark.parametrize(
     "g, ell, level",
     [(1, 3, 1), (1, 5, 3), (2, 3, 1), (2, 5, 2), (3, 3, 1), (3, 3, 2), (1, 257, 1)],
 )
-def test_cm_torus_rows_come_in_lambda_then_d_order(g, ell, level):
+def test_cm_torus_rows_come_in_lambda_then_d_order(g, ell, level, monkeypatch):
     ring = ResidueRing(ell, level)
     n2, mod = 2 * g, ring.modulus
     expected = []
@@ -329,22 +266,41 @@ def test_cm_torus_rows_come_in_lambda_then_d_order(g, ell, level):
         row = [0] * (n2 * n2)
         row[:: n2 + 1] = diag
         expected.append(row)
-    G, _ = gm.scenario_cm(g, ell, level)
-    assert G.array.dtype == (np.uint16 if mod > 256 else np.uint8)
-    assert G.array.tolist() == expected
+    for _ in _in_blocks_of_default_and_seven(monkeypatch):
+        G, _ = gm.scenario_cm(g, ell, level)
+        assert G.array.dtype == (np.uint16 if mod > 256 else np.uint8)
+        assert G.array.tolist() == expected
+
+
+def _lexicographic_gl2(ell, level):
+    mod = ell**level
+    return [
+        list(row)
+        for row in itertools.product(range(mod), repeat=4)
+        if (row[0] * row[3] - row[1] * row[2]) % ell
+    ]
 
 
 @pytest.mark.parametrize(
     "ell, level", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 )
-def test_gl2_rows_come_in_lexicographic_order(ell, level):
-    mod = ell**level
+def test_gl2_rows_come_in_lexicographic_order(ell, level, monkeypatch):
+    expected = _lexicographic_gl2(ell, level)
+    for _ in _in_blocks_of_default_and_seven(monkeypatch):
+        assert gm.gl2_group(ResidueRing(ell, level)).array.tolist() == expected
+
+
+@pytest.mark.parametrize("ell, level", [(3, 1), (3, 2), (5, 1)])
+def test_selfproduct_rows_are_diagonal_blocks_in_gl2_order(ell, level, monkeypatch):
+    # diag-block(g, g) for g over the lexicographic GL2 rows (a, b, c, d)
     expected = [
-        list(row)
-        for row in itertools.product(range(mod), repeat=4)
-        if (row[0] * row[3] - row[1] * row[2]) % ell
+        [a, b, 0, 0, c, d, 0, 0, 0, 0, a, b, 0, 0, c, d]
+        for a, b, c, d in _lexicographic_gl2(ell, level)
     ]
-    assert gm.gl2_group(ResidueRing(ell, level)).array.tolist() == expected
+    for _ in _in_blocks_of_default_and_seven(monkeypatch):
+        G, _ = gm.scenario_selfproduct(ell, level)
+        assert G.array.dtype == np.uint8
+        assert G.array.tolist() == expected
 
 
 def test_keys_and_reduction_allocate_no_group_sized_int64_array():
@@ -473,19 +429,22 @@ def test_report_and_stabilizer_never_join_a_built_group(monkeypatch):
     joined = _spy_joins(monkeypatch)
     G, H = gm.scenario_cm(2, 5, 3)
     assert gm.build_degree_report(G, H).deg_KH == G.order == 10**6
-    identity = MatrixMod.identity(G.ring, 4).flat()
-    assert [M.flat() for M in stabilizer(G, H)] == [identity]
     assert joined == []
-    # the library calls that read every row join once, and only once
+    identity = MatrixMod.identity(G.ring, 4).flat()
+    T = stabilizer(G, H)
+    assert [M.flat() for M in T] == [identity]
+    assert joined == [T]  # T's elements decoded from its ids; G is not joined
+    # level reduction reads row ids; iteration joins G once, and only once
     assert G.reduce_level(2).order == 20**3
     assert G.reduce_level(1).order == 4**3
+    assert joined == [T]
     assert len(list(G)) == G.order
-    assert len(joined) == 1 and joined[0] is G
+    assert len(joined) == 2 and joined[1] is G
 
 
 def test_stabilizer_of_a_closure_never_joins_it(monkeypatch):
-    # a closure keeps its BFS levels as row ids and decodes one level per
-    # run, so the stabilizer scans it block by block, as a builder's group
+    # a closure keeps its BFS levels as row ids, and the stabilizer scans
+    # those ids, as it does a builder's
     joined = _spy_joins(monkeypatch)
     ring = ResidueRing(3, 3)
     G = close(standard_form(1, ring), gm.gl2_standard_generators(ring))
@@ -494,7 +453,7 @@ def test_stabilizer_of_a_closure_never_joins_it(monkeypatch):
     assert (G.order, T.order) == (gm.gl2_order(3, 3), 486)
     # M e1 = e1: the first column of M is (1, 0)
     assert T.array.tolist() == [row for row in G.array.tolist() if (row[0], row[2]) == (1, 0)]
-    assert len(joined) == 1 and joined[0] is G
+    assert len(joined) == 2 and joined[0] is T and joined[1] is G
 
 
 def test_reduction_to_the_top_level_builds_no_seen_set(monkeypatch):
@@ -509,6 +468,23 @@ def test_reduction_to_the_top_level_builds_no_seen_set(monkeypatch):
     # below it, one seen set finds the first occurrences
     assert gm.scenario_selfproduct(3, 2)[0].reduce_level(1).order == gm.gl2_order(3, 1)
     assert len(made) == 1
+
+
+def test_reduction_keys_row_ids_not_rows(monkeypatch):
+    # the cm torus mod 5^2 has 20 units, so each of its four rows reduces to
+    # 20 vectors and the seen set keys 20^4 tuples of row ids (whole rows
+    # would be keyed in a 25^16 space), inside the key-indexed table
+    made, real = [], gm._seen_set
+    monkeypatch.setattr(gm, "_seen_set", lambda *args: made.append(args) or real(*args))
+    joined = _spy_joins(monkeypatch)
+    G, _ = gm.scenario_cm(2, 5, 3)
+    R = G.reduce_level(2)
+    assert R.order == 20**3
+    assert [size for size, _ in made] == [20**4]
+    assert joined == [] and G._array is None
+    # the first unit of each class mod 25 is its least representative, so
+    # the first occurrences are the torus mod 25, in its own order
+    assert R.array.tolist() == gm.scenario_cm(2, 5, 2)[0].array.tolist()
 
 
 @pytest.mark.parametrize("scan", ["report", "stabilizer"])
@@ -526,11 +502,28 @@ def test_building_and_scanning_hold_a_block_not_the_group(family, scan):
     assert peak < 2 * 2**20
 
 
-# builder, its arguments: every builder at small sizes, l = 2 for GL2 among them
+def _numbered(kind):
+    """A group the constructor numbers from an element list: GL2(Z/9)
+    shuffled, no element at all, or the signed permutations over Z/3^20
+    (object dtype) shuffled."""
+    if kind == "empty":
+        return MatrixGroup(standard_form(1, ResidueRing(3, 2)), (), [])
+    if kind == "gl2":
+        G = gm.gl2_group(ResidueRing(3, 2))
+    else:
+        _, G = _signed_permutations(ResidueRing(3, 20))
+    rows = G.array.tolist()
+    random.Random(kind).shuffle(rows)
+    return MatrixGroup(G.space, (), rows)
+
+
+# builder, its arguments: every builder at small sizes, l = 2 for GL2 among
+# them, and groups numbered from their elements
 BUILT = [
     *((gm.gl2_group, (ResidueRing(*r),)) for r in [(2, 1), (2, 3), (3, 2), (5, 1)]),
     *((gm.scenario_cm, args) for args in [(1, 3, 2), (1, 5, 1), (2, 3, 2), (2, 5, 1), (3, 3, 1)]),
     *((gm.scenario_selfproduct, args) for args in [(3, 1), (3, 2), (5, 1)]),
+    *((_numbered, (kind,)) for kind in ["gl2", "empty", "level20"]),
 ]
 
 
@@ -584,4 +577,4 @@ def test_block_scans_of_unjoined_groups_match_joined_and_matrixmod_scans(data):
             filtered = filtered_subgroup(X, [H1, H2], [1, 2])
             assert rows(filtered) == [elements[i].flat() for i in expected]
         assert G.multipliers() == joined.multipliers()
-        assert G._array is None
+        assert (G._array is None) == (build is not _numbered)
