@@ -56,7 +56,8 @@ def _np_batch_ok(mod: int, dim: int) -> bool:
     return dim * mod * mod < (1 << 62)
 
 
-# rows per batch in the array kernels; bounds their temporaries
+# rows per batch in the array kernels, and frontier points per add to a
+# BFS seen table; bounds their temporaries
 _BATCH = 1 << 12
 
 
@@ -132,7 +133,7 @@ def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
 # entries of a key-indexed int32 seen table, 16 MiB
 _DENSE_KEYS = 1 << 22
 
-# bytes of one BFS level's product batch, checked before it is allocated
+# bytes of one BFS add's product batch, checked before it is allocated
 _LEVEL_BYTES = 1 << 30
 
 # the entry of an unseen key in a seen table; a point index is at least 0
@@ -433,11 +434,18 @@ class _SeenTable:
     packed key, ``_UNSEEN`` for an unseen key.  An add finds its new keys in
     one pass (``_first_unseen``).  A seen key's entry is its point index when
     the adds ask for lookups; when they do not, it is only some value other
-    than ``_UNSEEN``: the stamp ``_first_unseen`` left there."""
+    than ``_UNSEEN``: the stamp ``_first_unseen`` left there.  An add reads
+    only its own keys' entries, so ``_bfs`` adds ``_BATCH`` frontier points'
+    products at a time (``chunk``) for the same work as whole levels."""
 
     def __init__(self, size: int, start_key: np.ndarray):
         self.table = np.full(size, _UNSEEN, dtype=np.int32)
         self.table[start_key] = 0
+
+    def chunk(self, width: int) -> int:
+        """How many of a level's ``width`` frontier points one add of
+        ``_bfs`` takes: at most ``_BATCH``."""
+        return min(width, _BATCH)
 
     def add(self, keys: np.ndarray, count: int, lookup: bool = False):
         """Ascending indices of the first occurrence of each unseen key in
@@ -458,11 +466,19 @@ class _SeenSorted:
     """A seen set as the sorted array of the keys seen so far and, aligned
     with it, the point index of each, for key spaces too large for a table.
     The keys are int64, or object (Python ints) past 2^63; every step below
-    takes both."""
+    takes both.  An add inserts into the whole sorted array, so its cost
+    grows with the keys seen, not with its own: ``_bfs`` adds a whole level
+    at a time (``chunk``)."""
 
     def __init__(self, start_key: np.ndarray):
         self.keys = start_key
         self.index = np.zeros(len(start_key), dtype=np.int64)
+
+    def chunk(self, width: int) -> int:
+        """How many of a level's ``width`` frontier points one add of
+        ``_bfs`` takes: all of them, for each add inserts into the whole
+        sorted array."""
+        return width
 
     def add(self, keys: np.ndarray, count: int, lookup: bool = False):
         """As ``_SeenTable.add``.  ``keys`` is sorted once: each distinct key
@@ -561,17 +577,23 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     holding the key space prod |orbit_i|: int32 below 2^31, int64 below
     2^63, Python ints (object dtype) past it.
 
-    Each frontier is multiplied by every matrix in one batch; products are
-    taken in (frontier index, matrix index) order and each new point is kept
-    at its first occurrence, so the point order is that of the
-    one-product-at-a-time search.  Newness is tested once per level against
-    the seen set ``_seen_set`` picks by the size of the key space, known
-    before the first level: a ``_SeenTable`` up to ``_DENSE_KEYS`` keys, a
-    ``_SeenSorted`` past it.  The next frontier is the products' row ids at
-    the first occurrences.  Raises CapExceeded, naming ``stage``, when the
-    point count, or a row orbit's, would pass the cap, or when a level's
-    product batch would take more than ``_LEVEL_BYTES``, checked before it
-    is allocated.
+    Newness is tested against the seen set ``_seen_set`` picks by the size
+    of the key space, known before the first level: a ``_SeenTable`` up to
+    ``_DENSE_KEYS`` keys, a ``_SeenSorted`` past it.  Each level streams
+    through it in chunks of as many frontier points as its ``chunk`` says,
+    one add a chunk: ``_BATCH`` for the table, so that every product batch,
+    key array and seen-test temporary is bounded by ``_BATCH * len(mats)``
+    products, not by the widest level; the whole level for the sorted set.
+    A level of one chunk is neither sliced nor joined.  Each chunk is
+    multiplied by every matrix in one batch; products are taken in
+    (frontier index, matrix index) order, each new point is kept at its
+    first occurrence, and a chunk's new points follow those of the chunks
+    before it, so the point order is that of the one-product-at-a-time
+    search.  The next frontier is the products' row ids at the first
+    occurrences.  Raises CapExceeded, naming ``stage``, when the point
+    count, or a row orbit's, would pass the cap, or when an add's product
+    batch would take more than ``_LEVEL_BYTES``, checked on a level's first
+    chunk, the largest, before its batch is built.
 
     ``units``, when given, is one unit mod ``mod`` per matrix (Python ints).
     Each point x then carries lambda_x, the product of the units along its
@@ -579,8 +601,8 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     (object past uint64).  A new point y takes as lambda_y the step value
     lam_i * lambda_x of its first occurrence, so the Schreier scalar of a
     product y = x @ m_i, its step value over lambda_y, is formed only where
-    they differ: once per level and distinct step * mod + lambda_y, which
-    is below mod^2 and so in the dtype.
+    they differ: once per add and distinct step * mod + lambda_y, which is
+    below mod^2 and so in the dtype.
 
     Returns the BFS levels (the new points of each depth, in point order,
     as a (k, count) array of row ids in the narrowest unsigned dtype holding
@@ -602,34 +624,42 @@ def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     per_product = 4 * len(acts) + 4 * (8 if dtype != object else 48)
     if lookup:
         lam = np.array(units, dtype=_unsigned_dtype((mod - 1) ** 2))
-        lam_front = lam_points = np.ones(1, dtype=lam.dtype)  # lam_points: lambda_x by point index
+        lam_points = np.ones(1, dtype=lam.dtype)  # lambda_x by point index
     while frontier.shape[1]:
-        need = frontier.shape[1] * len(mats) * per_product
+        # the frontier is the last ``width`` points found, from ``head`` on
+        width, level_count, found = frontier.shape[1], count, []
+        head = count - width
+        chunk = seen.chunk(width)
+        need = chunk * len(mats) * per_product
         if need > _LEVEL_BYTES:
             raise CapExceeded(
                 f"{stage} exceeds the BFS level budget of {_LEVEL_BYTES} bytes:"
                 f" depth {len(levels) - 1} needs {need} bytes"
             )
-        # take: a gather of whole table rows, faster than fancy indexing
-        prods = [act.take(ids, axis=0).ravel() for act, ids in zip(acts, frontier)]
-        first, points = seen.add(_radix_keys(prods, weights, dtype), count, lookup)
-        # raise only on finding a new point, as the one-at-a-time search does
-        if len(first) and count + len(first) > cap:
-            raise _cap_exceeded(stage, cap, count, len(levels) - 1)
-        if lookup:
-            step = (lam_front[:, None] * lam % mod).ravel()  # in product order
-            lam_front = step[first]
-            if count + len(first) > len(lam_points):  # grown geometrically
-                lam_points = np.resize(lam_points, 2 * (count + len(first)))
-            lam_points[count : count + len(first)] = lam_front
-            lam_y = lam_points[points]
-            odd = step != lam_y
-            if odd.any():
-                for pair in _distinct(step[odd] * mod + lam_y[odd]).tolist():
-                    s, y = divmod(pair, mod)
-                    scalars.add(s * pow(y, -1, mod) % mod)
-        count += len(first)
-        frontier = np.array([ids.take(first) for ids in prods], dtype=ids_dtype)
+        for at in range(0, width, chunk):
+            # a level of one chunk is neither sliced nor joined
+            part = frontier if chunk == width else frontier[:, at : at + chunk]
+            # take: a gather of whole table rows, faster than fancy indexing
+            prods = [act.take(ids, axis=0).ravel() for act, ids in zip(acts, part)]
+            first, points = seen.add(_radix_keys(prods, weights, dtype), count, lookup)
+            # raise only on finding a new point, as the one-at-a-time search does
+            if len(first) and count + len(first) > cap:
+                raise _cap_exceeded(stage, cap, level_count, len(levels) - 1)
+            if lookup:
+                lam_x = lam_points[head + at : head + at + part.shape[1]]
+                step = (lam_x[:, None] * lam % mod).ravel()  # in product order
+                if count + len(first) > len(lam_points):  # grown geometrically
+                    lam_points = np.resize(lam_points, 2 * (count + len(first)))
+                lam_points[count : count + len(first)] = step[first]
+                lam_y = lam_points[points]
+                odd = step != lam_y
+                if odd.any():
+                    for pair in _distinct(step[odd] * mod + lam_y[odd]).tolist():
+                        s, y = divmod(pair, mod)
+                        scalars.add(s * pow(y, -1, mod) % mod)
+            count += len(first)
+            found.append(np.array([ids.take(first) for ids in prods], dtype=ids_dtype))
+        frontier = found[0] if len(found) == 1 else np.concatenate(found, axis=1)
         levels.append(frontier)
     return levels, [vectors for vectors, _, _ in orbits], sorted(scalars)
 
@@ -644,8 +674,11 @@ def close(
     of a finite matrix group has finite order.  The element order is that of
     the one-product-at-a-time search (see ``_bfs``), which runs on row ids.
     The group keeps them: its batches are the BFS levels, and row i's
-    columns are the vectors of the orbit of e_i.  Raises CapExceeded when
-    the element count would pass the cap.
+    columns are the vectors of the orbit of e_i.  Beyond those levels and
+    the seen set, the search holds one add's temporaries, on the seen table
+    those of ``_BATCH`` frontier points times the generators however wide a
+    level, or a level's chunks while they are joined.  Raises CapExceeded
+    when the element count would pass the cap.
     """
     units = [multiplier(g, space) for g in generators]  # raises NotSimilitude
     d, mod = space.dim, space.ring.modulus

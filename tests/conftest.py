@@ -77,13 +77,35 @@ def seen_set_strategies(monkeypatch, budget=3**16):
     keys lets every BFS of ``test_closure.CASES`` use the key-indexed table;
     ``budget=None`` keeps the package's.  ``_seen_set`` forced to the sorted
     set gives the other.  Key spaces past the budget take the sorted set
-    both times."""
+    both times.  A loop run to its end leaves ``_seen_set`` as it found it,
+    so that a second loop on the same monkeypatch runs the table again."""
     table = gm._seen_set
     if budget is not None:
         monkeypatch.setattr(gm, "_DENSE_KEYS", budget)
     for kind, pick in (("table", table), ("sorted", lambda size, key: gm._SeenSorted(key))):
         monkeypatch.setattr(gm, "_seen_set", pick)
         yield kind
+    monkeypatch.setattr(gm, "_seen_set", table)
+
+
+def table_adds(monkeypatch) -> list:
+    """Spy on the key-indexed seen set: the returned list gets a [width,
+    adds] pair for each BFS level it serves, the frontier's width and the
+    number of ``_SeenTable.add`` calls the level took.  ``_bfs`` asks
+    ``chunk`` once a level, before the level's adds."""
+    levels, chunk, add = [], gm._SeenTable.chunk, gm._SeenTable.add
+
+    def chunk_spy(self, width):
+        levels.append([width, 0])
+        return chunk(self, width)
+
+    def add_spy(self, *args):
+        levels[-1][1] += 1
+        return add(self, *args)
+
+    monkeypatch.setattr(gm._SeenTable, "chunk", chunk_spy)
+    monkeypatch.setattr(gm._SeenTable, "add", add_spy)
+    return levels
 
 
 @pytest.fixture

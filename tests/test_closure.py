@@ -20,7 +20,12 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import full_subgroup, subgroup_from_generators
 
-from conftest import diagonal_similitude, seen_set_strategies, symplectic_transvection
+from conftest import (
+    diagonal_similitude,
+    seen_set_strategies,
+    symplectic_transvection,
+    table_adds,
+)
 
 
 def _mul_flat(x: tuple, y: tuple, n: int, m: int) -> tuple:
@@ -113,39 +118,46 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_close_matches_reference_order(case, chunk, monkeypatch):
     build, arr_dtype, key_type, order = CASES[case]
-    if chunk is not None:  # frontiers then span several batches
+    if chunk is not None:  # frontiers then span several table adds
         monkeypatch.setattr(gm, "_BATCH", chunk)
     S, gens = build()
     expected = reference_close(S, gens)
+    levels = table_adds(monkeypatch)
     for _ in seen_set_strategies(monkeypatch):
         G = close(S, gens)
         assert G.array.dtype == arr_dtype
         assert gm._pack(G.array, S.ring.modulus).dtype == key_type
         assert G.order == order
         assert [tuple(row) for row in G.array.tolist()] == expected
+    assert all(adds == -(-width // gm._BATCH) for width, adds in levels)
+    assert (max(adds for _, adds in levels) > 1) == (chunk is not None)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_close_cap_fires_at_reference_count(case, monkeypatch):
     build, _, _, order = CASES[case]
     S, gens = build()
-    with pytest.raises(CapExceeded):
-        reference_close(S, gens, cap=order - 1)
-    messages = set()
-    for _ in seen_set_strategies(monkeypatch):
-        assert close(S, gens, cap=order).order == order
-        with pytest.raises(CapExceeded) as info:
-            close(S, gens, cap=order - 1)
-        found = re.fullmatch(
-            rf"closure exceeds cap={order - 1}: (\d+) elements through BFS depth (\d+)",
-            str(info.value),
-        )
-        assert found
-        elements, depth = int(found[1]), int(found[2])
-        assert 1 <= elements <= order - 1
-        assert depth < elements  # each completed level added at least one element
-        messages.add(str(info.value))
-    assert len(messages) == 1  # every seen set stops at the same point
+    batches = (gm._BATCH, 7)  # at 7 the table's adds split a level
+    for cap in (order - 1, order // 2):
+        with pytest.raises(CapExceeded):
+            reference_close(S, gens, cap=cap)
+        messages = set()
+        for batch in batches:
+            monkeypatch.setattr(gm, "_BATCH", batch)
+            for _ in seen_set_strategies(monkeypatch):
+                assert close(S, gens, cap=order).order == order
+                with pytest.raises(CapExceeded) as info:
+                    close(S, gens, cap=cap)
+                found = re.fullmatch(
+                    rf"closure exceeds cap={cap}: (\d+) elements through BFS depth (\d+)",
+                    str(info.value),
+                )
+                assert found
+                elements, depth = int(found[1]), int(found[2])
+                assert 1 <= elements <= cap
+                assert depth < elements  # each completed level added at least one element
+                messages.add(str(info.value))
+        assert len(messages) == 1  # every seen set and batch stops at the same point
 
 
 def reference_orbit(rows, mats, mod, cap, stage, lams=None):
@@ -473,9 +485,12 @@ def test_closure_stabilizer_decodes_only_its_elements(monkeypatch):
 def test_bfs_checks_each_level_against_the_byte_budget(monkeypatch):
     # GL2(Z/27): a product holds 2 int32 row ids, and its int32 key with the
     # seen test's temporaries is budgeted at four 8-byte words, so 40 bytes.
-    # The largest frontier, 42,708 elements at depth 12, times 3 generators
-    # needs 5,124,960 bytes; one byte less, and depth 12 is refused before
-    # its batch is built
+    # The table's adds take at most _BATCH = 4096 frontier points each, so
+    # a full add is 4096 x 3 generators = 12,288 products, 491,520 bytes,
+    # first at depth 9, whose 7,635 points are the first frontier past
+    # 4096; one byte less, and depth 9 is refused before its first batch is
+    # built.  The sorted set adds whole levels: the largest, 42,708 points
+    # at depth 12, needs 5,124,960 bytes
     ring = ResidueRing(3, 3)
     S, gens = standard_form(1, ring), gl2_standard_generators(ring)
     batches, real = [], gm._SeenTable.add
@@ -485,21 +500,52 @@ def test_bfs_checks_each_level_against_the_byte_budget(monkeypatch):
         return real(self, keys, *args)
 
     monkeypatch.setattr(gm._SeenTable, "add", spy)
+    monkeypatch.setattr(gm, "_LEVEL_BYTES", 491_520)
+    G = close(S, gens)
+    assert G.order == gm.gl2_order(3, 3)
+    widths = [len(ids[0]) for ids in G.rows.batches()]
+    assert gm._BATCH == 4096 and widths[8] <= 4096 < widths[9] == 7635
+    assert batches == [3 * min(w - at, 4096) for w in widths for at in range(0, w, 4096)]
+    assert max(batches) * 40 == 491_520 and batches.index(max(batches)) == 9
+    batches.clear()
+    monkeypatch.setattr(gm, "_LEVEL_BYTES", 491_519)
+    message = "closure exceeds the BFS level budget of 491519 bytes: depth 9 needs 491520 bytes"
+    with pytest.raises(CapExceeded, match=f"^{message}$"):
+        close(S, gens)
+    assert len(batches) == 9
+    monkeypatch.setattr(gm, "_seen_set", lambda size, key: gm._SeenSorted(key))
     monkeypatch.setattr(gm, "_LEVEL_BYTES", 5_124_960)
     assert close(S, gens).order == gm.gl2_order(3, 3)
-    assert max(batches) * 40 == 5_124_960 and batches.index(max(batches)) == 12
-    batches.clear()
     monkeypatch.setattr(gm, "_LEVEL_BYTES", 5_124_959)
     message = "closure exceeds the BFS level budget of 5124959 bytes: depth 12 needs 5124960 bytes"
     with pytest.raises(CapExceeded, match=f"^{message}$"):
         close(S, gens)
-    assert len(batches) == 12
     # the orbit search checks the same budget: e1 times 3 generators, at 4
     # bytes of row id and 32 of key and temporaries each
     monkeypatch.setattr(gm, "_LEVEL_BYTES", 100)
     message = "orbit exceeds the BFS level budget of 100 bytes: depth 0 needs 108 bytes"
     with pytest.raises(CapExceeded, match=f"^{message}$"):
         gm.orbit_degree_report(S, gens, subgroup_from_generators([(1, 0)], ring))
+
+
+def test_close_holds_one_add_beyond_its_levels_and_table():
+    # GL2(Z/27) on the table: beyond the kept levels (314,928 elements, two
+    # uint16 row ids each) and the 648^2 int32 table, the closure holds one
+    # add's temporaries, which the level budget puts at 40 bytes a product,
+    # _BATCH x 3 generators of them: 491,520 bytes; a level's chunks, held
+    # while they are joined, take less (171 KB at depth 12).  It measured
+    # 323,560; whole-level adds took 2.7 MB
+    ring = ResidueRing(3, 3)
+    S, gens = standard_form(1, ring), gl2_standard_generators(ring)
+    tracemalloc.start()
+    try:
+        G = close(S, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(ids.nbytes for ids in G.rows.batches()) + 648**2 * 4
+    assert kept == 2 * 2 * G.order + 1_679_616
+    assert 0 < peak - kept < 40 * gm._BATCH * len(gens) == 491_520
 
 
 def test_stabilizer_of_close_rejects_mismatched_subgroup():

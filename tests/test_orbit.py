@@ -6,6 +6,7 @@ G.  ``ResidueRing.unit_subgroup_orders`` is checked against a closure inside
 the unit group.
 """
 
+import functools
 import re
 
 import pytest
@@ -22,8 +23,8 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import standard_form
 from gspimage.torsion import full_subgroup, subgroup_from_generators, trivial_subgroup
 
-from conftest import random_similitude, random_subgroup, seen_set_strategies
-from test_closure import CASES
+from conftest import random_similitude, random_subgroup, seen_set_strategies, table_adds
+from test_closure import CASES, reference_close
 
 
 def _unit_closure_order(gens, modulus) -> int:
@@ -129,13 +130,48 @@ def test_orbit_report_two_adic(level, names, rows):
 def test_orbit_report_matches_materialized_on_closure_cases(case, chunk, rng, monkeypatch):
     S, gens = CASES[case][0]()
     G = close(S, gens)
-    if chunk is not None:  # frontiers then span several batches
+    if chunk is not None:  # frontiers then span several table adds
         monkeypatch.setattr(gm, "_BATCH", chunk)
-    for _ in range(3):
-        H = random_subgroup(S.ring, S.dim, rng)
+    levels = table_adds(monkeypatch)
+    # three random subgroups, whose orbits may all be thin, and <e1>
+    e1 = subgroup_from_generators([(1,) + (0,) * (S.dim - 1)], S.ring)
+    for H in [random_subgroup(S.ring, S.dim, rng) for _ in range(3)] + [e1]:
         expected = build_degree_report(G, H)
         for _ in seen_set_strategies(monkeypatch):
             assert orbit_degree_report(S, gens, H) == expected
+    assert all(adds == -(-width // gm._BATCH) for width, adds in levels)
+    assert (max(adds for _, adds in levels) > 1) == (chunk is not None)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_elements(case) -> list:
+    S, gens = CASES[case][0]()
+    return reference_close(S, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(sorted(CASES)),
+    batch=st.sampled_from([1, 2, 7, gm._BATCH]),
+    kind=st.sampled_from(["random", "e1"]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_close_and_orbit_report_match_their_oracles_at_every_batch(case, batch, kind, rng):
+    # the table's adds take at most _BATCH frontier points, so at 1, 2 and 7
+    # a level spans several adds; the element order and the degree report
+    # stay those of the one-product-at-a-time search and of the closure,
+    # under both seen sets
+    S, gens = CASES[case][0]()
+    rows = [(1,) + (0,) * (S.dim - 1)] if kind == "e1" else None
+    H = subgroup_from_generators(rows, S.ring) if rows else random_subgroup(S.ring, S.dim, rng)
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis tests take no monkeypatch fixture
+        mp.setattr(gm, "_BATCH", batch)
+        levels = table_adds(mp)
+        for _ in seen_set_strategies(mp):
+            G = close(S, gens)
+            assert [tuple(row) for row in G.array.tolist()] == _reference_elements(case)
+            assert orbit_degree_report(S, gens, H) == build_degree_report(G, H)
+    assert all(adds == -(-width // batch) for width, adds in levels)
 
 
 def test_orbit_length_is_index_past_the_closure_cap():
