@@ -10,8 +10,11 @@ from __future__ import annotations
 import json
 import re
 import sys
+from contextlib import nullcontext
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _ascii
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import galois_model as gm
 from . import mumford as mf
@@ -449,16 +452,87 @@ def _table_line(d: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in d.items() if k != "stabilizer_elements")
 
 
+def _int_rows(flat: list, count: int, width: int, pad: str) -> str:
+    """``count`` rows of ``width`` ints, given in row-major order as
+    ``flat``, as the items of a JSON list indented by ``pad`` (a newline and
+    spaces) in ``json.dumps(indent=2)``'s layout: one row template, repeated
+    and filled by one ``%``.  ``%d`` prints a plain int as ``int.__repr__``
+    does."""
+    inner = pad + "  "
+    row = "[" + inner + ("," + inner).join(["%d"] * width) + pad + "]" if width else "[]"
+    return ("," + pad).join([row] * count) % tuple(flat)
+
+
+def _write_json(doc, write) -> None:
+    """Write ``json.dumps(doc, indent=2) + "\\n"`` through ``write``.
+
+    Plain str, int, True, False and None, dicts with str keys and lists
+    are formatted here, a list of equal-length rows of plain ints by
+    ``_int_rows``; any other value goes to ``json.dumps`` (indented to its
+    place), so that it prints, or fails, as it does there.  An iterator is
+    taken for blocks of integer rows (2-D arrays) and printed as the one
+    list of all their rows, each block written as soon as it is formatted,
+    so that the rows are never held whole.  The rest is written at the end.
+    """
+    parts: list[str] = []
+
+    def put(o, pad: str) -> None:
+        t = type(o)
+        if t is str:
+            parts.append(_ascii(o))
+        elif t is int:
+            parts.append(int.__repr__(o))
+        elif o is None or o is True or o is False:
+            parts.append("null" if o is None else "true" if o else "false")
+        elif t is dict and all(type(k) is str for k in o):
+            inner, sep = pad + "  ", "{"
+            for k, v in o.items():
+                parts.append(sep + inner + _ascii(k) + ": ")
+                put(v, inner)
+                sep = ","
+            parts.append(pad + "}" if o else "{}")
+        elif t is list:
+            inner = pad + "  "
+            width = len(o[0]) if o and type(o[0]) is list else -1
+            if width >= 0 and all(type(r) is list and len(r) == width for r in o):
+                flat = list(chain.from_iterable(o))
+                if set(map(type, flat)) <= {int}:  # a bool is no int here
+                    parts.append("[" + inner + _int_rows(flat, len(o), width, inner) + pad + "]")
+                    return
+            sep = "["
+            for v in o:
+                parts.append(sep + inner)
+                put(v, inner)
+                sep = ","
+            parts.append(pad + "]" if o else "[]")
+        elif isinstance(o, Iterator):
+            inner, sep = pad + "  ", "["
+            for block in o:
+                if len(block):
+                    text = _int_rows(block.reshape(-1).tolist(), *block.shape, inner)
+                    parts.append(sep + inner + text)
+                    write("".join(parts))
+                    parts.clear()
+                    sep = ","
+            parts.append(pad + "]" if sep == "," else "[]")
+        else:  # json escapes a newline inside a string, so each "\n" is layout
+            parts.append(json.dumps(o, indent=2).replace("\n", pad))
+
+    put(doc, "\n")
+    parts.append("\n")
+    write("".join(parts))
+
+
 def _emit(ns, doc: dict, table_lines: list[str]) -> None:
-    if ns.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = "\n".join(table_lines) + "\n"
-    if ns.output_path:
-        with open(ns.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``doc`` as ``json.dumps(doc, indent=2)`` would (``_write_json``,
+    streaming any blocks of rows in it), or ``table_lines``, to stdout or to
+    the ``--out`` file."""
+    sink = open(ns.output_path, "w", encoding="utf-8") if ns.output_path else nullcontext(sys.stdout)
+    with sink as fh:
+        if ns.format == "json":
+            _write_json(doc, fh.write)
+        else:
+            fh.write("\n".join(table_lines) + "\n")
 
 
 def _summary(reports: Sequence[gm.DegreeReport]) -> dict:
@@ -531,24 +605,30 @@ def _cmd_reports(ns) -> tuple[dict, list[str]]:
 
 
 def _cmd_stabilizer(ns) -> tuple[dict, list[str]]:
+    """The pointwise stabilizer T of H in G, one report per prime.  Past
+    the tensor-cube solver's short list, T's elements are ``T.blocks()``,
+    decoded from its row ids one block at a time as ``_emit`` writes them,
+    and its size is ``T.order``: no group is joined, and the elements are
+    never held as one list or one string."""
     name, ells, data = _resolve(ns)
     out = []
     for ell in ells:
         if name == "mumford":
             stab = mf.pointwise_stabilizer_in_image(ell, cap=ns.cap)
-            elements = [list(M.flat()) for M in stab]
-        else:  # one block scan, on a builder's group or a closure
+            size, elements = len(stab), [list(M.flat()) for M in stab]
+        else:  # one row-id scan, on a builder's group or a closure
             if name == "custom":
                 space, gens, H = _custom_scenario(ell, data)
                 G = gm.close(space, gens, ns.cap)
             else:
                 G, H = _scenario_instance(name, ell, data, ns.cap)
-            elements = gm.stabilizer(G, H).array.tolist()
+            T = gm.stabilizer(G, H)
+            size, elements = T.order, T.blocks()
         out.append(
             {
                 "ell": ell,
                 "level": data["level"],
-                "stabilizer_size": len(elements),
+                "stabilizer_size": size,
                 "stabilizer_elements": elements,
             }
         )

@@ -8,12 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gspimage import cli, galois_model as gm
 from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import standard_form
+from gspimage.torsion import subgroup_from_generators
 
 from test_closure import reference_close
+from test_storage import _spy_joins
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,6 +64,118 @@ def test_json_roundtrip_is_byte_identical(capsys):
     )
     assert code == 0
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def _written(doc) -> tuple[str, int]:
+    """``doc`` as the CLI's JSON writer prints it, and the writes it takes."""
+    writes = []
+    cli._write_json(doc, writes.append)
+    return "".join(writes), len(writes)
+
+
+def _int_rows_of(elements):
+    """Lists of equal-length rows of ``elements``, some of them empty."""
+    return st.integers(0, 4).flatmap(
+        lambda width: st.lists(st.lists(elements, min_size=width, max_size=width), max_size=5)
+    )
+
+
+_BIG_INTS = st.integers(-(2**80), 2**80) | st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1])
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _BIG_INTS
+    | st.floats()
+    | st.text()  # non-ASCII characters, quotes, backslashes, control characters
+    | _int_rows_of(st.integers() | _BIG_INTS)
+    | _int_rows_of(st.booleans())  # a bool row must not print as ints
+    | _int_rows_of(st.integers() | st.booleans())
+    | st.lists(st.lists(st.integers(), max_size=3), max_size=4)  # ragged rows
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=2),  # keys json.dumps converts
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON_DOCS)
+def test_json_writer_prints_what_json_dumps_prints(doc):
+    assert _written(doc)[0] == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, {"rows": [[1, 2], [3, object()]]}, {(1,): 2}])
+def test_json_writer_fails_where_json_dumps_fails(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps({"a": [value]}, indent=2)
+    with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+        _written({"a": [value]})
+
+
+def _streamed_groups():
+    """Groups whose elements the writer streams: a closure (decoded from
+    its BFS levels), a stabilizer of it (one batch of surviving ids), a
+    builder's torus, the signed permutations mod 3^39 (object dtype, entries
+    past 2^62) and the empty group."""
+    ring = ResidueRing(3, 2)
+    G = gm.close(standard_form(1, ring), gm.gl2_standard_generators(ring))
+    T = gm.stabilizer(G, subgroup_from_generators([(1, 0)], ring))
+    big = ResidueRing(3, 39)
+    m = big.modulus
+    signed = gm.close(
+        standard_form(1, big), [MatrixMod(big, [[m - 1, 0], [0, 1]]), MatrixMod(big, [[0, 1], [1, 0]])]
+    )
+    empty = gm.MatrixGroup(standard_form(1, ring), (), [])
+    return [G, T, gm.scenario_cm(2, 5, 2)[0], signed, empty]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, gm._BATCH])
+def test_streamed_blocks_print_the_bytes_of_the_plain_list(monkeypatch, batch):
+    monkeypatch.setattr(gm, "_BATCH", batch)
+    groups = _streamed_groups()
+    assert all(G._array is None for G in groups[:-1])
+
+    def doc(elements):
+        reports = [{"ell": 3, "stabilizer_size": G.order, "stabilizer_elements": e}
+                   for G, e in zip(groups, elements)]
+        return {"reports": reports, "after": [[1, 2], [3, 4]]}
+
+    blocks = [len(b) for G in groups for b in G.blocks() if len(b)]
+    assert max(blocks) <= batch and (batch > 7 or len(blocks) > len(groups))
+    text, writes = _written(doc([G.blocks() for G in groups]))
+    assert text == json.dumps(doc([G.array.tolist() for G in groups]), indent=2) + "\n"
+    # one write a block, as it is formatted, and one for the rest
+    assert writes == len(blocks) + 1
+
+
+def test_stabilizer_joins_no_group_and_writes_its_out_file_as_stdout(tmp_path, capsys, monkeypatch):
+    # T = G: the cm torus at 5^3 (10^6 elements) and the closure of GL2(Z/27)
+    # (314,928, in 77 blocks), the first only counted, the second printed
+    joined = _spy_joins(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "stabilizer", "cm", "--g", "2", "--ell", "5", "--level", "3", "--H", "[[0,0,0,0]]"
+    )
+    assert (code, out, err) == (0, "ell=5 level=3 stabilizer_size=1000000\n", "")
+    path = tmp_path / "gl2_27.txt"
+    path.write_text(
+        "scenario = custom\nell = 3\nlevel = 3\ng = 1\n"
+        "generators = [[[1,1],[0,1]],[[1,0],[1,1]],[[2,0],[0,1]]]\nH = [[0,0]]\n"
+    )
+    argv = ["stabilizer", "--scenario-file", str(path), "--format", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    order = gm.gl2_order(3, 3)
+    assert f'"stabilizer_size": {order},' in out
+    assert out.count("\n        [\n") == order  # one row opens per element
+    target = tmp_path / "T.json"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+    assert joined == []
 
 
 def test_sweep_summary(capsys):
@@ -834,15 +949,17 @@ def _diag_block(x):
 @pytest.mark.parametrize(
     "name, argv, size",
     [
-        ("cm", ["--g", "2", "--ell", "5", "--level", "2"], 400),
-        ("selfproduct", ["--ell", "3", "--level", "2"], 54),
+        ("cm", ["--g", "2", "--ell", "5", "--level", "2", "--H", "[[1,0,0,0]]"], 400),
+        ("selfproduct", ["--ell", "3", "--level", "2", "--H", "[[1,0,0,0]]"], 54),
+        ("cm", ["--g", "2", "--ell", "5", "--level", "2", "--H", "[[0,0,0,0]]"], 20**3),
+        ("selfproduct", ["--ell", "3", "--level", "2", "--H", "[[0,0,0,0]]"], 3888),
     ],
 )
 def test_stabilizer_prints_the_fixing_builder_rows_in_builder_order(capsys, name, argv, size):
     # G enumerated independently, in the builder's documented order: the
     # diagonal similitudes diag(d1, d2, lam/d2, lam/d1) by (lam, d1, d2), or
     # diag-block(x, x) for x in GL2 by the entries of x; T is the elements
-    # fixing e1
+    # fixing v, all of G for v = 0, so every builder row is pinned
     ring = ResidueRing(int(argv[argv.index("--ell") + 1]), 2)
     mod = ring.modulus
     if name == "cm":
@@ -857,22 +974,21 @@ def test_stabilizer_prints_the_fixing_builder_rows_in_builder_order(capsys, name
             for a, b, c, d in itertools.product(range(mod), repeat=4)
             if (a * d - b * c) % ring.ell
         ]
-    e1 = (1, 0, 0, 0)
-    expected = [list(M.flat()) for M in G if M.apply(e1) == e1]
+    (v,) = json.loads(argv[argv.index("--H") + 1])
+    expected = [list(M.flat()) for M in G if list(M.apply(v)) == v]
     assert len(expected) == size
-    code, out, _ = run_cli(
-        capsys, "stabilizer", name, *argv, "--H", "[[1,0,0,0]]", "--format", "json"
-    )
+    code, out, _ = run_cli(capsys, "stabilizer", name, *argv, "--format", "json")
     assert code == 0
     (report,) = json.loads(out)["reports"]
     assert report["stabilizer_size"] == size
     assert report["stabilizer_elements"] == expected
 
 
-@pytest.mark.parametrize("v", [(1, 0), (0, 1), (1, 1), (2, 7), (3, 0)])
+@pytest.mark.parametrize("v", [(1, 0), (0, 1), (1, 1), (2, 7), (3, 0), (0, 0)])
 def test_stabilizer_prints_the_fixing_closure_rows_in_closure_order(tmp_path, capsys, v):
     # GL2(Z/9) from the README's generators, closed by the one-product-at-a-
-    # time reference search: T is its elements with M v = v, in its order
+    # time reference search: T is its elements with M v = v, in its order;
+    # all of them for v = 0
     ring = ResidueRing(3, 2)
     rows = [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 0], [0, 1]]]
     G = reference_close(standard_form(1, ring), [MatrixMod(ring, r) for r in rows])
