@@ -61,27 +61,6 @@ def _np_batch_ok(mod: int, dim: int) -> bool:
 _BATCH = 1 << 12
 
 
-def _row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive slices of ``_BATCH`` rows of ``rows``; one empty slice
-    when ``rows`` is empty, so that a kernel still sees the row width."""
-    return (rows[i : i + _BATCH] for i in range(0, max(len(rows), 1), _BATCH))
-
-
-def _batched(kernel, blocks) -> np.ndarray:
-    """``kernel`` applied to each of ``blocks`` (consecutive blocks of rows,
-    at least one), results joined.
-
-    Each block reaches the kernel widened to int64, or as it is when stored
-    as object dtype (no copy), for kernels that multiply whole rows:
-    multipliers and packed keys.  The fixing test and level reduction read
-    row ids, not rows (see ``_RowIds.scan`` and ``MatrixGroup.reduce_level``),
-    and the BFS multiplies no group-sized rows at all (see ``_bfs``).
-    """
-    return np.concatenate(
-        [kernel(b.astype(object if b.dtype == object else np.int64, copy=False)) for b in blocks]
-    )
-
-
 def _kernel_dtype(mod: int, dim: int):
     """int64 where the batch kernels cannot overflow, Python ints otherwise."""
     return np.int64 if _np_batch_ok(mod, dim) else object
@@ -113,21 +92,6 @@ def _mod(x: np.ndarray, m: int) -> np.ndarray:
     q = x // m
     q *= m
     return np.subtract(x, q, out=q)
-
-
-def _pack(flat: np.ndarray, mod: int) -> np.ndarray:
-    """Key of each row of ``flat``: its entries read base ``mod``, first entry
-    most significant, so two keys are equal exactly when the rows are.  int64
-    while every key is below 2^63, Python ints (object dtype) past it, as in
-    ``_bfs``.
-    """
-    width = flat.shape[1]
-    dtype = np.int64 if mod**width < 1 << 63 else object
-    weights = np.array([mod ** (width - 1 - i) for i in range(width)], dtype=dtype)
-    # one block cast at a time: int64 blocks to Python ints past 2^63, and
-    # object blocks (which fit int64, as ResidueRing keeps mod < 2^63) back to
-    # int64 below it
-    return _batched(lambda block: block.astype(dtype, copy=False) @ weights, _row_blocks(flat))
 
 
 # entries of a key-indexed int32 seen table, 16 MiB
@@ -220,38 +184,41 @@ class _RowIds:
         # a (d*d, count) array read transposed
         return np.concatenate([c.take(r, axis=1) for c, r in zip(self.columns, ids)]).T
 
-    def scan(self, tests: list) -> tuple[np.ndarray, "_RowIds"]:
-        """Ascending indices, and the row ids over the same columns, of the
-        elements that pass every test of ``_fixing_tests``.  A test on row i
-        reads only row i, one of the vectors of ``columns[i]``, so each test
-        runs once over those vectors, giving each row a mask over its
-        columns.  A batch keeps the elements whose row ids pass every mask,
-        gathered most selective row first, each over the survivors of the
-        ones before; a row whose mask is all true is skipped, unless every
-        row's is.  Nothing is decoded."""
+    def scan(self, tests: list) -> "_RowIds":
+        """The row ids, in one batch over the same columns, of the elements
+        that pass every test of ``_fixing_tests``, in element order.  A test
+        on row i reads only row i, one of the vectors of ``columns[i]``, so
+        each test runs once over those vectors, giving each row a mask over
+        its columns.  A batch keeps the elements whose row ids pass every
+        mask, gathered most selective row first, each over the survivors of
+        the ones before; a row whose mask is all true is skipped, unless
+        every row's is.  Nothing is decoded."""
         masks = [np.ones(c.shape[1], dtype=bool) for c in self.columns]
         for i, *test in tests:
             masks[i] &= _passes(self.columns[i].T, *test)
         by_pass = sorted(range(len(masks)), key=lambda i: masks[i].sum() / max(len(masks[i]), 1))
         picked = [i for i in by_pass if not masks[i].all()] or by_pass[:1]
-        hits, kept, start = [np.arange(0)], [], 0
+        kept = []
         for ids in self.batches():
             index = np.flatnonzero(masks[picked[0]].take(ids[picked[0]]))
             for i in picked[1:]:
                 index = index[masks[i].take(ids[i].take(index))]
             if len(index):
-                hits.append(start + index)
                 kept.append([r.take(index) for r in ids])
-            start += len(ids[0])
         batch = [np.concatenate(parts) for parts in zip(*kept)] if kept else [r[:0] for r in ids]
-        return np.concatenate(hits), _RowIds(self.columns, [batch])
+        return _RowIds(self.columns, [batch])
 
 
 def _numbering(vectors: np.ndarray, mod: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``vectors`` (residues mod ``mod``), in the order
-    of their packed keys, as a (d, m) array of columns, and the id of each
-    row of ``vectors`` among them, in the narrowest unsigned dtype."""
-    _, first, ids = np.unique(_pack(vectors, mod), return_index=True, return_inverse=True)
+    """The distinct rows of ``vectors`` (residues mod ``mod``), ordered by
+    their keys in the mixed radix ``_mixed_radix([mod] * d)``, as a (d, m)
+    array of columns, and the id of each row of ``vectors`` among them, in
+    the narrowest unsigned dtype."""
+    _, dtype, weights = _mixed_radix([mod] * vectors.shape[1])
+    if vectors.dtype == object and dtype != object:
+        vectors = vectors.astype(dtype)
+    keys = _radix_keys(list(vectors.T), weights, dtype)
+    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
     return vectors[first].T.copy(), ids.reshape(-1).astype(_unsigned_dtype(max(len(first) - 1, 0)))
 
 
@@ -267,25 +234,23 @@ class MatrixGroup:
     ``filtered_subgroup`` the surviving ids over their group's columns,
     ``reduce_level`` its first occurrences' ids over reduced columns; the
     constructor numbers the rows it is given (``_numbering``) and keeps
-    them too.  ``order`` is given with the ids.
+    them too.  The ids are all a group keeps of its elements.
 
-    ``blocks()`` yields the elements, one row-major matrix per row, in
-    element order and in blocks of at most ``_BATCH`` rows, decoded from
-    the ids on each call; ``array`` is all of them as one read-only
-    (order, d*d) array, decoded on first access and kept, and from then on
-    the blocks are slices of it.  The fixing test (``_fixing_scan``) and
-    ``reduce_level`` read only ids and columns; the multiplier scan and
-    membership (``in``) read blocks, so none of them holds a group whole.
-    Iteration reads ``array``.
+    ``blocks()`` decodes the elements from the ids on each call, one
+    row-major matrix per row, in element order and in blocks of at most
+    ``_BATCH`` rows; iteration streams them and ``array`` joins them, on
+    each read.  The fixing test (``_fixing_scan``) and ``reduce_level``
+    read only ids and columns, every other scan reads blocks: none holds a
+    group whole.
 
     Storage is narrow: inside the kernel guard (``_np_batch_ok``) it is the
     smallest unsigned dtype holding a residue mod l^n (uint8 up to 256,
     uint16 up to 65536, uint32 above), past it object dtype (Python ints);
     an id is in the smallest unsigned dtype holding its row's vector count.
-    The product kernels compute wide, in int64 or object dtype: ``_batched``
-    widens one block of rows at a time.  The fixing test sums only the
-    columns it reads, in the narrowest unsigned dtype holding its bound,
-    and ``reduce_level`` takes remainders in the storage dtype.  Unsigned
+    The multiplier kernel computes wide, in int64 or object dtype, one
+    block of rows at a time.  The fixing test sums only the columns it
+    reads, in the narrowest unsigned dtype holding its bound, and
+    ``reduce_level`` takes remainders in the storage dtype.  Unsigned
     subtraction wraps, so widen ``array`` before doing other arithmetic on
     it; ``tolist()`` gives Python ints.  The constructor takes distinct
     reduced elements, as every builder here produces them.
@@ -298,7 +263,7 @@ class MatrixGroup:
     relies on this: it reads lambda(G) from them.
     """
 
-    __slots__ = ("space", "generators", "units", "order", "rows", "_array")
+    __slots__ = ("space", "generators", "units", "order", "rows")
 
     def __init__(
         self, space: SymplecticSpace, generators, elements=(), *, rows=None, order=0, units=None
@@ -311,13 +276,12 @@ class MatrixGroup:
         if units is None:  # raises NotSimilitude on a bad generator
             units = [multiplier(g, space) for g in self.generators]
         self.units = tuple(units)
-        self.rows, self._array, self.order = rows, None, order
+        self.rows, self.order = rows, order
         if rows is None:
-            arr = np.asarray(elements, dtype=self._dtype()).reshape(-1, self.dim**2).view()
-            arr.flags.writeable = False
-            self._array, self.order, d = arr, len(arr), self.dim
+            arr, d = np.asarray(elements, dtype=self._dtype()).reshape(-1, self.dim**2), self.dim
             numbered = [_numbering(arr[:, i * d : i * d + d], self.ring.modulus) for i in range(d)]
             self.rows = _RowIds([c for c, _ in numbered], [[r for _, r in numbered]])
+            self.order = len(arr)
 
     @property
     def ring(self) -> ResidueRing:
@@ -332,28 +296,24 @@ class MatrixGroup:
 
     @property
     def array(self) -> np.ndarray:
-        if self._array is None:
-            arr = np.empty((self.order, self.dim**2), dtype=self._dtype())
-            pos = 0
-            for block in self.blocks():
-                arr[pos : pos + len(block)] = block
-                pos += len(block)
-            arr.flags.writeable = False
-            self._array = arr
-        return self._array
+        """All elements, in element order, as one read-only (order, d*d)
+        array in the storage dtype, decoded and joined afresh on each read."""
+        arr, pos = np.empty((self.order, self.dim**2), dtype=self._dtype()), 0
+        for block in self.blocks():
+            arr[pos : pos + len(block)] = block
+            pos += len(block)
+        arr.flags.writeable = False
+        return arr
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The elements in element order, as consecutive blocks of at most
-        ``_BATCH`` rows, at least one: decoded from the row ids until
-        ``array`` is read, slices of ``array`` from then on.  Read them;
-        never write to them."""
-        if self._array is None:
-            return map(self.rows.decode, self.rows.slices())
-        return _row_blocks(self._array)
+        """The elements in element order, decoded from the row ids on each
+        call, in consecutive blocks of at most ``_BATCH`` rows, at least one."""
+        return map(self.rows.decode, self.rows.slices())
 
     def __iter__(self) -> Iterator[MatrixMod]:
-        for row in self.array:
-            yield MatrixMod.from_flat(self.ring, self.dim, row.tolist())
+        for block in self.blocks():
+            for row in block:
+                yield MatrixMod.from_flat(self.ring, self.dim, row.tolist())
 
     def __contains__(self, M: MatrixMod) -> bool:
         """Whether ``M`` is an element; False for a matrix over another ring
@@ -373,14 +333,13 @@ class MatrixGroup:
         i, j = self.space.unit_entry
         psi = np.array(rows, dtype=_kernel_dtype(mod, d)) % mod
         inv = self.ring.inverse(rows[i][j])
-
-        def kernel(flat):
-            # (M^T psi M)[i,j] = col_i(M)^T psi col_j(M)
-            M = flat.reshape(-1, d, d)
+        values = []
+        for block in self.blocks():
+            # (M^T psi M)[i,j] = col_i(M)^T psi col_j(M), one block widened at a time
+            M = block.astype(psi.dtype, copy=False).reshape(-1, d, d)
             left = M[:, :, i] @ psi % mod
-            return (left * M[:, :, j]).sum(axis=1) % mod * inv % mod
-
-        return _batched(kernel, self.blocks())
+            values.append((left * M[:, :, j]).sum(axis=1) % mod * inv % mod)
+        return np.concatenate(values)
 
     def multiplier_image(self) -> np.ndarray:
         """The distinct multipliers, ascending, as a read-only array in the
@@ -431,8 +390,8 @@ class MatrixGroup:
 
 class _SeenTable:
     """A seen set over a small key space: an int32 table indexed by the
-    packed key, ``_UNSEEN`` for an unseen key.  An add finds its new keys in
-    one pass (``_first_unseen``).  A seen key's entry is its point index when
+    key, ``_UNSEEN`` for an unseen key.  An add finds its new keys in one
+    pass (``_first_unseen``).  A seen key's entry is its point index when
     the adds ask for lookups; when they do not, it is only some value other
     than ``_UNSEEN``: the stamp ``_first_unseen`` left there.  An add reads
     only its own keys' entries, so ``_bfs`` adds ``_BATCH`` frontier points'
@@ -711,7 +670,7 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     _check_subgroup(G.space, H)
     if H.is_trivial():
         return G
-    return _fixing_scan(G, [(G.ring.modulus, H.basis)])[1]
+    return _fixing_scan(G, [(G.ring.modulus, H.basis)])
 
 
 def _fixing_tests(G: MatrixGroup, conditions) -> list:
@@ -750,14 +709,15 @@ def _passes(rows: np.ndarray, terms, target: int, p: int, acc) -> np.ndarray:
     return (_mod(total, p) if p else total) == target
 
 
-def _fixing_scan(G: MatrixGroup, conditions) -> tuple[np.ndarray, MatrixGroup]:
-    """Ascending indices of the elements M of G with M v = v mod p for every
-    vector v of every (p, vectors) pair in ``conditions``, and the subgroup
-    they form.  The tests (``_fixing_tests``) are built once and run on G's
-    row ids (``_RowIds.scan``), for every group alike; the subgroup holds
-    the surviving ids over G's columns, in G's element order."""
-    hits, rows = G.rows.scan(_fixing_tests(G, conditions))
-    return hits, MatrixGroup(G.space, (), rows=rows, order=len(hits))
+def _fixing_scan(G: MatrixGroup, conditions) -> MatrixGroup:
+    """The subgroup of the elements M of G with M v = v mod p for every
+    vector v of every (p, vectors) pair in ``conditions``.  The tests
+    (``_fixing_tests``) are built once and run on G's row ids
+    (``_RowIds.scan``), for every group alike; the subgroup holds the
+    surviving ids over G's columns, in G's element order."""
+    rows = G.rows.scan(_fixing_tests(G, conditions))
+    (batch,) = rows.batches()
+    return MatrixGroup(G.space, (), rows=rows, order=len(batch[0]))
 
 
 def gl2_order(ell: int, level: int = 1) -> int:
@@ -856,7 +816,7 @@ def filtered_subgroup(
         for Hf, cut in zip(fixers, cutoffs)
         if not Hf.is_trivial()
     ]
-    return _fixing_scan(Gfull, conditions)[1]
+    return _fixing_scan(Gfull, conditions)
 
 
 # -- scenario builders ------------------------------------------------------

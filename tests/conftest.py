@@ -108,6 +108,28 @@ def table_adds(monkeypatch) -> list:
     return levels
 
 
+def spy_joins(monkeypatch) -> list:
+    """Spy on ``MatrixGroup.array``: the returned list gets the group of
+    every read, one entry per read, as each read decodes and joins the
+    group's rows afresh."""
+    joined, real = [], gm.MatrixGroup.array
+
+    def spy(self):
+        joined.append(self)
+        return real.fget(self)
+
+    monkeypatch.setattr(gm.MatrixGroup, "array", property(spy))
+    return joined
+
+
+def spy_keys(monkeypatch) -> list:
+    """Spy on ``_radix_keys``: the returned list gets every key array it
+    makes, for ``_bfs``, ``reduce_level`` and ``_numbering`` alike."""
+    made, real = [], gm._radix_keys
+    monkeypatch.setattr(gm, "_radix_keys", lambda *args: made.append(real(*args)) or made[-1])
+    return made
+
+
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)

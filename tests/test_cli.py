@@ -15,8 +15,8 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import standard_form
 from gspimage.torsion import subgroup_from_generators
 
+from conftest import spy_joins
 from test_closure import reference_close
-from test_storage import _spy_joins
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -137,8 +137,9 @@ def _streamed_groups():
 @pytest.mark.parametrize("batch", [1, 2, 7, gm._BATCH])
 def test_streamed_blocks_print_the_bytes_of_the_plain_list(monkeypatch, batch):
     monkeypatch.setattr(gm, "_BATCH", batch)
+    joined = spy_joins(monkeypatch)
     groups = _streamed_groups()
-    assert all(G._array is None for G in groups[:-1])
+    assert joined == []
 
     def doc(elements):
         reports = [{"ell": 3, "stabilizer_size": G.order, "stabilizer_elements": e}
@@ -148,6 +149,7 @@ def test_streamed_blocks_print_the_bytes_of_the_plain_list(monkeypatch, batch):
     blocks = [len(b) for G in groups for b in G.blocks() if len(b)]
     assert max(blocks) <= batch and (batch > 7 or len(blocks) > len(groups))
     text, writes = _written(doc([G.blocks() for G in groups]))
+    assert joined == []
     assert text == json.dumps(doc([G.array.tolist() for G in groups]), indent=2) + "\n"
     # one write a block, as it is formatted, and one for the rest
     assert writes == len(blocks) + 1
@@ -156,7 +158,7 @@ def test_streamed_blocks_print_the_bytes_of_the_plain_list(monkeypatch, batch):
 def test_stabilizer_joins_no_group_and_writes_its_out_file_as_stdout(tmp_path, capsys, monkeypatch):
     # T = G: the cm torus at 5^3 (10^6 elements) and the closure of GL2(Z/27)
     # (314,928, in 77 blocks), the first only counted, the second printed
-    joined = _spy_joins(monkeypatch)
+    joined = spy_joins(monkeypatch)
     code, out, err = run_cli(
         capsys, "stabilizer", "cm", "--g", "2", "--ell", "5", "--level", "3", "--H", "[[0,0,0,0]]"
     )

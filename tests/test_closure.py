@@ -23,6 +23,8 @@ from gspimage.torsion import full_subgroup, subgroup_from_generators
 from conftest import (
     diagonal_similitude,
     seen_set_strategies,
+    spy_joins,
+    spy_keys,
     symplectic_transvection,
     table_adds,
 )
@@ -107,8 +109,8 @@ def _three_adic_level20():
 
 
 CASES = {
-    "gl2_mod9": (_gl2_mod9, np.uint8, np.int64, 3888),
-    "gsp4_f3": (_gsp4_f3_subgroup, np.uint8, np.int64, 1152),
+    "gl2_mod9": (_gl2_mod9, np.uint8, np.int32, 3888),
+    "gsp4_f3": (_gsp4_f3_subgroup, np.uint8, np.int32, 1152),
     "gsp4_z27": (_gsp4_z27_subgroup, np.uint8, object, 486),
     "level20": (_three_adic_level20, object, object, 5832),
 }
@@ -122,11 +124,13 @@ def test_close_matches_reference_order(case, chunk, monkeypatch):
         monkeypatch.setattr(gm, "_BATCH", chunk)
     S, gens = build()
     expected = reference_close(S, gens)
-    levels = table_adds(monkeypatch)
+    levels, keys = table_adds(monkeypatch), spy_keys(monkeypatch)
     for _ in seen_set_strategies(monkeypatch):
         G = close(S, gens)
         assert G.array.dtype == arr_dtype
-        assert gm._pack(G.array, S.ring.modulus).dtype == key_type
+        # numbering whole elements keys them in the mixed radix of mod^(d*d)
+        gm._numbering(G.array, S.ring.modulus)
+        assert keys[-1].dtype == key_type
         assert G.order == order
         assert [tuple(row) for row in G.array.tolist()] == expected
     assert all(adds == -(-width // gm._BATCH) for width, adds in levels)
@@ -425,22 +429,25 @@ def test_closure_stabilizer_on_row_ids_matches_joined_scan_and_matrixmod_filter(
         G, joined = close(space, gens, cap=3000), close(space, gens, cap=3000)
     except CapExceeded:
         return
-    elements = list(joined)  # joins it
-    assert isinstance(G.rows, gm._RowIds) and G._array is None and joined._array is not None
-    assert (joined.array.dtype == object) == (level == 20 and ell > 2)
-    # read through blocks: a trivial H gives back G itself
-    T = [tuple(row) for block in gm.stabilizer(G, H).blocks() for row in block.tolist()]
-    assert T == [M.flat() for M in elements if all(M.apply(e) == tuple(e) for e in H.basis)]
-    assert T == [tuple(row) for row in gm._fixing_scan(joined, [(mod, H.basis)])[1].array.tolist()]
-    conditions = [(mod, H.basis), coarse]
-    hits, rows = gm._fixing_scan(G, conditions)
-    want, want_rows = gm._fixing_scan(joined, conditions)
-    rows, want_rows = rows.array, want_rows.array
-    assert hits.tolist() == want.tolist() and rows.tolist() == want_rows.tolist()
-    assert rows.dtype == want_rows.dtype
-    # no test, so no selective row: every element passes
-    assert gm._fixing_scan(G, [(mod, [(0,) * d])])[1].array.tolist() == joined.array.tolist()
-    assert G._array is None  # never joined
+    elements = list(joined)
+    with pytest.MonkeyPatch.context() as mp:
+        reads = spy_joins(mp)
+        assert isinstance(G.rows, gm._RowIds)
+        assert (joined.array.dtype == object) == (level == 20 and ell > 2)
+        # read through blocks: a trivial H gives back G itself
+        T = [tuple(row) for block in gm.stabilizer(G, H).blocks() for row in block.tolist()]
+        assert T == [M.flat() for M in elements if all(M.apply(e) == tuple(e) for e in H.basis)]
+        assert T == [tuple(row) for row in gm._fixing_scan(joined, [(mod, H.basis)]).array.tolist()]
+        conditions = [(mod, H.basis), coarse]
+        rows = gm._fixing_scan(G, conditions).array
+        want_rows = gm._fixing_scan(joined, conditions).array
+        # the elements are distinct and G's are those of joined, in order (below),
+        # so the ordered lists fix the indices
+        assert rows.tolist() == want_rows.tolist()
+        assert rows.dtype == want_rows.dtype
+        # no test, so no selective row: every element passes
+        assert gm._fixing_scan(G, [(mod, [(0,) * d])]).array.tolist() == joined.array.tolist()
+        assert G not in reads  # never joined
 
 
 def test_closure_stabilizer_decodes_only_its_elements(monkeypatch):
@@ -462,6 +469,7 @@ def test_closure_stabilizer_decodes_only_its_elements(monkeypatch):
         return real(self, ids)
 
     monkeypatch.setattr(gm._RowIds, "decode", spy)
+    joined = spy_joins(monkeypatch)
     tracemalloc.start()
     try:
         T = gm.stabilizer(G, H)
@@ -473,13 +481,13 @@ def test_closure_stabilizer_decodes_only_its_elements(monkeypatch):
     largest = max(len(ids[0]) for ids in G.rows.batches())
     assert largest == 42708
     assert peak < 10 * largest < G.order * 4 // 2
-    assert G._array is None
+    assert joined == [T]  # G is not joined
     for G, H in (gm.scenario_cm(2, 5, 3), gm.scenario_selfproduct(5, 2)):
         decoded.clear()
         T = gm.stabilizer(G, H)
         assert T.order == 1 and sum(decoded) == 0
         assert T.array.tolist() == [list(MatrixMod.identity(G.ring, 4).flat())] and sum(decoded) == 1
-        assert G._array is None
+        assert G not in joined
 
 
 def test_bfs_checks_each_level_against_the_byte_budget(monkeypatch):
@@ -624,7 +632,7 @@ def test_close_without_generators_is_trivial(case):
 @pytest.mark.parametrize(
     "mod, width, key_type",
     [
-        (27, 4, np.int64),
+        (27, 4, np.int32),
         (27, 16, object),
         (3**20, 4, object),
         (3**39, 1, np.int64),
@@ -634,16 +642,24 @@ def test_close_without_generators_is_trivial(case):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_pack_keys_equal_exactly_when_rows_equal(mod, width, key_type, data):
+    # the mixed-radix keys ``_numbering`` packs each row into, and the ids
+    # it numbers the rows by: object-stored rows are cast to int64 keys
+    # where those fit (width 1 mod 3^39)
     entry = st.sampled_from([0, 1, mod // 3, mod - 1]) | st.integers(0, mod - 1)
     rows = data.draw(
         st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=12)
     )
     for dtype in (np.int64, object):
-        keys = gm._pack(np.array(rows, dtype=dtype), mod)
+        with pytest.MonkeyPatch.context() as mp:
+            made = spy_keys(mp)
+            columns, ids = gm._numbering(np.array(rows, dtype=dtype), mod)
+        (keys,) = made
         assert keys.dtype == key_type
-        assert keys.shape == (len(rows),)
+        assert keys.shape == ids.shape == (len(rows),)
         for i, row in enumerate(rows):
             assert (keys == keys[i]).tolist() == [other == row for other in rows]
+            assert (ids == ids[i]).tolist() == [other == row for other in rows]
+            assert columns[:, ids[i]].tolist() == row
 
 
 @pytest.mark.parametrize("case", ["gsp4_z27", "level20"])
@@ -656,7 +672,9 @@ def test_multiword_keys_in_group_checks(case, monkeypatch):
     S, gens = CASES[case][0]()
     G = close(S, gens)
     p = S.ring.ell**level
-    assert gm._pack(G.array[:1] % p, p).dtype == object
+    keys = spy_keys(monkeypatch)
+    gm._numbering(G.array[:1] % p, p)
+    assert keys[-1].dtype == object
     expected = list(dict.fromkeys(M.reduce_level(level).flat() for M in G))
     for _ in seen_set_strategies(monkeypatch):
         R = G.reduce_level(level)

@@ -353,7 +353,7 @@ def test_reduce_level_rejects_levels_below_one_before_any_work(monkeypatch, leve
     def no_work(*args, **kwargs):
         raise AssertionError("reduce_level reduced the group before checking the level")
 
-    monkeypatch.setattr(gm, "_batched", no_work)
+    monkeypatch.setattr(gm._RowIds, "slices", no_work)
     with pytest.raises(ValueError, match=f"got {level}"):
         G.reduce_level(level)
 

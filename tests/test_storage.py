@@ -3,12 +3,12 @@ kernels that never overflow.
 
 Each group keeps its residues in the smallest unsigned dtype that holds a
 residue mod l^n inside the int64 kernel guard, object dtype past it.  The
-product kernels (multipliers, packed keys) widen one batch at a time; the
-fixing test sums the columns it reads in the narrowest unsigned dtype that
-holds its bound and its modulus, and level reduction takes remainders in
-the storage dtype.  Their results must equal scans over ``MatrixMod``
-elements even where entries near ``mod - 1`` would overflow narrow
-arithmetic, or where the modulus itself does not fit the storage dtype.
+multiplier kernel widens one block at a time; the fixing test sums the
+columns it reads in the narrowest unsigned dtype that holds its bound and
+its modulus, and level reduction takes remainders in the storage dtype.
+Their results must equal scans over ``MatrixMod`` elements even where
+entries near ``mod - 1`` would overflow narrow arithmetic, or where the
+modulus itself does not fit the storage dtype.
 """
 
 import functools
@@ -29,7 +29,7 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
-from conftest import seen_set_strategies
+from conftest import seen_set_strategies, spy_joins
 from test_closure import CASES
 
 # (ell, level) -> storage dtype of a group of 2x2 matrices
@@ -147,7 +147,8 @@ def test_fixing_chains_match_matrixmod_scans(data):
         )
 
     expected = [i for i, M in enumerate(elements) if fixes(M)]
-    assert gm._fixing_scan(G, conditions)[0].tolist() == expected
+    # G's elements are distinct, so the ordered list fixes the indices
+    assert list(gm._fixing_scan(G, conditions)) == [elements[i] for i in expected]
     H1 = subgroup_from_generators(gens1, ring, ambient_dim=d)
     H2 = subgroup_from_generators(gens2, ring, ambient_dim=d)
     F = filtered_subgroup(G, [H1, H2], [1, 2])
@@ -203,16 +204,17 @@ def test_builders_allocate_no_group_sized_int64_array():
     assert peak < sp.order * 16 * 8
 
 
-def test_membership_scans_blocks_without_joining_the_group():
+def test_membership_scans_blocks_without_joining_the_group(monkeypatch):
     R = ResidueRing(5, 3)
     G, _ = gm.scenario_cm(2, 5, 3)
+    joined = spy_joins(monkeypatch)
     found, peak = _peak_bytes(lambda: MatrixMod.identity(R, 4) in G)
-    assert found and G._array is None
+    assert found and joined == []
     assert peak < 2**20  # the joined torus is 15.3 MiB, its comparison 16.2
     # a non-member is compared with every block, one block at a time
     swap = MatrixMod(R, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     found, peak = _peak_bytes(lambda: swap in G)
-    assert not found and G._array is None
+    assert not found and joined == []
     assert peak < 2**20
 
 
@@ -303,11 +305,22 @@ def test_selfproduct_rows_are_diagonal_blocks_in_gl2_order(ell, level, monkeypat
         assert G.array.tolist() == expected
 
 
-def test_keys_and_reduction_allocate_no_group_sized_int64_array():
+def test_keys_and_reduction_allocate_no_group_sized_int64_array(monkeypatch):
+    # numbering the group's whole rows keys them in the mixed radix of
+    # 27^4, int32; the peak is that of making the keys
     gl2 = gm.gl2_group(ResidueRing(3, 3))
     int64_bytes = gl2.order * 4 * 8  # 9.6 MiB
-    keys, peak = _peak_bytes(lambda: gm._pack(gl2.array, 27))
-    assert keys.dtype == np.int64 and len(keys) == gl2.order
+    made, real = [], gm._radix_keys
+
+    def spy(*args):
+        made.append(_peak_bytes(lambda: real(*args)))
+        return made[-1][0]
+
+    monkeypatch.setattr(gm, "_radix_keys", spy)
+    columns, ids = gm._numbering(gl2.array, 27)
+    ((keys, peak),) = made
+    assert keys.dtype == np.int32 and len(keys) == gl2.order
+    assert columns.shape == (4, gl2.order) and ids.tolist() == list(range(gl2.order))
     assert peak < int64_bytes
     G2, peak = _peak_bytes(lambda: gl2.reduce_level(2))
     assert G2.order == 3888
@@ -393,8 +406,8 @@ def test_fixing_test_on_cm_torus_allocates_no_block_or_group_sized_temporary():
     # group 10^6 bytes; the test needs neither
     G, H = gm.scenario_cm(2, 5, 3)
     assert G.array.dtype == np.uint8
-    hits, peak = _peak_bytes(lambda: gm._fixing_scan(G, [(G.ring.modulus, H.basis)])[0])
-    assert hits.tolist() == [0]  # the identity alone
+    T, peak = _peak_bytes(lambda: gm._fixing_scan(G, [(G.ring.modulus, H.basis)]))
+    assert list(T) == [next(iter(G))]  # the identity alone, G's first element
     assert peak < gm._BATCH * 16 * 8 // 2
     assert peak < G.order // 4
 
@@ -412,44 +425,59 @@ def test_report_on_cm_torus_scans_no_group_sized_array():
 # -- built groups are scanned block by block ----------------------------------
 
 
-def _spy_joins(monkeypatch):
-    """The built groups whose rows get joined into ``array``, one entry per join."""
-    joined, real = [], gm.MatrixGroup.array
-
-    def spy(self):
-        if self._array is None:
-            joined.append(self)
-        return real.fget(self)
-
-    monkeypatch.setattr(gm.MatrixGroup, "array", property(spy))
-    return joined
-
-
 def test_report_and_stabilizer_never_join_a_built_group(monkeypatch):
-    joined = _spy_joins(monkeypatch)
+    joined = spy_joins(monkeypatch)
     G, H = gm.scenario_cm(2, 5, 3)
     assert gm.build_degree_report(G, H).deg_KH == G.order == 10**6
     assert joined == []
     identity = MatrixMod.identity(G.ring, 4).flat()
     T = stabilizer(G, H)
     assert [M.flat() for M in T] == [identity]
-    assert joined == [T]  # T's elements decoded from its ids; G is not joined
-    # level reduction reads row ids; iteration joins G once, and only once
+    assert joined == []  # T's elements streamed from its ids; neither group is joined
+    # level reduction reads row ids
     assert G.reduce_level(2).order == 20**3
     assert G.reduce_level(1).order == 4**3
-    assert joined == [T]
-    assert len(list(G)) == G.order
-    assert len(joined) == 2 and joined[1] is G
+    assert joined == []
+    # iteration streams blocks: the first element decodes one slice, joins nothing
+    decoded, real = [], gm._RowIds.decode
+
+    def spy(rows, ids):
+        decoded.append(len(ids[0]))
+        return real(rows, ids)
+
+    monkeypatch.setattr(gm._RowIds, "decode", spy)
+    assert next(iter(G)).flat() == identity
+    assert joined == [] and decoded == [gm._BATCH]
+
+
+def test_a_group_holds_nothing_it_decodes():
+    # array decodes and joins on each read and keeps nothing: GL2(Z/27)'s
+    # 314,928 elements take 1.2 MiB joined.  Iteration decodes one slice at
+    # a time, not the 10^6-element cm torus (15.3 MiB joined)
+    G = gm.gl2_group(ResidueRing(3, 3))
+    tracemalloc.start()
+    try:
+        a = G.array
+        assert a.nbytes == G.order * 4
+        del a
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
+    C, _ = gm.scenario_cm(2, 5, 3)
+    first, peak = _peak_bytes(lambda: next(iter(C)))
+    assert first == MatrixMod.identity(C.ring, 4)
+    assert peak < 2**20
 
 
 def test_stabilizer_of_a_closure_never_joins_it(monkeypatch):
     # a closure keeps its BFS levels as row ids, and the stabilizer scans
     # those ids, as it does a builder's
-    joined = _spy_joins(monkeypatch)
+    joined = spy_joins(monkeypatch)
     ring = ResidueRing(3, 3)
     G = close(standard_form(1, ring), gm.gl2_standard_generators(ring))
     T = stabilizer(G, subgroup_from_generators([(1, 0)], ring))
-    assert joined == [] and G._array is None
+    assert joined == []
     assert (G.order, T.order) == (gm.gl2_order(3, 3), 486)
     # M e1 = e1: the first column of M is (1, 0)
     assert T.array.tolist() == [row for row in G.array.tolist() if (row[0], row[2]) == (1, 0)]
@@ -461,7 +489,7 @@ def test_reduction_to_the_top_level_builds_no_seen_set(monkeypatch):
     # to deduplicate: the group itself comes back, unread
     made, real = [], gm._seen_set
     monkeypatch.setattr(gm, "_seen_set", lambda *args: made.append(args) or real(*args))
-    joined = _spy_joins(monkeypatch)
+    joined = spy_joins(monkeypatch)
     G, _ = gm.scenario_selfproduct(3, 3)
     assert G.reduce_level(3) is G
     assert made == [] and joined == []
@@ -476,12 +504,12 @@ def test_reduction_keys_row_ids_not_rows(monkeypatch):
     # would be keyed in a 25^16 space), inside the key-indexed table
     made, real = [], gm._seen_set
     monkeypatch.setattr(gm, "_seen_set", lambda *args: made.append(args) or real(*args))
-    joined = _spy_joins(monkeypatch)
+    joined = spy_joins(monkeypatch)
     G, _ = gm.scenario_cm(2, 5, 3)
     R = G.reduce_level(2)
     assert R.order == 20**3
     assert [size for size, _ in made] == [20**4]
-    assert joined == [] and G._array is None
+    assert joined == []
     # the first unit of each class mod 25 is its least representative, so
     # the first occurrences are the torus mod 25, in its own order
     assert R.array.tolist() == gm.scenario_cm(2, 5, 2)[0].array.tolist()
@@ -529,11 +557,11 @@ BUILT = [
 
 @functools.lru_cache(maxsize=None)
 def _built(case):
-    """A joined copy of ``BUILT[case]``'s group and its elements, in order."""
+    """A copy of ``BUILT[case]``'s group, built at the default ``_BATCH``,
+    and its elements, in order."""
     build, args = BUILT[case]
     G = build(*args)
     G = G[0] if isinstance(G, tuple) else G
-    G.array
     return G, list(G)
 
 
@@ -541,9 +569,9 @@ def _built(case):
 @given(data=st.data())
 def test_block_scans_of_unjoined_groups_match_joined_and_matrixmod_scans(data):
     case = data.draw(st.integers(0, len(BUILT) - 1))
-    joined, elements = _built(case)
+    copy, elements = _built(case)
     build, args = BUILT[case]
-    ring, d = joined.ring, joined.dim
+    ring, d = copy.ring, copy.dim
     ell, mod = ring.ell, ring.modulus
     entry = st.sampled_from([0, ell, mod - ell, 1, mod - 1]) | st.integers(0, mod - 1)
     vector = st.lists(entry, min_size=d, max_size=d).map(tuple)
@@ -568,13 +596,16 @@ def test_block_scans_of_unjoined_groups_match_joined_and_matrixmod_scans(data):
     expected = [i for i, M in enumerate(elements) if fixes(M, conditions)]
     fixed = [M.flat() for M in elements if fixes(M, [(mod, gens1)])]
     # blocks of a few rows, of one run or many, and of about the default size
-    with mock.patch.object(gm, "_BATCH", data.draw(st.sampled_from([7, 100, 1000, gm._BATCH]))):
+    batch = data.draw(st.sampled_from([7, 100, 1000, gm._BATCH]))
+    with mock.patch.object(gm, "_BATCH", batch), pytest.MonkeyPatch.context() as mp:
         G = build(*args)
         G = G[0] if isinstance(G, tuple) else G
-        assert gm._fixing_scan(G, conditions)[0].tolist() == expected
-        for X in (G, joined):
+        joined = spy_joins(mp)  # _numbered reads its source's array
+        # G's elements are distinct, so the ordered list fixes the indices
+        assert list(gm._fixing_scan(G, conditions)) == [elements[i] for i in expected]
+        for X in (G, copy):
             assert rows(stabilizer(X, H1)) == fixed
             filtered = filtered_subgroup(X, [H1, H2], [1, 2])
             assert rows(filtered) == [elements[i].flat() for i in expected]
-        assert G.multipliers() == joined.multipliers()
-        assert (G._array is None) == (build is not _numbered)
+        assert G.multipliers() == copy.multipliers()
+        assert joined == []
