@@ -155,60 +155,6 @@ def _radix_keys(ids, weights: list, dtype) -> np.ndarray:
     return keys
 
 
-class _RowIds:
-    """A group's elements as row ids.  Row i of every element is one of the
-    vectors of ``columns[i]``, a (d, n_i) array in the storage dtype with one
-    vector per column, so an element is the tuple of its d row ids.
-
-    ``batches()`` yields the elements in element order, one batch at a
-    time: d id arrays of one length, row i's indexing ``columns[i]``.  The
-    batches are given as a list, or as a function that writes them afresh
-    on each call, as a builder's does; a batch may share its arrays with
-    other batches and rows.  Every group has at least one batch, and only
-    an empty group has an empty one."""
-
-    def __init__(self, columns: list, batches):
-        self.columns = columns
-        self.batches = batches if callable(batches) else batches.__iter__
-
-    def slices(self) -> Iterator[list]:
-        """The batches cut into slices of ``_BATCH`` elements, in order;
-        an empty batch gives one empty slice."""
-        for ids in self.batches():
-            for s in range(0, max(len(ids[0]), 1), _BATCH):
-                yield [r[s : s + _BATCH] for r in ids]
-
-    def decode(self, ids) -> np.ndarray:
-        """The row-major elements whose row ids are ``ids``: row i of each is
-        one gather from ``columns[i]``."""
-        # a (d*d, count) array read transposed
-        return np.concatenate([c.take(r, axis=1) for c, r in zip(self.columns, ids)]).T
-
-    def scan(self, tests: list) -> "_RowIds":
-        """The row ids, in one batch over the same columns, of the elements
-        that pass every test of ``_fixing_tests``, in element order.  A test
-        on row i reads only row i, one of the vectors of ``columns[i]``, so
-        each test runs once over those vectors, giving each row a mask over
-        its columns.  A batch keeps the elements whose row ids pass every
-        mask, gathered most selective row first, each over the survivors of
-        the ones before; a row whose mask is all true is skipped, unless
-        every row's is.  Nothing is decoded."""
-        masks = [np.ones(c.shape[1], dtype=bool) for c in self.columns]
-        for i, *test in tests:
-            masks[i] &= _passes(self.columns[i].T, *test)
-        by_pass = sorted(range(len(masks)), key=lambda i: masks[i].sum() / max(len(masks[i]), 1))
-        picked = [i for i in by_pass if not masks[i].all()] or by_pass[:1]
-        kept = []
-        for ids in self.batches():
-            index = np.flatnonzero(masks[picked[0]].take(ids[picked[0]]))
-            for i in picked[1:]:
-                index = index[masks[i].take(ids[i].take(index))]
-            if len(index):
-                kept.append([r.take(index) for r in ids])
-        batch = [np.concatenate(parts) for parts in zip(*kept)] if kept else [r[:0] for r in ids]
-        return _RowIds(self.columns, [batch])
-
-
 def _numbering(vectors: np.ndarray, mod: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``vectors`` (residues mod ``mod``), ordered by
     their keys in the mixed radix ``_mixed_radix([mod] * d)``, as a (d, m)
@@ -223,37 +169,41 @@ def _numbering(vectors: np.ndarray, mod: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MatrixGroup:
-    """A finite group of similitudes, in a deterministic element order.
+    """A finite group of similitudes, in a deterministic element order,
+    stored as row ids.
 
-    Every group is stored as row ids (``rows``, a ``_RowIds``): row i of
-    each element is one of a few vectors, ``rows.columns[i]``, and an
-    element is the tuple of its d row ids.  A builder (``gl2_group``,
-    ``scenario_cm``, ``scenario_selfproduct``) writes its ids afresh on
-    each call of ``rows.batches()``, one batch of elements at a time;
-    ``close`` keeps its BFS levels' ids, ``stabilizer`` and
+    Row i of every element is one of the vectors of ``columns[i]``, a (d,
+    n_i) array in the storage dtype with one vector per column, so an
+    element is the tuple of its d row ids.  ``batches()`` yields the
+    elements in element order, one batch at a time: d id arrays of one
+    length, row i's indexing ``columns[i]``.  A batch may share its arrays
+    with other batches and rows; every group has at least one batch, and
+    only an empty group has an empty one.  A builder (``gl2_group``,
+    ``scenario_cm``, ``scenario_selfproduct``) writes its batches afresh on
+    each call; ``close`` keeps its BFS levels, ``stabilizer`` and
     ``filtered_subgroup`` the surviving ids over their group's columns,
-    ``reduce_level`` its first occurrences' ids over reduced columns; the
-    constructor numbers the rows it is given (``_numbering``) and keeps
-    them too.  The ids are all a group keeps of its elements.
+    ``reduce_level`` its first occurrences' ids over reduced columns.  The
+    ids are all a group keeps of its elements.
 
-    ``blocks()`` decodes the elements from the ids on each call, one
-    row-major matrix per row, in element order and in blocks of at most
-    ``_BATCH`` rows; iteration streams them and ``array`` joins them, on
-    each read.  The fixing test (``_fixing_scan``) and ``reduce_level``
-    read only ids and columns, every other scan reads blocks: none holds a
-    group whole.
+    Every test on a group is one scan of its ids (``_scan``): a mask per
+    row over that row's vectors, from the fixing test (``_fixing_scan``)
+    or from equality with a matrix's rows (``in``).  ``reduce_level``
+    renumbers the ids too.  ``blocks()`` is the only decode: it gathers the
+    elements from the ids on each call, one row-major matrix per row, in
+    element order and in blocks of at most ``_BATCH`` rows.  Nothing holds
+    a group whole.
 
     Storage is narrow: inside the kernel guard (``_np_batch_ok``) it is the
     smallest unsigned dtype holding a residue mod l^n (uint8 up to 256,
     uint16 up to 65536, uint32 above), past it object dtype (Python ints);
     an id is in the smallest unsigned dtype holding its row's vector count.
     The multiplier kernel computes wide, in int64 or object dtype, one
-    block of rows at a time.  The fixing test sums only the columns it
-    reads, in the narrowest unsigned dtype holding its bound, and
-    ``reduce_level`` takes remainders in the storage dtype.  Unsigned
-    subtraction wraps, so widen ``array`` before doing other arithmetic on
-    it; ``tolist()`` gives Python ints.  The constructor takes distinct
-    reduced elements, as every builder here produces them.
+    block at a time.  The fixing test sums only the columns it reads, in
+    the narrowest unsigned dtype holding its bound, and ``reduce_level``
+    takes remainders in the storage dtype.  Unsigned subtraction wraps, so
+    widen a block before doing other arithmetic on it; ``tolist()`` gives
+    Python ints.  The elements must be distinct and reduced, as every
+    builder here produces them.
 
     ``generators``, when not empty, generates the group.  Only the builders
     record them (``close``, ``gl2_group``, ``scenario_cm``,
@@ -263,25 +213,18 @@ class MatrixGroup:
     relies on this: it reads lambda(G) from them.
     """
 
-    __slots__ = ("space", "generators", "units", "order", "rows")
+    __slots__ = ("space", "generators", "units", "columns", "batches", "order")
 
-    def __init__(
-        self, space: SymplecticSpace, generators, elements=(), *, rows=None, order=0, units=None
-    ):
-        """The group of the rows ``elements``, or of the ``order`` elements
-        whose row ids are ``rows``.  ``units``, when given, are the
+    def __init__(self, space: SymplecticSpace, generators, columns, batches, order, units=None):
+        """The group of the ``order`` elements whose row ids ``batches()``
+        yields over ``columns``.  ``units``, when given, are the
         generators' multipliers, already checked."""
         self.space = space
         self.generators = tuple(generators)
         if units is None:  # raises NotSimilitude on a bad generator
             units = [multiplier(g, space) for g in self.generators]
         self.units = tuple(units)
-        self.rows, self.order = rows, order
-        if rows is None:
-            arr, d = np.asarray(elements, dtype=self._dtype()).reshape(-1, self.dim**2), self.dim
-            numbered = [_numbering(arr[:, i * d : i * d + d], self.ring.modulus) for i in range(d)]
-            self.rows = _RowIds([c for c, _ in numbered], [[r for _, r in numbered]])
-            self.order = len(arr)
+        self.columns, self.batches, self.order = columns, batches, order
 
     @property
     def ring(self) -> ResidueRing:
@@ -291,43 +234,59 @@ class MatrixGroup:
     def dim(self) -> int:
         return self.space.dim
 
-    def _dtype(self):
-        return _storage_dtype(self.ring.modulus, self.dim)
+    def _slices(self) -> Iterator[list]:
+        """The batches cut into slices of ``_BATCH`` elements, in order;
+        an empty batch gives one empty slice."""
+        for ids in self.batches():
+            for s in range(0, max(len(ids[0]), 1), _BATCH):
+                yield [r[s : s + _BATCH] for r in ids]
 
-    @property
-    def array(self) -> np.ndarray:
-        """All elements, in element order, as one read-only (order, d*d)
-        array in the storage dtype, decoded and joined afresh on each read."""
-        arr, pos = np.empty((self.order, self.dim**2), dtype=self._dtype()), 0
-        for block in self.blocks():
-            arr[pos : pos + len(block)] = block
-            pos += len(block)
-        arr.flags.writeable = False
-        return arr
+    def _decode(self, ids) -> np.ndarray:
+        """The row-major elements whose row ids are ``ids``: row i of each is
+        one gather from ``columns[i]``."""
+        # a (d*d, count) array read transposed
+        return np.concatenate([c.take(r, axis=1) for c, r in zip(self.columns, ids)]).T
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The elements in element order, decoded from the row ids on each
         call, in consecutive blocks of at most ``_BATCH`` rows, at least one."""
-        return map(self.rows.decode, self.rows.slices())
+        return map(self._decode, self._slices())
 
-    def __iter__(self) -> Iterator[MatrixMod]:
-        for block in self.blocks():
-            for row in block:
-                yield MatrixMod.from_flat(self.ring, self.dim, row.tolist())
+    def _scan(self, masks: list) -> list:
+        """The row ids, as one batch, of the elements whose row i passes
+        ``masks[i]``, a mask over the vectors of ``columns[i]``, for every
+        i, in element order.  A batch keeps them gathered most selective row
+        first, each over the survivors of the ones before; a row whose mask
+        is all true is skipped, unless every row's is, and a mask with no
+        true entry ends the scan at once.  Nothing is decoded."""
+        by_pass = sorted(range(len(masks)), key=lambda i: masks[i].sum() / max(len(masks[i]), 1))
+        picked = [i for i in by_pass if not masks[i].all()] or by_pass[:1]
+        kept = []
+        for ids in self.batches() if masks[picked[0]].any() else ():
+            index = np.flatnonzero(masks[picked[0]].take(ids[picked[0]]))
+            for i in picked[1:]:
+                index = index[masks[i].take(ids[i].take(index))]
+            if len(index):
+                kept.append([r.take(index) for r in ids])
+        if not kept:
+            return [np.zeros(0, dtype=np.uint8) for _ in masks]
+        return [np.concatenate(parts) for parts in zip(*kept)]
 
     def __contains__(self, M: MatrixMod) -> bool:
         """Whether ``M`` is an element; False for a matrix over another ring
-        or of another size, as ``MatrixMod.__eq__`` decides."""
+        or of another size, as ``MatrixMod.__eq__`` decides.  One scan of
+        the row ids, with the mask of the vectors equal to each row of M."""
         if not isinstance(M, MatrixMod) or M.ring != self.ring or M.dim != self.dim:
             return False
-        row = np.array(M.flat(), dtype=self._dtype())
-        return any((block == row).all(axis=1).any() for block in self.blocks())
+        pairs = zip(self.columns, M.rows)
+        masks = [(c.T == np.array(row, dtype=c.dtype)).all(axis=1) for c, row in pairs]
+        return len(self._scan(masks)[0]) > 0
 
-    def multipliers(self) -> tuple[int, ...]:
-        """Multiplier of every element, in element order."""
-        return tuple(self._multiplier_values().tolist())
-
-    def _multiplier_values(self) -> np.ndarray:
+    def multiplier_image(self) -> np.ndarray:
+        """The distinct multipliers, ascending, as a read-only array in the
+        kernel dtype (int64, or object past the guard), not the storage
+        dtype, so reducing it mod l^m needs no widening.  Scans every
+        element on each call, one block widened at a time."""
         mod, d = self.ring.modulus, self.dim
         rows = self.space.form.rows
         i, j = self.space.unit_entry
@@ -335,18 +294,11 @@ class MatrixGroup:
         inv = self.ring.inverse(rows[i][j])
         values = []
         for block in self.blocks():
-            # (M^T psi M)[i,j] = col_i(M)^T psi col_j(M), one block widened at a time
+            # (M^T psi M)[i,j] = col_i(M)^T psi col_j(M)
             M = block.astype(psi.dtype, copy=False).reshape(-1, d, d)
             left = M[:, :, i] @ psi % mod
             values.append((left * M[:, :, j]).sum(axis=1) % mod * inv % mod)
-        return np.concatenate(values)
-
-    def multiplier_image(self) -> np.ndarray:
-        """The distinct multipliers, ascending, as a read-only array in the
-        kernel dtype (int64, or object past the guard), not the storage
-        dtype, so reducing it mod l^m needs no widening.  Scans every
-        element on each call."""
-        image = _distinct(self._multiplier_values())
+        image = _distinct(np.concatenate(values))
         image.flags.writeable = False
         return image
 
@@ -367,11 +319,11 @@ class MatrixGroup:
         p = self.ring.ell ** level
         stored = _storage_dtype(p, self.dim)
         # the remainder is taken in the storage dtype, which holds p below the top level
-        reduced = [_mod(c, p).astype(stored, copy=False) for c in self.rows.columns]
+        reduced = [_mod(c, p).astype(stored, copy=False) for c in self.columns]
         numbered = [_numbering(c.T, p) for c in reduced]
         columns, renumber = [c for c, _ in numbered], [r for _, r in numbered]
         size, dtype, weights = _mixed_radix([c.shape[1] for c in columns])
-        slices = ([m.take(r) for m, r in zip(renumber, ids)] for ids in self.rows.slices())
+        slices = ([m.take(r) for m, r in zip(renumber, ids)] for ids in self._slices())
         head = next(slices)
         # the first element is a first occurrence
         kept = [[r[:1] for r in head]]
@@ -384,8 +336,8 @@ class MatrixGroup:
         ring = self.ring.at_level(level)
         space = SymplecticSpace(self.space.g, self.space.form.reduce_level(level), ring)
         gens = tuple(g.reduce_level(level) for g in self.generators)
-        rows = _RowIds(columns, [batch])
-        return MatrixGroup(space, gens, rows=rows, order=count, units=[u % p for u in self.units])
+        units = [u % p for u in self.units]
+        return MatrixGroup(space, gens, columns, [batch].__iter__, count, units)
 
 
 class _SeenTable:
@@ -647,7 +599,7 @@ def close(
     dtype = _storage_dtype(mod, d)
     columns = [np.array(vectors, dtype=dtype).T.copy() for vectors in orbits]
     order = sum(ids.shape[1] for ids in levels)
-    return MatrixGroup(space, generators, rows=_RowIds(columns, levels), order=order, units=units)
+    return MatrixGroup(space, generators, columns, levels.__iter__, order, units)
 
 
 def _check_subgroup(space: SymplecticSpace, H: TorsionSubgroup) -> None:
@@ -663,7 +615,7 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     Fixing a generating set fixes all of H by linearity.  ``_fixing_scan``
     tests G on its row ids, so G is neither decoded nor joined; T keeps
     G's element order and holds the surviving ids over G's columns, decoded
-    only when its ``array`` or ``blocks()`` is read.
+    only when its ``blocks()`` are read.
     """
     if not isinstance(G, MatrixGroup):
         raise TypeError("stabilizer enumeration needs a MatrixGroup")
@@ -684,7 +636,7 @@ def _fixing_tests(G: MatrixGroup, conditions) -> list:
     p (``_mod`` needs p in the dtype), or object dtype when G is stored so;
     p is 0 when the bound is below it, so that ``_mod`` is skipped.
     """
-    top, stored = G.ring.modulus - 1, G._dtype()
+    top, stored = G.ring.modulus - 1, _storage_dtype(G.ring.modulus, G.dim)
     tests = []
     for p, vectors in conditions:
         for v in vectors:
@@ -711,13 +663,16 @@ def _passes(rows: np.ndarray, terms, target: int, p: int, acc) -> np.ndarray:
 
 def _fixing_scan(G: MatrixGroup, conditions) -> MatrixGroup:
     """The subgroup of the elements M of G with M v = v mod p for every
-    vector v of every (p, vectors) pair in ``conditions``.  The tests
-    (``_fixing_tests``) are built once and run on G's row ids
-    (``_RowIds.scan``), for every group alike; the subgroup holds the
-    surviving ids over G's columns, in G's element order."""
-    rows = G.rows.scan(_fixing_tests(G, conditions))
-    (batch,) = rows.batches()
-    return MatrixGroup(G.space, (), rows=rows, order=len(batch[0]))
+    vector v of every (p, vectors) pair in ``conditions``.  A test
+    (``_fixing_tests``) on row i reads only row i, one of the vectors of
+    G's ``columns[i]``, so each runs once over those vectors, giving each
+    row a mask for ``MatrixGroup._scan``; the subgroup holds the surviving
+    ids over G's columns, in G's element order."""
+    masks = [np.ones(c.shape[1], dtype=bool) for c in G.columns]
+    for i, *test in _fixing_tests(G, conditions):
+        masks[i] &= _passes(G.columns[i].T, *test)
+    batch = G._scan(masks)
+    return MatrixGroup(G.space, (), G.columns, [batch].__iter__, len(batch[0]))
 
 
 def gl2_order(ell: int, level: int = 1) -> int:
@@ -881,7 +836,7 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         d[j], d[n2 - 1 - j] = r, ring.inverse(r)
         gens.append(MatrixMod.diagonal(ring, d))
     gens.append(MatrixMod.diagonal(ring, [1] * g + [r] * g))
-    G = MatrixGroup(space, gens, rows=_RowIds(columns, batches), order=count)
+    G = MatrixGroup(space, gens, columns, batches, count)
     H = subgroup_from_generators([(1,) * n2], ring)
     return G, H
 
@@ -941,7 +896,7 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
             yield [first, partners.take(lines, axis=0).ravel()]
 
     gens = gl2_standard_generators(ring) if ell != 2 else ()
-    return MatrixGroup(space, gens, rows=_RowIds([columns, columns], batches), order=count)
+    return MatrixGroup(space, gens, [columns, columns], batches, count)
 
 
 def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
@@ -965,19 +920,18 @@ def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         [0, 0, -1 % m, 0],
     ]
     space = SymplecticSpace(2, MatrixMod(ring, rows), ring)
-    P = gl2.rows.columns[0]
+    P = gl2.columns[0]
     first, second = (np.zeros((4, P.shape[1]), dtype=_storage_dtype(m, 4)) for _ in range(2))
     first[:2], second[2:] = P, P
 
     def batches():
-        return ([i, j, i, j] for i, j in gl2.rows.batches())
+        return ([i, j, i, j] for i, j in gl2.batches())
 
-    ids = _RowIds([first, first, second, second], batches)
     gens = [
         MatrixMod(ring, [[*row, 0, 0] for row in x.rows] + [[0, 0, *row] for row in x.rows])
         for x in gl2.generators
     ]
-    G = MatrixGroup(space, gens, rows=ids, order=gl2.order)
+    G = MatrixGroup(space, gens, [first, first, second, second], batches, gl2.order)
     H = subgroup_from_generators([(1, 0, 0, 1)], ring)
     return G, H
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .galois_model import (
     CapExceeded,
@@ -22,7 +20,7 @@ from .galois_model import (
     DEFAULT_CAP,
     _primitive_root,
     degree_report,
-    gl2_group,
+    gl2_group,  # perfbench's tracer wraps this binding (layers.REQUIRED_ALIASES)
     gl2_order,
 )
 from .modring import MatrixMod, NotInvertible, ResidueRing
@@ -71,11 +69,6 @@ def lagrangian_H(ell: int) -> TorsionSubgroup:
     return subgroup_from_generators(gens, _ring(ell))
 
 
-def _gl2_array(ell: int) -> np.ndarray:
-    # widened: the oracle subtracts and multiplies entries, and unsigned storage wraps
-    return gl2_group(_ring(ell)).array.astype(np.int64).reshape(-1, 2, 2)
-
-
 def pointwise_stabilizer_in_image(ell: int, cap: int = DEFAULT_CAP) -> list[MatrixMod]:
     """All image elements rho(a,b,c) fixing e111, e122, e212, e221 pointwise.
 
@@ -107,47 +100,11 @@ def pointwise_stabilizer_in_image(ell: int, cap: int = DEFAULT_CAP) -> list[Matr
     return sorted(found, key=MatrixMod.flat)
 
 
-def stabilizer_brute_force(ell: int, cap: int = 200_000_000) -> list[MatrixMod]:
-    """Reference search: scan every canonical triple for the fixing property."""
-    ring = _ring(ell)
-    C = _gl2_array(ell)
-    # canonical a and b: first nonzero entry (row-major) is 1
-    A = C[(C[:, 0, 0] == 1) | ((C[:, 0, 0] == 0) & (C[:, 0, 1] == 1))]
-    if len(A) * len(A) * len(C) > cap:
-        raise CapExceeded("brute-force scan too large")
-    targets = []
-    for (i, j, k) in _FIX_TARGETS:
-        t = np.zeros((2, 2, 2), dtype=np.int64)
-        t[i, j, k] = 1
-        targets.append(((i, j, k), t))
-    found = set()
-    for a in A:
-        for b in A:
-            mask = np.ones(len(C), dtype=bool)
-            for (i, j, k), t in targets:
-                u, v, W = a[:, i], b[:, j], C[:, :, k]
-                lhs = np.einsum("p,q,nr->npqr", u, v, W)
-                mask &= (((lhs - t[None]) % ell) == 0).all(axis=(1, 2, 3))
-                if not mask.any():
-                    break
-            for ic in np.nonzero(mask)[0]:
-                R = rho(
-                    MatrixMod(ring, a.tolist()),
-                    MatrixMod(ring, b.tolist()),
-                    MatrixMod(ring, C[ic].tolist()),
-                )
-                found.add(R.flat())
-    return [MatrixMod.from_flat(ring, 8, f) for f in sorted(found)]
-
-
-def image_order(ell: int, cap: Optional[int] = None) -> int:
+def image_order(ell: int) -> int:
     """|image| = (|GL2|/(l-1))^2 * |GL2|: each fiber of rho is one scalar orbit
     {(la a, mu b, nu c) : la mu nu = 1}, of (l-1)^2 triples."""
     n = gl2_order(ell)
-    value = (n // (ell - 1)) ** 2 * n
-    if cap is not None and value > cap:
-        raise CapExceeded(f"tensor-cube image exceeds cap={cap}: {value} elements at l={ell}")
-    return value
+    return (n // (ell - 1)) ** 2 * n
 
 
 @dataclass(frozen=True)

@@ -108,18 +108,27 @@ def table_adds(monkeypatch) -> list:
     return levels
 
 
-def spy_joins(monkeypatch) -> list:
-    """Spy on ``MatrixGroup.array``: the returned list gets the group of
-    every read, one entry per read, as each read decodes and joins the
-    group's rows afresh."""
-    joined, real = [], gm.MatrixGroup.array
+def spy_decodes(monkeypatch) -> list:
+    """Spy on ``MatrixGroup._decode``, the one place a group's elements are
+    decoded from its row ids: the returned list gets a (group, element
+    count) pair for every call."""
+    decoded, real = [], gm.MatrixGroup._decode
 
-    def spy(self):
-        joined.append(self)
-        return real.fget(self)
+    def spy(self, ids):
+        decoded.append((self, len(ids[0])))
+        return real(self, ids)
 
-    monkeypatch.setattr(gm.MatrixGroup, "array", property(spy))
-    return joined
+    monkeypatch.setattr(gm.MatrixGroup, "_decode", spy)
+    return decoded
+
+
+def per_group(decoded) -> list:
+    """The (group, elements decoded) totals of a ``spy_decodes`` list, in
+    the order of each group's first decode."""
+    totals = {}
+    for X, n in decoded:
+        totals[X] = totals.get(X, 0) + n
+    return list(totals.items())
 
 
 def spy_keys(monkeypatch) -> list:

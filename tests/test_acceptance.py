@@ -26,6 +26,7 @@ from gspimage.symplectic import (
 from gspimage.torsion import subgroup_from_generators
 
 from conftest import random_similitude, random_subgroup, tensor_generators
+from oracles import elements
 from test_symplectic import TENSOR3_FORM
 
 
@@ -265,7 +266,7 @@ def test_criterion_9_index_shadow_and_tower_identities():
             ambient_dim=G.dim,
         )
         T2 = gm.stabilizer(G, bigger)
-        assert set(map(tuple, T2.array.tolist())) <= set(map(tuple, T.array.tolist()))
+        assert set(map(tuple, elements(T2).tolist())) <= set(map(tuple, elements(T).tolist()))
         assert gm.build_degree_report(G, bigger).deg_KH % deg == 0
         if ring.level == 2:
             piC = G.reduce_level(1)

@@ -15,7 +15,8 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import standard_form
 from gspimage.torsion import subgroup_from_generators
 
-from conftest import spy_joins
+from conftest import spy_decodes
+from oracles import elements, numbered
 from test_closure import reference_close
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -130,16 +131,16 @@ def _streamed_groups():
     signed = gm.close(
         standard_form(1, big), [MatrixMod(big, [[m - 1, 0], [0, 1]]), MatrixMod(big, [[0, 1], [1, 0]])]
     )
-    empty = gm.MatrixGroup(standard_form(1, ring), (), [])
+    empty = numbered(standard_form(1, ring), [])
     return [G, T, gm.scenario_cm(2, 5, 2)[0], signed, empty]
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, gm._BATCH])
 def test_streamed_blocks_print_the_bytes_of_the_plain_list(monkeypatch, batch):
     monkeypatch.setattr(gm, "_BATCH", batch)
-    joined = spy_joins(monkeypatch)
+    decoded = spy_decodes(monkeypatch)
     groups = _streamed_groups()
-    assert joined == []
+    assert decoded == []  # building and scanning decode nothing
 
     def doc(elements):
         reports = [{"ell": 3, "stabilizer_size": G.order, "stabilizer_elements": e}
@@ -148,9 +149,11 @@ def test_streamed_blocks_print_the_bytes_of_the_plain_list(monkeypatch, batch):
 
     blocks = [len(b) for G in groups for b in G.blocks() if len(b)]
     assert max(blocks) <= batch and (batch > 7 or len(blocks) > len(groups))
+    decoded.clear()
     text, writes = _written(doc([G.blocks() for G in groups]))
-    assert joined == []
-    assert text == json.dumps(doc([G.array.tolist() for G in groups]), indent=2) + "\n"
+    # the writer decodes each element once, and joins no group
+    assert sum(n for _, n in decoded) == sum(G.order for G in groups)
+    assert text == json.dumps(doc([elements(G).tolist() for G in groups]), indent=2) + "\n"
     # one write a block, as it is formatted, and one for the rest
     assert writes == len(blocks) + 1
 
@@ -158,7 +161,7 @@ def test_streamed_blocks_print_the_bytes_of_the_plain_list(monkeypatch, batch):
 def test_stabilizer_joins_no_group_and_writes_its_out_file_as_stdout(tmp_path, capsys, monkeypatch):
     # T = G: the cm torus at 5^3 (10^6 elements) and the closure of GL2(Z/27)
     # (314,928, in 77 blocks), the first only counted, the second printed
-    joined = spy_joins(monkeypatch)
+    decoded = spy_decodes(monkeypatch)
     code, out, err = run_cli(
         capsys, "stabilizer", "cm", "--g", "2", "--ell", "5", "--level", "3", "--H", "[[0,0,0,0]]"
     )
@@ -177,7 +180,8 @@ def test_stabilizer_joins_no_group_and_writes_its_out_file_as_stdout(tmp_path, c
     target = tmp_path / "T.json"
     assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
     assert target.read_bytes() == out.encode()
-    assert joined == []
+    # the torus is not decoded, and each print decodes each element once
+    assert sum(n for _, n in decoded) == 2 * order
 
 
 def test_sweep_summary(capsys):

