@@ -168,30 +168,69 @@ def _numbering(vectors: np.ndarray, mod: int) -> tuple[np.ndarray, np.ndarray]:
     return vectors[first].T.copy(), ids.reshape(-1).astype(_unsigned_dtype(max(len(first) - 1, 0)))
 
 
+def _every(columns) -> list:
+    """The masks that every vector of ``columns`` passes, one per row: under
+    them a group's ``batches`` is its full enumeration."""
+    return [np.ones(c.shape[1], dtype=bool) for c in columns]
+
+
+def _stored(batches: list):
+    """The ``batches`` of a group kept as lists of row ids, one id array per
+    row, in element order.  Under given masks each batch's passing ids are
+    gathered most selective row first, each row over the survivors of the
+    ones before; a row whose mask is all true is skipped, a batch left
+    empty is not yielded, and a mask with no true entry yields nothing.
+    Under masks that every vector passes it yields ``batches`` themselves."""
+
+    def source(masks):
+        picked = [i for i, m in enumerate(masks) if not m.all()]
+        picked.sort(key=lambda i: masks[i].mean())
+        if not picked:
+            yield from batches
+        elif masks[picked[0]].any():
+            for ids in batches:
+                index = np.flatnonzero(masks[picked[0]].take(ids[picked[0]]))
+                for i in picked[1:]:
+                    index = index[masks[i].take(ids[i].take(index))]
+                if len(index):
+                    yield [r.take(index) for r in ids]
+
+    return source
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The index runs ``starts[t] .. starts[t] + lengths[t] - 1``, joined in
+    order of t."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
 class MatrixGroup:
     """A finite group of similitudes, in a deterministic element order,
     stored as row ids.
 
     Row i of every element is one of the vectors of ``columns[i]``, a (d,
     n_i) array in the storage dtype with one vector per column, so an
-    element is the tuple of its d row ids.  ``batches()`` yields the
-    elements in element order, one batch at a time: d id arrays of one
-    length, row i's indexing ``columns[i]``.  A batch may share its arrays
-    with other batches and rows; every group has at least one batch, and
-    only an empty group has an empty one.  A builder (``gl2_group``,
-    ``scenario_cm``, ``scenario_selfproduct``) writes its batches afresh on
-    each call; ``close`` keeps its BFS levels, ``stabilizer`` and
-    ``filtered_subgroup`` the surviving ids over their group's columns,
-    ``reduce_level`` its first occurrences' ids over reduced columns.  The
-    ids are all a group keeps of its elements.
+    element is the tuple of its d row ids.  ``batches(masks)`` takes a
+    boolean mask per row over that row's vectors and yields, in element
+    order, the ids of the elements whose every row passes its mask, one
+    batch at a time: d id arrays of one length, row i's indexing
+    ``columns[i]``.  A batch may share its arrays with other batches and
+    rows.  Under masks that every vector passes (``_every``) it is the full
+    enumeration, which has at least one batch, and an empty one only for an
+    empty group.  A builder (``gl2_group``, ``scenario_cm``,
+    ``scenario_selfproduct``) answers from its own parametrization, writing
+    only the passing elements' ids, afresh on each call; stored batches
+    (``close``'s BFS levels, the ids that ``stabilizer``,
+    ``filtered_subgroup`` and ``reduce_level`` keep) are filtered by
+    ``_stored``.  The ids are all a group keeps of its elements.
 
-    Every test on a group is one scan of its ids (``_scan``): a mask per
-    row over that row's vectors, from the fixing test (``_fixing_scan``)
-    or from equality with a matrix's rows (``in``).  ``reduce_level``
-    renumbers the ids too.  ``blocks()`` is the only decode: it gathers the
-    elements from the ids on each call, one row-major matrix per row, in
-    element order and in blocks of at most ``_BATCH`` rows.  Nothing holds
-    a group whole.
+    Every test on a group is one scan (``_scan``): a mask per row, from the
+    fixing test (``_fixing_scan``) or from equality with a matrix's rows
+    (``in``).  ``reduce_level`` renumbers the ids of the full enumeration.
+    ``blocks()`` is the only decode: it gathers the elements from the ids
+    on each call, one row-major matrix per row, in element order and in
+    blocks of at most ``_BATCH`` rows.  Nothing holds a group whole.
 
     Storage is narrow: inside the kernel guard (``_np_batch_ok``) it is the
     smallest unsigned dtype holding a residue mod l^n (uint8 up to 256,
@@ -216,9 +255,10 @@ class MatrixGroup:
     __slots__ = ("space", "generators", "units", "columns", "batches", "order")
 
     def __init__(self, space: SymplecticSpace, generators, columns, batches, order, units=None):
-        """The group of the ``order`` elements whose row ids ``batches()``
-        yields over ``columns``.  ``units``, when given, are the
-        generators' multipliers, already checked."""
+        """The group of the ``order`` elements whose row ids ``batches``
+        yields over ``columns`` under masks that every vector passes.
+        ``units``, when given, are the generators' multipliers, already
+        checked."""
         self.space = space
         self.generators = tuple(generators)
         if units is None:  # raises NotSimilitude on a bad generator
@@ -237,7 +277,7 @@ class MatrixGroup:
     def _slices(self) -> Iterator[list]:
         """The batches cut into slices of ``_BATCH`` elements, in order;
         an empty batch gives one empty slice."""
-        for ids in self.batches():
+        for ids in self.batches(_every(self.columns)):
             for s in range(0, max(len(ids[0]), 1), _BATCH):
                 yield [r[s : s + _BATCH] for r in ids]
 
@@ -255,32 +295,23 @@ class MatrixGroup:
     def _scan(self, masks: list) -> list:
         """The row ids, as one batch, of the elements whose row i passes
         ``masks[i]``, a mask over the vectors of ``columns[i]``, for every
-        i, in element order.  A batch keeps them gathered most selective row
-        first, each over the survivors of the ones before; a row whose mask
-        is all true is skipped, unless every row's is, and a mask with no
-        true entry ends the scan at once.  Nothing is decoded."""
-        by_pass = sorted(range(len(masks)), key=lambda i: masks[i].sum() / max(len(masks[i]), 1))
-        picked = [i for i in by_pass if not masks[i].all()] or by_pass[:1]
-        kept = []
-        for ids in self.batches() if masks[picked[0]].any() else ():
-            index = np.flatnonzero(masks[picked[0]].take(ids[picked[0]]))
-            for i in picked[1:]:
-                index = index[masks[i].take(ids[i].take(index))]
-            if len(index):
-                kept.append([r.take(index) for r in ids])
+        i, in element order: the batches that ``batches(masks)`` yields,
+        joined.  Nothing is decoded."""
+        kept = [ids for ids in self.batches(masks) if len(ids[0])]
         if not kept:
             return [np.zeros(0, dtype=np.uint8) for _ in masks]
         return [np.concatenate(parts) for parts in zip(*kept)]
 
     def __contains__(self, M: MatrixMod) -> bool:
         """Whether ``M`` is an element; False for a matrix over another ring
-        or of another size, as ``MatrixMod.__eq__`` decides.  One scan of
-        the row ids, with the mask of the vectors equal to each row of M."""
+        or of another size, as ``MatrixMod.__eq__`` decides.  A scan of the
+        row ids with the mask of the vectors equal to each row of M, which
+        stops at its first hit: a builder's group yields M's ids alone."""
         if not isinstance(M, MatrixMod) or M.ring != self.ring or M.dim != self.dim:
             return False
         pairs = zip(self.columns, M.rows)
         masks = [(c.T == np.array(row, dtype=c.dtype)).all(axis=1) for c, row in pairs]
-        return len(self._scan(masks)[0]) > 0
+        return any(len(ids[0]) for ids in self.batches(masks))
 
     def multiplier_image(self) -> np.ndarray:
         """The distinct multipliers, ascending, as a read-only array in the
@@ -337,7 +368,7 @@ class MatrixGroup:
         space = SymplecticSpace(self.space.g, self.space.form.reduce_level(level), ring)
         gens = tuple(g.reduce_level(level) for g in self.generators)
         units = [u % p for u in self.units]
-        return MatrixGroup(space, gens, columns, [batch].__iter__, count, units)
+        return MatrixGroup(space, gens, columns, _stored([batch]), count, units)
 
 
 class _SeenTable:
@@ -599,7 +630,7 @@ def close(
     dtype = _storage_dtype(mod, d)
     columns = [np.array(vectors, dtype=dtype).T.copy() for vectors in orbits]
     order = sum(ids.shape[1] for ids in levels)
-    return MatrixGroup(space, generators, columns, levels.__iter__, order, units)
+    return MatrixGroup(space, generators, columns, _stored(levels), order, units)
 
 
 def _check_subgroup(space: SymplecticSpace, H: TorsionSubgroup) -> None:
@@ -668,11 +699,11 @@ def _fixing_scan(G: MatrixGroup, conditions) -> MatrixGroup:
     G's ``columns[i]``, so each runs once over those vectors, giving each
     row a mask for ``MatrixGroup._scan``; the subgroup holds the surviving
     ids over G's columns, in G's element order."""
-    masks = [np.ones(c.shape[1], dtype=bool) for c in G.columns]
+    masks = _every(G.columns)
     for i, *test in _fixing_tests(G, conditions):
         masks[i] &= _passes(G.columns[i].T, *test)
     batch = G._scan(masks)
-    return MatrixGroup(G.space, (), G.columns, [batch].__iter__, len(batch[0]))
+    return MatrixGroup(G.space, (), G.columns, _stored([batch]), len(batch[0]))
 
 
 def gl2_order(ell: int, level: int = 1) -> int:
@@ -791,11 +822,17 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     multiplier and d_{2g+1-i} = lambda / d_i.
 
     Row i takes the values u e_i, u over the units in increasing order, so
-    an entry's id is its unit's index.  A batch holds the k phi^g elements
-    of k consecutive multipliers, k at least 1 and as large as fits in
-    ``_BATCH``: the ids of d_1..d_g are slices of one lexicographic grid,
-    shared by every batch, and those of lambda / d_i are broadcast from a
-    k x phi table of the batch's ratios (``searchsorted`` on the units).
+    an entry's id is its unit's index.  Under the scan's masks the rows
+    pair up: for each multiplier lambda and each i, the d_i kept are those
+    whose row i passes its mask and whose partner lambda / d_i passes row
+    2g+1-i's, found from row i's passing units (``searchsorted`` on the
+    units gives each candidate's partner).  The
+    elements of lambda are the lexicographic product of those lists.  A
+    batch holds k consecutive multipliers, k at least 1 and as large as
+    fits in ``_BATCH`` elements of the product of the candidate counts, so
+    the ratios computed and the ids written are bounded by the candidates,
+    never by a phi x phi table; under masks that every unit passes, a batch
+    holds k multipliers' phi^g elements.
     """
     if ell == 2:
         raise ValueError("ell must be odd")
@@ -817,17 +854,34 @@ def scenario_cm(g: int, ell: int, level: int = 1, cap: int = DEFAULT_CAP):
         c[i] = units
     ids = _unsigned_dtype(phi - 1)
 
-    def batches():
-        k = max(1, _BATCH // phi**g)
-        # the d_i ids of k multipliers' elements: axis 0 for lambda, axis i for d_i
-        grid = np.indices((k,) + (phi,) * g, dtype=ids)[1:].reshape(g, -1)
-        # row 2g + 1 - i holds lambda / d_i: the ratio table on axes 0 and i
-        axes = [[-1] + [phi if t == i else 1 for t in range(1, g + 1)] for i in range(g, 0, -1)]
-        for a in range(0, phi, k):
-            ratio = np.searchsorted(units, units[a : a + k, None] * inv % mod).astype(ids)
-            shape = (len(ratio),) + (phi,) * g
-            ratios = [np.broadcast_to(ratio.reshape(s), shape).ravel() for s in axes]
-            yield [x[: math.prod(shape)] for x in grid] + ratios
+    def batches(masks):
+        # pair t: rows t and n2 - 1 - t, holding d_(t+1) and lambda / d_(t+1);
+        # the candidates are row t's passing units, in increasing order
+        pairs = [(np.flatnonzero(masks[t]), masks[n2 - 1 - t]) for t in range(g)]
+        size = math.prod(len(cand) for cand, _ in pairs)
+        if not size:
+            return
+        k = max(1, _BATCH // size)
+        for lo in range(0, phi, k):
+            lams = units[lo : lo + k]
+            lists = []  # per pair: each lambda's kept count, and the kept d and ratio ids
+            for cand, other in pairs:
+                partner = np.searchsorted(units, lams[:, None] * inv.take(cand) % mod)
+                at, col = np.nonzero(other.take(partner))
+                d, r = cand.take(col), partner[at, col]
+                lists.append((np.bincount(at, minlength=len(lams)), d.astype(ids), r.astype(ids)))
+            # the lexicographic product, one pair at a time: each element so
+            # far is repeated once per d of the next pair its multiplier keeps
+            lam_of, out = np.arange(len(lams)), [None] * n2
+            for t, (n, d, r) in enumerate(lists):
+                width = n.take(lam_of)
+                pos = _runs((np.cumsum(n) - n).take(lam_of), width)
+                lam_of = lam_of.repeat(width)
+                for row in [*range(t), *range(n2 - t, n2)]:
+                    out[row] = out[row].repeat(width)
+                out[t], out[n2 - 1 - t] = d.take(pos), r.take(pos)
+            if len(lam_of):
+                yield out
 
     r = _primitive_root(ring)
     gens = []
@@ -869,8 +923,11 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
     determinant, in order of (i, j).  The determinant is a unit exactly when
     P[j] mod l is off the line through P[i] mod l, so the partners j of an
     i depend only on that line and are listed once for each of the l + 1
-    lines, all of one length.  A batch holds the elements of k consecutive
-    i, k at least 1 and as large as fits in ``_BATCH``.
+    lines, all of one length.  Under the scan's masks each line's partners
+    are filtered once by row 1's mask, and the i kept are those passing row
+    0's mask whose line keeps a partner.  A batch holds the elements of k
+    consecutive kept i, k at least 1 and as large as fits in ``_BATCH`` at
+    the most partners a line keeps.
     """
     ell, n, mod = ring.ell, ring.level, ring.modulus
     count = gl2_order(ell, n)
@@ -887,13 +944,17 @@ def gl2_group(ring: ResidueRing, cap: int = DEFAULT_CAP) -> MatrixGroup:
     partners = np.array([np.flatnonzero(line != t) for t in range(ell + 1)], dtype=ids)
     columns = P.astype(_storage_dtype(mod, 2))
 
-    def batches():
-        m = partners.shape[1]
-        k = max(1, _BATCH // m)
-        for i in range(0, P.shape[1], k):
-            lines = line[i : i + k]
-            first = np.repeat(np.arange(i, i + len(lines), dtype=ids), m)
-            yield [first, partners.take(lines, axis=0).ravel()]
+    def batches(masks):
+        first, second = masks
+        kept = [p[second.take(p)] for p in partners]  # each line's partners passing row 1
+        counts = np.array([len(p) for p in kept])
+        rows = np.flatnonzero(first & (counts.take(line) > 0))
+        k = max(1, _BATCH // max(counts.max(), 1))
+        lines = line.take(rows)
+        rows, widths, lines = rows.astype(ids), counts.take(lines), lines.tolist()
+        for s in range(0, len(rows), k):
+            second_ids = np.concatenate([kept[t] for t in lines[s : s + k]])
+            yield [rows[s : s + k].repeat(widths[s : s + k]), second_ids]
 
     gens = gl2_standard_generators(ring) if ell != 2 else ()
     return MatrixGroup(space, gens, [columns, columns], batches, count)
@@ -907,7 +968,8 @@ def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     Element order: that of ``gl2_group``.  An element of GL2 with row ids
     (i, j) gives the one with row ids (i, j, i, j): rows 0 and 1 take the
     primitive vectors placed in the first block, rows 2 and 3 in the
-    second."""
+    second.  So the scan's masks are GL2's under rows 0 and 2's masks
+    joined, and rows 1 and 3's."""
     if ell == 2:
         raise ValueError("ell must be odd")
     ring = ResidueRing(ell, level)
@@ -924,8 +986,8 @@ def scenario_selfproduct(ell: int, level: int = 1, cap: int = DEFAULT_CAP):
     first, second = (np.zeros((4, P.shape[1]), dtype=_storage_dtype(m, 4)) for _ in range(2))
     first[:2], second[2:] = P, P
 
-    def batches():
-        return ([i, j, i, j] for i, j in gl2.batches())
+    def batches(masks):
+        return ([i, j, i, j] for i, j in gl2.batches([masks[0] & masks[2], masks[1] & masks[3]]))
 
     gens = [
         MatrixMod(ring, [[*row, 0, 0] for row in x.rows] + [[0, 0, *row] for row in x.rows])

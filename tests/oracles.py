@@ -1,6 +1,7 @@
 """Test-only oracles: readers of a group's elements through ``blocks()``,
-a group numbered from an element list, and the brute-force tensor-cube
-stabilizer search.  No command needs any of them."""
+a group numbered from an element list, the scan of a group's full
+enumeration, and the brute-force tensor-cube stabilizer search.  No
+command needs any of them."""
 
 import numpy as np
 
@@ -30,7 +31,25 @@ def numbered(space, rows, generators=()) -> MatrixGroup:
     arr = np.asarray(rows, dtype=dtype).reshape(-1, d * d)
     pairs = [gm._numbering(arr[:, i * d : i * d + d], space.ring.modulus) for i in range(d)]
     batch = [ids for _, ids in pairs]
-    return MatrixGroup(space, generators, [c for c, _ in pairs], [batch].__iter__, len(arr))
+    return MatrixGroup(space, generators, [c for c, _ in pairs], gm._stored([batch]), len(arr))
+
+
+def reference_scan(G, masks) -> list:
+    """The row ids, as one batch, of G's elements whose row i passes
+    ``masks[i]`` for every i, in element order: the full enumeration
+    (``G.batches`` under masks every vector passes) filtered batch by batch
+    on every row at once.  Row ids of uint8 when no element passes, as
+    ``MatrixGroup._scan`` gives them."""
+    kept = []
+    for ids in G.batches(gm._every(G.columns)):
+        keep = np.ones(len(ids[0]), dtype=bool)
+        for mask, r in zip(masks, ids):
+            keep &= mask.take(r)
+        if keep.any():
+            kept.append([r[keep] for r in ids])
+    if not kept:
+        return [np.zeros(0, dtype=np.uint8) for _ in masks]
+    return [np.concatenate(parts) for parts in zip(*kept)]
 
 
 def _gl2_array(ell: int) -> np.ndarray:

@@ -434,7 +434,8 @@ def test_closure_stabilizer_on_row_ids_matches_joined_scan_and_matrixmod_filter(
     with pytest.MonkeyPatch.context() as mp:
         decoded = spy_decodes(mp)
         # stored as row ids: one id array per row in each batch, the BFS levels
-        assert len(G.columns) == d and all(len(ids) == d for ids in G.batches())
+        levels = G.batches(gm._every(G.columns))
+        assert len(G.columns) == d and all(len(ids) == d for ids in levels)
         assert (elements(joined).dtype == object) == (level == 20 and ell > 2)
         # read through blocks: a trivial H gives back G itself
         T = [tuple(row) for block in gm.stabilizer(G, H).blocks() for row in block.tolist()]
@@ -463,7 +464,8 @@ def test_closure_stabilizer_decodes_only_its_elements(monkeypatch):
     # elements take 1.2 MiB decoded, 4 bytes each; beyond the stored levels
     # the scan holds one level's mask gather and its index cast to intp, 9
     # bytes a point of the largest level.  The built cm torus and
-    # self-product are scanned the same way: their T is the identity alone
+    # self-product answer the scan from their parametrization: their T is
+    # the identity alone
     ring = ResidueRing(3, 3)
     G = close(standard_form(1, ring), gl2_standard_generators(ring))
     H = subgroup_from_generators([(1, 0)], ring)
@@ -476,7 +478,7 @@ def test_closure_stabilizer_decodes_only_its_elements(monkeypatch):
         tracemalloc.stop()
     assert T.order == 486 and decoded == []
     assert len(elements(T)) == sum(n for _, n in decoded) == 486
-    largest = max(len(ids[0]) for ids in G.batches())
+    largest = max(len(ids[0]) for ids in G.batches(gm._every(G.columns)))
     assert largest == 42708
     assert peak < 10 * largest < G.order * 4 // 2
     assert all(X is T for X, _ in decoded)  # G is not decoded
@@ -509,7 +511,7 @@ def test_bfs_checks_each_level_against_the_byte_budget(monkeypatch):
     monkeypatch.setattr(gm, "_LEVEL_BYTES", 491_520)
     G = close(S, gens)
     assert G.order == gm.gl2_order(3, 3)
-    widths = [len(ids[0]) for ids in G.batches()]
+    widths = [len(ids[0]) for ids in G.batches(gm._every(G.columns))]
     assert gm._BATCH == 4096 and widths[8] <= 4096 < widths[9] == 7635
     assert batches == [3 * min(w - at, 4096) for w in widths for at in range(0, w, 4096)]
     assert max(batches) * 40 == 491_520 and batches.index(max(batches)) == 9
@@ -549,7 +551,7 @@ def test_close_holds_one_add_beyond_its_levels_and_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(ids.nbytes for ids in G.batches()) + 648**2 * 4
+    kept = sum(ids.nbytes for ids in G.batches(gm._every(G.columns))) + 648**2 * 4
     assert kept == 2 * 2 * G.order + 1_679_616
     assert 0 < peak - kept < 40 * gm._BATCH * len(gens) == 491_520
 

@@ -30,7 +30,7 @@ from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
 from conftest import per_group, seen_set_strategies, spy_decodes
-from oracles import elements, matrices, numbered
+from oracles import elements, matrices, numbered, reference_scan
 from test_closure import CASES
 
 # (ell, level) -> storage dtype of a group of 2x2 matrices
@@ -626,3 +626,92 @@ def test_block_scans_of_unjoined_groups_match_joined_and_matrixmod_scans(data):
         assert G.multiplier_image().tolist() == copy.multiplier_image().tolist() == lambdas
         # G is decoded once by multiplier_image, and once more where T is G
         assert dict(per_group(decoded))[G] == G.order * (2 if H1.is_trivial() else 1)
+
+
+def _masks(data, G):
+    """Masks over G's row vectors, drawn: every vector passing, none, one
+    vector per row (an element's rows, or any), or each vector at random
+    with a drawn density."""
+    sizes = [c.shape[1] for c in G.columns]
+    kind = data.draw(st.sampled_from(["all", "none", "element", "single", "random"]))
+    if kind in ("all", "none"):
+        return [np.full(n, kind == "all") for n in sizes]
+    if kind == "element" and G.order:
+        at = data.draw(st.integers(0, G.order - 1))
+        picks = [int(r[at]) for r in reference_scan(G, gm._every(G.columns))]
+    else:
+        picks = [data.draw(st.integers(0, max(n - 1, 0))) for n in sizes]
+    if kind in ("element", "single"):
+        return [np.arange(n) == i for n, i in zip(sizes, picks)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    density = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return [rng.random(n) < density for n in sizes]
+
+
+@pytest.mark.parametrize("case", range(len(BUILT)))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pruned_scans_match_the_reference_scan(case, data):
+    # every builder answers a scan from its own parametrization; the
+    # reference filters its full enumeration.  Ids, order and dtypes agree
+    # at the default _BATCH and at 7, where a batch splits one multiplier
+    # of the cm torus and the partners of one GL2 first row
+    build, args = BUILT[case]
+    masks = None
+    for batch in (gm._BATCH, 7):
+        with mock.patch.object(gm, "_BATCH", batch):
+            G = build(*args)
+            G = G[0] if isinstance(G, tuple) else G
+            masks = masks or _masks(data, G)
+            got, want = G._scan(masks), reference_scan(G, masks)
+        assert [r.tolist() for r in got] == [r.tolist() for r in want]
+        assert [r.dtype for r in got] == [r.dtype for r in want]
+        # membership stops at the first batch with a hit
+        assert any(len(ids[0]) for ids in G.batches(masks)) is (len(want[0]) > 0)
+
+
+def _spy_batches(G) -> list:
+    """Spy on G's batch source: the returned list gets, for every call,
+    whether its masks pass every vector (the full enumeration) and the
+    length of each batch it yields."""
+    calls, real = [], G.batches
+
+    def spy(masks):
+        calls.append((all(m.all() for m in masks), []))
+        for ids in real(masks):
+            calls[-1][1].append(len(ids[0]))
+            yield ids
+
+    G.batches = spy
+    return calls
+
+
+def test_membership_on_a_built_group_never_runs_its_full_enumeration():
+    # the cm torus at l^n = 125 answers M in G from M's rows: each row's
+    # mask passes one unit, so one element is written, or none
+    G, _ = gm.scenario_cm(2, 5, 3)
+    R = G.ring
+    calls = _spy_batches(G)
+    assert MatrixMod.identity(R, 4) in G
+    assert calls == [(False, [1])]
+    # rows 0-2 of the identity and row 3 of diag(1, 1, 2, 2): every row is
+    # a row of a member, but d_1 d_4 = 2 and d_2 d_3 = 1
+    crossed = MatrixMod.diagonal(R, [1, 1, 1, 2])
+    assert MatrixMod.diagonal(R, [1, 1, 2, 2]) in G and crossed not in G
+    assert calls[1:] == [(False, [1]), (False, [])]
+
+
+def test_pruned_cm_scan_near_the_cap_allocates_nothing_group_sized():
+    # at g = 1 and l = 3001 the torus has phi^2 = 9 * 10^6 elements, its
+    # row ids take 36 MB and a phi x phi ratio table 9 * 10^6 entries.  The
+    # stabilizer of H = <(1, 1)> and a membership write one element each,
+    # from ratios of the 3000 multipliers' one candidate
+    G, H = gm.scenario_cm(1, 3001)
+    assert G.order == 3000**2 <= gm.DEFAULT_CAP
+    calls = _spy_batches(G)
+    T, peak = _peak_bytes(lambda: stabilizer(G, H))
+    assert elements(T).tolist() == [[1, 0, 0, 1]]
+    assert peak < 2**20
+    found, peak = _peak_bytes(lambda: MatrixMod.diagonal(G.ring, [5, 7]) in G)
+    assert found and peak < 2**20
+    assert calls == [(False, [1]), (False, [1])]
