@@ -227,7 +227,8 @@ class MatrixGroup:
 
     Every test on a group is one scan (``_scan``): a mask per row, from the
     fixing test (``_fixing_scan``) or from equality with a matrix's rows
-    (``in``).  ``reduce_level`` renumbers the ids of the full enumeration.
+    (``in``).  ``reduce_level`` counts its kernel with one fixing scan, then
+    renumbers the ids of the full enumeration until its image is complete.
     ``blocks()`` is the only decode: it gathers the elements from the ids
     on each call, one row-major matrix per row, in element order and in
     blocks of at most ``_BATCH`` rows.  Nothing holds a group whole.
@@ -338,16 +339,25 @@ class MatrixGroup:
         order; the group itself at the top level, where its elements are
         already reduced and distinct.
 
-        Each row's vectors are reduced once and renumbered, so an element's
-        image is the tuple of its rows' new ids.  First occurrences are
-        found by the mixed-radix keys of those tuples (``_mixed_radix``,
-        as in ``_bfs``) through ``_seen_set``, one slice of ``_BATCH``
-        elements at a time.  Nothing is decoded or joined."""
+        The image has [G : K] elements, K = {M in G : M = I mod l^level}
+        the kernel, which one ``_fixing_scan`` counts.  Each row's vectors
+        are reduced once and renumbered, so an element's image is the tuple
+        of its rows' new ids.  First occurrences are found by the
+        mixed-radix keys of those tuples (``_mixed_radix``, as in ``_bfs``)
+        through ``_seen_set``, one slice of ``_BATCH`` elements at a time,
+        and the sweep stops at the slice that completes [G : K] of them:
+        the slices left hold no new image.  Nothing is decoded or joined.
+        Raises ValueError when the elements are no group: |K| does not
+        divide |G|, or the sweep ends short of [G : K] images."""
         if not 1 <= level <= self.ring.level:
             raise ValueError(f"can only reduce to a level in 1..{self.ring.level}, got {level}")
         if level == self.ring.level:
             return self
         p = self.ring.ell ** level
+        kernel = _fixing_scan(self, [(p, np.eye(self.dim, dtype=int))]).order
+        target, rest = divmod(self.order, kernel) if kernel else (0, self.order)
+        if rest:
+            raise ValueError(f"not a group: the kernel mod {p} has {kernel} of {self.order} elements")
         stored = _storage_dtype(p, self.dim)
         # the remainder is taken in the storage dtype, which holds p below the top level
         reduced = [_mod(c, p).astype(stored, copy=False) for c in self.columns]
@@ -363,6 +373,10 @@ class MatrixGroup:
             first, _ = seen.add(_radix_keys(ids, weights, dtype), count)
             kept.append([r.take(first) for r in ids])
             count += len(first)
+            if count == target:
+                break
+        if count != target:
+            raise ValueError(f"not a group: {count} images mod {p}, not [G : K] = {target}")
         batch = [np.concatenate(parts) for parts in zip(*kept)]
         ring = self.ring.at_level(level)
         space = SymplecticSpace(self.space.g, self.space.form.reduce_level(level), ring)

@@ -1,7 +1,7 @@
 """Test-only oracles: readers of a group's elements through ``blocks()``,
-a group numbered from an element list, the scan of a group's full
-enumeration, and the brute-force tensor-cube stabilizer search.  No
-command needs any of them."""
+a group numbered from an element list, the reduction and the scan of a
+group's full enumeration, and the brute-force tensor-cube stabilizer
+search.  No command needs any of them."""
 
 import numpy as np
 
@@ -32,6 +32,14 @@ def numbered(space, rows, generators=()) -> MatrixGroup:
     pairs = [gm._numbering(arr[:, i * d : i * d + d], space.ring.modulus) for i in range(d)]
     batch = [ids for _, ids in pairs]
     return MatrixGroup(space, generators, [c for c, _ in pairs], gm._stored([batch]), len(arr))
+
+
+def reference_reduce(G, level) -> list:
+    """G's image mod l^level as row-major tuples of Python ints: every
+    element decoded, reduced, and kept at its first occurrence in element
+    order."""
+    p = G.ring.ell**level
+    return list(dict.fromkeys(map(tuple, (elements(G) % p).tolist())))
 
 
 def reference_scan(G, masks) -> list:

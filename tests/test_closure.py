@@ -28,7 +28,7 @@ from conftest import (
     symplectic_transvection,
     table_adds,
 )
-from oracles import elements, matrices
+from oracles import elements, matrices, reference_reduce
 
 
 def _mul_flat(x: tuple, y: tuple, n: int, m: int) -> tuple:
@@ -675,7 +675,7 @@ def test_multiword_keys_in_group_checks(case, monkeypatch):
     keys = spy_keys(monkeypatch)
     gm._numbering(elements(G)[:1] % p, p)
     assert keys[-1].dtype == object
-    expected = list(dict.fromkeys(M.reduce_level(level).flat() for M in matrices(G)))
+    expected = reference_reduce(G, level)
     for _ in seen_set_strategies(monkeypatch):
         R = G.reduce_level(level)
         assert R.ring.level == level
@@ -712,12 +712,7 @@ def test_object_path_stabilizer_and_reduction_match_scans(monkeypatch):
     assert matrices(F) == [
         M for M in members if all(x % p == v % p for x, v in zip(M.apply((1, 0)), (1, 0)))
     ]
-    seen, expected = set(), []
-    for M in members:
-        f = M.reduce_level(19).flat()
-        if f not in seen:
-            seen.add(f)
-            expected.append(f)
+    expected = reference_reduce(G, 19)
     for _ in seen_set_strategies(monkeypatch):
         R = G.reduce_level(19)
         assert elements(R).dtype == np.uint32  # 3^19 is inside the int64 guard

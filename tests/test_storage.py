@@ -30,7 +30,7 @@ from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
 from conftest import per_group, seen_set_strategies, spy_decodes
-from oracles import elements, matrices, numbered, reference_scan
+from oracles import elements, matrices, numbered, reference_reduce, reference_scan
 from test_closure import CASES
 
 # (ell, level) -> storage dtype of a group of 2x2 matrices
@@ -80,7 +80,7 @@ def test_narrow_kernels_match_matrixmod_scans(ell, level, dtype, monkeypatch):
     p = ring.ell
     F = filtered_subgroup(G, [H], [1])
     assert matrices(F) == [M for M in members if all(x % p == y % p for x, y in zip(M.apply(v), v))]
-    expected = list(dict.fromkeys(M.reduce_level(1).flat() for M in members))
+    expected = reference_reduce(G, 1)
     for _ in seen_set_strategies(monkeypatch):
         R = G.reduce_level(1)
         assert [M.flat() for M in matrices(R)] == expected
@@ -164,7 +164,7 @@ def test_reduction_keeps_first_occurrences_across_key_blocks(monkeypatch):
     # 3888 elements reduce to the 48 of GL2(F_3), their first occurrences
     # spread over many blocks of 7 keys
     G = gm.gl2_group(ResidueRing(3, 2))
-    expected = list(dict.fromkeys(M.reduce_level(1).flat() for M in matrices(G)))
+    expected = reference_reduce(G, 1)
     monkeypatch.setattr(gm, "_BATCH", 7)
     for _ in seen_set_strategies(monkeypatch):
         assert [M.flat() for M in matrices(G.reduce_level(1))] == expected
@@ -715,3 +715,103 @@ def test_pruned_cm_scan_near_the_cap_allocates_nothing_group_sized():
     found, peak = _peak_bytes(lambda: MatrixMod.diagonal(G.ring, [5, 7]) in G)
     assert found and peak < 2**20
     assert calls == [(False, [1]), (False, [1])]
+
+
+# -- level reduction stops at [G : K] images -----------------------------------
+
+
+def _closure_of(ell, level, *generators):
+    """The closure of ``generators`` in GL2(Z/l^level), or of GL2's standard
+    generators when none are given."""
+    S = standard_form(1, ResidueRing(ell, level))
+    gens = [MatrixMod(S.ring, g) for g in generators] or gm.gl2_standard_generators(S.ring)
+    return close(S, gens)
+
+
+# every group of BUILT, the GL2(Z/27) closure, the unipotents [[1, 3k], [0, 1]]
+# over Z/9 (one image mod 3: K is the group) and <diag(-1, 1)> over Z/9
+# (an injective reduction: K is trivial)
+REDUCED = [
+    *BUILT,
+    (_closure_of, (3, 3)),
+    (_closure_of, (3, 2, [[1, 3], [0, 1]])),
+    (_closure_of, (3, 2, [[8, 0], [0, 1]])),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REDUCED)))
+def test_reduction_matches_the_reference_at_every_level(case, monkeypatch):
+    # the sweep stops at [G : K] images; they are the first occurrences of
+    # the whole sweep, in order, at every level below the top, under both
+    # seen sets and in slices of the default _BATCH and of 7
+    build, args = REDUCED[case]
+    G = build(*args)
+    G = G[0] if isinstance(G, tuple) else G
+    identity = np.array(MatrixMod.identity(G.ring, G.dim).flat())
+    for level in range(1, G.ring.level):
+        p = G.ring.ell**level
+        expected = reference_reduce(G, level)
+        kernel = int((elements(G) % p == identity).all(axis=1).sum())
+        for _ in _in_blocks_of_default_and_seven(monkeypatch):
+            for _ in seen_set_strategies(monkeypatch):
+                R = G.reduce_level(level)
+                assert [tuple(row) for row in elements(R).tolist()] == expected
+                assert R.order == len(expected) and R.order * kernel == G.order
+
+
+def _spy_slices(monkeypatch) -> list:
+    """Spy on ``MatrixGroup._slices``: the returned list gets, for every
+    call, the number of slices its reader took."""
+    read, real = [], gm.MatrixGroup._slices
+
+    def spy(self):
+        read.append(0)
+        for ids in real(self):
+            read[-1] += 1
+            yield ids
+
+    monkeypatch.setattr(gm.MatrixGroup, "_slices", spy)
+    return read
+
+
+@pytest.mark.parametrize("family", ["gl2", "cm", "unipotent", "sign"])
+def test_reduction_sweeps_only_until_its_image_is_complete(family, monkeypatch):
+    # GL2(Z/27) -> GL2(F_3) read 6 of its 81 slices when this was written,
+    # and the cm torus at 5^3 -> level 1 read 10 of its 300.  One image
+    # ends the sweep in its first slice; a trivial kernel reads them all
+    G, bound = {
+        "gl2": lambda: (gm.gl2_group(ResidueRing(3, 3)), 12),
+        "cm": lambda: (gm.scenario_cm(2, 5, 3)[0], 20),
+        "unipotent": lambda: (_closure_of(3, 2, [[1, 3], [0, 1]]), 1),
+        "sign": lambda: (_closure_of(3, 2, [[8, 0], [0, 1]]), None),
+    }[family]()
+    total = sum(1 for _ in G._slices())
+    read = _spy_slices(monkeypatch)
+    calls = _spy_batches(G)
+    R = G.reduce_level(1)
+    assert read == [total] if bound is None else len(read) == 1 and read[0] <= bound
+    if family in ("gl2", "cm"):
+        assert read[0] < total and R.order == {"gl2": 48, "cm": 4**3}[family]
+        # the kernel scan asks the builder for masks that pass fewer than
+        # every vector, and only the sweep for its full enumeration, cut short
+        assert [full for full, _ in calls] == [False, True]
+        assert sum(calls[1][1]) < G.order
+
+
+def test_reduction_refuses_a_set_that_is_no_group():
+    # GL2(Z/9) without one element: 3887 elements, and neither the 81 of its
+    # kernel mod 3 nor 80 (the identity dropped) divides 3887
+    G = gm.gl2_group(ResidueRing(3, 2))
+    rows = elements(G).tolist()
+    identity = rows.index([1, 0, 0, 1])
+    for drop in (identity, identity + 1):
+        S = numbered(G.space, rows[:drop] + rows[drop + 1 :])
+        assert S.order == 3887
+        with pytest.raises(ValueError, match="not a group: the kernel mod 3 has 8[01] of 3887"):
+            S.reduce_level(1)
+    # the identity and one coset of the kernel mod 3: |K| = 1 divides the 82
+    # elements, but they reduce to 2 images, not 82
+    coset = [r for r in rows if [x % 3 for x in r] == [2, 0, 0, 1]]
+    S = numbered(G.space, [[1, 0, 0, 1]] + coset)
+    with pytest.raises(ValueError, match=r"not a group: 2 images mod 3, not \[G : K\] = 82"):
+        S.reduce_level(1)
