@@ -11,6 +11,7 @@ import json
 import re
 import sys
 from contextlib import nullcontext
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _ascii
 from types import SimpleNamespace
@@ -452,15 +453,21 @@ def _table_line(d: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in d.items() if k != "stabilizer_elements")
 
 
+@cache
+def _row_template(width: int, pad: str) -> str:
+    """One row of ``width`` ``%d`` fields in ``_int_rows``' layout, built
+    once per (width, pad)."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * width) + pad + "]" if width else "[]"
+
+
 def _int_rows(flat: list, count: int, width: int, pad: str) -> str:
     """``count`` rows of ``width`` ints, given in row-major order as
     ``flat``, as the items of a JSON list indented by ``pad`` (a newline and
-    spaces) in ``json.dumps(indent=2)``'s layout: one row template, repeated
-    and filled by one ``%``.  ``%d`` prints a plain int as ``int.__repr__``
-    does."""
-    inner = pad + "  "
-    row = "[" + inner + ("," + inner).join(["%d"] * width) + pad + "]" if width else "[]"
-    return ("," + pad).join([row] * count) % tuple(flat)
+    spaces) in ``json.dumps(indent=2)``'s layout: one row template
+    (``_row_template``), repeated and filled by one ``%``.  ``%d`` prints a
+    plain int as ``int.__repr__`` does."""
+    return ("," + pad).join([_row_template(width, pad)] * count) % tuple(flat)
 
 
 def _write_json(doc, write) -> None:

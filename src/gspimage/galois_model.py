@@ -66,13 +66,16 @@ def _kernel_dtype(mod: int, dim: int):
     return np.int64 if _np_batch_ok(mod, dim) else object
 
 
+# (dtype, its largest value), narrowest first: the unsigned storage and id
+# dtypes, and the signed key dtypes
+_UNSIGNED_MAX = tuple((t, int(np.iinfo(t).max)) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
+_KEY_MAX = tuple((t, int(np.iinfo(t).max)) for t in (np.int32, np.int64))
+
+
 def _unsigned_dtype(bound: int):
     """The smallest unsigned dtype holding every integer in 0..``bound``,
     object dtype (Python ints) past uint64."""
-    return next(
-        (t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if bound <= np.iinfo(t).max),
-        object,
-    )
+    return next((t for t, top in _UNSIGNED_MAX if bound <= top), object)
 
 
 def _storage_dtype(mod: int, dim: int):
@@ -140,7 +143,7 @@ def _mixed_radix(sizes: list) -> tuple:
     below 2^63, Python ints (object dtype) past it) and the weights that
     read a tuple as one key, first id most significant."""
     space = math.prod(sizes)
-    dtype = next((t for t in (np.int32, np.int64) if space <= np.iinfo(t).max), object)
+    dtype = next((t for t, top in _KEY_MAX if space <= top), object)
     return space, dtype, [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
 
 
@@ -347,8 +350,14 @@ class MatrixGroup:
         through ``_seen_set``, one slice of ``_BATCH`` elements at a time,
         and the sweep stops at the slice that completes [G : K] of them:
         the slices left hold no new image.  Nothing is decoded or joined.
-        Raises ValueError when the elements are no group: |K| does not
-        divide |G|, or the sweep ends short of [G : K] images."""
+
+        The early stop presumes that the elements form a group, as those of
+        every builder and of ``close`` do.  Of sets that are no group it
+        catches only some, with ValueError: where |K| does not divide |G|,
+        or the count of images ends other than at [G : K] (short of it, or
+        past it inside a slice).  A set whose count of images reaches
+        [G : K] at the end of a slice returns those images, possibly fewer
+        than its whole sweep would find."""
         if not 1 <= level <= self.ring.level:
             raise ValueError(f"can only reduce to a level in 1..{self.ring.level}, got {level}")
         if level == self.ring.level:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
-from typing import Iterator, Sequence
+from itertools import compress, repeat
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence
 
 # The primes up to 37: is_prime's trial divisors, and a witness set making
 # Miller-Rabin deterministic for all n < 3.3e24.
@@ -160,6 +161,18 @@ class ResidueRing:
         return ResidueRing(self.ell, level)
 
 
+def _combine(coeffs: Sequence[int], vectors: Iterable[Sequence[int]], m: int, zero: tuple) -> tuple:
+    """``sum(c * v)`` over the pairs of ``coeffs`` and ``vectors`` whose
+    coefficient is nonzero, reduced mod ``m`` once, as a tuple; ``zero``
+    when every coefficient is 0.  A zero coefficient's vector is never read,
+    so a sparse matrix costs a term per nonzero entry, not per entry."""
+    acc = None
+    for c, v in compress(zip(coeffs, vectors), coeffs):
+        term = map(mul, repeat(c), v)
+        acc = term if acc is None else map(add, acc, term)
+    return zero if acc is None else tuple([x % m for x in acc])
+
+
 class MatrixMod:
     """A square matrix over a ResidueRing, stored canonically reduced.
 
@@ -197,8 +210,10 @@ class MatrixMod:
 
     @classmethod
     def diagonal(cls, ring: ResidueRing, entries: Sequence[int]) -> "MatrixMod":
-        n = len(entries)
-        return cls(ring, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        m, zero = ring.modulus, (0,) * len(entries)
+        return cls._of_reduced(
+            ring, tuple([zero[:i] + (int(x) % m,) + zero[i + 1 :] for i, x in enumerate(entries)])
+        )
 
     @classmethod
     def from_flat(cls, ring: ResidueRing, dim: int, flat: Sequence[int]) -> "MatrixMod":
@@ -232,16 +247,18 @@ class MatrixMod:
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "MatrixMod") -> "MatrixMod":
+        """Row i of the product combines the rows of ``other`` picked by the
+        nonzero entries of row i (``_combine``)."""
         self._check_operand(other, "@")
-        m = self.ring.modulus
-        cols = tuple(zip(*other.rows))
+        m, rows = self.ring.modulus, other.rows
+        zero = (0,) * len(rows)
         return MatrixMod._of_reduced(
-            self.ring, tuple([tuple([sum(map(mul, row, col)) % m for col in cols]) for row in self.rows])
+            self.ring, tuple([_combine(row, rows, m, zero) for row in self.rows])
         )
 
     def _check_operand(self, other: "MatrixMod", op: str) -> None:
         """``other`` lives over this ring and has this dimension."""
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed rings")
         if self.dim != other.dim:
             raise ValueError(
@@ -271,11 +288,14 @@ class MatrixMod:
     def kron(self, other: "MatrixMod") -> "MatrixMod":
         """The Kronecker product, entry (i*n + k, j*n + l) = self[i][j] *
         other[k][l] for n = other.dim, on Python ints."""
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed rings")
-        return MatrixMod(
+        m = self.ring.modulus
+        return MatrixMod._of_reduced(
             self.ring,
-            [[x * y for x in arow for y in brow] for arow in self.rows for brow in other.rows],
+            tuple(
+                [tuple([x * y % m for x in arow for y in brow]) for arow in self.rows for brow in other.rows]
+            ),
         )
 
     def scale(self, c: int) -> "MatrixMod":
@@ -285,13 +305,14 @@ class MatrixMod:
         return MatrixMod._of_reduced(self.ring, tuple(zip(*self.rows)))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product, canonical output."""
-        if len(vec) != self.dim:
+        """Matrix-vector product, canonical output: the combination of the
+        columns picked by the nonzero coordinates of ``vec`` (``_combine``)."""
+        rows = self.rows
+        if len(vec) != len(rows):
             raise ValueError(
                 f"dimension mismatch: {self.dim}x{self.dim} applied to a vector of length {len(vec)}"
             )
-        m = self.ring.modulus
-        return tuple([sum(map(mul, row, vec)) % m for row in self.rows])
+        return _combine(vec, zip(*rows), self.ring.modulus, (0,) * len(rows))
 
     # -- invertibility ------------------------------------------------------
 
@@ -353,14 +374,15 @@ def mat_invert(M: MatrixMod) -> MatrixMod:
             a[col], a[piv] = a[piv], a[col]
             inv[col], inv[piv] = inv[piv], inv[col]
         s = pow(a[col][col], -1, m)
-        a[col] = [x * s % m for x in a[col]]
-        inv[col] = [x * s % m for x in inv[col]]
+        if s != 1:
+            a[col] = [x * s % m for x in a[col]]
+            inv[col] = [x * s % m for x in inv[col]]
         for r in range(n):
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [(x - f * y) % m for x, y in zip(a[r], a[col])]
                 inv[r] = [(x - f * y) % m for x, y in zip(inv[r], inv[col])]
-    return MatrixMod(ring, inv)
+    return MatrixMod._of_reduced(ring, tuple(map(tuple, inv)))
 
 
 def _smith_rect(ring: ResidueRing, mat: list[list[int]]):
@@ -384,10 +406,14 @@ def _smith_rect(ring: ResidueRing, mat: list[list[int]]):
         best = None
         bestv = level
         for i in range(k, nr):
+            row = a[i]
             for j in range(k, nc):
-                v = ring.valuation(a[i][j])
-                if v < bestv:
-                    bestv, best = v, (i, j)
+                if row[j]:
+                    v = ring.valuation(row[j])
+                    if v < bestv:
+                        bestv, best = v, (i, j)
+            if bestv == 0:
+                break  # a unit: no later entry has a smaller valuation
         if best is None:
             break  # remaining block is identically zero
         bi, bj = best
@@ -402,8 +428,9 @@ def _smith_rect(ring: ResidueRing, mat: list[list[int]]):
         pe = ell ** bestv
         u = a[k][k] // pe
         s = pow(u, -1, m)
-        a[k] = [x * s % m for x in a[k]]
-        U[k] = [x * s % m for x in U[k]]
+        if s != 1:
+            a[k] = [x * s % m for x in a[k]]
+            U[k] = [x * s % m for x in U[k]]
         for r in range(k + 1, nr):
             if a[r][k]:
                 f = a[r][k] // pe  # exact: every entry has valuation >= bestv
@@ -413,9 +440,11 @@ def _smith_rect(ring: ResidueRing, mat: list[list[int]]):
             if a[k][c]:
                 f = a[k][c] // pe
                 for row in a:
-                    row[c] = (row[c] - f * row[k]) % m
+                    if row[k]:
+                        row[c] = (row[c] - f * row[k]) % m
                 for row in V:
-                    row[c] = (row[c] - f * row[k]) % m
+                    if row[k]:
+                        row[c] = (row[c] - f * row[k]) % m
     return U, a, V
 
 

@@ -1,7 +1,8 @@
-"""Test-only oracles: readers of a group's elements through ``blocks()``,
-a group numbered from an element list, the reduction and the scan of a
-group's full enumeration, and the brute-force tensor-cube stabilizer
-search.  No command needs any of them."""
+"""Test-only oracles: triple-loop references for the ``MatrixMod``
+kernels, readers of a group's elements through ``blocks()``, a group
+numbered from an element list, the reduction and the scan of a group's full
+enumeration, and the brute-force tensor-cube stabilizer search.  No command
+needs any of them."""
 
 import numpy as np
 
@@ -9,6 +10,32 @@ from gspimage import galois_model as gm
 from gspimage.galois_model import CapExceeded, MatrixGroup, gl2_group
 from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.mumford import _FIX_TARGETS, rho
+
+
+def reference_matmul(A: MatrixMod, B: MatrixMod) -> tuple:
+    """The rows of A @ B, every entry a sum over every k, reduced."""
+    n, m = A.dim, A.ring.modulus
+    return tuple(
+        tuple(sum(A.rows[i][k] * B.rows[k][j] for k in range(n)) % m for j in range(n))
+        for i in range(n)
+    )
+
+
+def reference_apply(A: MatrixMod, vec) -> tuple:
+    """A times the column vector ``vec``, every entry a sum over every k,
+    reduced."""
+    n, m = A.dim, A.ring.modulus
+    return tuple(sum(A.rows[i][k] * vec[k] for k in range(n)) % m for i in range(n))
+
+
+def reference_kron(A: MatrixMod, B: MatrixMod) -> tuple:
+    """The rows of the Kronecker product: entry (i*q + k, j*q + l) is
+    A[i][j] * B[k][l] for q = B.dim, reduced."""
+    p, q, m = A.dim, B.dim, A.ring.modulus
+    return tuple(
+        tuple(A.rows[r // q][c // q] * B.rows[r % q][c % q] % m for c in range(p * q))
+        for r in range(p * q)
+    )
 
 
 def elements(G) -> np.ndarray:

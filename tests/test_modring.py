@@ -13,6 +13,7 @@ from gspimage.modring import (
 )
 
 from conftest import random_invertible, random_matrix
+from oracles import reference_apply, reference_kron, reference_matmul
 
 RINGS = [ResidueRing(l, n) for l in (2, 3, 5) for n in (1, 2, 3)]
 
@@ -100,6 +101,102 @@ def test_constructor_transpose_and_apply_match_plain_expressions(data, ring, dim
     assert T == MatrixMod(ring, list(zip(*reduced))) and T.transpose() == M
     assert hash(T) == hash(MatrixMod(ring, list(zip(*reduced))))
     assert M.apply(vec) == tuple(sum(row[k] * vec[k] for k in range(dim)) % m for row in reduced)
+
+
+# a prime, a prime power whose products pass 2^63, and the Mersenne prime
+# 2^61 - 1, whose products pass 2^121
+KERNEL_RINGS = [ResidueRing(13, 1), ResidueRing(3, 20), ResidueRing(2**61 - 1, 1)]
+
+
+@st.composite
+def shaped_matrices(draw, ring, dim, shape):
+    """A dim x dim matrix over ``ring`` of one shape: dense or diagonal
+    (entries anywhere in the ring, 0 included), monomial (a unit in each row
+    and column), or dense with some rows and columns zero."""
+    m = ring.modulus
+    entry = st.one_of(st.sampled_from([0, 1, m - 1]), st.integers(min_value=0, max_value=m - 1))
+    unit = entry.filter(ring.is_unit)
+    if shape == "diagonal":
+        return MatrixMod.diagonal(ring, draw(st.lists(entry, min_size=dim, max_size=dim)))
+    if shape == "monomial":
+        perm = draw(st.permutations(range(dim)))
+        values = draw(st.lists(unit, min_size=dim, max_size=dim))
+        return MatrixMod(ring, [[values[i] if j == perm[i] else 0 for j in range(dim)] for i in range(dim)])
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    if shape == "zero rows and columns":
+        gone_rows = draw(st.sets(st.integers(min_value=0, max_value=dim - 1)))
+        gone_cols = draw(st.sets(st.integers(min_value=0, max_value=dim - 1)))
+        rows = [
+            [0 if i in gone_rows or j in gone_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    return MatrixMod(ring, rows)
+
+
+SHAPES = ["dense", "diagonal", "monomial", "zero rows and columns"]
+
+
+@given(
+    st.data(),
+    st.sampled_from(KERNEL_RINGS),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(SHAPES),
+    st.sampled_from(SHAPES),
+)
+def test_kernels_match_the_triple_loop_oracle(data, ring, dim, left, right):
+    """``@``, ``apply`` and ``kron`` against the triple loops of
+    ``oracles``, on matrices of every shape, and on vectors of the same
+    shapes (a row of such a matrix); the mixed-ring and dimension errors
+    stand."""
+    A = data.draw(shaped_matrices(ring, dim, left))
+    B = data.draw(shaped_matrices(ring, dim, right))
+    vec = data.draw(st.sampled_from(B.rows))
+    assert (A @ B).rows == reference_matmul(A, B)
+    assert A.apply(vec) == reference_apply(A, vec)
+    small = data.draw(shaped_matrices(ring, data.draw(st.integers(min_value=1, max_value=3)), left))
+    for X, Y in ((A, small), (small, A)):
+        assert X.kron(Y).rows == reference_kron(X, Y)
+    other = ResidueRing(5, 1)
+    with pytest.raises(ValueError, match="^mixed rings$"):
+        A @ MatrixMod.identity(other, dim)
+    with pytest.raises(ValueError, match="^mixed rings$"):
+        A.kron(MatrixMod.identity(other, dim))
+    with pytest.raises(ValueError, match=rf"^dimension mismatch: {dim}x{dim} @ {dim + 1}x{dim + 1}$"):
+        A @ MatrixMod.identity(ring, dim + 1)
+    mismatch = rf"^dimension mismatch: {dim}x{dim} applied to a vector of length {dim + 1}$"
+    with pytest.raises(ValueError, match=mismatch):
+        A.apply(vec + (0,))
+
+
+@given(
+    st.data(),
+    st.sampled_from(KERNEL_RINGS),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(["permutation", "unit diagonal", "unitriangular"]),
+)
+def test_inverse_and_smith_on_permutation_and_unit_diagonal_inputs(data, ring, dim, shape):
+    """``mat_invert`` and the Smith form on invertible inputs whose pivots
+    are already 1 (a permutation, an upper unitriangular matrix) or are
+    units (a diagonal of units): M^-1 M = M M^-1 = I, and U M V = D with D
+    the identity, U and V invertible."""
+    m = ring.modulus
+    if shape == "permutation":
+        perm = data.draw(st.permutations(range(dim)))
+        M = MatrixMod(ring, [[int(j == perm[i]) for j in range(dim)] for i in range(dim)])
+    elif shape == "unit diagonal":
+        units = st.integers(min_value=1, max_value=m - 1).filter(ring.is_unit)
+        M = MatrixMod.diagonal(ring, data.draw(st.lists(units, min_size=dim, max_size=dim)))
+    else:
+        above = data.draw(st.lists(st.integers(min_value=0, max_value=m - 1), min_size=dim * dim, max_size=dim * dim))
+        M = MatrixMod(
+            ring, [[1 if i == j else above[i * dim + j] if j > i else 0 for j in range(dim)] for i in range(dim)]
+        )
+    I = MatrixMod.identity(ring, dim)
+    inverse = mat_invert(M)
+    assert inverse @ M == I and M @ inverse == I
+    U, D, V = smith_normal_form(M)
+    assert U @ M @ V == D == I
+    assert U.is_invertible and V.is_invertible
 
 
 @pytest.mark.parametrize("left, right", [(2, 3), (3, 2)])
