@@ -84,19 +84,6 @@ def _storage_dtype(mod: int, dim: int):
     return _unsigned_dtype(mod - 1) if _np_batch_ok(mod, dim) else object
 
 
-def _mod(x: np.ndarray, m: int) -> np.ndarray:
-    """``x % m`` for an array of non-negative integers, in ``x``'s dtype,
-    which must hold ``m``.  numpy floor-divides by a scalar with a multiply
-    and a shift but takes ``%`` with a division per entry, so an integer
-    dtype gets ``x - (x // m) * m``, in one temporary as ``%`` would use;
-    object dtype (Python ints) keeps ``%``."""
-    if x.dtype == object:
-        return x % m
-    q = x // m
-    q *= m
-    return np.subtract(x, q, out=q)
-
-
 # entries of a key-indexed int32 seen table, 16 MiB
 _DENSE_KEYS = 1 << 22
 
@@ -241,9 +228,9 @@ class MatrixGroup:
     uint16 up to 65536, uint32 above), past it object dtype (Python ints);
     an id is in the smallest unsigned dtype holding its row's vector count.
     The multiplier kernel computes wide, in int64 or object dtype, one
-    block at a time.  The fixing test sums only the columns it reads, in
-    the narrowest unsigned dtype holding its bound, and ``reduce_level``
-    takes remainders in the storage dtype.  Unsigned subtraction wraps, so
+    block at a time, and the fixing test multiplies the fixed vectors,
+    reduced, by each row's vectors in that dtype; ``reduce_level`` takes
+    remainders in the storage dtype.  Unsigned subtraction wraps, so
     widen a block before doing other arithmetic on it; ``tolist()`` gives
     Python ints.  The elements must be distinct and reduced, as every
     builder here produces them.
@@ -368,8 +355,8 @@ class MatrixGroup:
         if rest:
             raise ValueError(f"not a group: the kernel mod {p} has {kernel} of {self.order} elements")
         stored = _storage_dtype(p, self.dim)
-        # the remainder is taken in the storage dtype, which holds p below the top level
-        reduced = [_mod(c, p).astype(stored, copy=False) for c in self.columns]
+        # the storage dtype holds p below the top level
+        reduced = [(c % p).astype(stored, copy=False) for c in self.columns]
         numbered = [_numbering(c.T, p) for c in reduced]
         columns, renumber = [c for c, _ in numbered], [r for _, r in numbered]
         size, dtype, weights = _mixed_radix([c.shape[1] for c in columns])
@@ -679,52 +666,21 @@ def stabilizer(G: MatrixGroup, H: TorsionSubgroup) -> MatrixGroup:
     return _fixing_scan(G, [(G.ring.modulus, H.basis)])
 
 
-def _fixing_tests(G: MatrixGroup, conditions) -> list:
-    """The tests of M v = v mod p, for M in G, for every vector v of every
-    (p, vectors) pair in ``conditions``.
-
-    Each vector v, reduced mod p and skipped when it is 0, gives one test
-    (i, terms, v_i, p, acc) per row i: sum_j M[i, j] v_j = v_i mod p over
-    the terms (j, v_j) with v_j nonzero.  The sum is taken in ``acc``, the
-    narrowest unsigned dtype holding both the bound sum_j v_j (mod - 1) and
-    p (``_mod`` needs p in the dtype), or object dtype when G is stored so;
-    p is 0 when the bound is below it, so that ``_mod`` is skipped.
-    """
-    top, stored = G.ring.modulus - 1, _storage_dtype(G.ring.modulus, G.dim)
-    tests = []
-    for p, vectors in conditions:
-        for v in vectors:
-            v = [int(x) % p for x in v]
-            terms = [(j, x) for j, x in enumerate(v) if x]
-            if terms:
-                bound = sum(x for _, x in terms) * top
-                acc = object if stored == object else _unsigned_dtype(max(bound, p))
-                tests += [(i, terms, v[i], p if bound >= p else 0, acc) for i in range(G.dim)]
-    return tests
-
-
-def _passes(rows: np.ndarray, terms, target: int, p: int, acc) -> np.ndarray:
-    """Whether each of ``rows`` (row i of elements, in the storage dtype)
-    passes a test on row i of ``_fixing_tests``.  It reads only the columns
-    j of its terms, and a lone term with coefficient 1 is the column itself:
-    no row is widened."""
-    (j, x), rest = terms[0], terms[1:]
-    total = rows[:, j] if not rest and x == 1 else np.multiply(rows[:, j], x, dtype=acc)
-    for j, x in rest:
-        total += rows[:, j] if x == 1 else np.multiply(rows[:, j], x, dtype=acc)
-    return (_mod(total, p) if p else total) == target
-
-
 def _fixing_scan(G: MatrixGroup, conditions) -> MatrixGroup:
     """The subgroup of the elements M of G with M v = v mod p for every
-    vector v of every (p, vectors) pair in ``conditions``.  A test
-    (``_fixing_tests``) on row i reads only row i, one of the vectors of
-    G's ``columns[i]``, so each runs once over those vectors, giving each
-    row a mask for ``MatrixGroup._scan``; the subgroup holds the surviving
-    ids over G's columns, in G's element order."""
-    masks = _every(G.columns)
-    for i, *test in _fixing_tests(G, conditions):
-        masks[i] &= _passes(G.columns[i].T, *test)
+    vector v of every (p, vectors) pair in ``conditions``.  Row i of M v
+    reads only row i of M, one of the vectors of G's ``columns[i]``, so each
+    condition is one product per row: its vectors, reduced mod p into an
+    (r, d) array V in the kernel dtype (``_kernel_dtype``), times
+    ``columns[i]``, compared mod p with column i of V.  That gives each row
+    a mask for ``MatrixGroup._scan``; the subgroup holds the surviving ids
+    over G's columns, in G's element order."""
+    masks, d = _every(G.columns), G.dim
+    wide = _kernel_dtype(G.ring.modulus, d)
+    for p, vectors in conditions:
+        V = np.array([[int(x) % p for x in v] for v in vectors], dtype=wide).reshape(-1, d)
+        for i, c in enumerate(G.columns):
+            masks[i] &= (V @ c % p == V[:, i : i + 1]).all(axis=0)
     batch = G._scan(masks)
     return MatrixGroup(G.space, (), G.columns, _stored([batch]), len(batch[0]))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -227,7 +227,7 @@ class MatrixMod:
         return len(self.rows)
 
     def flat(self) -> tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
+        return tuple(chain.from_iterable(self.rows))
 
     def __eq__(self, other) -> bool:
         return (
@@ -388,18 +388,19 @@ def mat_invert(M: MatrixMod) -> MatrixMod:
 def _smith_rect(ring: ResidueRing, mat: list[list[int]]):
     """Smith form of a rectangular matrix over Z/l^n by valuation pivoting.
 
-    Returns row and column transforms U, V (as lists) and the diagonal D with
-    U*mat*V = D.  The pivot is always an entry of globally minimal valuation
-    (ties broken row-major), so the diagonal valuations come out
-    non-decreasing; unit parts of pivots are absorbed into U, leaving pure
-    powers of l (or 0) on the diagonal.
+    Returns row and column transforms U, V and the diagonal D with
+    U*mat*V = D, as lists of rows of reduced Python ints.  The pivot is
+    always an entry of globally minimal valuation (ties broken row-major),
+    so the diagonal valuations come out non-decreasing; unit parts of
+    pivots are absorbed into U, leaving pure powers of l (or 0) on the
+    diagonal.
     """
     nr = len(mat)
     nc = len(mat[0]) if nr else 0
     m = ring.modulus
     ell = ring.ell
     level = ring.level
-    a = [[x % m for x in row] for row in mat]
+    a = [[int(x) % m for x in row] for row in mat]
     U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
     for k in range(min(nr, nc)):
@@ -455,4 +456,4 @@ def smith_normal_form(M: MatrixMod) -> tuple[MatrixMod, MatrixMod, MatrixMod]:
     order.
     """
     U, D, V = _smith_rect(M.ring, [list(r) for r in M.rows])
-    return MatrixMod(M.ring, U), MatrixMod(M.ring, D), MatrixMod(M.ring, V)
+    return tuple(MatrixMod._of_reduced(M.ring, tuple(map(tuple, X))) for X in (U, D, V))

@@ -112,7 +112,7 @@ def subgroup_from_generators(
         )
     cols = [[v[i] for v in vectors] for i in range(d)]  # d x k
     U, D, V = _smith_rect(ring, cols)
-    Umat = MatrixMod(ring, U)
+    Umat = MatrixMod._of_reduced(ring, tuple(map(tuple, U)))
     Uinv = mat_invert(Umat)
     k = len(vectors)
     basis = []

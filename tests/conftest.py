@@ -40,7 +40,9 @@ def random_similitude(space, rng, transvections=4):
     for _ in range(transvections):
         v = [rng.randrange(space.ring.modulus) for _ in range(space.dim)]
         M = M @ symplectic_transvection(space, v)
-    lam = rng.choice(list(space.ring.units()))
+    lam = 0
+    while not space.ring.is_unit(lam):
+        lam = rng.randrange(1, space.ring.modulus)
     return M @ diagonal_similitude(space, lam)
 
 

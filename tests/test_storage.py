@@ -3,9 +3,10 @@ unsigned storage, kernels that never overflow.
 
 Each group keeps its residues in the smallest unsigned dtype that holds a
 residue mod l^n inside the int64 kernel guard, object dtype past it.  The
-multiplier kernel widens one block at a time; the fixing test sums the
-columns it reads in the narrowest unsigned dtype that holds its bound and
-its modulus, and level reduction takes remainders in the storage dtype.
+multiplier kernel widens one block at a time; the fixing test multiplies
+each row's vectors by the reduced fixed vectors in the kernel dtype (int64
+inside the guard, Python ints past it), and level reduction takes
+remainders in the storage dtype.
 Their results must equal scans over ``MatrixMod`` elements even where
 entries near ``mod - 1`` would overflow narrow arithmetic, or where the
 modulus itself does not fit the storage dtype.
@@ -120,11 +121,16 @@ def test_reduction_to_the_top_level_keeps_the_group(ell, level, dtype, monkeypat
 
 @functools.lru_cache(maxsize=None)
 def _fixing_cases():
-    """Groups at level 2, with their elements in order, for the fixing-test
-    property: GL2(Z/9), the GSp4 self-product over Z/9 and the GSp4 cm torus
-    over Z/9."""
+    """Groups with their elements in order, for the fixing-test property:
+    GL2(Z/9), the GSp4 self-product over Z/9, the GSp4 cm torus over Z/9,
+    and the signed permutations over Z/3^20, stored past the int64 guard."""
     ring = ResidueRing(3, 2)
-    groups = (gm.gl2_group(ring), gm.scenario_selfproduct(3, 2)[0], gm.scenario_cm(2, 3, 2)[0])
+    groups = (
+        gm.gl2_group(ring),
+        gm.scenario_selfproduct(3, 2)[0],
+        gm.scenario_cm(2, 3, 2)[0],
+        _signed_permutations(ResidueRing(3, 20))[1],
+    )
     return [(G, matrices(G)) for G in groups]
 
 
