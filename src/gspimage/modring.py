@@ -249,34 +249,16 @@ class MatrixMod:
     def __matmul__(self, other: "MatrixMod") -> "MatrixMod":
         """Row i of the product combines the rows of ``other`` picked by the
         nonzero entries of row i (``_combine``)."""
-        self._check_operand(other, "@")
-        m, rows = self.ring.modulus, other.rows
-        zero = (0,) * len(rows)
-        return MatrixMod._of_reduced(
-            self.ring, tuple([_combine(row, rows, m, zero) for row in self.rows])
-        )
-
-    def _check_operand(self, other: "MatrixMod", op: str) -> None:
-        """``other`` lives over this ring and has this dimension."""
         if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed rings")
         if self.dim != other.dim:
             raise ValueError(
-                f"dimension mismatch: {self.dim}x{self.dim} {op} {other.dim}x{other.dim}"
+                f"dimension mismatch: {self.dim}x{self.dim} @ {other.dim}x{other.dim}"
             )
-
-    def __add__(self, other: "MatrixMod") -> "MatrixMod":
-        self._check_operand(other, "+")
-        return MatrixMod(
-            self.ring,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other: "MatrixMod") -> "MatrixMod":
-        self._check_operand(other, "-")
-        return MatrixMod(
-            self.ring,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+        m, rows = self.ring.modulus, other.rows
+        zero = (0,) * len(rows)
+        return MatrixMod._of_reduced(
+            self.ring, tuple([_combine(row, rows, m, zero) for row in self.rows])
         )
 
     def __neg__(self) -> "MatrixMod":
@@ -297,9 +279,6 @@ class MatrixMod:
                 [tuple([x * y % m for x in arow for y in brow]) for arow in self.rows for brow in other.rows]
             ),
         )
-
-    def scale(self, c: int) -> "MatrixMod":
-        return MatrixMod(self.ring, [[c * a for a in row] for row in self.rows])
 
     def transpose(self) -> "MatrixMod":
         return MatrixMod._of_reduced(self.ring, tuple(zip(*self.rows)))
@@ -351,38 +330,6 @@ def _int_det(a: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def mat_invert(M: MatrixMod) -> MatrixMod:
-    """Inverse of M over Z/l^n via Gauss-Jordan with unit pivoting.
-
-    Over a local ring elimination succeeds exactly when the matrix is
-    invertible: at every step the remaining block must contain a unit in its
-    first column, otherwise the reduction mod l is singular.
-    """
-    ring = M.ring
-    n = M.dim
-    m = ring.modulus
-    ell = ring.ell
-    a = [list(row) for row in M.rows]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % ell != 0), None)
-        if piv is None:
-            raise NotInvertible("determinant is not a unit")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        s = pow(a[col][col], -1, m)
-        if s != 1:
-            a[col] = [x * s % m for x in a[col]]
-            inv[col] = [x * s % m for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % m for x, y in zip(a[r], a[col])]
-                inv[r] = [(x - f * y) % m for x, y in zip(inv[r], inv[col])]
-    return MatrixMod._of_reduced(ring, tuple(map(tuple, inv)))
 
 
 def _smith_rect(ring: ResidueRing, mat: list[list[int]]):
@@ -457,3 +404,12 @@ def smith_normal_form(M: MatrixMod) -> tuple[MatrixMod, MatrixMod, MatrixMod]:
     """
     U, D, V = _smith_rect(M.ring, [list(r) for r in M.rows])
     return tuple(MatrixMod._of_reduced(M.ring, tuple(map(tuple, X))) for X in (U, D, V))
+
+
+def mat_invert(M: MatrixMod) -> MatrixMod:
+    """Inverse of M over Z/l^n, read off its Smith form: U M V = D, and M is
+    invertible exactly when D is the identity, so that M^-1 = V U."""
+    U, D, V = smith_normal_form(M)
+    if D != MatrixMod.identity(M.ring, M.dim):
+        raise NotInvertible("determinant is not a unit")
+    return V @ U

@@ -30,9 +30,6 @@ from .torsion import TorsionSubgroup, subgroup_from_generators
 # 0-based positions of e111, e122, e212, e221 in the lexicographic basis
 _LAGRANGIAN_INDICES = (0, 3, 5, 6)
 
-# fixing conditions (i, j, k): rho(a,b,c) must send e_i (x) e_j (x) e_k to itself
-_FIX_TARGETS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
-
 
 class ExpectationFailed(RuntimeError):
     """A value the construction guarantees came out different."""

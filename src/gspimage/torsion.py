@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .modring import MatrixMod, ResidueRing, _smith_rect, mat_invert
+from .modring import MatrixMod, ResidueRing, _combine, _smith_rect
 
 _ENUM_CAP = 2_000_000
 
@@ -93,11 +93,12 @@ def subgroup_from_generators(
 ) -> TorsionSubgroup:
     """Smith-normalize a generating set into an invariant-factor basis.
 
-    Writes the generator matrix A (columns = generators) as U^-1 D V^-1; the
-    subgroup is then the direct sum of cyclic factors l^{s_i} * col_i(U^-1)
-    of order l^{N - s_i}.
+    With A the generator matrix (columns = generators) and U A V = D its
+    Smith form, the subgroup is the direct sum of the cyclic factors spanned
+    by the columns of A V = U^-1 D: column i is l^{s_i} * col_i(U^-1), of
+    order l^{N - s_i}.
     """
-    vectors = [tuple(v) for v in vectors]
+    vectors = [tuple(map(int, v)) for v in vectors]  # exact products in _combine
     if ambient_dim is None:
         if not vectors:
             raise ValueError("ambient_dim required for an empty generating set")
@@ -112,22 +113,19 @@ def subgroup_from_generators(
         )
     cols = [[v[i] for v in vectors] for i in range(d)]  # d x k
     U, D, V = _smith_rect(ring, cols)
-    Umat = MatrixMod._of_reduced(ring, tuple(map(tuple, U)))
-    Uinv = mat_invert(Umat)
-    k = len(vectors)
+    zero = (0,) * d
     basis = []
     orders = []
     divisors = []
-    for i in range(d):
-        if i < min(d, k):
-            s = ring.valuation(D[i][i])
-        else:
-            s = N
+    # column i of A V combines the generators by column i of V
+    for i, v_col in zip(range(d), zip(*V)):
+        s = ring.valuation(D[i][i])
         divisors.append(s)
         if s < N:
-            col = tuple(Uinv.rows[r][i] * ring.ell**s % ring.modulus for r in range(d))
-            basis.append(col)
+            basis.append(_combine(v_col, vectors, ring.modulus, zero))
             orders.append(N - s)
+    divisors += [N] * (d - len(divisors))
+    Umat = MatrixMod._of_reduced(ring, tuple(map(tuple, U)))
     return TorsionSubgroup(ring, d, basis, orders, Umat, divisors)
 
 

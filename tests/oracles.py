@@ -9,7 +9,11 @@ import numpy as np
 from gspimage import galois_model as gm
 from gspimage.galois_model import CapExceeded, MatrixGroup, gl2_group
 from gspimage.modring import MatrixMod, ResidueRing
-from gspimage.mumford import _FIX_TARGETS, rho
+from gspimage.mumford import rho
+
+# the fixing conditions (i, j, k): rho(a, b, c) sends e_i (x) e_j (x) e_k, a
+# basis vector of the Lagrangian e111, e122, e212, e221, to itself
+FIX_TARGETS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
 def reference_matmul(A: MatrixMod, B: MatrixMod) -> tuple:
@@ -101,7 +105,7 @@ def stabilizer_brute_force(ell: int, cap: int = 200_000_000) -> list:
     if len(A) * len(A) * len(C) > cap:
         raise CapExceeded("brute-force scan too large")
     targets = []
-    for (i, j, k) in _FIX_TARGETS:
+    for (i, j, k) in FIX_TARGETS:
         t = np.zeros((2, 2, 2), dtype=np.int64)
         t[i, j, k] = 1
         targets.append(((i, j, k), t))

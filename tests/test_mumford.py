@@ -171,10 +171,14 @@ def test_scalar_orbit_of_a_triple_is_one_fiber():
     ring = ResidueRing(ell, 1)
     rng = random.Random(29)
     units = range(1, ell)
+
+    def scaled(x, M):
+        return MatrixMod.diagonal(ring, [x, x]) @ M
+
     for _ in range(10):
         a, b, c = (random_invertible(ring, 2, rng) for _ in range(3))
         orbit = {
-            (a.scale(la), b.scale(mu), c.scale(pow(la * mu, -1, ell)))
+            (scaled(la, a), scaled(mu, b), scaled(pow(la * mu, -1, ell), c))
             for la in units
             for mu in units
         }

@@ -1,9 +1,10 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gspimage.cli import parse_generator_rows
-from gspimage.modring import ResidueRing
+from gspimage.modring import MatrixMod, ResidueRing, _smith_rect, mat_invert
 from gspimage.torsion import (
     full_subgroup,
     subgroup_from_generators,
@@ -80,6 +81,43 @@ def test_slice_size_formula(rng):
         for m in range(N + 1):
             S = H.slice(m)
             assert S.order == ell ** sum(min(mi, m) for mi in H.orders)
+
+
+# Z/3, Z/25, Z/27, and the deep-level ring Z/3^20, whose products pass 2^63
+BASIS_RINGS = [ResidueRing(3, 1), ResidueRing(5, 2), ResidueRing(3, 3), ResidueRing(3, 20)]
+
+
+@given(st.data(), st.sampled_from(BASIS_RINGS), st.sampled_from([2, 4]))
+def test_basis_is_l_powers_times_the_columns_of_U_inverse(data, ring, d):
+    """With U A V = D the Smith form of the generator matrix A, H's basis
+    vector i is l^{s_i} times column i of U^-1, of order l^{N - s_i}, and v
+    is in H exactly when U v is divisible by l^{s_i} row by row.  Each
+    generator is l^e times a random vector, so that the orders are mixed,
+    as in H = <e1, 3^12 e4, 3^16 e2> over Z/3^20."""
+    ell, N, m = ring.ell, ring.level, ring.modulus
+    vector = st.builds(
+        lambda e, xs: tuple(ell**e * x % m for x in xs),
+        st.integers(min_value=0, max_value=N),
+        st.lists(st.integers(min_value=0, max_value=m - 1), min_size=d, max_size=d),
+    )
+    gens = data.draw(st.lists(vector, max_size=4))
+    H = subgroup_from_generators(gens, ring, ambient_dim=d)
+    U, D, _ = _smith_rect(ring, [[v[i] for v in gens] for i in range(d)])
+    U = MatrixMod(ring, U)
+    U_inv = mat_invert(U)
+    assert U_inv @ U == MatrixMod.identity(ring, d)
+    divisors = [ring.valuation(D[i][i]) if i < len(gens) else N for i in range(d)]
+    expected = [
+        (tuple(ell**s * U_inv.rows[r][i] % m for r in range(d)), N - s)
+        for i, s in enumerate(divisors)
+        if s < N
+    ]
+    assert list(zip(H.basis, H.orders)) == expected
+    probes = gens + list(H.basis) + data.draw(st.lists(vector, max_size=4))
+    for v in probes:
+        in_H = all(x % ell**s == 0 for x, s in zip(U.apply(v), divisors))
+        assert H.contains(v) == in_H
+    assert all(H.contains(v) for v in gens)
 
 
 def test_contains_basics():
