@@ -25,7 +25,7 @@ from gspimage import galois_model as gm
 from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import standard_form, tensor_form
 
-from conftest import tensor_generators
+from conftest import symplectic_transvection, tensor_generators
 
 
 def _main(argv):
@@ -290,3 +290,55 @@ def test_cli_contract_holds_on_generated_input(case):
                 )
                 moved = _main(argv + ["--H", h_lines[0][4:].rstrip("\n")])
                 assert moved[:2] == (code, out)
+
+
+# the named scenarios of the conjugation property: |G| runs 36 to 3888
+_CONJUGATED = [("cm", 5, 1, 2), ("cm", 3, 2, 1), ("selfproduct", 5, 1, 2), ("selfproduct", 3, 2, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(_CONJUGATED), rng=st.randoms(use_true_random=False))
+def test_random_symplectic_conjugate_prints_the_named_report(case, rng):
+    # the named scenario's generators conjugated into the standard form (P,
+    # as in _twin) and then by a random Q in Sp_2g, a product of symplectic
+    # transvections, and a random H of rank 1..d with entries divisible by
+    # random powers of l, given through --H: R = QP carries the named H to
+    # the twin's.  degrees prints the same bytes (the built path against the
+    # orbit path), and the twin's T, conjugated back by R, is the named T
+    # as a set (the built scan against the closure scan)
+    name, ell, level, g = case
+    argv, text = _twin(name, ell, level, g)
+    ring = ResidueRing(ell, level)
+    space = standard_form(g, ring)
+    d, mod = space.dim, ring.modulus
+    Q = MatrixMod.identity(ring, d)
+    for _ in range(rng.randrange(1, 7)):
+        Q = Q @ symplectic_transvection(space, [rng.randrange(mod) for _ in range(d)])
+    assert Q.transpose() @ space.form @ Q == space.form
+    P = MatrixMod.identity(ring, d) if name == "cm" else MatrixMod(ring, _SELFPRODUCT_TO_STANDARD)
+    R = Q @ P
+    Rinv = R.inverse()
+    twin = json.loads(text.split("generators = ")[1].splitlines()[0])
+    gens = [[list(row) for row in (Q @ MatrixMod(ring, x) @ Q.inverse()).rows] for x in twin]
+    H = [
+        [rng.randrange(mod) * ell ** rng.randrange(level) % mod for _ in range(d)]
+        for _ in range(rng.randrange(1, d + 1))
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "twin.txt"
+        path.write_text(_scenario_text(ell, level, g, gens, []))
+        custom = ["--scenario-file", str(path), "--H", json.dumps([list(R.apply(v)) for v in H])]
+        named = [*argv, "--H", json.dumps(H)]
+        report = _main(["degrees", *named, "--format", "json"])
+        assert report[0] == 0, report[2]
+        assert _main(["degrees", *custom, "--format", "json"]) == report
+        lists = []
+        for args in (named, custom):
+            code, out, err = _main(["stabilizer", *args, "--format", "json"])
+            assert code == 0, err
+            (rep,) = json.loads(out)["reports"]
+            assert rep["stabilizer_size"] == len(rep["stabilizer_elements"])
+            lists.append(rep["stabilizer_elements"])
+    back = [(Rinv @ MatrixMod.from_flat(ring, d, flat) @ R).flat() for flat in lists[1]]
+    assert sorted(map(tuple, lists[0])) == sorted(back)
+    assert len(set(back)) == len(back)
