@@ -395,8 +395,7 @@ class _SeenTable:
         self.table[start_key] = 0
 
     def chunk(self, width: int) -> int:
-        """How many of a level's ``width`` frontier points one add of
-        ``_bfs`` takes: at most ``_BATCH``."""
+        """How many of a level's ``width`` frontier points an add takes."""
         return min(width, _BATCH)
 
     def add(self, keys: np.ndarray, count: int, lookup: bool = False):
@@ -416,20 +415,17 @@ class _SeenTable:
 
 class _SeenSorted:
     """A seen set as the sorted array of the keys seen so far and, aligned
-    with it, the point index of each, for key spaces too large for a table.
-    The keys are int64, or object (Python ints) past 2^63; every step below
-    takes both.  An add inserts into the whole sorted array, so its cost
-    grows with the keys seen, not with its own: ``_bfs`` adds a whole level
-    at a time (``chunk``)."""
+    with it, the point index of each, for int64 key spaces too large for a
+    table.  An add inserts into the whole sorted array, so its cost grows
+    with the keys seen, not with its own: ``_bfs`` adds a whole level at a
+    time (``chunk``)."""
 
     def __init__(self, start_key: np.ndarray):
         self.keys = start_key
         self.index = np.zeros(len(start_key), dtype=np.int64)
 
     def chunk(self, width: int) -> int:
-        """How many of a level's ``width`` frontier points one add of
-        ``_bfs`` takes: all of them, for each add inserts into the whole
-        sorted array."""
+        """All ``width`` frontier points: each add inserts into the whole array."""
         return width
 
     def add(self, keys: np.ndarray, count: int, lookup: bool = False):
@@ -460,10 +456,33 @@ class _SeenSorted:
         return first[by_first], points
 
 
+class _SeenDict:
+    """A seen set for keys past 2^63, Python ints (object dtype): a dict from
+    each key seen to its point index.  An add walks its own keys, so
+    ``_bfs`` adds ``_BATCH`` frontier points at a time, as on the table."""
+
+    chunk = _SeenTable.chunk
+
+    def __init__(self, start_key: np.ndarray):
+        self.index = dict.fromkeys(start_key.tolist(), 0)
+
+    def add(self, keys: np.ndarray, count: int, lookup: bool = False):
+        """As ``_SeenTable.add``."""
+        index, first, points = self.index, [], []
+        for j, key in enumerate(keys.tolist()):
+            points.append(index.setdefault(key, count + len(first)))
+            if points[-1] == count + len(first):  # a key seen before has a smaller point
+                first.append(j)
+        return np.array(first, dtype=np.intp), np.array(points, dtype=np.int64) if lookup else None
+
+
 def _seen_set(size: int, start_key: np.ndarray):
     """A seen set over a space of ``size`` keys holding ``start_key`` (one
-    key, or none) as point 0: a ``_SeenTable`` up to ``_DENSE_KEYS`` keys,
-    checked before the table is allocated, a ``_SeenSorted`` past it."""
+    key, or none) as point 0: a ``_SeenDict`` for object keys (past 2^63),
+    else a ``_SeenTable`` up to ``_DENSE_KEYS`` keys, checked before the
+    table is allocated, and a ``_SeenSorted`` past it."""
+    if start_key.dtype == object:
+        return _SeenDict(start_key)
     if size <= _DENSE_KEYS:
         return _SeenTable(size, start_key)
     return _SeenSorted(start_key)
@@ -474,146 +493,129 @@ def _cap_exceeded(stage: str, cap: int, count: int, depth: int) -> CapExceeded:
     return CapExceeded(f"{stage} exceeds cap={cap}: {count} {noun} through BFS depth {depth}")
 
 
-def _row_orbits(rows, mats, mod: int, cap: int, stage: str) -> list:
-    """The orbit of each of ``rows`` under v -> v @ m mod ``mod`` for m in
-    ``mats`` (rows and matrices as tuples of Python ints), one BFS level at
-    a time: each level is multiplied out in one batch, in the kernel dtype,
-    and its products are looked up in a dict of the vectors found so far.
-
-    For each row: its orbit's vectors in discovery order (a list of tuples;
-    a vector's id is its index), the orbit's int32 action table (``act[a,
-    j]`` the id of vector a times mats[j]) and the row's id.  Rows in one
-    orbit share its list and table.  A row orbit is the image of the orbit
-    of any matrix holding the row, so it is never the longer; one past
-    ``cap`` raises CapExceeded as ``_bfs`` does, with its own count and
-    depth.
-    """
-    d = len(rows[0])
-    wide = _kernel_dtype(mod, d)
-    mats = np.array(mats, dtype=wide).reshape(-1, d, d)
-    orbits, out = [], []  # orbits: (vectors, index, table) of each distinct orbit
-    for row in rows:
-        orbit = next((o for o in orbits if row in o[1]), None)
-        if orbit is None:
-            vectors, index, act, depth = [row], {row: 0}, [], 0
-            level = np.array([row], dtype=wide)
-            while len(level):
-                count = len(vectors)
-                # in (vector, matrix) order, as in _bfs
-                prods = (level[:, None, None, :] @ mats % mod).reshape(-1, d)
-                fresh = []
-                for j, y in enumerate(zip(*prods.T.tolist())):
-                    if y not in index:
-                        if len(vectors) == cap:
-                            raise _cap_exceeded(stage, cap, count, depth)
-                        index[y] = len(vectors)
-                        vectors.append(y)
-                        fresh.append(j)
-                    act.append(index[y])
-                level, depth = prods[fresh], depth + 1
-            orbit = (vectors, index, np.array(act, dtype=np.int32).reshape(len(vectors), len(mats)))
-            orbits.append(orbit)
-        out.append((orbit[0], orbit[2], orbit[1][row]))
-    return out
-
-
 def _bfs(rows, mats, mod: int, cap: int, stage: str, units=None):
     """Breadth-first orbit of one k x d matrix under x -> x @ m mod ``mod``.
 
     ``rows`` are the k rows of the start matrix and ``mats`` the action
     matrices, as tuples of Python ints.  Row i of x @ m is row i of x times
-    m, so a point is the tuple of the ids of its rows in the orbits of the
-    start rows (``_row_orbits``), and a product is k gathers from their
-    int32 action tables, with no matrix product.  A point's key is its row
-    ids in the mixed radix of the orbit sizes, in the narrowest dtype
-    holding the key space prod |orbit_i|: int32 below 2^31, int64 below
-    2^63, Python ints (object dtype) past it.
+    m, so one level loop (``search``) walks the orbit of each distinct start
+    row, whose points are vectors, then that of the start matrix, whose
+    points are tuples of row ids.  Only the products differ: a chunk of
+    vectors times every matrix is one matrix product in the kernel dtype, a
+    chunk of tuples' products k gathers from the row orbits' action tables.
+    A point's key reads its coordinates in a mixed radix (``_mixed_radix``):
+    a vector's d entries base ``mod``, a tuple's ids in that of the orbit
+    sizes.  A row search's lookups of its products' points are its orbit's
+    int32 action table, ``act[a, j]`` the id (discovery index) of vector a
+    times mats[j]; rows in one orbit share it.  With k = 1 the row search is
+    the point search: it carries the units, and nothing more is searched.
 
-    Newness is tested against the seen set ``_seen_set`` picks by the size
-    of the key space, known before the first level: a ``_SeenTable`` up to
-    ``_DENSE_KEYS`` keys, a ``_SeenSorted`` past it.  Each level streams
-    through it in chunks of as many frontier points as its ``chunk`` says,
-    one add a chunk: ``_BATCH`` for the table, so that every product batch,
-    key array and seen-test temporary is bounded by ``_BATCH * len(mats)``
-    products, not by the widest level; the whole level for the sorted set.
-    A level of one chunk is neither sliced nor joined.  Each chunk is
-    multiplied by every matrix in one batch; products are taken in
-    (frontier index, matrix index) order, each new point is kept at its
-    first occurrence, and a chunk's new points follow those of the chunks
-    before it, so the point order is that of the one-product-at-a-time
-    search.  The next frontier is the products' row ids at the first
-    occurrences.  Raises CapExceeded, naming ``stage``, when the point
-    count, or a row orbit's, would pass the cap, or when an add's product
-    batch would take more than ``_LEVEL_BYTES``, checked on a level's first
-    chunk, the largest, before its batch is built.
+    Each level streams through the seen set (``_seen_set``) in chunks of as
+    many frontier points as its ``chunk`` says, so that on the table and the
+    dict every product batch, key array and seen-test temporary is bounded
+    by ``_BATCH * len(mats)`` products.  Products are taken in (frontier
+    index, matrix index) order and each new point is kept at its first
+    occurrence, so the point order is that of the one-product-at-a-time
+    search.  Raises CapExceeded, naming ``stage``, when a search's point
+    count would pass the cap (a row orbit, the point orbit's image, is never
+    the longer), or when an add's product batch would take more than
+    ``_LEVEL_BYTES``, checked on a level's first chunk before it is built.
 
     ``units``, when given, is one unit mod ``mod`` per matrix (Python ints).
     Each point x then carries lambda_x, the product of the units along its
     BFS tree path, in the smallest unsigned dtype holding (mod - 1)^2
     (object past uint64).  A new point y takes as lambda_y the step value
-    lam_i * lambda_x of its first occurrence, so the Schreier scalar of a
-    product y = x @ m_i, its step value over lambda_y, is formed only where
-    they differ: once per add and distinct step * mod + lambda_y, which is
-    below mod^2 and so in the dtype.
+    lam_i * lambda_x of its first occurrence, so the Schreier scalar of y =
+    x @ m_i, its step value over lambda_y, is formed only where they differ:
+    once per add and distinct step * mod + lambda_y, below mod^2.
 
-    Returns the BFS levels (the new points of each depth, in point order,
-    as a (k, count) array of row ids in the narrowest unsigned dtype holding
-    every id, so that a closure keeps them small), the vectors of each start
-    row's orbit by id, and the distinct Schreier scalars other than 1,
-    ascending (an empty list without ``units``).
+    Returns the BFS levels (each depth's new points as a (k, count) array of
+    row ids in the narrowest unsigned dtype), each start row's orbit (its
+    vectors, a (d, n) array in the kernel dtype, and its action table), and
+    the distinct Schreier scalars other than 1, ascending (none without units).
     """
-    orbits = _row_orbits(rows, mats, mod, cap, stage)
-    acts = [act for _, act, _ in orbits]
-    sizes = [len(act) for act in acts]
-    space, dtype, weights = _mixed_radix(sizes)
-    start = sum(a * w for (_, _, a), w in zip(orbits, weights))
+    d, k = len(rows[0]), len(rows)
+    wide = _kernel_dtype(mod, d)
+    # the matrices side by side: a vector's products are one row of v @ joined
+    joined = np.array(mats, dtype=wide).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, len(mats) * d)
+    lam = None if units is None else np.array(units, dtype=_unsigned_dtype((mod - 1) ** 2))
+
+    def times(part):
+        prods = part.T @ joined
+        prods %= mod
+        return list(prods.reshape(-1, d).T)
+
+    def search(start, step, sizes, word, lam=None, table=None):
+        """Levels and scalars from the (k, 1) coordinates ``start``, the i-th
+        below ``sizes[i]``; ``step`` gives a chunk's products' k coordinate
+        arrays, ``word`` bytes an entry.  Lookups go to ``table`` if given."""
+        space, dtype, weights = _mixed_radix(sizes)
+        frontier, lookup, scalars = start, lam is not None or table is not None, set()
+        seen, count, levels = _seen_set(space, _radix_keys(start, weights, dtype)), 1, [start]
+        # bytes per product: its coordinates, and four words for its key and
+        # the seen test's temporaries (past int64, a pointer and a Python int)
+        per_product = len(start) * word + 4 * (8 if dtype != object else 48)
+        if lam is not None:
+            lam_points = np.ones(1, dtype=lam.dtype)  # lambda_x by point index
+        while frontier.shape[1]:
+            # the frontier is the last ``width`` points found, from ``head`` on
+            width, level_count, found = frontier.shape[1], count, []
+            head = count - width
+            chunk = seen.chunk(width)
+            need = chunk * len(mats) * per_product
+            if need > _LEVEL_BYTES:
+                budget = f"{stage} exceeds the BFS level budget of {_LEVEL_BYTES} bytes"
+                raise CapExceeded(f"{budget}: depth {len(levels) - 1} needs {need} bytes")
+            for at in range(0, width, chunk):
+                # a level of one chunk is neither sliced nor joined
+                part = frontier if chunk == width else frontier[:, at : at + chunk]
+                prods = step(part)
+                first, points = seen.add(_radix_keys(prods, weights, dtype), count, lookup)
+                # raise only on finding a new point, as the one-at-a-time search does
+                if len(first) and count + len(first) > cap:
+                    raise _cap_exceeded(stage, cap, level_count, len(levels) - 1)
+                if table is not None:
+                    table.append(points)
+                if lam is not None:
+                    lam_x = lam_points[head + at : head + at + part.shape[1]]
+                    steps = (lam_x[:, None] * lam % mod).ravel()  # in product order
+                    if count + len(first) > len(lam_points):  # grown geometrically
+                        lam_points = np.resize(lam_points, 2 * (count + len(first)))
+                    lam_points[count : count + len(first)] = steps[first]
+                    lam_y = lam_points[points]
+                    odd = steps != lam_y
+                    if odd.any():
+                        for pair in _distinct(steps[odd] * mod + lam_y[odd]).tolist():
+                            s, y = divmod(pair, mod)
+                            scalars.add(s * pow(y, -1, mod) % mod)
+                count += len(first)
+                found.append(np.array([c.take(first) for c in prods], dtype=frontier.dtype))
+            frontier = found[0] if len(found) == 1 else np.concatenate(found, axis=1)
+            levels.append(frontier)
+        return levels, sorted(scalars)
+
+    orbits, ids = [], []  # each start row's (vectors, act), and its id there
+    for x in np.array(rows, dtype=wide):
+        hits = ((o, np.flatnonzero((o[0] == x[:, None]).all(axis=0))) for o in orbits)
+        orbit, at = next(((o, int(a[0])) for o, a in hits if len(a)), (None, 0))
+        if orbit is None:
+            table, word = [], 8 if wide != object else 48
+            levels, scalars = search(x[:, None], times, [mod] * d, word, lam if k == 1 else None, table)
+            vectors, act = np.concatenate(levels, axis=1), np.concatenate(table)
+            orbit = (vectors, act.astype(np.int32, copy=False).reshape(vectors.shape[1], len(mats)))
+        orbits.append(orbit)
+        ids.append(at)
+    sizes = [len(act) for _, act in orbits]
     ids_dtype = _unsigned_dtype(max(sizes) - 1)
-    frontier = np.array([[a] for _, _, a in orbits], dtype=ids_dtype)
-    seen, count = _seen_set(space, np.array([start], dtype=dtype)), 1
-    levels, scalars, lookup = [frontier], set(), units is not None
-    # bytes per product: its k int32 row ids, and four words for its key and
-    # the seen test's temporaries (past int64, a pointer and a Python int)
-    per_product = 4 * len(acts) + 4 * (8 if dtype != object else 48)
-    if lookup:
-        lam = np.array(units, dtype=_unsigned_dtype((mod - 1) ** 2))
-        lam_points = np.ones(1, dtype=lam.dtype)  # lambda_x by point index
-    while frontier.shape[1]:
-        # the frontier is the last ``width`` points found, from ``head`` on
-        width, level_count, found = frontier.shape[1], count, []
-        head = count - width
-        chunk = seen.chunk(width)
-        need = chunk * len(mats) * per_product
-        if need > _LEVEL_BYTES:
-            raise CapExceeded(
-                f"{stage} exceeds the BFS level budget of {_LEVEL_BYTES} bytes:"
-                f" depth {len(levels) - 1} needs {need} bytes"
-            )
-        for at in range(0, width, chunk):
-            # a level of one chunk is neither sliced nor joined
-            part = frontier if chunk == width else frontier[:, at : at + chunk]
-            # take: a gather of whole table rows, faster than fancy indexing
-            prods = [act.take(ids, axis=0).ravel() for act, ids in zip(acts, part)]
-            first, points = seen.add(_radix_keys(prods, weights, dtype), count, lookup)
-            # raise only on finding a new point, as the one-at-a-time search does
-            if len(first) and count + len(first) > cap:
-                raise _cap_exceeded(stage, cap, level_count, len(levels) - 1)
-            if lookup:
-                lam_x = lam_points[head + at : head + at + part.shape[1]]
-                step = (lam_x[:, None] * lam % mod).ravel()  # in product order
-                if count + len(first) > len(lam_points):  # grown geometrically
-                    lam_points = np.resize(lam_points, 2 * (count + len(first)))
-                lam_points[count : count + len(first)] = step[first]
-                lam_y = lam_points[points]
-                odd = step != lam_y
-                if odd.any():
-                    for pair in _distinct(step[odd] * mod + lam_y[odd]).tolist():
-                        s, y = divmod(pair, mod)
-                        scalars.add(s * pow(y, -1, mod) % mod)
-            count += len(first)
-            found.append(np.array([ids.take(first) for ids in prods], dtype=ids_dtype))
-        frontier = found[0] if len(found) == 1 else np.concatenate(found, axis=1)
-        levels.append(frontier)
-    return levels, [vectors for vectors, _, _ in orbits], sorted(scalars)
+    if k == 1:  # the row search was the point search: a point's id is its vector's
+        bounds = np.cumsum([v.shape[1] for v in levels])[:-1]
+        return np.split(np.arange(sizes[0], dtype=ids_dtype)[None], bounds, axis=1), orbits, scalars
+
+    def gathers(part):  # take: a gather of whole table rows, faster than fancy indexing
+        return [act.take(i, axis=0).ravel() for (_, act), i in zip(orbits, part)]
+
+    levels, scalars = search(np.array(ids, dtype=ids_dtype)[:, None], gathers, sizes, 4, lam)
+    return levels, orbits, scalars
 
 
 def close(
@@ -626,19 +628,15 @@ def close(
     of a finite matrix group has finite order.  The element order is that of
     the one-product-at-a-time search (see ``_bfs``), which runs on row ids.
     The group keeps them: its batches are the BFS levels, and row i's
-    columns are the vectors of the orbit of e_i.  Beyond those levels and
-    the seen set, the search holds one add's temporaries, on the seen table
-    those of ``_BATCH`` frontier points times the generators however wide a
-    level, or a level's chunks while they are joined.  Raises CapExceeded
-    when the element count would pass the cap.
+    columns are the vectors of the orbit of e_i.  Raises CapExceeded when
+    the element count would pass the cap.
     """
     units = [multiplier(g, space) for g in generators]  # raises NotSimilitude
     d, mod = space.dim, space.ring.modulus
     identity = MatrixMod.identity(space.ring, d).rows
     levels, orbits, _ = _bfs(identity, [g.rows for g in generators], mod, cap, "closure")
     levels.pop()  # the search ends on an empty level
-    dtype = _storage_dtype(mod, d)
-    columns = [np.array(vectors, dtype=dtype).T.copy() for vectors in orbits]
+    columns = [vectors.astype(_storage_dtype(mod, d)) for vectors, _ in orbits]
     order = sum(ids.shape[1] for ids in levels)
     return MatrixGroup(space, generators, columns, _stored(levels), order, units)
 

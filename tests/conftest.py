@@ -79,34 +79,46 @@ def seen_set_strategies(monkeypatch, budget=3**16):
     keys lets every BFS of ``test_closure.CASES`` use the key-indexed table;
     ``budget=None`` keeps the package's.  ``_seen_set`` forced to the sorted
     set gives the other.  Key spaces past the budget take the sorted set
-    both times.  A loop run to its end leaves ``_seen_set`` as it found it,
-    so that a second loop on the same monkeypatch runs the table again."""
+    both times, and object keys (past 2^63) the dict set both times.  A loop
+    run to its end leaves ``_seen_set`` as it found it, so that a second
+    loop on the same monkeypatch runs the table again."""
     table = gm._seen_set
     if budget is not None:
         monkeypatch.setattr(gm, "_DENSE_KEYS", budget)
-    for kind, pick in (("table", table), ("sorted", lambda size, key: gm._SeenSorted(key))):
+
+    def sorted_set(size, key):
+        return table(size, key) if key.dtype == object else gm._SeenSorted(key)
+
+    for kind, pick in (("table", table), ("sorted", sorted_set)):
         monkeypatch.setattr(gm, "_seen_set", pick)
         yield kind
     monkeypatch.setattr(gm, "_seen_set", table)
 
 
-def table_adds(monkeypatch) -> list:
-    """Spy on the key-indexed seen set: the returned list gets a [width,
-    adds] pair for each BFS level it serves, the frontier's width and the
-    number of ``_SeenTable.add`` calls the level took.  ``_bfs`` asks
-    ``chunk`` once a level, before the level's adds."""
-    levels, chunk, add = [], gm._SeenTable.chunk, gm._SeenTable.add
+def chunked_adds(monkeypatch) -> list:
+    """Spy on the seen sets that take a level in chunks, the key-indexed
+    table and the dict past 2^63: the returned list gets a [width, adds]
+    pair for each BFS level they serve, the frontier's width and the number
+    of ``add`` calls the level took.  ``_bfs`` asks ``chunk`` once a level,
+    before the level's adds."""
+    levels = []
 
-    def chunk_spy(self, width):
-        levels.append([width, 0])
-        return chunk(self, width)
+    def spy(cls):
+        chunk, add = cls.chunk, cls.add
 
-    def add_spy(self, *args):
-        levels[-1][1] += 1
-        return add(self, *args)
+        def chunk_spy(self, width):
+            levels.append([width, 0])
+            return chunk(self, width)
 
-    monkeypatch.setattr(gm._SeenTable, "chunk", chunk_spy)
-    monkeypatch.setattr(gm._SeenTable, "add", add_spy)
+        def add_spy(self, *args):
+            levels[-1][1] += 1
+            return add(self, *args)
+
+        monkeypatch.setattr(cls, "chunk", chunk_spy)
+        monkeypatch.setattr(cls, "add", add_spy)
+
+    spy(gm._SeenTable)
+    spy(gm._SeenDict)
     return levels
 
 

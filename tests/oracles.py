@@ -1,13 +1,14 @@
 """Test-only oracles: triple-loop references for the ``MatrixMod``
 kernels, readers of a group's elements through ``blocks()``, a group
 numbered from an element list, the reduction and the scan of a group's full
-enumeration, and the brute-force tensor-cube stabilizer search.  No command
+enumeration, the brute-force tensor-cube stabilizer search, and the dict
+search of row orbits that ``_bfs``'s own level loop replaced.  No command
 needs any of them."""
 
 import numpy as np
 
 from gspimage import galois_model as gm
-from gspimage.galois_model import CapExceeded, MatrixGroup, gl2_group
+from gspimage.galois_model import CapExceeded, MatrixGroup, _cap_exceeded, _kernel_dtype, gl2_group
 from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.mumford import rho
 
@@ -127,3 +128,46 @@ def stabilizer_brute_force(ell: int, cap: int = 200_000_000) -> list:
                 )
                 found.add(R.flat())
     return [MatrixMod.from_flat(ring, 8, f) for f in sorted(found)]
+
+
+def reference_row_orbits(rows, mats, mod: int, cap: int, stage: str) -> list:
+    """The orbit of each of ``rows`` under v -> v @ m mod ``mod`` for m in
+    ``mats`` (rows and matrices as tuples of Python ints), one BFS level at
+    a time: each level is multiplied out in one batch, in the kernel dtype,
+    and its products are looked up in a dict of the vectors found so far.
+
+    For each row: its orbit's vectors in discovery order (a list of tuples;
+    a vector's id is its index), the orbit's int32 action table (``act[a,
+    j]`` the id of vector a times mats[j]) and the row's id.  Rows in one
+    orbit share its list and table.  A row orbit is the image of the orbit
+    of any matrix holding the row, so it is never the longer; one past
+    ``cap`` raises CapExceeded as ``_bfs`` does, with its own count and
+    depth.
+    """
+    d = len(rows[0])
+    wide = _kernel_dtype(mod, d)
+    mats = np.array(mats, dtype=wide).reshape(-1, d, d)
+    orbits, out = [], []  # orbits: (vectors, index, table) of each distinct orbit
+    for row in rows:
+        orbit = next((o for o in orbits if row in o[1]), None)
+        if orbit is None:
+            vectors, index, act, depth = [row], {row: 0}, [], 0
+            level = np.array([row], dtype=wide)
+            while len(level):
+                count = len(vectors)
+                # in (vector, matrix) order, as in _bfs
+                prods = (level[:, None, None, :] @ mats % mod).reshape(-1, d)
+                fresh = []
+                for j, y in enumerate(zip(*prods.T.tolist())):
+                    if y not in index:
+                        if len(vectors) == cap:
+                            raise _cap_exceeded(stage, cap, count, depth)
+                        index[y] = len(vectors)
+                        vectors.append(y)
+                        fresh.append(j)
+                    act.append(index[y])
+                level, depth = prods[fresh], depth + 1
+            orbit = (vectors, index, np.array(act, dtype=np.int32).reshape(len(vectors), len(mats)))
+            orbits.append(orbit)
+        out.append((orbit[0], orbit[2], orbit[1][row]))
+    return out

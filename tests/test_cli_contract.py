@@ -307,19 +307,22 @@ def test_random_symplectic_conjugate_prints_the_named_report(case, rng):
     # orbit path), and the twin's T, conjugated back by R, is the named T
     # as a set (the built scan against the closure scan)
     name, ell, level, g = case
-    argv, text = _twin(name, ell, level, g)
-    ring = ResidueRing(ell, level)
-    space = standard_form(g, ring)
+    argv, _ = _twin(name, ell, level, g)
+    if name == "cm":
+        G, _ = gm.scenario_cm(g, ell, level)
+        P = MatrixMod.identity(G.ring, G.dim)
+    else:
+        G, _ = gm.scenario_selfproduct(ell, level)
+        P = MatrixMod(G.ring, _SELFPRODUCT_TO_STANDARD)
+    ring, space = G.ring, standard_form(g, G.ring)
     d, mod = space.dim, ring.modulus
     Q = MatrixMod.identity(ring, d)
     for _ in range(rng.randrange(1, 7)):
         Q = Q @ symplectic_transvection(space, [rng.randrange(mod) for _ in range(d)])
     assert Q.transpose() @ space.form @ Q == space.form
-    P = MatrixMod.identity(ring, d) if name == "cm" else MatrixMod(ring, _SELFPRODUCT_TO_STANDARD)
     R = Q @ P
     Rinv = R.inverse()
-    twin = json.loads(text.split("generators = ")[1].splitlines()[0])
-    gens = [[list(row) for row in (Q @ MatrixMod(ring, x) @ Q.inverse()).rows] for x in twin]
+    gens = [[list(row) for row in (R @ x @ Rinv).rows] for x in G.generators]
     H = [
         [rng.randrange(mod) * ell ** rng.randrange(level) % mod for _ in range(d)]
         for _ in range(rng.randrange(1, d + 1))

@@ -7,6 +7,7 @@ is the same search for any start matrix, level by level, with Schreier
 scalars: the oracle for ``_bfs`` itself.
 """
 
+import itertools
 import re
 import tracemalloc
 
@@ -21,14 +22,15 @@ from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import full_subgroup, subgroup_from_generators
 
 from conftest import (
+    chunked_adds,
     diagonal_similitude,
+    random_similitude,
     seen_set_strategies,
     spy_decodes,
     spy_keys,
     symplectic_transvection,
-    table_adds,
 )
-from oracles import elements, matrices, reference_reduce
+from oracles import elements, matrices, reference_reduce, reference_row_orbits
 
 
 def _mul_flat(x: tuple, y: tuple, n: int, m: int) -> tuple:
@@ -121,11 +123,11 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_close_matches_reference_order(case, chunk, monkeypatch):
     build, arr_dtype, key_type, order = CASES[case]
-    if chunk is not None:  # frontiers then span several table adds
+    if chunk is not None:  # frontiers then span several adds
         monkeypatch.setattr(gm, "_BATCH", chunk)
     S, gens = build()
     expected = reference_close(S, gens)
-    levels, keys = table_adds(monkeypatch), spy_keys(monkeypatch)
+    levels, keys = chunked_adds(monkeypatch), spy_keys(monkeypatch)
     for _ in seen_set_strategies(monkeypatch):
         G = close(S, gens)
         assert elements(G).dtype == arr_dtype
@@ -227,7 +229,7 @@ def _bfs_result(rows, mats, mod, cap, stage, units=None):
     except CapExceeded as exc:
         return str(exc)
     points = [
-        tuple(orbits[i][a] for i, a in enumerate(column))
+        tuple(tuple(orbits[i][0][:, a].tolist()) for i, a in enumerate(column))
         for ids in levels
         for column in ids.T.tolist()
     ]
@@ -290,6 +292,63 @@ def test_bfs_matches_tuple_reference(ell, level, g, ngens, k, cap, rng):
             with pytest.MonkeyPatch.context() as mp:  # hypothesis tests take no monkeypatch fixture
                 for _ in seen_set_strategies(mp, budget=None):
                     assert _bfs_result(start, mats, mod, c, stage, units) == want
+
+
+def _small_groups():
+    """(space, generators) of three small groups, one per key space of a row
+    search: the upper triangular matrices of GL2(Z/27) (27^2 keys, the
+    table; order 8748), diagonal similitudes of GSp4(Z/49) of order 6 (49^4
+    > 2^22 keys, int64 in the sorted set; order 216) and the level-20 3-adic
+    group (3^40 keys, Python ints in the dict; order 5832)."""
+    z27, z49 = ResidueRing(3, 3), ResidueRing(7, 2)
+    r = pow(gm._primitive_root(z49), 7, 49)
+    return [
+        (standard_form(1, z27), [MatrixMod(z27, x) for x in ([[1, 1], [0, 1]], [[2, 0], [0, 1]], [[1, 0], [0, 2]])]),
+        (standard_form(2, z49), [MatrixMod.diagonal(z49, x) for x in ([r, 1, 1, r**5 % 49], [1, r, r**5 % 49, 1], [1, 1, r, r])]),
+        _three_adic_level20(),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, 2), data=st.data(), rng=st.randoms(use_true_random=False))
+def test_row_orbits_match_the_dict_reference(case, data, rng):
+    # a small group conjugated by a random similitude Q, some of its
+    # generators, and one to three rows: random ones, the image of the first
+    # (one orbit) and repeats.  _bfs's row searches give the vectors, action
+    # tables, row ids and shared orbits of the dict search they replaced,
+    # under both seen sets, and its cap message where a row orbit passes
+    # the cap
+    space, base = _small_groups()[case]
+    d, mod = space.dim, space.ring.modulus
+    Q = random_similitude(space, rng)
+    picked = data.draw(st.lists(st.sampled_from(range(len(base))), min_size=1, max_size=len(base), unique=True))
+    gens = [Q @ base[i] @ Q.inverse() for i in sorted(picked)]
+    mats = [M.rows for M in gens]
+    rows = [tuple(rng.randrange(mod) for _ in range(d))]
+    for kind in data.draw(st.lists(st.sampled_from(["random", "image", "repeat"]), max_size=2)):
+        if kind == "random":
+            rows.append(tuple(rng.randrange(mod) for _ in range(d)))
+        elif kind == "image" and gens:
+            rows.append(tuple(sum(a * m for a, m in zip(rows[0], col)) % mod for col in zip(*mats[0])))
+        else:
+            rows.append(rows[-1])
+    expected = reference_row_orbits(rows, mats, mod, gm.DEFAULT_CAP, "orbit")
+    lengths = sorted({len(vectors) for vectors, _, _ in expected})
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis tests take no monkeypatch fixture
+        for _ in seen_set_strategies(mp, budget=None):
+            levels, orbits, _ = gm._bfs(rows, mats, mod, gm.DEFAULT_CAP, "orbit")
+            assert levels[0][:, 0].tolist() == [a for _, _, a in expected]
+            for (vectors, act), (want, want_act, _) in zip(orbits, expected):
+                assert [tuple(v) for v in vectors.T.tolist()] == want
+                assert act.dtype == np.int32 and act.tolist() == want_act.tolist()
+            for i, j in itertools.combinations(range(len(rows)), 2):
+                assert (orbits[i][0] is orbits[j][0]) == (expected[i][0] is expected[j][0])
+                assert (orbits[i][1] is orbits[j][1]) == (expected[i][0] is expected[j][0])
+            for cap in [n - 1 for n in lengths if n > 1]:
+                with pytest.raises(CapExceeded) as reference:
+                    reference_row_orbits(rows, mats, mod, cap, "orbit")
+                with pytest.raises(CapExceeded, match=f"^{re.escape(str(reference.value))}$"):
+                    gm._bfs(rows, mats, mod, cap, "orbit")
 
 
 @pytest.mark.parametrize("level, lam_dtype", [(20, np.uint64), (21, object)])
@@ -504,7 +563,8 @@ def test_bfs_checks_each_level_against_the_byte_budget(monkeypatch):
     batches, real = [], gm._SeenTable.add
 
     def spy(self, keys, *args):
-        batches.append(len(keys))
+        if len(self.table) == 648**2:  # the point search, not the row searches
+            batches.append(len(keys))
         return real(self, keys, *args)
 
     monkeypatch.setattr(gm._SeenTable, "add", spy)
@@ -528,10 +588,10 @@ def test_bfs_checks_each_level_against_the_byte_budget(monkeypatch):
     message = "closure exceeds the BFS level budget of 5124959 bytes: depth 12 needs 5124960 bytes"
     with pytest.raises(CapExceeded, match=f"^{message}$"):
         close(S, gens)
-    # the orbit search checks the same budget: e1 times 3 generators, at 4
-    # bytes of row id and 32 of key and temporaries each
+    # the orbit search checks the same budget: e1 times 3 generators, at 16
+    # bytes of int64 entries and 32 of key and temporaries each
     monkeypatch.setattr(gm, "_LEVEL_BYTES", 100)
-    message = "orbit exceeds the BFS level budget of 100 bytes: depth 0 needs 108 bytes"
+    message = "orbit exceeds the BFS level budget of 100 bytes: depth 0 needs 144 bytes"
     with pytest.raises(CapExceeded, match=f"^{message}$"):
         gm.orbit_degree_report(S, gens, subgroup_from_generators([(1, 0)], ring))
 
@@ -568,7 +628,8 @@ def test_stabilizer_of_close_rejects_mismatched_subgroup():
 def test_close_on_object_keys_matches_reference(monkeypatch):
     # <r I, r^38 I> in GSp6(Z/3^7), r a primitive root: the 1458 unit
     # scalars.  Each row orbit is the 1458 unit multiples of e_i, so the key
-    # space 1458^6 is past 2^63 and the keys are Python ints
+    # space 1458^6 is past 2^63 and the keys are Python ints, as are those of
+    # the six row searches, vectors keyed in (3^7)^6 = 3^42
     ring = ResidueRing(3, 7)
     S = standard_form(3, ring)
     r = gm._primitive_root(ring)
@@ -577,19 +638,20 @@ def test_close_on_object_keys_matches_reference(monkeypatch):
     starts, real = [], gm._seen_set
     monkeypatch.setattr(gm, "_seen_set", lambda size, key: starts.append(key) or real(size, key))
     G = close(S, gens)
-    assert [key.dtype for key in starts] == [object]
+    assert [key.dtype for key in starts] == [object] * 7
     assert G.order == 1458
     assert [tuple(row) for row in elements(G).tolist()] == reference_close(S, gens)
     # the orbit of H's basis e_1..e_6 runs on the same keys, with lookups
     H = full_subgroup(ring, 6)
     assert gm.orbit_degree_report(S, gens, H) == gm.build_degree_report(G, H)
-    assert [key.dtype for key in starts] == [object, object]
+    assert [key.dtype for key in starts] == [object] * 14
 
 
-def test_close_cap_fires_on_a_row_orbit():
+def test_close_cap_fires_on_a_row_orbit(monkeypatch):
     # <r I> in GL2(Z/25), r = 2 a primitive root: the closure and the orbits
     # of e1 and of e2 have 20 points each, so at cap=19 the orbit of e1, the
-    # first row, passes the cap before any element is searched
+    # first row, passes the cap before any element is searched: the search
+    # of e1 is the only seen set made
     ring = ResidueRing(5, 2)
     S = standard_form(1, ring)
     gens = [MatrixMod.diagonal(ring, [2, 2])]
@@ -598,9 +660,62 @@ def test_close_cap_fires_on_a_row_orbit():
         reference_close(S, gens, cap=19)
     message = "closure exceeds cap=19: 19 elements through BFS depth 18"
     with pytest.raises(CapExceeded, match=f"^{message}$"):
-        gm._row_orbits(MatrixMod.identity(ring, 2).rows, [gens[0].rows], 25, 19, "closure")
+        reference_row_orbits(MatrixMod.identity(ring, 2).rows, [gens[0].rows], 25, 19, "closure")
+    starts, real = [], gm._seen_set
+    monkeypatch.setattr(gm, "_seen_set", lambda size, key: starts.append(size) or real(size, key))
+    with pytest.raises(CapExceeded, match=f"^{message}$"):
+        gm._bfs(MatrixMod.identity(ring, 2).rows, [gens[0].rows], 25, 19, "closure")
     with pytest.raises(CapExceeded, match=f"^{message}$"):
         close(S, gens, cap=19)
+    assert starts == [25**2, 25**2]
+
+
+def test_a_row_search_past_the_cap_gives_the_orbit_message(monkeypatch):
+    # GL2(Z/125), H = <e1, e2>: the row search of e1 walks the 15,000
+    # primitive vectors, so at cap=14999 it raises the orbit stage's text,
+    # with the dict search's count and depth, before the point search starts
+    ring = ResidueRing(5, 3)
+    S, gens = standard_form(1, ring), gl2_standard_generators(ring)
+    H = subgroup_from_generators([(1, 0), (0, 1)], ring)
+    mats = [tuple(zip(*M.rows)) for M in gens]
+    with pytest.raises(CapExceeded) as reference:
+        reference_row_orbits(H.basis, mats, 125, 14999, "orbit")
+    message = str(reference.value)
+    assert re.fullmatch(r"orbit exceeds cap=14999: \d+ points through BFS depth \d+", message)
+    starts, real = [], gm._seen_set
+    monkeypatch.setattr(gm, "_seen_set", lambda size, key: starts.append(size) or real(size, key))
+    with pytest.raises(CapExceeded, match=f"^{message}$"):
+        gm.orbit_degree_report(S, gens, H, cap=14999)
+    assert starts == [125**2]
+
+
+def test_a_row_search_is_refused_at_the_byte_budget_before_its_batch(monkeypatch):
+    # GL2(Z/27): the closure first walks the orbit of e1 (e2 shares it), 648
+    # vectors of two int64 entries: 16 bytes a product, and 32 of key and
+    # temporaries.  Its widest level of w vectors needs w * 3 * 48 bytes; one
+    # byte less, and that level is refused before its products are built:
+    # no key of theirs is made, and the point search never starts
+    ring = ResidueRing(3, 3)
+    S, gens = standard_form(1, ring), gl2_standard_generators(ring)
+    levels = chunked_adds(monkeypatch)
+    assert close(S, gens).order == gm.gl2_order(3, 3)
+    found = list(itertools.accumulate(width for width, _ in levels))
+    row = [width for width, _ in levels[: found.index(648) + 1]]
+    depth, need = row.index(max(row)), max(row) * 3 * 48
+    assert depth > 0
+    keys = spy_keys(monkeypatch)
+    monkeypatch.setattr(gm, "_LEVEL_BYTES", need - 1)
+    message = f"closure exceeds the BFS level budget of {need - 1} bytes: depth {depth} needs {need} bytes"
+    with pytest.raises(CapExceeded, match=f"^{message}$"):
+        close(S, gens)
+    assert [len(k) for k in keys] == [1] + [3 * width for width in row[:depth]]
+    # at that budget the row search passes, and the point search (40 bytes a
+    # product) is refused on a wider level
+    keys.clear()
+    monkeypatch.setattr(gm, "_LEVEL_BYTES", need)
+    with pytest.raises(CapExceeded, match=f"^closure exceeds the BFS level budget of {need} bytes: "):
+        close(S, gens)
+    assert [len(k) for k in keys[: len(row) + 2]] == [1] + [3 * width for width in row] + [1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,7 +23,7 @@ from gspimage.modring import MatrixMod, ResidueRing
 from gspimage.symplectic import standard_form
 from gspimage.torsion import full_subgroup, subgroup_from_generators, trivial_subgroup
 
-from conftest import random_similitude, random_subgroup, seen_set_strategies, table_adds
+from conftest import chunked_adds, random_similitude, random_subgroup, seen_set_strategies
 from oracles import elements
 from test_closure import CASES, reference_close
 
@@ -131,9 +131,9 @@ def test_orbit_report_two_adic(level, names, rows):
 def test_orbit_report_matches_materialized_on_closure_cases(case, chunk, rng, monkeypatch):
     S, gens = CASES[case][0]()
     G = close(S, gens)
-    if chunk is not None:  # frontiers then span several table adds
+    if chunk is not None:  # frontiers then span several adds
         monkeypatch.setattr(gm, "_BATCH", chunk)
-    levels = table_adds(monkeypatch)
+    levels = chunked_adds(monkeypatch)
     # three random subgroups, whose orbits may all be thin, and <e1>
     e1 = subgroup_from_generators([(1,) + (0,) * (S.dim - 1)], S.ring)
     for H in [random_subgroup(S.ring, S.dim, rng) for _ in range(3)] + [e1]:
@@ -167,7 +167,7 @@ def test_close_and_orbit_report_match_their_oracles_at_every_batch(case, batch, 
     H = subgroup_from_generators(rows, S.ring) if rows else random_subgroup(S.ring, S.dim, rng)
     with pytest.MonkeyPatch.context() as mp:  # hypothesis tests take no monkeypatch fixture
         mp.setattr(gm, "_BATCH", batch)
-        levels = table_adds(mp)
+        levels = chunked_adds(mp)
         for _ in seen_set_strategies(mp):
             G = close(S, gens)
             assert [tuple(row) for row in elements(G).tolist()] == _reference_elements(case)

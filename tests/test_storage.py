@@ -31,7 +31,7 @@ from gspimage.symplectic import multiplier, standard_form
 from gspimage.torsion import subgroup_from_generators
 
 from conftest import per_group, seen_set_strategies, spy_decodes
-from oracles import elements, matrices, numbered, reference_reduce, reference_scan
+from oracles import elements, matrices, numbered, reference_reduce, reference_row_orbits, reference_scan
 from test_closure import CASES
 
 # (ell, level) -> storage dtype of a group of 2x2 matrices
@@ -352,8 +352,16 @@ def test_keys_and_reduction_allocate_no_group_sized_int64_array(monkeypatch):
 
 
 def _spy_row_orbits(monkeypatch):
-    made, real = [], gm._row_orbits
-    monkeypatch.setattr(gm, "_row_orbits", lambda *args: made.append(real(*args)) or made[-1])
+    """Spy on ``_bfs``: the returned list gets each search's row orbits, a
+    (vectors, act) pair per start row."""
+    made, real = [], gm._bfs
+
+    def spy(*args):
+        result = real(*args)
+        made.append(result[1])
+        return result
+
+    monkeypatch.setattr(gm, "_bfs", spy)
     return made
 
 
@@ -367,7 +375,7 @@ def test_closure_allocates_a_seen_table_only_inside_its_budget(monkeypatch):
     G, peak = _peak_bytes(lambda: close(S, gens))
     assert G.order == gm.gl2_order(3, 3)
     assert peak < 16 * 2**20  # the 648^2-entry table (1.6 MiB) included
-    space = math.prod(len(act) for _, act, _ in made[-1])
+    space = math.prod(len(act) for _, act in made[-1])
     assert space == 648**2
     expected = elements(G).tolist()
     tables = []
@@ -383,7 +391,9 @@ def test_closure_allocates_a_seen_table_only_inside_its_budget(monkeypatch):
         assert elements(close(S, gens)).tolist() == expected
         seen, peak = _peak_bytes(lambda: gm._seen_set(space, np.zeros(1, dtype=np.int64)))
         assert (peak >= space * 4) == (budget == space) == isinstance(seen, Spy)
-    assert tables == [space, space]  # inside the budget only: one closure, one direct call
+    # the row search of each closure (e1 and e2 share one orbit, 27^2 keys),
+    # and inside the budget only, one closure's point search and one direct call
+    assert tables == [27**2, 27**2, space, space]
 
 
 def test_row_action_table_is_checked_against_the_budget_before_allocation(monkeypatch):
@@ -393,19 +403,24 @@ def test_row_action_table_is_checked_against_the_budget_before_allocation(monkey
     ring = ResidueRing(3, 3)
     identity = MatrixMod.identity(ring, 2).rows
     mats = [g.rows for g in gm.gl2_standard_generators(ring)]
-    with pytest.raises(gm.CapExceeded, match="closure exceeds cap=647: "):
-        gm._row_orbits(identity, mats, 27, 647, "closure")
-    (vectors, act, a), (same, same_act, b) = gm._row_orbits(identity, mats, 27, 648, "closure")
-    assert same is vectors and same_act is act and len(vectors) == 648
+    with pytest.raises(gm.CapExceeded, match="closure exceeds cap=647: ") as row_search:
+        gm._bfs(identity, mats, 27, 647, "closure")
+    with pytest.raises(gm.CapExceeded) as reference:
+        reference_row_orbits(identity, mats, 27, 647, "closure")
+    assert str(row_search.value) == str(reference.value)
+    assert len(reference_row_orbits(identity, mats, 27, 648, "closure")[0][0]) == 648
+    levels, ((vectors, act), (same, same_act)), _ = gm._bfs(identity, mats, 27, gm.DEFAULT_CAP, "closure")
+    a, b = levels[0][:, 0].tolist()
+    assert same is vectors and same_act is act and vectors.shape[1] == 648
     assert act.shape == (648, 3) and act.dtype == np.int32
-    assert vectors[a] == (1, 0) and vectors[b] == (0, 1)
+    assert vectors[:, a].tolist() == [1, 0] and vectors[:, b].tolist() == [0, 1]
     # GSp4 over Z/27: packed entries would take two words (27^16 > 2^63), but
     # the row orbits (6, 27, 2 and 3 vectors) give 972 keys, one word each
     S4, gens4 = CASES["gsp4_z27"][0]()
     made = _spy_row_orbits(monkeypatch)
     assert close(S4, gens4).order == 486
-    assert [act.shape for _, act, _ in made[0]] == [(6, 4), (27, 4), (2, 4), (3, 4)]
-    assert 27**16 > 2**63 and math.prod(len(act) for _, act, _ in made[0]) == 972
+    assert [act.shape for _, act in made[0]] == [(6, 4), (27, 4), (2, 4), (3, 4)]
+    assert 27**16 > 2**63 and math.prod(len(act) for _, act in made[0]) == 972
 
 
 def test_row_action_fills_only_the_rows_it_reaches(monkeypatch):
@@ -417,10 +432,10 @@ def test_row_action_fills_only_the_rows_it_reaches(monkeypatch):
     made = _spy_row_orbits(monkeypatch)
     assert close(S, [u]).order == 243
     assert gm.orbit_degree_report(S, [u], subgroup_from_generators([(0, 1)], ring)).deg_KH == 243
-    (e1, act1, _), (e2, act2, _) = made[0]
-    ((orbit, act, _),) = made[1]
-    assert e1 == [(1, c) for c in range(243)] and e2 == [(0, 1)]
-    assert orbit == [(c, 1) for c in range(243)]
+    (e1, act1), (e2, act2) = made[0]
+    ((orbit, act),) = made[1]
+    assert e1.T.tolist() == [[1, c] for c in range(243)] and e2.T.tolist() == [[0, 1]]
+    assert orbit.T.tolist() == [[c, 1] for c in range(243)]
     assert act1.shape == act.shape == (243, 1) and act2.shape == (1, 1)
     assert act1[:, 0].tolist() == act[:, 0].tolist() == [*range(1, 243), 0]
 
